@@ -104,23 +104,18 @@ inline void write_csv(const std::string& path, const std::string& content) {
 /// One benchmark measurement: a named scenario plus the engine-side and
 /// protocol-side numbers of a run.
 struct BenchEntry {
-  std::string name;    // scenario, e.g. "lyra_n100_t4"
+  std::string name;    // scenario, e.g. "lyra_n100"
   std::string params;  // human-readable knobs, e.g. "n=100 clients=2600"
   std::uint64_t seed = 0;
-  unsigned threads = 1;          // execution threads (1 = serial engine)
   std::uint64_t events = 0;      // events executed by the engine
   double events_per_sec = 0.0;   // events / host wall-clock seconds
   double host_seconds = 0.0;     // wall-clock time of the event loop
   double sim_seconds = 0.0;      // simulated time covered
   double throughput_tps = 0.0;   // committed tx/s (sanity anchor)
-  // Host context the run was measured on: scaling numbers from a box with
-  // fewer cores than threads are not comparable to a wide one.
+  // Host context the run was measured on: host-time numbers are only
+  // comparable against a baseline from the same kind of box.
   unsigned hw_concurrency = 0;   // std::thread::hardware_concurrency()
   unsigned host_nproc = 0;       // online CPUs per the OS
-  // Parallel-executor hot-path ratios (0 for serial runs).
-  double locks_per_event = 0.0;
-  double notifies_per_event = 0.0;
-  double mean_batch_size = 0.0;
   /// Benchmark-specific metrics (e.g. the load sweep's offered_tps,
   /// extracted_value). Serialized as additional keys only when non-empty,
   /// so benches that never touch it produce byte-identical JSON.
@@ -166,17 +161,13 @@ inline void write_bench_json(const std::string& path,
     j += "        {\"name\": \"" + json_escape(e.name) + "\", \"params\": \"" +
          json_escape(e.params) +
          "\", \"seed\": " + std::to_string(e.seed) +
-         ", \"threads\": " + std::to_string(e.threads) +
          ", \"events\": " + std::to_string(e.events) +
          ", \"events_per_sec\": " + json_num(e.events_per_sec) +
          ", \"host_seconds\": " + json_num(e.host_seconds) +
          ", \"sim_seconds\": " + json_num(e.sim_seconds) +
          ", \"throughput_tps\": " + json_num(e.throughput_tps) +
          ", \"hw_concurrency\": " + std::to_string(e.hw_concurrency) +
-         ", \"host_nproc\": " + std::to_string(e.host_nproc) +
-         ", \"locks_per_event\": " + json_num(e.locks_per_event) +
-         ", \"notifies_per_event\": " + json_num(e.notifies_per_event) +
-         ", \"mean_batch_size\": " + json_num(e.mean_batch_size);
+         ", \"host_nproc\": " + std::to_string(e.host_nproc);
     for (const auto& [key, v] : e.extra) {
       j += ", \"" + json_escape(key) + "\": " + json_num(v);
     }

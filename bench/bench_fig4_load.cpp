@@ -87,7 +87,6 @@ int main() {
                  " rate=" + std::to_string(static_cast<int>(rate)) +
                  " cap=" + std::to_string(config.workload.mempool_capacity);
       e.seed = config.seed;
-      e.threads = config.threads;
       e.events = r.events_executed;
       e.events_per_sec = r.host_seconds > 0
                              ? static_cast<double>(r.events_executed) /

@@ -104,7 +104,6 @@ RunConfig base_config(const ScalePoint& p) {
   cfg.heartbeat = p.heartbeat;
   cfg.duration = p.duration;
   cfg.measure_from = p.measure_from;
-  cfg.threads = 1;  // the scaling sweep measures memory, not parallelism
   cfg.memoize_verify = bench::memoize_mode();
   return cfg;
 }
@@ -126,7 +125,6 @@ bench::BenchEntry measure(const std::string& name, const RunConfig& cfg) {
              " duration_ms=" + std::to_string(to_ms(cfg.duration)) +
              " no-obfuscation";
   e.seed = cfg.seed;
-  e.threads = cfg.threads;
   e.events = r.events_executed;
   e.host_seconds = r.host_seconds;
   e.sim_seconds = r.sim_seconds;

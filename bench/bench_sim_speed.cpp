@@ -33,7 +33,6 @@ bench::BenchEntry measure(const std::string& name, const RunConfig& cfg) {
              " batch=" + std::to_string(cfg.batch_size) +
              " duration_ms=" + std::to_string(to_ms(cfg.duration));
   e.seed = cfg.seed;
-  e.threads = cfg.threads;
   e.events = r.events_executed;
   e.host_seconds = r.host_seconds;
   e.sim_seconds = r.sim_seconds;
@@ -44,13 +43,9 @@ bench::BenchEntry measure(const std::string& name, const RunConfig& cfg) {
   e.throughput_tps = r.throughput_tps;
   e.hw_concurrency = bench::hw_concurrency();
   e.host_nproc = bench::host_nproc();
-  e.locks_per_event = r.exec_stats.locks_per_event();
-  e.notifies_per_event = r.exec_stats.notifies_per_event();
-  e.mean_batch_size = r.exec_stats.mean_batch_size();
-  std::printf("%-14s %12llu %10.2f %14.0f %12.0f %9.3f %9.3f   %s\n",
-              name.c_str(), static_cast<unsigned long long>(e.events),
-              e.host_seconds, e.events_per_sec, e.throughput_tps,
-              e.locks_per_event, e.notifies_per_event,
+  std::printf("%-14s %12llu %10.2f %14.0f %12.0f   %s\n", name.c_str(),
+              static_cast<unsigned long long>(e.events), e.host_seconds,
+              e.events_per_sec, e.throughput_tps,
               r.prefix_consistent ? "ok" : "VIOLATED");
   std::fflush(stdout);
   return e;
@@ -82,7 +77,7 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Simulator speed (fig3-style workload)",
       "scenario             events    host(s)       events/s         tx/s"
-      "   locks/ev notifies/ev   safety");
+      "   safety");
 
   std::vector<bench::BenchEntry> entries;
 
@@ -94,17 +89,6 @@ int main(int argc, char** argv) {
   lyra.measure_from = measure_from;
   entries.push_back(
       measure(quick ? "lyra_n31" : "lyra_n100", lyra));
-
-  // The same scenario under the parallel executor, one entry per thread
-  // count. The engine guarantees identical results (the equivalence tests
-  // pin that); what is being measured here is events/host-second scaling.
-  const std::string base = quick ? "lyra_n31" : "lyra_n100";
-  for (unsigned threads : {2u, 4u}) {
-    RunConfig cfg = lyra;
-    cfg.threads = threads;
-    entries.push_back(
-        measure(base + "_t" + std::to_string(threads), cfg));
-  }
 
   RunConfig pompe;
   pompe.protocol = RunConfig::Protocol::kPompe;

@@ -62,8 +62,10 @@ ScenarioPlan generate_plan(std::uint64_t seed) {
       16 + 8 * static_cast<std::uint32_t>(rng.next_below(5));
   const std::uint32_t batches[] = {8, 16, 32};
   plan.batch_size = batches[rng.next_below(3)];
-  const unsigned threads[] = {1, 1, 2, 4};
-  plan.threads = threads[rng.next_below(4)];
+  // Retired axis: plans used to draw an execution thread count here. The
+  // draw is kept and discarded so every seed still expands to the same
+  // faults, which keeps recorded seed ranges and corpus provenance valid.
+  rng.next_below(4);
   const std::uint32_t f = plan.f();
 
   // Open-loop mode swaps the closed-loop pools for Poisson traffic sources
@@ -261,7 +263,6 @@ std::string serialize_plan(const ScenarioPlan& plan) {
   out << "clients " << plan.clients_per_node << "\n";
   out << "batch " << plan.batch_size << "\n";
   out << "duration_ms " << plan.duration / kNsPerMs << "\n";
-  out << "threads " << plan.threads << "\n";
   out << "state_sync " << (plan.state_sync ? 1 : 0) << "\n";
   out << "resubmit_ms " << plan.resubmit_timeout / kNsPerMs << "\n";
   if (plan.open_loop()) {
@@ -390,8 +391,8 @@ bool parse_plan(const std::string& text, ScenarioPlan& plan,
       if (!scalar_u64(v)) return fail("bad duration_ms");
       plan.duration = static_cast<TimeNs>(v) * kNsPerMs;
     } else if (word == "threads") {
+      // Retired execution-thread axis: older artifacts still carry it.
       if (!scalar_u64(v)) return fail("bad threads");
-      plan.threads = static_cast<unsigned>(v);
     } else if (word == "state_sync") {
       if (!scalar_u64(v) || v > 1) return fail("bad state_sync");
       plan.state_sync = v == 1;
@@ -499,9 +500,6 @@ bool validate_plan(const ScenarioPlan& plan, std::string& error) {
     return false;
   };
   if (plan.n < 4 || plan.n > 16) return fail("n must be in [4, 16]");
-  if (plan.threads < 1 || plan.threads > 8) {
-    return fail("threads must be in [1, 8]");
-  }
   if (plan.duration <= 0 || plan.duration > ms(60'000)) {
     return fail("duration must be in (0, 60s]");
   }

@@ -37,7 +37,7 @@ struct CrashFault {
 /// Messages crossing the side boundary are delayed until `to` (plus normal
 /// delivery latency): a clean partition/heal pair expressed as pure added
 /// delay, which keeps the net::Adversary contract (never accelerate, never
-/// drop) and therefore the parallel executor's lookahead sound.
+/// drop) and therefore the per-channel FIFO floors sound.
 /// Bit i of side_mask puts consensus node i on side A; client pools are
 /// co-located with their target node and inherit its side.
 struct PartitionFault {
@@ -140,7 +140,6 @@ struct ScenarioPlan {
   std::uint32_t clients_per_node = 16;
   std::uint32_t batch_size = 16;
   TimeNs duration = 0;
-  unsigned threads = 1;
   bool state_sync = false;
   TimeNs resubmit_timeout = 0;  ///< 0 = resubmission off
 
@@ -182,11 +181,13 @@ ScenarioPlan generate_plan(std::uint64_t seed);
 std::string serialize_plan(const ScenarioPlan& plan);
 
 /// Parses serialize_plan() output. Returns false (with `error` set) on
-/// malformed input; never aborts — corpus files are untrusted inputs.
+/// malformed input; never aborts — corpus files are untrusted inputs. A
+/// `threads <k>` line (a retired axis) is accepted and ignored, so older
+/// artifacts replay unedited.
 bool parse_plan(const std::string& text, ScenarioPlan& plan,
                 std::string& error);
 
-/// Structural validity: bounds on n/threads/duration, fault windows inside
+/// Structural validity: bounds on n/duration, fault windows inside
 /// the run, crash windows per-node disjoint, byz slots distinct and <= f.
 /// The runner refuses invalid plans instead of asserting.
 bool validate_plan(const ScenarioPlan& plan, std::string& error);

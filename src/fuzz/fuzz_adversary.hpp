@@ -11,8 +11,8 @@ namespace lyra::fuzz {
 /// delay. Partitions hold messages crossing the side boundary until the
 /// heal time; delay windows add a random burst on top. Both honor the
 /// net::Adversary contract — the returned delay is never below the honest
-/// base sample — so FIFO floors and the parallel executor's lookahead stay
-/// sound under every generated schedule.
+/// base sample — so the per-channel FIFO floors stay sound under every
+/// generated schedule.
 class FuzzAdversary final : public net::Adversary {
  public:
   FuzzAdversary(std::uint32_t n, std::vector<PartitionFault> partitions,

@@ -26,10 +26,7 @@ FuzzSummary fuzz(const FuzzOptions& options) {
   };
   for (std::size_t i = 0; i < options.num_seeds; ++i) {
     const std::uint64_t seed = options.start_seed + i;
-    ScenarioPlan plan = generate_plan(seed);
-    if (options.threads_override != 0) {
-      plan.threads = options.threads_override;
-    }
+    const ScenarioPlan plan = generate_plan(seed);
     RunReport report = run_plan(plan);
     ++summary.seeds_run;
     if (report.ok()) {

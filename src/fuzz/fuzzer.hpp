@@ -16,8 +16,6 @@ struct FuzzOptions {
   /// Shrink every failing program to a minimal reproducer.
   bool minimize = true;
   std::size_t max_minimize_runs = 250;
-  /// 0 = use each plan's own generated thread count; otherwise force.
-  unsigned threads_override = 0;
   /// Directory for replayable failure artifacts ("" = don't write).
   std::string artifact_dir;
   /// Progress/diagnostic sink (nullptr = quiet).

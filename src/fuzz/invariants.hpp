@@ -23,9 +23,9 @@ struct Violation {
 };
 
 /// Everything a check may look at. Exactly one cluster pointer is set.
-/// The registry never mutates the cluster — checks run inside barrier
-/// events of a live simulation and read-only access is what makes that
-/// safe under the parallel executor.
+/// The registry never mutates the cluster — checks run inside
+/// harness-level events of a live simulation, so a sweep must not perturb
+/// the schedule it observes.
 struct CheckContext {
   const ScenarioPlan* plan = nullptr;
   harness::LyraCluster* lyra = nullptr;
@@ -56,10 +56,6 @@ using CheckFn = void (*)(const CheckContext&, std::vector<Violation>&);
 ///   post-fault-progress     commits after the last fault window
 ///   open-loop-resolution    every open-loop tx commits or terminally rejects
 ///   client-resubmit-lag     resubmit timer fires at the earliest deadline
-///
-/// serial==parallel equality is run-level (it needs a second run of the
-/// whole plan) and lives in the runner, reported under the same Violation
-/// type with invariant "serial-parallel-equivalence".
 class InvariantRegistry {
  public:
   struct Entry {

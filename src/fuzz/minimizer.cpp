@@ -8,13 +8,6 @@ namespace lyra::fuzz {
 
 namespace {
 
-bool involves_equivalence(const std::vector<Violation>& v) {
-  for (const Violation& viol : v) {
-    if (viol.invariant == "serial-parallel-equivalence") return true;
-  }
-  return false;
-}
-
 /// Remap a 7-node plan onto 4 nodes when every fault already names a node
 /// below 4 (no id rewriting — rewriting would change which schedule the
 /// seed reproduces more than shrinking does).
@@ -43,7 +36,6 @@ MinimizeResult minimize_plan(
   MinimizeResult result;
   result.plan = failing;
 
-  RunOptions opts;
   // A candidate counts as "still failing" only if it trips one of the
   // invariants the original plan tripped. Accepting *any* violation lets
   // the reproducer drift onto an unrelated bug mid-shrink and the emitted
@@ -54,7 +46,7 @@ MinimizeResult minimize_plan(
     std::string err;
     if (!validate_plan(candidate, err)) return false;
     ++result.oracle_runs;
-    RunReport rep = run_plan(candidate, opts);
+    RunReport rep = run_plan(candidate);
     if (out != nullptr) *out = rep.violations;
     if (target.empty()) return !rep.violations.empty();
     for (const Violation& v : rep.violations) {
@@ -63,8 +55,6 @@ MinimizeResult minimize_plan(
     return false;
   };
 
-  // Baseline with the caller-visible options; decide whether shrinking
-  // needs the (2x more expensive) equivalence replay at every step.
   std::vector<Violation> baseline;
   if (!oracle(failing, &baseline)) {
     // Not actually failing (or invalid): nothing to shrink.
@@ -73,7 +63,6 @@ MinimizeResult minimize_plan(
   }
   result.violations = baseline;
   for (const Violation& v : baseline) target.insert(v.invariant);
-  opts.check_equivalence = involves_equivalence(baseline);
 
   const auto accept = [&](const ScenarioPlan& candidate,
                           const char* what) {
@@ -152,11 +141,6 @@ MinimizeResult minimize_plan(
     }
 
     // 3. Turn off configuration axes.
-    if (result.plan.threads > 1) {
-      ScenarioPlan c = result.plan;
-      c.threads = 1;
-      if (accept(c, "threads=1")) progress = true;
-    }
     if (result.plan.state_sync) {
       ScenarioPlan c = result.plan;
       c.state_sync = false;  // rejected by validate if a wipe needs it
@@ -234,15 +218,6 @@ MinimizeResult minimize_plan(
       if (accept(c, "shorten run")) progress = true;
       else break;
     }
-  }
-
-  // Re-verify the reproducer with the full (equivalence-enabled) oracle so
-  // the emitted artifact fails exactly as a fresh replay of it will.
-  if (!opts.check_equivalence) {
-    RunOptions full;
-    RunReport rep = run_plan(result.plan, full);
-    ++result.oracle_runs;
-    result.violations = rep.violations;
   }
   return result;
 }

@@ -15,16 +15,12 @@ struct MinimizeResult {
 };
 
 /// Greedy delta-debugging over the fault-program grammar: repeatedly try
-/// dropping whole faults, turning off configuration axes (threads,
-/// resubmission, state sync), shrinking windows and the run itself, and
-/// reducing n — keeping any candidate that still violates *some*
-/// invariant (a smaller program tripping a different invariant is still a
-/// bug, and usually the same root cause with less noise). Deterministic:
-/// candidate order is fixed and the oracle is the deterministic runner.
-///
-/// The serial==parallel equivalence check stays enabled during shrinking
-/// only when the original failure involved it; otherwise each oracle run
-/// is a single simulation.
+/// dropping whole faults, turning off configuration axes (resubmission,
+/// state sync), shrinking windows and the run itself, and reducing n —
+/// keeping any candidate that still violates one of the invariants the
+/// original plan tripped (accepting any violation would let the reproducer
+/// drift onto an unrelated bug mid-shrink). Deterministic: candidate order
+/// is fixed and the oracle is the deterministic runner.
 MinimizeResult minimize_plan(
     const ScenarioPlan& failing, std::size_t max_runs = 250,
     const std::function<void(const std::string&)>& log = nullptr);

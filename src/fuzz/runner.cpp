@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "attacks/byzantine_lyra.hpp"
-#include "crypto/hash.hpp"
 #include "fuzz/fuzz_adversary.hpp"
 #include "harness/lyra_cluster.hpp"
 #include "harness/pompe_cluster.hpp"
@@ -56,10 +55,9 @@ workload::OpenLoopOptions make_open_loop_options(const ScenarioPlan& plan) {
   return o;
 }
 
-/// Schedules the open-loop workload faults. All hooks run as ownerless
-/// barrier events, so mutating pools and node mempools is race-free under
-/// the parallel executor. Open-loop plans have no crash faults, so every
-/// node is alive whenever a flap fires.
+/// Schedules the open-loop workload faults as harness-level events that
+/// mutate pools and node mempools between handler runs. Open-loop plans
+/// have no crash faults, so every node is alive whenever a flap fires.
 template <typename Cluster>
 void schedule_workload_faults(sim::Simulation& sim, Cluster& cluster,
                               const ScenarioPlan& plan) {
@@ -103,22 +101,6 @@ void collect_open_loop_report(const Cluster& cluster, RunReport& rep) {
     rep.offered_txs += s.offered;
     rep.backpressure_rejects += s.rejected_events;
     rep.terminal_rejects += s.terminal_rejects;
-  }
-}
-
-/// Open-loop outcome digest: offered/terminal counts and the unresolved
-/// set size pin the pools' externally-observable state, over and above the
-/// ledgers.
-void add_open_loop_digest(
-    crypto::Hasher& h,
-    const std::vector<std::unique_ptr<workload::OpenLoopClientPool>>& pools) {
-  for (const auto& pool : pools) {
-    const workload::OpenLoopStats& s = pool->stats();
-    h.add_u64(s.offered);
-    h.add_u64(s.committed_total);
-    h.add_u64(s.terminal_rejects);
-    h.add_u64(s.resubmissions);
-    h.add_u64(pool->unresolved());
   }
 }
 
@@ -195,53 +177,9 @@ void apply_sync_byzantine(harness::LyraCluster& cluster,
   }
 }
 
-/// Final-state digest for the serial==parallel equality check: everything
-/// externally observable about the run's outcome — per-node ledgers (via
-/// the incremental chain hash), liveness of each slot, and what every
-/// client pool saw committed.
-crypto::Digest lyra_run_digest(harness::LyraCluster& cluster,
-                               const ScenarioPlan& plan) {
-  crypto::Hasher h;
-  for (NodeId i = 0; i < plan.n; ++i) {
-    h.add_u32(i);
-    if (!cluster.node_alive(i)) {
-      h.add_str("down");
-      continue;
-    }
-    h.add(cluster.node(i).chain_hash());
-    h.add_u64(cluster.node(i).ledger().size());
-    h.add_u64(cluster.node(i).commit_state().late_accepts());
-  }
-  for (const auto& pool : cluster.pools()) {
-    h.add_u64(pool->committed_total());
-    h.add_u64(pool->resubmissions());
-  }
-  add_open_loop_digest(h, cluster.open_pools());
-  return h.digest();
-}
-
-crypto::Digest pompe_run_digest(harness::PompeCluster& cluster,
-                                const ScenarioPlan& plan) {
-  crypto::Hasher h;
-  for (NodeId i = 0; i < plan.n; ++i) {
-    h.add_u32(i);
-    for (const pompe::PompeCommitted& c : cluster.node(i).ledger()) {
-      h.add_i64(c.assigned_ts);
-      h.add(c.batch_digest);
-      h.add_u32(c.proposer);
-      h.add_u32(c.tx_count);
-    }
-  }
-  for (const auto& pool : cluster.pools()) {
-    h.add_u64(pool->committed_total());
-  }
-  add_open_loop_digest(h, cluster.open_pools());
-  return h.digest();
-}
-
 /// Wires the in-run sweep/fault schedule shared by both protocols.
-/// `sweeps` fire as ownerless events (barriers under the parallel
-/// executor), so reading cross-node state is safe.
+/// `sweeps` fire as harness-level events between handler runs, so reading
+/// cross-node state is safe.
 void schedule_sweeps(sim::Simulation& sim, const ScenarioPlan& plan,
                      const RunOptions& opts, CheckContext& ctx,
                      const InvariantRegistry& reg, bool& tripped,
@@ -260,7 +198,7 @@ void schedule_sweeps(sim::Simulation& sim, const ScenarioPlan& plan,
 }
 
 void run_lyra_plan(const ScenarioPlan& plan, const RunOptions& opts,
-                   unsigned threads, RunReport& rep, crypto::Digest& digest) {
+                   RunReport& rep) {
   harness::LyraClusterOptions co;
   co.config.n = plan.n;
   co.config.f = plan.f();
@@ -272,7 +210,6 @@ void run_lyra_plan(const ScenarioPlan& plan, const RunOptions& opts,
   co.config.mempool_capacity = plan.mempool_capacity;
   co.topology = benchmark_topology(plan.n);
   co.seed = plan.seed;
-  co.threads = threads;
   co.durable_storage = !plan.crashes.empty() || plan.state_sync;
   co.state_sync = plan.state_sync;
   if (!plan.byz.empty()) co.node_factory = make_node_factory(plan);
@@ -358,12 +295,10 @@ void run_lyra_plan(const ScenarioPlan& plan, const RunOptions& opts,
     rep.resubmissions += pool->resubmissions();
   }
   collect_open_loop_report(cluster, rep);
-  digest = lyra_run_digest(cluster, plan);
 }
 
 void run_pompe_plan(const ScenarioPlan& plan, const RunOptions& opts,
-                    unsigned threads, RunReport& rep,
-                    crypto::Digest& digest) {
+                    RunReport& rep) {
   harness::PompeClusterOptions co;
   co.config.n = plan.n;
   co.config.f = plan.f();
@@ -373,7 +308,6 @@ void run_pompe_plan(const ScenarioPlan& plan, const RunOptions& opts,
   co.config.mempool_capacity = plan.mempool_capacity;
   co.topology = benchmark_topology(plan.n);
   co.seed = plan.seed;
-  co.threads = threads;
 
   harness::PompeCluster cluster(std::move(co));
   FuzzAdversary adversary(plan.n, plan.partitions, plan.delays);
@@ -428,16 +362,6 @@ void run_pompe_plan(const ScenarioPlan& plan, const RunOptions& opts,
     rep.resubmissions += pool->resubmissions();
   }
   collect_open_loop_report(cluster, rep);
-  digest = pompe_run_digest(cluster, plan);
-}
-
-void execute(const ScenarioPlan& plan, const RunOptions& opts,
-             unsigned threads, RunReport& rep, crypto::Digest& digest) {
-  if (plan.protocol == Protocol::kLyra) {
-    run_lyra_plan(plan, opts, threads, rep, digest);
-  } else {
-    run_pompe_plan(plan, opts, threads, rep, digest);
-  }
 }
 
 }  // namespace
@@ -449,23 +373,10 @@ RunReport run_plan(const ScenarioPlan& plan, const RunOptions& opts) {
     rep.invalid_plan = true;
     return rep;
   }
-  crypto::Digest digest{};
-  execute(plan, opts, plan.threads, rep, digest);
-
-  if (opts.check_equivalence && plan.threads > 1) {
-    RunReport serial;
-    serial.plan = plan;
-    crypto::Digest serial_digest{};
-    execute(plan, opts, /*threads=*/1, serial, serial_digest);
-    if (serial_digest != digest) {
-      rep.violations.push_back(
-          {"serial-parallel-equivalence",
-           "final-state digest differs between threads=" +
-               std::to_string(plan.threads) + " and the serial replay (" +
-               crypto::digest_short(digest) + " vs " +
-               crypto::digest_short(serial_digest) + ")",
-           plan.duration});
-    }
+  if (plan.protocol == Protocol::kLyra) {
+    run_lyra_plan(plan, opts, rep);
+  } else {
+    run_pompe_plan(plan, opts, rep);
   }
   return rep;
 }

@@ -9,12 +9,8 @@
 namespace lyra::fuzz {
 
 struct RunOptions {
-  /// Re-run threads>1 plans serially and compare final-state digests
-  /// (serial==parallel equality). The minimizer disables this while
-  /// shrinking and re-enables it for the final reproducer.
-  bool check_equivalence = true;
-  /// Cadence of the in-run safety sweeps. Each sweep runs as an ownerless
-  /// (barrier) event, so reads are race-free under the parallel executor.
+  /// Cadence of the in-run safety sweeps. Each sweep is a harness-level
+  /// event that reads cross-node state between handler runs.
   TimeNs check_interval = ms(250);
 };
 
@@ -44,9 +40,8 @@ struct RunReport {
 };
 
 /// Builds the cluster the plan describes, installs the adversary,
-/// schedules every fault, sweeps the invariant registry during and after
-/// the run, and (optionally) replays the plan serially to check
-/// serial==parallel equality. Deterministic: same plan, same report.
+/// schedules every fault, and sweeps the invariant registry during and
+/// after the run. Deterministic: same plan, same report.
 RunReport run_plan(const ScenarioPlan& plan, const RunOptions& opts = {});
 
 }  // namespace lyra::fuzz

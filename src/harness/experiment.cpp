@@ -190,7 +190,6 @@ RunResult run_lyra(const RunConfig& config) {
     opts.topology = benchmark_topology(config.n);
   }
   opts.seed = config.seed;
-  opts.threads = config.threads;
   opts.durable_storage = !config.crash_restarts.empty();
   opts.state_sync = config.wants_state_sync();
   opts.statesync_config.delta_transfer = config.delta_sync;
@@ -270,7 +269,6 @@ RunResult run_lyra(const RunConfig& config) {
   r.events_executed = executed;
   r.host_seconds = host_elapsed.count();
   r.sim_seconds = to_ms(config.duration) / 1000.0;
-  r.exec_stats = cluster.simulation().executor_stats();
   r.prefix_consistent = cluster.ledgers_prefix_consistent();
   r.late_accepts = cluster.total_late_accepts();
   if (config.workload.open_loop) {
@@ -367,7 +365,6 @@ RunResult run_pompe(const RunConfig& config) {
     opts.topology = benchmark_topology(config.n);
   }
   opts.seed = config.seed;
-  opts.threads = config.threads;
   const std::size_t sandwichers =
       config.workload.open_loop ? config.workload.sandwich_attackers : 0;
   if (sandwichers > 0) {
@@ -419,7 +416,6 @@ RunResult run_pompe(const RunConfig& config) {
   r.events_executed = executed;
   r.host_seconds = host_elapsed.count();
   r.sim_seconds = to_ms(config.duration) / 1000.0;
-  r.exec_stats = cluster.simulation().executor_stats();
   r.prefix_consistent = cluster.ledgers_prefix_consistent();
   for (NodeId i = 0; i < config.n; ++i) {
     r.proof_verifications += cluster.node(i).stats().proof_verifications;

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/executor_stats.hpp"
 #include "support/types.hpp"
 #include "workload/samplers.hpp"
 
@@ -43,11 +42,6 @@ struct RunConfig {
   TimeNs measure_from = ms(2500);
   TimeNs client_start = ms(900);  // after Lyra's distance warm-up
   std::uint64_t seed = 42;
-
-  /// Execution threads for the simulation engine (1 = serial). N > 1 runs
-  /// the deterministic parallel executor with N-1 workers; the committed
-  /// ledgers and client stats are identical to the serial run.
-  unsigned threads = 1;
 
   // Protocol knobs (paper defaults).
   std::size_t batch_size = 800;
@@ -146,9 +140,6 @@ struct RunResult {
   std::uint64_t events_executed = 0;
   double host_seconds = 0.0;  // wall-clock time of the event loop
   double sim_seconds = 0.0;   // simulated duration covered
-  /// Parallel-executor hot-path counters (all-zero for serial runs);
-  /// lyra_sim --stats and bench_sim_speed report the per-event ratios.
-  sim::ExecutorStats exec_stats;
 
   double mean_latency_ms = 0.0;
   double p50_latency_ms = 0.0;

@@ -43,9 +43,6 @@ LyraCluster::LyraCluster(LyraClusterOptions options)
               "a transfer and synced state would not survive");
   network_ = std::make_unique<net::Network>(
       &sim_, options_.topology.make_latency_model(), options_.config.n);
-  if (options_.threads > 1) {
-    sim_.set_parallelism(options_.threads, network_->delivery_floor());
-  }
 
   disks_.resize(options_.config.n);
   journals_.resize(options_.config.n);

@@ -42,11 +42,6 @@ struct LyraClusterOptions {
   /// transfer instead of staying down. Requires durable_storage.
   bool state_sync = false;
   statesync::StateSyncConfig statesync_config;
-
-  /// Total execution threads for the simulation (1 = serial). N > 1 runs
-  /// the deterministic parallel executor with N-1 workers; results are
-  /// identical to the serial run for the same seed.
-  unsigned threads = 1;
 };
 
 /// How a restart_node() call resolved.

@@ -22,9 +22,6 @@ PompeCluster::PompeCluster(PompeClusterOptions options)
               "topology smaller than the cluster");
   network_ = std::make_unique<net::Network>(
       &sim_, options_.topology.make_latency_model(), options_.config.n);
-  if (options_.threads > 1) {
-    sim_.set_parallelism(options_.threads, network_->delivery_floor());
-  }
 
   for (NodeId i = 0; i < options_.config.n; ++i) {
     auto node = options_.node_factory

@@ -23,9 +23,6 @@ struct PompeClusterOptions {
   net::Topology topology;
   std::uint64_t seed = 1;
   PompeNodeFactory node_factory;
-
-  /// Total execution threads (1 = serial); see LyraClusterOptions::threads.
-  unsigned threads = 1;
 };
 
 /// The Pompē baseline deployment, mirroring LyraCluster's shape so the

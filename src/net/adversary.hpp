@@ -16,9 +16,8 @@ class Adversary {
 
   /// Returns the (possibly inflated) delay for a message. `base_delay` is
   /// the honest network sample. Implementations must return at least
-  /// `base_delay`: the adversary only adds delay, never accelerates — a
-  /// contract the parallel executor's lookahead window also relies on
-  /// (delays below the latency model's floor would break determinism).
+  /// `base_delay`: the adversary only adds delay, never accelerates (the
+  /// model's "delay, never drop or tamper" power; see above).
   virtual TimeNs delay(const sim::Envelope& env, TimeNs base_delay,
                        Rng& rng) = 0;
 };

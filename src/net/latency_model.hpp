@@ -14,8 +14,6 @@ class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
 
-  /// Must never return less than min_delay_bound(), for any pair and any
-  /// jitter draw — the parallel executor's lookahead window relies on it.
   virtual TimeNs sample(NodeId from, NodeId to, Rng& rng) const = 0;
 
   /// Mean one-way delay (no jitter), used by protocols to pick Delta.
@@ -23,10 +21,6 @@ class LatencyModel {
 
   /// Largest base one-way delay across all pairs: a safe Delta estimate.
   virtual TimeNs max_base() const = 0;
-
-  /// Hard lower bound on every sampled delay (loopback included): the
-  /// conservative lookahead the parallel executor may advance by.
-  virtual TimeNs min_delay_bound() const = 0;
 };
 
 /// Constant base delay for every distinct pair plus log-normal jitter.
@@ -39,9 +33,6 @@ class UniformLatency final : public LatencyModel {
   TimeNs sample(NodeId from, NodeId to, Rng& rng) const override;
   TimeNs base(NodeId from, NodeId to) const override;
   TimeNs max_base() const override { return base_; }
-  // sample() clamps cross-pair delays to >= loopback and self-delivery is
-  // exactly loopback, so loopback bounds every delay from below.
-  TimeNs min_delay_bound() const override { return loopback_; }
 
  private:
   TimeNs base_;
@@ -61,7 +52,6 @@ class MatrixLatency final : public LatencyModel {
   TimeNs sample(NodeId from, NodeId to, Rng& rng) const override;
   TimeNs base(NodeId from, NodeId to) const override;
   TimeNs max_base() const override;
-  TimeNs min_delay_bound() const override { return loopback_; }
 
   std::size_t size() const { return base_.size(); }
 

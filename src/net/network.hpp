@@ -51,12 +51,6 @@ class Network final : public sim::Transport, public sim::ProcessDirectory {
 
   const LatencyModel& latency() const { return *latency_; }
 
-  /// Lower bound on every message delivery delay (the latency model's
-  /// floor; FIFO channel floors, NIC egress booking, and the adversaries
-  /// only ever add delay). This is the lookahead window handed to
-  /// Simulation::set_parallelism.
-  TimeNs delivery_floor() const { return latency_->min_delay_bound(); }
-
   /// Installs a message-delay adversary (nullptr to remove).
   void set_adversary(Adversary* adversary) { adversary_ = adversary; }
 

@@ -18,7 +18,7 @@ inline bool ref_before(TimeNs a_at, std::uint64_t a_id, TimeNs b_at,
 
 }  // namespace
 
-std::uint64_t EventQueue::schedule_at(TimeNs at, Callback fn, NodeId owner) {
+std::uint64_t EventQueue::schedule_at(TimeNs at, Callback fn) {
   const std::uint64_t id = next_id_++;
   std::uint32_t slot;
   if (!fn_free_.empty()) {
@@ -29,7 +29,7 @@ std::uint64_t EventQueue::schedule_at(TimeNs at, Callback fn, NodeId owner) {
     slot = static_cast<std::uint32_t>(fn_slots_.size());
     fn_slots_.push_back(std::move(fn));
   }
-  timers_.push(Ref{at, id, slot, owner});
+  timers_.push(Ref{at, id, slot});
   live_timer_slots_.emplace(id, slot);
   return id;
 }
@@ -47,7 +47,7 @@ void EventQueue::schedule_delivery(TimeNs at, ProcessDirectory* dir,
     slot = static_cast<std::uint32_t>(env_slots_.size());
     env_slots_.push_back(DeliverySlot{std::move(env), dir});
   }
-  const Ref ref{at, id, slot, env_slots_[slot].env.to};
+  const Ref ref{at, id, slot};
   const std::uint64_t tick = tick_of(at);
   if (tick <= drain_tick_) {
     // Same tick as (or earlier than) the bucket being drained: the bucket
@@ -198,78 +198,39 @@ TimeNs EventQueue::next_time() const {
   return std::min(del.at, timers_.top().at);
 }
 
-bool EventQueue::peek_next(TimeNs& at, std::uint64_t& id,
-                           NodeId& owner) const {
+TimeNs EventQueue::run_next() {
   drop_dead();
   Ref del;
   const bool have_del = peek_delivery(del);
   const bool have_timer = !timers_.empty();
-  if (!have_del && !have_timer) return false;
-  if (have_timer &&
-      (!have_del ||
-       ref_before(timers_.top().at, timers_.top().id, del.at, del.id))) {
-    const Ref& t = timers_.top();
-    at = t.at;
-    id = t.id;
-    owner = t.owner;
-  } else {
-    at = del.at;
-    id = del.id;
-    owner = del.owner;
-  }
-  return true;
-}
-
-void EventQueue::pop_next(Popped& out) {
-  drop_dead();
-  Ref del;
-  const bool have_del = peek_delivery(del);
-  const bool have_timer = !timers_.empty();
-  LYRA_ASSERT(have_del || have_timer, "pop_next on empty queue");
+  LYRA_ASSERT(have_del || have_timer, "run_next on empty queue");
   if (have_timer &&
       (!have_del ||
        ref_before(timers_.top().at, timers_.top().id, del.at, del.id))) {
     const Ref t = timers_.top();
     timers_.pop();
     live_timer_slots_.erase(t.id);
-    out.at = t.at;
-    out.id = t.id;
-    out.owner = t.owner;
-    out.is_delivery = false;
-    out.fn = std::move(fn_slots_[t.slot]);
+    Callback fn = std::move(fn_slots_[t.slot]);
     fn_slots_[t.slot] = nullptr;
     fn_free_.push_back(t.slot);  // freed before fn runs so it can reuse the slot
-    out.dir = nullptr;
-    return;
+    fn();
+    return t.at;
   }
   pop_delivery(del);
   DeliverySlot& ds = env_slots_[del.slot];
-  out.at = del.at;
-  out.id = del.id;
-  out.owner = del.owner;
-  out.is_delivery = true;
-  out.env = std::move(ds.env);
-  out.dir = ds.dir;
+  Envelope env = std::move(ds.env);
+  ProcessDirectory* dir = ds.dir;
   ds.dir = nullptr;
   env_free_.push_back(del.slot);  // freed before deliver() for the same reason
-}
-
-TimeNs EventQueue::run_next() {
-  Popped p;
-  pop_next(p);
-  if (!p.is_delivery) {
-    p.fn();
-    return p.at;
-  }
   // Resolve the destination now: the process registered at send time may
   // have crashed (slot vacant -> drop) or restarted (new object).
-  if (Process* dest = p.dir->process_at(p.env.to); dest != nullptr) {
-    p.env.delivered_at = p.at;
-    dest->deliver(std::move(p.env));
+  if (Process* dest = dir->process_at(env.to); dest != nullptr) {
+    env.delivered_at = del.at;
+    dest->deliver(std::move(env));
   } else {
     ++deliveries_dropped_;
   }
-  return p.at;
+  return del.at;
 }
 
 }  // namespace lyra::sim

@@ -52,20 +52,16 @@ class EventQueue {
   using Callback = std::function<void()>;
 
   /// Schedules `fn` at absolute time `at`. Returns an id usable by cancel().
-  /// `owner` tags the event with the process whose state the callback
-  /// touches (kNoNode for harness-level control callbacks); the parallel
-  /// executor shards events by owner and treats ownerless ones as barriers.
-  std::uint64_t schedule_at(TimeNs at, Callback fn, NodeId owner = kNoNode);
+  std::uint64_t schedule_at(TimeNs at, Callback fn);
 
   /// Schedules the delivery of `env` (to `env.to`, resolved through `dir`
   /// at delivery time) at `at`. Not cancellable. `at` must not precede the
-  /// time of the last event run. The event's owner is env.to.
+  /// time of the last event run.
   void schedule_delivery(TimeNs at, ProcessDirectory* dir, Envelope env);
 
   /// Cancels a scheduled callback event. Cancelling an already-fired or
   /// unknown id is a harmless no-op. Returns true when a live event was
-  /// actually cancelled (the parallel executor uses false to chase events
-  /// it has already popped).
+  /// actually cancelled, false for such a no-op.
   bool cancel(std::uint64_t id);
 
   /// True when no live (non-cancelled) event remains.
@@ -74,36 +70,9 @@ class EventQueue {
   /// Time of the next live event; kNoSeq if empty.
   TimeNs next_time() const;
 
-  /// Key and owner of the next live event, without popping it. Returns
-  /// false when empty. Used by the parallel executor to decide whether the
-  /// next event fits the current lookahead window before committing to it.
-  bool peek_next(TimeNs& at, std::uint64_t& id, NodeId& owner) const;
-
-  /// One event popped (not yet executed) by the parallel executor. Exactly
-  /// one of `fn` / (`env`, `dir`) is populated, per `is_delivery`.
-  struct Popped {
-    TimeNs at = 0;
-    std::uint64_t id = 0;
-    NodeId owner = kNoNode;
-    bool is_delivery = false;
-    Callback fn;
-    Envelope env;
-    ProcessDirectory* dir = nullptr;
-  };
-
-  /// Pops the next live event without running it; the slab slot is recycled
-  /// and the payload moved into `out`. Must not be called on an empty
-  /// queue. run_next() == pop_next() + execute.
-  void pop_next(Popped& out);
-
   /// Pops and runs the next live event; returns its time.
   /// Must not be called on an empty queue.
   TimeNs run_next();
-
-  /// Deliveries resolved to a vacant slot by an external executor (the
-  /// parallel path resolves destinations on worker threads and reports
-  /// drops back here so the counter keeps one meaning).
-  void note_delivery_dropped() { ++deliveries_dropped_; }
 
   /// Deliveries whose destination slot was vacant at delivery time
   /// (messages in flight to a crashed process).
@@ -129,7 +98,6 @@ class EventQueue {
     TimeNs at;
     std::uint64_t id;
     std::uint32_t slot;
-    NodeId owner;
   };
   /// Min-heap / ascending-sort order on (at, id).
   struct RefAfter {

@@ -1,6 +1,5 @@
 #include "sim/process.hpp"
 
-#include "sim/parallel_executor.hpp"
 #include "support/assert.hpp"
 
 namespace lyra::sim {
@@ -32,20 +31,8 @@ void Process::deliver(Envelope env) {
 void Process::schedule_pump() {
   if (pump_scheduled_) return;
   pump_scheduled_ = true;
-  const TimeNs at = std::max(sim_->now(), cpu_busy_until_);
-  if (auto* log = current_effect_log()) {
-    Effect e;
-    e.kind = Effect::Kind::kSchedulePump;
-    e.proc = this;
-    e.t = at;
-    log->push_back(std::move(e));
-    return;
-  }
-  apply_schedule_pump(at);
-}
-
-void Process::apply_schedule_pump(TimeNs at) {
-  pump_event_ = sim_->schedule_at(at, [this] { pump(); }, id_);
+  pump_event_ = sim_->schedule_at(std::max(sim_->now(), cpu_busy_until_),
+                                  [this] { pump(); });
 }
 
 void Process::pump() {
@@ -67,16 +54,6 @@ void Process::pump() {
 void Process::send(NodeId to, PayloadPtr payload) {
   ++messages_sent_;
   bytes_sent_ += payload->wire_size();
-  if (auto* log = current_effect_log()) {
-    Effect e;
-    e.kind = Effect::Kind::kSend;
-    e.from = id_;
-    e.to = to;
-    e.transport = transport_;
-    e.payload = std::move(payload);
-    log->push_back(std::move(e));
-    return;
-  }
   transport_->send(id_, to, std::move(payload));
 }
 
@@ -84,15 +61,6 @@ void Process::broadcast(PayloadPtr payload) {
   const std::size_t n = transport_->node_count();
   messages_sent_ += n;
   bytes_sent_ += n * payload->wire_size();
-  if (auto* log = current_effect_log()) {
-    Effect e;
-    e.kind = Effect::Kind::kSendAll;
-    e.from = id_;
-    e.transport = transport_;
-    e.payload = std::move(payload);
-    log->push_back(std::move(e));
-    return;
-  }
   transport_->send_all(id_, std::move(payload));
 }
 
@@ -104,78 +72,24 @@ void Process::charge(TimeNs cost) {
 
 Process::TimerId Process::set_timer(TimeNs delay, std::function<void()> fn) {
   const TimerId token = next_timer_token_++;
-  if (auto* log = current_effect_log()) {
-    Effect e;
-    e.kind = Effect::Kind::kSetTimer;
-    e.proc = this;
-    e.token = token;
-    e.t = delay;
-    e.fn = std::move(fn);
-    log->push_back(std::move(e));
-    return token;
-  }
-  apply_set_timer(token, delay, std::move(fn));
+  const std::uint64_t event_id =
+      sim_->schedule_in(delay, [this, token, fn = std::move(fn)] {
+        // Drop the bookkeeping entry before running: fn may re-arm a timer.
+        live_timers_.erase(token);
+        fn();
+      });
+  live_timers_.emplace(token, event_id);
   return token;
 }
 
-void Process::apply_set_timer(TimerId token, TimeNs delay,
-                              std::function<void()> fn) {
-  const std::uint64_t event_id =
-      sim_->schedule_in(delay,
-                        [this, token, fn = std::move(fn)] {
-                          // Drop the bookkeeping entry before running: fn
-                          // may re-arm a timer. Under parallel execution
-                          // this lambda runs on a worker thread while the
-                          // scheduler may be committing another event's
-                          // set/cancel on the same map, so the erase must
-                          // go through the effect log like every other
-                          // engine mutation.
-                          if (auto* log = current_effect_log()) {
-                            Effect e;
-                            e.kind = Effect::Kind::kTimerFired;
-                            e.proc = this;
-                            e.token = token;
-                            log->push_back(std::move(e));
-                          } else {
-                            live_timers_.erase(token);
-                          }
-                          fn();
-                        },
-                        id_);
-  live_timers_.emplace(token, event_id);
-}
-
-void Process::apply_timer_fired(TimerId token) { live_timers_.erase(token); }
-
 void Process::cancel_timer(TimerId id) {
-  if (auto* log = current_effect_log()) {
-    Effect e;
-    e.kind = Effect::Kind::kCancelTimer;
-    e.proc = this;
-    e.token = id;
-    log->push_back(std::move(e));
-    return;
-  }
-  apply_cancel_timer(id);
-}
-
-void Process::apply_cancel_timer(TimerId token) {
-  const auto it = live_timers_.find(token);
+  const auto it = live_timers_.find(id);
   if (it == live_timers_.end()) return;  // already fired or cancelled
   sim_->cancel(it->second);
   live_timers_.erase(it);
 }
 
 void Process::trace(std::string category, std::string text) {
-  if (auto* log = current_effect_log()) {
-    Effect e;
-    e.kind = Effect::Kind::kTrace;
-    e.from = id_;
-    e.text_a = std::move(category);
-    e.text_b = std::move(text);
-    log->push_back(std::move(e));
-    return;
-  }
   sim_->trace().record(sim_->now(), id_, std::move(category),
                        std::move(text));
 }

@@ -112,18 +112,6 @@ class Process {
   bool tracing() const { return sim_->trace().enabled(); }
 
  private:
-  friend class ParallelExecutor;
-
-  // Commit-side halves of the engine calls above. Serial execution calls
-  // them directly; under parallel execution the worker-side halves record
-  // an Effect and the executor replays it here, on the scheduler thread,
-  // when the event commits. Everything that assigns event ids or touches
-  // the event queue lives on this side.
-  void apply_set_timer(TimerId token, TimeNs delay, std::function<void()> fn);
-  void apply_cancel_timer(TimerId token);
-  void apply_timer_fired(TimerId token);
-  void apply_schedule_pump(TimeNs at);
-
   void schedule_pump();
   void pump();
 

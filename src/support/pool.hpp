@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <utility>
 #include <vector>
@@ -19,28 +18,19 @@ namespace lyra::support {
 /// the message path at all. Requests beyond the largest class fall back to
 /// operator new.
 ///
-/// Lock-free by construction: each thread owns its own arena (global() is
-/// thread-local), so allocation never contends. A block may be freed on a
-/// different thread than it was carved on — it simply joins the freeing
-/// thread's free list, which is safe because slabs are never returned to
-/// the heap. live_blocks() is therefore a per-thread balance that can go
-/// negative on threads that net-release.
+/// Not thread-safe: the simulator runs every experiment on one thread, and
+/// the whole process shares one arena.
 class Arena {
  public:
   static constexpr std::size_t kGranule = 16;
   static constexpr std::size_t kMaxBlock = 1024;
 
-  /// This thread's arena. Never destroyed (payloads held by
-  /// static-lifetime objects may outlive any static arena member, and
-  /// blocks migrate between threads). Each arena is parked in a static
-  /// registry so it stays reachable after its thread exits — executor
-  /// worker arenas would otherwise read as leaks to leak checkers.
+  /// The process-wide arena. Never destroyed: payloads held by
+  /// static-lifetime objects may be released after any static arena
+  /// member would have been. The static pointer keeps it reachable, so
+  /// leak checkers do not report its slabs.
   static Arena& global() {
-    static thread_local Arena* arena = [] {
-      auto* a = new Arena();
-      registry(a);
-      return a;
-    }();
+    static Arena* const arena = new Arena();
     return *arena;
   }
 
@@ -70,7 +60,7 @@ class Arena {
 
   /// Blocks carved from slabs so far (monotone: recycling never carves).
   std::size_t blocks_carved() const { return carved_; }
-  /// Pooled blocks handed out minus blocks returned, on this thread.
+  /// Pooled blocks handed out minus blocks returned.
   std::int64_t live_blocks() const { return live_; }
   /// Total slab bytes reserved from the general heap.
   std::size_t bytes_reserved() const { return slabs_.size() * kSlabBytes; }
@@ -78,15 +68,6 @@ class Arena {
  private:
   static constexpr std::size_t kClasses = kMaxBlock / kGranule;
   static constexpr std::size_t kSlabBytes = 64 * 1024;
-
-  /// Root that keeps every thread's arena reachable forever. Touched once
-  /// per thread lifetime, so the lock is off every hot path.
-  static void registry(Arena* a) {
-    static std::mutex m;
-    static std::vector<Arena*>* arenas = new std::vector<Arena*>();
-    std::lock_guard<std::mutex> lk(m);
-    arenas->push_back(a);
-  }
 
   void refill(std::size_t cls) {
     const std::size_t block = (cls + 1) * kGranule;

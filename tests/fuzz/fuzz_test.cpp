@@ -159,12 +159,67 @@ TEST(FaultProgram, ParseRejectsMalformedInput) {
   EXPECT_TRUE(parse_plan("# hello\n\n" + base, plan, error)) << error;
 }
 
+TEST(FaultProgram, LegacyThreadsLineIsAcceptedAndIgnored) {
+  // Artifacts written while plans carried an execution-thread axis still
+  // parse, and re-serialize without it.
+  const std::string legacy =
+      "lyra-fuzz-plan v1\nseed 9\nprotocol lyra\nn 4\nclients 16\n"
+      "batch 16\nduration_ms 5000\nthreads 4\nstate_sync 0\n"
+      "resubmit_ms 0\n";
+  ScenarioPlan plan;
+  std::string error;
+  ASSERT_TRUE(parse_plan(legacy, plan, error)) << error;
+  EXPECT_EQ(plan.seed, 9u);
+  EXPECT_EQ(plan.duration, ms(5000));
+  const std::string out = serialize_plan(plan);
+  EXPECT_EQ(out.find("threads"), std::string::npos) << out;
+  ScenarioPlan reparsed;
+  ASSERT_TRUE(parse_plan(out, reparsed, error)) << error;
+  EXPECT_EQ(out, serialize_plan(reparsed));
+  // The value must still be a number: typos surface as parse errors.
+  EXPECT_FALSE(parse_plan(legacy + "threads many\n", plan, error));
+}
+
+TEST(FaultProgram, GeneratorOutputIsPinned) {
+  // Seeds expand to the same plans they always have (minus the retired
+  // `threads` line), so recorded nightly seed ranges and the mutation
+  // self-check's seed budget keep their meaning. Covers an open-loop plan,
+  // a crash + Byzantine plan, and a Pompe plan.
+  const std::pair<std::uint64_t, const char*> pinned[] = {
+      {1,
+       "lyra-fuzz-plan v1\nseed 1\nprotocol lyra\nn 4\nclients 48\n"
+       "batch 16\nduration_ms 7500\nstate_sync 1\nresubmit_ms 0\n"
+       "mempool 128\narrival_rate 250\n"
+       "delay from_ms=1270 to_ms=1470 extra_ms=50 victim=all\n"
+       "delay from_ms=2097 to_ms=2447 extra_ms=300 victim=0\n"
+       "fee_spike from_ms=2866 to_ms=3166 mult=8\n"
+       "overflow at_ms=3062 txs=256\n"
+       "overflow at_ms=3242 txs=384\n"},
+      {2,
+       "lyra-fuzz-plan v1\nseed 2\nprotocol lyra\nn 7\nclients 40\n"
+       "batch 8\nduration_ms 8400\nstate_sync 1\nresubmit_ms 1200\n"
+       "crash node=3 crash_ms=1091 restart_ms=1891 wipe=1 corrupt=0\n"
+       "crash node=5 crash_ms=2058 restart_ms=2408 wipe=0 corrupt=0\n"
+       "partition from_ms=2421 to_ms=2921 mask=69\n"
+       "delay from_ms=1402 to_ms=2052 extra_ms=200 victim=2\n"
+       "delay from_ms=1312 to_ms=1812 extra_ms=50 victim=all\n"
+       "byz node=0 kind=silent\n"},
+      {4,
+       "lyra-fuzz-plan v1\nseed 4\nprotocol pompe\nn 7\nclients 40\n"
+       "batch 8\nduration_ms 5250\nstate_sync 0\nresubmit_ms 0\n"
+       "partition from_ms=2389 to_ms=2589 mask=29\n"
+       "partition from_ms=809 to_ms=1009 mask=108\n"},
+  };
+  for (const auto& [seed, text] : pinned) {
+    EXPECT_EQ(serialize_plan(generate_plan(seed)), text) << "seed " << seed;
+  }
+}
+
 TEST(FaultProgram, ValidateRejectsStructurallyBrokenPlans) {
   const auto base = [] {
     ScenarioPlan p;
     p.n = 4;
     p.duration = ms(6000);
-    p.threads = 1;
     return p;
   };
   std::string error;
@@ -292,19 +347,18 @@ TEST(CorpusReplay, EveryCheckedInPlanRunsClean) {
   }
 }
 
-TEST(ParallelDispatch, CancelRacesBatchedDispatchAtEightThreads) {
-  // Full-stack version of the executor cancel race: at threads=8 with
-  // client resubmission on, every committed batch cancels and re-arms
-  // resubmit timers while workers hold batched events, and the crash
-  // tears down a node's whole timer set mid-flight. run_plan's built-in
-  // serial replay compares final-state digests, so a single mis-cancelled
-  // or leaked timer shows up as a serial-parallel-equivalence violation.
+TEST(FullStackPlans, ResubmitTimersSurviveCrashTeardown) {
+  // With client resubmission on, every committed batch cancels and re-arms
+  // resubmit timers, and the crash tears down a node's whole timer set
+  // mid-flight while deliveries to it are still queued. A mis-cancelled
+  // timer trips client-resubmit-lag or post-fault-progress; a leaked one
+  // fires into a destroyed process. A second run must reproduce the first
+  // exactly.
   ScenarioPlan plan;
   plan.seed = 5;
   plan.n = 4;
   plan.clients_per_node = 24;
   plan.batch_size = 16;
-  plan.threads = 8;
   plan.resubmit_timeout = ms(900);
   plan.duration = ms(3000) + plan.required_tail();
   plan.crashes.push_back({2, ms(700), ms(1400), false, false});
@@ -318,19 +372,23 @@ TEST(ParallelDispatch, CancelRacesBatchedDispatchAtEightThreads) {
               : report.violations[0].invariant + ": " +
                     report.violations[0].detail);
   EXPECT_GT(report.committed_txs, 0u);
+  EXPECT_EQ(report.restarts, 1u);
+  EXPECT_GT(report.resubmissions, 0u);
+  const RunReport again = run_plan(plan);
+  EXPECT_EQ(again.committed_txs, report.committed_txs);
+  EXPECT_EQ(again.resubmissions, report.resubmissions);
+  EXPECT_EQ(again.min_ledger, report.min_ledger);
+  EXPECT_EQ(again.max_ledger, report.max_ledger);
 }
 
 TEST(OpenLoopPlans, WorkloadFaultsRunCleanAndResolve) {
-  // Full-stack open-loop plan with all three workload faults under the
-  // parallel executor. run_plan's serial replay checks the digest (which
-  // includes per-pool offered/terminal/unresolved counts), and the
+  // Full-stack open-loop plan with all three workload faults. The
   // end-of-run sweep checks open-loop-resolution and the double-commit
   // invariant against the decoded ledgers.
   ScenarioPlan plan;
   plan.seed = 11;
   plan.n = 4;
   plan.batch_size = 16;
-  plan.threads = 4;
   plan.mempool_capacity = 32;
   plan.arrival_rate = 300;
   plan.duration = ms(2500) + plan.required_tail();
@@ -357,7 +415,6 @@ TEST(OpenLoopPlans, PompeOpenLoopResolves) {
   plan.protocol = Protocol::kPompe;
   plan.n = 4;
   plan.batch_size = 16;
-  plan.threads = 2;
   plan.mempool_capacity = 64;
   plan.arrival_rate = 200;
   plan.duration = ms(2000) + plan.required_tail();
@@ -385,7 +442,6 @@ ScenarioPlan resync_mutation_plan() {
   plan.clients_per_node = 8;
   plan.batch_size = 16;
   plan.duration = ms(3700);
-  plan.threads = 1;
   plan.crashes.push_back({0, ms(854), ms(1029), false, false});
   return plan;
 }
@@ -415,7 +471,6 @@ TEST(MutationCatch, ClientResubmitFixedPeriod) {
   plan.clients_per_node = 48;
   plan.batch_size = 16;
   plan.duration = ms(9200);
-  plan.threads = 1;
   plan.resubmit_timeout = ms(1600);
   // The fixed-period mutation only shows up as lag when an overdue wave's
   // phase differs from the timer's: the very first wave (t=900ms) arms the

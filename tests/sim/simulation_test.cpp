@@ -80,100 +80,5 @@ TEST(Simulation, TraceIgnoredWhenDisabled) {
   EXPECT_TRUE(sim.trace().events().empty());
 }
 
-TEST(Simulation, CancelRacesBatchedDispatch) {
-  // Regression for the batched executor's cancel path: an ownerless event
-  // (a barrier, running on the scheduler) cancels owned events that by
-  // then sit in the executor's holding heaps or in a dispatched batch —
-  // including below other held events of the same owner, the deep-heap
-  // case a top-of-heap-only sweep would miss. The surviving execution
-  // schedule must be identical to the serial run's.
-  setenv("LYRA_PARALLEL_INLINE", "0", 1);
-  auto run = [](unsigned threads) {
-    Simulation sim(11);
-    if (threads > 1) sim.set_parallelism(threads, us(200));
-    constexpr NodeId kOwners = 3;
-    // Handlers run on workers, so each owner may only touch its own slot;
-    // per-owner execution is serialized by the executor.
-    std::vector<std::vector<TimeNs>> ran(kOwners);
-    std::vector<std::uint64_t> victims;
-    for (NodeId owner = 0; owner < kOwners; ++owner) {
-      for (int i = 0; i < 200; ++i) {
-        const TimeNs at = us(10 + 7 * i + owner);
-        const auto id = sim.schedule_at(
-            at, [&ran, owner, &sim] { ran[owner].push_back(sim.now()); },
-            owner);
-        // Victims straddle the barrier's lookahead horizon: some are
-        // already popped (held or dispatched) when the cancel runs, the
-        // rest still live in the event queue.
-        if (i % 5 == 3 && at > us(500)) victims.push_back(id);
-      }
-    }
-    sim.schedule_at(us(500), [&sim, &victims] {
-      for (std::uint64_t id : victims) sim.cancel(id);
-    });
-    sim.run_all();
-    return ran;
-  };
-
-  const auto serial = run(1);
-  std::size_t survivors = 0;
-  for (const auto& owner_ran : serial) survivors += owner_ran.size();
-  ASSERT_GT(survivors, 0u);
-  ASSERT_LT(survivors, 600u);  // some victims actually died
-  EXPECT_EQ(run(2), serial);
-  EXPECT_EQ(run(4), serial);
-  unsetenv("LYRA_PARALLEL_INLINE");
-}
-
-TEST(Simulation, CancelRacesBatchedDispatchAtEightThreads) {
-  // The eight-worker variant with repeated cancel waves: each barrier
-  // cancels a slice of the ids scheduled so far AND schedules a fresh
-  // burst of owned events (barriers run on the scheduler, the only thread
-  // allowed to touch the queue), so every dispatch round has events dying
-  // while same-owner siblings sit in workers' batches, and later waves
-  // race against events created by earlier waves. Cancel ids span events
-  // long fired (must be no-ops), still live, and mid-dispatch. The
-  // surviving schedule must match the serial run's exactly.
-  setenv("LYRA_PARALLEL_INLINE", "0", 1);
-  auto run = [](unsigned threads) {
-    Simulation sim(23);
-    if (threads > 1) sim.set_parallelism(threads, us(200));
-    constexpr NodeId kOwners = 5;
-    std::vector<std::vector<TimeNs>> ran(kOwners);
-    auto victims = std::make_shared<std::vector<std::uint64_t>>();
-    const auto burst = [&ran, &sim, victims](TimeNs base, int count) {
-      for (NodeId owner = 0; owner < kOwners; ++owner) {
-        for (int i = 0; i < count; ++i) {
-          const TimeNs at = base + us(11 * i + owner);
-          const auto id = sim.schedule_at(
-              at, [&ran, owner, &sim] { ran[owner].push_back(sim.now()); },
-              owner);
-          if (i % 4 == 1) victims->push_back(id);
-        }
-      }
-    };
-    burst(us(10), 120);
-    for (int wave = 0; wave < 3; ++wave) {
-      sim.schedule_at(us(300 + 400 * wave), [&sim, victims, burst, wave] {
-        // Kill every other victim accumulated so far, front to back, so
-        // the set includes already-fired ids from previous bursts.
-        for (std::size_t k = wave; k < victims->size(); k += 2) {
-          sim.cancel((*victims)[k]);
-        }
-        burst(sim.now() + us(50), 40);
-      });
-    }
-    sim.run_all();
-    return ran;
-  };
-
-  const auto serial = run(1);
-  std::size_t survivors = 0;
-  for (const auto& owner_ran : serial) survivors += owner_ran.size();
-  ASSERT_GT(survivors, 0u);
-  EXPECT_EQ(run(8), serial);
-  unsetenv("LYRA_PARALLEL_INLINE");
-}
-
 }  // namespace
 }  // namespace lyra::sim

@@ -14,9 +14,7 @@ Modes:
       Matches entries by name and prints candidate/baseline ratios for the
       chosen metric. Exits 1 when any ratio falls below --min-ratio, unless
       --advisory is set (warn, exit 0). When a file holds several runs, the
-      last one is used unless a label is named explicitly. Entries carry a
-      "threads" field (execution threads; absent = 1, the serial engine);
-      --threads N restricts the comparison to entries at that thread count.
+      last one is used unless a label is named explicitly.
 
       --metric accepts any numeric entry field, including the
       benchmark-specific extras benches append (the load sweep's
@@ -38,7 +36,6 @@ gate, but the ratio table in the log makes regressions visible at a glance.
 
 import argparse
 import json
-import re
 import sys
 
 
@@ -61,34 +58,6 @@ def pick_run(doc, path, label):
              f"(have: {', '.join(r.get('label', '?') for r in runs)})")
 
 
-def entry_threads(entry):
-    # Entries written before the parallel engine have no field: serial.
-    return int(entry.get("threads", 1))
-
-
-def scaling_efficiencies(run):
-    """events_per_sec(name_tN) / (N * events_per_sec(name)) per entry.
-
-    A threaded entry is named after its serial twin plus a _tN suffix
-    (bench_sim_speed's convention). 1.0 means perfect linear scaling over
-    the same run's serial entry; the value is capped by the host's cores
-    (entries record hw_concurrency/host_nproc for that context).
-    """
-    serial = {e["name"]: float(e.get("events_per_sec", 0.0))
-              for e in run["entries"] if entry_threads(e) == 1}
-    out = {}
-    for e in run["entries"]:
-        threads = entry_threads(e)
-        m = re.fullmatch(r"(.+)_t(\d+)", e["name"])
-        if threads <= 1 or not m or int(m.group(2)) != threads:
-            continue
-        base = serial.get(m.group(1), 0.0)
-        if base > 0.0:
-            eff = float(e.get("events_per_sec", 0.0)) / (base * threads)
-            out[e["name"]] = eff
-    return out
-
-
 def compare(args):
     base_doc = load(args.baseline)
     cand_doc = load(args.candidate)
@@ -99,10 +68,8 @@ def compare(args):
     print(f"metric: {args.metric}   baseline: {base.get('label', '?')!r} "
           f"({args.baseline})   candidate: {cand.get('label', '?')!r} "
           f"({args.candidate})")
-    print(f"{'entry':<20} {'thr':>4} {'baseline':>14} {'candidate':>14} "
-          f"{'ratio':>8} {'scal-eff':>9}")
+    print(f"{'entry':<20} {'baseline':>14} {'candidate':>14} {'ratio':>8}")
 
-    cand_eff = scaling_efficiencies(cand)
     # With an explicit upper bound the metric is lower-is-better; the
     # min-ratio gate then defaults off (an improvement must not fail).
     min_ratio = args.min_ratio
@@ -113,20 +80,10 @@ def compare(args):
     compared = 0
     for entry in cand["entries"]:
         name = entry["name"]
-        threads = entry_threads(entry)
-        eff = cand_eff.get(name)
-        eff_col = f"{eff:>8.0%}" if eff is not None else f"{'-':>8}"
-        if args.threads is not None and threads != args.threads:
-            continue
         ref = base_by_name.get(name)
         if ref is None:
-            print(f"{name:<20} {threads:>4} {'-':>14} "
-                  f"{entry.get(args.metric, 0):>14.0f} {'new':>8} {eff_col}")
-            continue
-        if entry_threads(ref) != threads:
-            print(f"{name:<20} {threads:>4} {'-':>14} "
-                  f"{entry.get(args.metric, 0):>14.0f} "
-                  f"{'thr-mismatch':>8} {eff_col}")
+            print(f"{name:<20} {'-':>14} "
+                  f"{entry.get(args.metric, 0):>14.0f} {'new':>8}")
             continue
         b = float(ref.get(args.metric, 0.0))
         c = float(entry.get(args.metric, 0.0))
@@ -138,8 +95,7 @@ def compare(args):
             flag = "  << below min-ratio"
         elif args.max_ratio is not None and ratio > args.max_ratio:
             flag = "  << above max-ratio"
-        print(f"{name:<20} {threads:>4} {b:>14.0f} {c:>14.0f} "
-              f"{ratio:>7.2f}x {eff_col}{flag}")
+        print(f"{name:<20} {b:>14.0f} {c:>14.0f} {ratio:>7.2f}x{flag}")
         compared += 1
         if worst is None or ratio < worst:
             worst = ratio
@@ -201,8 +157,6 @@ def main():
                         "(lower-is-better metrics: p99_ms, rejected, ...)")
     p.add_argument("--advisory", action="store_true",
                    help="report regressions but always exit 0")
-    p.add_argument("--threads", type=int, default=None,
-                   help="only compare entries with this thread count")
     p.add_argument("--baseline-label", default=None)
     p.add_argument("--candidate-label", default=None)
     args = p.parse_args()

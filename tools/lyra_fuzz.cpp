@@ -21,7 +21,7 @@ namespace {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: lyra_fuzz [--seeds N] [--seed S] [--threads T]\n"
+               "usage: lyra_fuzz [--seeds N] [--seed S]\n"
                "                 [--no-minimize] [--minimize-runs N]\n"
                "                 [--artifact-dir DIR] [--stop-on-failure]\n"
                "                 [--mutation NAME] [--quiet]\n"
@@ -63,9 +63,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       if (!parse_u64(next(), v)) { usage(); return 2; }
       options.start_seed = v;
-    } else if (arg == "--threads") {
-      if (!parse_u64(next(), v) || v > 8) { usage(); return 2; }
-      options.threads_override = static_cast<unsigned>(v);
     } else if (arg == "--no-minimize") {
       options.minimize = false;
     } else if (arg == "--minimize") {  // also applies to --replay runs
@@ -136,9 +133,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "lyra_fuzz: %s: %s\n", path.c_str(),
                      error.c_str());
         return 2;
-      }
-      if (options.threads_override != 0) {
-        plan.threads = options.threads_override;
       }
       fuzz::RunReport report = fuzz::run_plan(plan);
       if (report.ok()) {

@@ -45,9 +45,6 @@ void usage() {
       "                            default 0)\n"
       "  --bandwidth-gbps=B        per-node egress (default 1.0)\n"
       "  --seed=S                  run seed (default 42)\n"
-      "  --threads=N               execution threads (default 1 = serial;\n"
-      "                            N > 1 runs the deterministic parallel\n"
-      "                            executor, identical results)\n"
       "  --no-obfuscation          disable Lyra's commit-reveal\n"
       "  --crash-node=N            crash node N mid-run (Lyra; repeatable)\n"
       "  --crash-at=T              crash time for the last --crash-node\n"
@@ -72,9 +69,6 @@ void usage() {
       "                            node proposes, and every instance costs\n"
       "                            O(n^2) consensus traffic — cap the\n"
       "                            proposer set on big-cluster sweeps)\n"
-      "  --stats                   print parallel-executor hot-path counters\n"
-      "                            (batches, locks/notifies per event, RNG\n"
-      "                            gate, scheduler idle time)\n"
       "  --memoize-verify          cache signature/proof verification by\n"
       "                            message identity (re-presented Byzantine\n"
       "                            traffic verifies once)\n"
@@ -144,7 +138,6 @@ int main(int argc, char** argv) {
   RunConfig config;
   config.protocol = RunConfig::Protocol::kLyra;
   config.n = 16;
-  bool print_stats = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
@@ -197,13 +190,6 @@ int main(int argc, char** argv) {
           std::strtod(value.c_str(), nullptr) * 125e6;
     } else if (parse_value(argc, argv, i, "--seed", value)) {
       config.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_value(argc, argv, i, "--threads", value)) {
-      config.threads =
-          static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
-      if (config.threads == 0) {
-        std::fprintf(stderr, "--threads must be >= 1\n");
-        return 2;
-      }
     } else if (parse_value(argc, argv, i, "--crash-node", value)) {
       RunConfig::CrashRestart cr;
       cr.node = static_cast<NodeId>(std::strtoul(value.c_str(), nullptr, 10));
@@ -296,8 +282,6 @@ int main(int argc, char** argv) {
       config.client_shard = std::strtoull(value.c_str(), nullptr, 10);
     } else if (parse_value(argc, argv, i, "--client-nodes", value)) {
       config.client_nodes = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--stats") == 0) {
-      print_stats = true;
     } else if (std::strcmp(argv[i], "--memoize-verify") == 0) {
       config.memoize_verify = true;
     } else if (std::strcmp(argv[i], "--no-obfuscation") == 0) {
@@ -377,11 +361,11 @@ int main(int argc, char** argv) {
   }
 
   std::printf("running %s: n=%zu f=%zu clients/node=%u batch=%zu "
-              "lambda=%.1fms duration=%.1fs seed=%llu threads=%u\n",
+              "lambda=%.1fms duration=%.1fs seed=%llu\n",
               harness::protocol_name(config.protocol), config.n, config.f(),
               config.clients_per_node, config.batch_size,
               to_ms(config.lambda), to_ms(config.duration) / 1000.0,
-              static_cast<unsigned long long>(config.seed), config.threads);
+              static_cast<unsigned long long>(config.seed));
   std::fflush(stdout);
 
   const auto result = run_experiment(config);
@@ -476,37 +460,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.verify_cache_misses));
     std::printf("replays sent      %10llu\n",
                 static_cast<unsigned long long>(result.replays_sent));
-  }
-  if (print_stats) {
-    const sim::ExecutorStats& s = result.exec_stats;
-    std::printf("\n--- executor stats (threads=%u) ---\n", config.threads);
-    std::printf("events committed  %10llu (+%llu barriers)\n",
-                static_cast<unsigned long long>(s.tasks_committed),
-                static_cast<unsigned long long>(s.barrier_events));
-    std::printf("batches           %10llu (mean size %.1f)\n",
-                static_cast<unsigned long long>(s.batches_dispatched),
-                s.mean_batch_size());
-    std::printf("handbacks         %10llu batches / %llu tasks\n",
-                static_cast<unsigned long long>(s.batch_handbacks),
-                static_cast<unsigned long long>(s.tasks_handed_back));
-    std::printf("head steals       %10llu\n",
-                static_cast<unsigned long long>(s.head_steals));
-    std::printf("inbox full        %10llu retries\n",
-                static_cast<unsigned long long>(s.inbox_full_retries));
-    std::printf("locks             %10llu (%.3f per event)\n",
-                static_cast<unsigned long long>(s.lock_acquisitions),
-                s.locks_per_event());
-    std::printf("notifies          %10llu (%.3f per event)\n",
-                static_cast<unsigned long long>(s.condvar_notifies),
-                s.notifies_per_event());
-    std::printf("parks             %10llu worker / %llu scheduler\n",
-                static_cast<unsigned long long>(s.worker_parks),
-                static_cast<unsigned long long>(s.sched_parks));
-    std::printf("scheduler idle    %10.3f s\n", s.sched_idle_seconds);
-    std::printf("rng gate          %10llu draws, %llu waits, %llu wakes\n",
-                static_cast<unsigned long long>(s.rng_gate_draws),
-                static_cast<unsigned long long>(s.rng_gate_waits),
-                static_cast<unsigned long long>(s.rng_gate_wakes));
   }
   return result.prefix_consistent ? 0 : 1;
 }
