@@ -288,7 +288,8 @@ RunResult run_lyra(const RunConfig& config) {
         attacks::evaluate_lyra_economics(cluster.node(correct), ep), &r);
   }
   r.restarts = cluster.restarts();
-  r.messages_dropped = cluster.network().messages_dropped();
+  r.messages_dropped = cluster.network().messages_dropped() +
+                       cluster.simulation().deliveries_dropped();
   for (NodeId i = 0; i < config.n; ++i) {
     const NodeRecoveryInfo& info = cluster.recovery_info(i);
     if (!info.happened) continue;

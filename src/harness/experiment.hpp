@@ -164,7 +164,8 @@ struct RunResult {
   std::uint64_t recovered_wal_records = 0;  // replayed across all restarts
   std::uint64_t recovered_snapshots = 0;    // restarts that found a snapshot
   double recovery_cpu_ms = 0.0;             // simulated CPU rebuilding state
-  std::uint64_t messages_dropped = 0;       // sent to crashed nodes
+  std::uint64_t messages_dropped = 0;       // sent to, or in flight to,
+                                            // a crashed node
   std::uint64_t torn_tail_repairs = 0;      // restarts that truncated a tail
   std::uint64_t refused_restarts = 0;       // unrecoverable, no state sync
   std::uint64_t full_state_syncs = 0;       // rebuilt entirely from peers

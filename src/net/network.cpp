@@ -45,53 +45,56 @@ TimeNs Network::nic_book(NodeId from, std::uint64_t bytes) {
   return depart - sim_->now();
 }
 
-void Network::deliver_one(NodeId from, NodeId to, sim::PayloadPtr payload,
-                          TimeNs egress_delay) {
-  LYRA_ASSERT(to < processes_.size(), "send to unknown process");
-  if (processes_[to] == nullptr) {
-    // Destination is down (crashed slot): the connection attempt fails and
-    // the message is lost, as with TCP to a dead host.
-    ++messages_dropped_;
-    return;
-  }
-  sim::Envelope env;
+void Network::fan_out(NodeId from, NodeId first, NodeId last,
+                      sim::PayloadPtr payload, TimeNs egress_delay) {
+  LYRA_ASSERT(first < last && last <= processes_.size(),
+              "send to unknown process");
+  const TimeNs now = sim_->now();
+  sim::Envelope env;  // what the adversary sees; `to` set per receiver
   env.from = from;
-  env.to = to;
-  env.sent_at = sim_->now();
+  env.sent_at = now;
   env.payload = std::move(payload);
-
-  // Sharded engine-internal stream: this message's latency and adversary
-  // draws come from a throwaway Rng whose seed depends only on
-  // (simulation seed, sender, sender's message ordinal). Besides keeping
-  // jitter out of the handler-visible rng(), this makes each sender's
-  // jitter sequence independent of every other sender's traffic — adding
-  // or removing one flow does not reshuffle the rest of the run the way a
-  // single shared stream would (docs/PERF.md §7).
   if (jitter_counter_.size() <= from) jitter_counter_.resize(from + 1, 0);
-  Rng jitter(derive_stream(jitter_seed_, from, jitter_counter_[from]++));
-  TimeNs delay = latency_->sample(from, to, jitter);
-  if (adversary_ != nullptr) {
-    delay = adversary_->delay(env, delay, jitter);
+  if (channel_floor_.size() <= from) channel_floor_.resize(from + 1);
+  std::vector<TimeNs>& floors = channel_floor_[from];
+  if (floors.size() < last) floors.resize(processes_.size(), 0);
+  receivers_.clear();
+  for (NodeId to = first; to < last; ++to) {
+    if (processes_[to] == nullptr) {
+      // Destination is down (crashed slot): the connection attempt fails
+      // and the message is lost, as with TCP to a dead host.
+      ++messages_dropped_;
+      continue;
+    }
+    env.to = to;
+    // Sharded engine-internal stream: this message's latency and adversary
+    // draws come from a throwaway Rng whose seed depends only on
+    // (simulation seed, sender, sender's message ordinal). Besides keeping
+    // jitter out of the handler-visible rng(), this makes each sender's
+    // jitter sequence independent of every other sender's traffic — adding
+    // or removing one flow does not reshuffle the rest of the run the way
+    // a single shared stream would (docs/PERF.md §7).
+    Rng jitter(derive_stream(jitter_seed_, from, jitter_counter_[from]++));
+    TimeNs delay = latency_->sample(from, to, jitter);
+    if (adversary_ != nullptr) {
+      delay = adversary_->delay(env, delay, jitter);
+    }
+    LYRA_ASSERT(delay >= 0, "negative message delay");
+
+    // FIFO channel: a message never overtakes an earlier one on the same
+    // directed pair.
+    const TimeNs deliver_at =
+        std::max(now + delay + egress_delay, floors[to]);
+    floors[to] = deliver_at;
+    receivers_.push_back(sim::Receiver{to, deliver_at});
   }
-  LYRA_ASSERT(delay >= 0, "negative message delay");
-  delay += egress_delay;
-
-  // FIFO channel: a message never overtakes an earlier one on the same
-  // directed pair.
-  const std::uint64_t channel =
-      (static_cast<std::uint64_t>(from) << 32) | to;
-  TimeNs& floor = channel_floor_[channel];
-  const TimeNs deliver_at = std::max(sim_->now() + delay, floor);
-  floor = deliver_at;
-  delay = deliver_at - sim_->now();
-
-  ++messages_delivered_;
-  sim_->schedule_delivery_in(delay, this, std::move(env));
+  messages_delivered_ += receivers_.size();
+  sim_->schedule_deliveries(this, from, std::move(env.payload), receivers_);
 }
 
 void Network::send(NodeId from, NodeId to, sim::PayloadPtr payload) {
   const TimeNs egress = nic_book(from, payload->wire_size());
-  deliver_one(from, to, std::move(payload), egress);
+  fan_out(from, to, to + 1, std::move(payload), egress);
 }
 
 void Network::send_all(NodeId from, sim::PayloadPtr payload) {
@@ -101,9 +104,8 @@ void Network::send_all(NodeId from, sim::PayloadPtr payload) {
   const TimeNs egress =
       nic_book(from, payload->wire_size() *
                          static_cast<std::uint64_t>(consensus_count_));
-  for (NodeId to = 0; to < consensus_count_; ++to) {
-    deliver_one(from, to, payload, egress);
-  }
+  fan_out(from, 0, static_cast<NodeId>(consensus_count_), std::move(payload),
+          egress);
 }
 
 TimeNs Network::nic_backlog(NodeId from) const {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/adversary.hpp"
@@ -74,8 +73,10 @@ class Network final : public sim::Transport, public sim::ProcessDirectory {
  private:
   /// Books `bytes` on the sender's NIC; returns the egress delay.
   TimeNs nic_book(NodeId from, std::uint64_t bytes);
-  void deliver_one(NodeId from, NodeId to, sim::PayloadPtr payload,
-                   TimeNs egress_delay);
+  /// Sends one message to receivers [first, last): draws each live
+  /// receiver's delay in id order and schedules them all as one fan-out.
+  void fan_out(NodeId from, NodeId first, NodeId last,
+               sim::PayloadPtr payload, TimeNs egress_delay);
 
   sim::Simulation* sim_;
   std::unique_ptr<LatencyModel> latency_;
@@ -91,8 +92,10 @@ class Network final : public sim::Transport, public sim::ProcessDirectory {
   /// sender's jitter sequence never depends on other senders' traffic.
   std::uint64_t jitter_seed_;
   std::vector<std::uint64_t> jitter_counter_;
-  // FIFO floor per directed channel, keyed by (from << 32) | to.
-  std::unordered_map<std::uint64_t, TimeNs> channel_floor_;
+  // FIFO floor per directed channel: channel_floor_[from][to]. Rows grow
+  // on demand and are never cleared, so they survive detach/attach.
+  std::vector<std::vector<TimeNs>> channel_floor_;
+  std::vector<sim::Receiver> receivers_;  // fan_out scratch
   double bandwidth_ = 0.0;  // bytes/sec; 0 = unlimited
   std::vector<TimeNs> nic_floor_;
 };

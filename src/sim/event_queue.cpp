@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "sim/process.hpp"
 #include "support/assert.hpp"
@@ -24,31 +25,44 @@ std::uint64_t EventQueue::schedule_at(TimeNs at, Callback fn) {
   if (!fn_free_.empty()) {
     slot = fn_free_.back();
     fn_free_.pop_back();
-    fn_slots_[slot] = std::move(fn);
   } else {
     slot = static_cast<std::uint32_t>(fn_slots_.size());
-    fn_slots_.push_back(std::move(fn));
+    LYRA_ASSERT(slot <= kSlotMask, "too many live timers for a handle");
+    fn_slots_.emplace_back();
   }
-  timers_.push(Ref{at, id, slot});
-  live_timer_slots_.emplace(id, slot);
-  return id;
+  LYRA_ASSERT(id < (1ull << (64 - kSlotBits)), "timer id overflows a handle");
+  fn_slots_[slot].fn = std::move(fn);
+  fn_slots_[slot].live_id = id;
+  timers_.push(Ref{at, id, slot, kNoNode});
+  ++live_timers_;
+  return (id << kSlotBits) | slot;
 }
 
-void EventQueue::schedule_delivery(TimeNs at, ProcessDirectory* dir,
-                                   Envelope env) {
-  const std::uint64_t id = next_id_++;
+void EventQueue::schedule_deliveries(ProcessDirectory* dir, NodeId from,
+                                     TimeNs sent_at, PayloadPtr payload,
+                                     std::span<const Receiver> receivers) {
+  if (receivers.empty()) return;
   std::uint32_t slot;
   if (!env_free_.empty()) {
     slot = env_free_.back();
     env_free_.pop_back();
-    env_slots_[slot].env = std::move(env);
-    env_slots_[slot].dir = dir;
   } else {
     slot = static_cast<std::uint32_t>(env_slots_.size());
-    env_slots_.push_back(DeliverySlot{std::move(env), dir});
+    env_slots_.emplace_back();
   }
-  const Ref ref{at, id, slot};
-  const std::uint64_t tick = tick_of(at);
+  DeliverySlot& ds = env_slots_[slot];
+  ds.payload = std::move(payload);
+  ds.dir = dir;
+  ds.sent_at = sent_at;
+  ds.from = from;
+  ds.pending = static_cast<std::uint32_t>(receivers.size());
+  for (const Receiver& r : receivers) {
+    push_delivery(Ref{r.at, next_id_++, slot, r.to});
+  }
+}
+
+void EventQueue::push_delivery(const Ref& ref) {
+  const std::uint64_t tick = tick_of(ref.at);
   if (tick <= drain_tick_) {
     // Same tick as (or earlier than) the bucket being drained: the bucket
     // is already sorted, so late arrivals go through the side heap.
@@ -65,25 +79,26 @@ void EventQueue::schedule_delivery(TimeNs at, ProcessDirectory* dir,
   ++deliveries_live_;
 }
 
-bool EventQueue::cancel(std::uint64_t id) {
-  // Only ids with a live heap entry are marked: cancelling an already-fired
-  // timer or a delivery id would otherwise park an entry in cancelled_
-  // forever (drop_dead only reaps ids that surface at the heap top).
-  const auto it = live_timer_slots_.find(id);
-  if (it == live_timer_slots_.end()) return false;
-  fn_slots_[it->second] = nullptr;  // release captured state now
-  fn_free_.push_back(it->second);
-  live_timer_slots_.erase(it);
-  cancelled_.insert(id);
+bool EventQueue::cancel(std::uint64_t handle) {
+  // A handle is live only while its slot still holds its id: a fired or
+  // cancelled timer cleared it, and a reused slot holds a newer id.
+  const std::uint64_t slot = handle & kSlotMask;
+  if (slot >= fn_slots_.size() ||
+      fn_slots_[slot].live_id != handle >> kSlotBits) {
+    return false;
+  }
+  TimerSlot& ts = fn_slots_[slot];
+  ts.live_id = kNoId;
+  ts.fn = nullptr;  // release captured state now
+  fn_free_.push_back(static_cast<std::uint32_t>(slot));
+  --live_timers_;
   return true;
 }
 
 void EventQueue::drop_dead() const {
-  while (!timers_.empty()) {
-    const auto it = cancelled_.find(timers_.top().id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);  // slot already released by cancel()
-    timers_.pop();
+  while (!timers_.empty() &&
+         fn_slots_[timers_.top().slot].live_id != timers_.top().id) {
+    timers_.pop();  // slot already released by cancel()
   }
 }
 
@@ -134,52 +149,53 @@ void EventQueue::pour_next_bucket() const {
               "bucket holds a foreign tick");
 }
 
-bool EventQueue::peek_delivery(Ref& out) const {
-  bool have = false;
-  Ref best{};
+EventQueue::Tier EventQueue::peek_delivery(Ref& out) const {
+  Tier tier = Tier::kNone;
   if (drain_pos_ < drain_sorted_.size()) {
-    best = drain_sorted_[drain_pos_];
-    have = true;
+    out = drain_sorted_[drain_pos_];
+    tier = Tier::kDrain;
   } else if (wheel_count_ > 0 && drain_extra_.empty()) {
     // Drain exhausted: bring in the next calendar bucket. (Skipped while
     // the side heap holds entries — those are <= drain_tick_, hence
     // earlier than anything still on the wheel.)
     pour_next_bucket();
-    best = drain_sorted_[drain_pos_];
-    have = true;
+    out = drain_sorted_[drain_pos_];
+    tier = Tier::kDrain;
   }
   if (!drain_extra_.empty()) {
     const Ref& e = drain_extra_.front();
-    if (!have || ref_before(e.at, e.id, best.at, best.id)) {
-      best = e;
-      have = true;
+    if (tier == Tier::kNone || ref_before(e.at, e.id, out.at, out.id)) {
+      out = e;
+      tier = Tier::kExtra;
     }
   }
   if (!far_.empty()) {
     const Ref& f = far_.top();
-    if (!have || ref_before(f.at, f.id, best.at, best.id)) {
-      best = f;
-      have = true;
+    if (tier == Tier::kNone || ref_before(f.at, f.id, out.at, out.id)) {
+      out = f;
+      tier = Tier::kFar;
     }
   }
-  if (have) out = best;
-  return have;
+  return tier;
 }
 
-void EventQueue::pop_delivery(const Ref& ref) {
-  if (drain_pos_ < drain_sorted_.size() &&
-      drain_sorted_[drain_pos_].id == ref.id) {
-    if (++drain_pos_ == drain_sorted_.size()) {
-      drain_sorted_.clear();
-      drain_pos_ = 0;
-    }
-  } else if (!drain_extra_.empty() && drain_extra_.front().id == ref.id) {
-    std::pop_heap(drain_extra_.begin(), drain_extra_.end(), RefAfter{});
-    drain_extra_.pop_back();
-  } else {
-    LYRA_ASSERT(!far_.empty() && far_.top().id == ref.id,
-                "popped delivery missing from every tier");
-    far_.pop();
+void EventQueue::pop_delivery(Tier tier) {
+  switch (tier) {
+    case Tier::kDrain:
+      if (++drain_pos_ == drain_sorted_.size()) {
+        drain_sorted_.clear();
+        drain_pos_ = 0;
+      }
+      break;
+    case Tier::kExtra:
+      std::pop_heap(drain_extra_.begin(), drain_extra_.end(), RefAfter{});
+      drain_extra_.pop_back();
+      break;
+    case Tier::kFar:
+      far_.pop();
+      break;
+    case Tier::kNone:
+      LYRA_ASSERT(false, "pop_delivery with no delivery pending");
   }
   --deliveries_live_;
 }
@@ -189,48 +205,60 @@ bool EventQueue::empty() const {
   return deliveries_live_ == 0 && timers_.empty();
 }
 
-TimeNs EventQueue::next_time() const {
+bool EventQueue::run_next_until(TimeNs deadline, TimeNs& clock) {
   drop_dead();
   Ref del;
-  const bool have_del = peek_delivery(del);
-  if (timers_.empty()) return have_del ? del.at : kNoSeq;
-  if (!have_del) return timers_.top().at;
-  return std::min(del.at, timers_.top().at);
-}
-
-TimeNs EventQueue::run_next() {
-  drop_dead();
-  Ref del;
-  const bool have_del = peek_delivery(del);
-  const bool have_timer = !timers_.empty();
-  LYRA_ASSERT(have_del || have_timer, "run_next on empty queue");
-  if (have_timer &&
-      (!have_del ||
+  const Tier tier = peek_delivery(del);
+  if (!timers_.empty() &&
+      (tier == Tier::kNone ||
        ref_before(timers_.top().at, timers_.top().id, del.at, del.id))) {
     const Ref t = timers_.top();
+    if (t.at > deadline) return false;
     timers_.pop();
-    live_timer_slots_.erase(t.id);
-    Callback fn = std::move(fn_slots_[t.slot]);
-    fn_slots_[t.slot] = nullptr;
+    TimerSlot& ts = fn_slots_[t.slot];
+    Callback fn = std::move(ts.fn);
+    ts.fn = nullptr;
+    ts.live_id = kNoId;
     fn_free_.push_back(t.slot);  // freed before fn runs so it can reuse the slot
+    --live_timers_;
+    clock = t.at;
     fn();
-    return t.at;
+    return true;
   }
-  pop_delivery(del);
+  if (tier == Tier::kNone || del.at > deadline) return false;
+  pop_delivery(tier);
+  clock = del.at;
   DeliverySlot& ds = env_slots_[del.slot];
-  Envelope env = std::move(ds.env);
-  ProcessDirectory* dir = ds.dir;
-  ds.dir = nullptr;
-  env_free_.push_back(del.slot);  // freed before deliver() for the same reason
   // Resolve the destination now: the process registered at send time may
   // have crashed (slot vacant -> drop) or restarted (new object).
-  if (Process* dest = dir->process_at(env.to); dest != nullptr) {
-    env.delivered_at = del.at;
+  Process* dest = ds.dir->process_at(del.to);
+  Envelope env;
+  env.from = ds.from;
+  env.to = del.to;
+  env.sent_at = ds.sent_at;
+  env.delivered_at = del.at;
+  if (--ds.pending == 0) {
+    // Last receiver: take the payload and free the slot before deliver()
+    // so the handler's own sends can reuse it.
+    env.payload = std::move(ds.payload);
+    ds.dir = nullptr;
+    env_free_.push_back(del.slot);
+  } else if (dest != nullptr) {
+    env.payload = ds.payload;
+  }
+  if (dest != nullptr) {
     dest->deliver(std::move(env));
   } else {
     ++deliveries_dropped_;
   }
-  return del.at;
+  return true;
+}
+
+TimeNs EventQueue::run_next() {
+  TimeNs at = 0;
+  const bool ran = run_next_until(std::numeric_limits<TimeNs>::max(), at);
+  LYRA_ASSERT(ran, "run_next on empty queue");
+  return at;
 }
 
 }  // namespace lyra::sim

@@ -4,8 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "sim/message.hpp"
@@ -27,6 +26,12 @@ class ProcessDirectory {
   virtual Process* process_at(NodeId id) const = 0;
 };
 
+/// One receiver of a scheduled message: its id and absolute delivery time.
+struct Receiver {
+  NodeId to;
+  TimeNs at;
+};
+
 /// Deterministic discrete-event queue. Events at equal times fire in
 /// insertion order (a monotone sequence number breaks ties), so a run is a
 /// pure function of the initial seed and configuration.
@@ -40,35 +45,46 @@ class ProcessDirectory {
 ///    (O(1)); the bucket is sorted once when the clock reaches it and
 ///    drained by index. Deliveries beyond the horizon (NIC backlog under
 ///    saturation, adversarial holds) wait in a spill min-heap consulted at
-///    pop time. Every structure carries 24-byte {at, id, slot} handles;
-///    the Envelope payloads live in a slab whose slots are recycled, so a
-///    steady-state run stops allocating entirely.
+///    pop time. Every structure carries 24-byte {at, id, slot, to}
+///    handles. One send — a unicast or a whole broadcast — occupies one
+///    slot of a recycled slab holding the shared payload; each receiver's
+///    handle names the slot, and the last receiver to fire releases it.
 ///
 ///  * Generic callbacks (timers; sparse) keep a binary heap of the same
 ///    handles, with the std::function bodies in their own recycled slab —
-///    heap sift-ups move 24-byte PODs, never closures.
+///    heap sift-ups move 24-byte PODs, never closures. Each callback slot
+///    records the id of the live event holding it, so cancellation is a
+///    compare-and-clear and a dead heap entry is recognised by its slot
+///    no longer holding its id.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  /// Schedules `fn` at absolute time `at`. Returns an id usable by cancel().
+  /// Schedules `fn` at absolute time `at`. Returns a handle usable by
+  /// cancel(); handles are unique over the queue's lifetime.
   std::uint64_t schedule_at(TimeNs at, Callback fn);
 
-  /// Schedules the delivery of `env` (to `env.to`, resolved through `dir`
-  /// at delivery time) at `at`. Not cancellable. `at` must not precede the
-  /// time of the last event run.
-  void schedule_delivery(TimeNs at, ProcessDirectory* dir, Envelope env);
+  /// Schedules one message, sent by `from` at `sent_at`, to every receiver
+  /// in `receivers`, in list order: each receiver takes the next id, so
+  /// equal-time receivers fire in that order. Destinations are resolved
+  /// through `dir` at delivery time. Not cancellable. No receiver's time
+  /// may precede the time of the last event run.
+  void schedule_deliveries(ProcessDirectory* dir, NodeId from, TimeNs sent_at,
+                           PayloadPtr payload,
+                           std::span<const Receiver> receivers);
 
   /// Cancels a scheduled callback event. Cancelling an already-fired or
-  /// unknown id is a harmless no-op. Returns true when a live event was
-  /// actually cancelled, false for such a no-op.
-  bool cancel(std::uint64_t id);
+  /// unknown handle is a harmless no-op. Returns true when a live event
+  /// was actually cancelled, false for such a no-op.
+  bool cancel(std::uint64_t handle);
 
   /// True when no live (non-cancelled) event remains.
   bool empty() const;
 
-  /// Time of the next live event; kNoSeq if empty.
-  TimeNs next_time() const;
+  /// Runs the next live event if its time is at most `deadline`: sets
+  /// `clock` to the event's time, then dispatches it. Returns false, with
+  /// `clock` untouched, when no live event is due by `deadline`.
+  bool run_next_until(TimeNs deadline, TimeNs& clock);
 
   /// Pops and runs the next live event; returns its time.
   /// Must not be called on an empty queue.
@@ -80,25 +96,30 @@ class EventQueue {
 
   // --- slab introspection (pool tests and perf diagnostics) ---
 
-  /// High-water mark of concurrently scheduled deliveries: the envelope
-  /// slab never shrinks, it only recycles.
+  /// High-water mark of concurrently pending sends (a broadcast counts
+  /// once): the delivery slab never shrinks, it only recycles.
   std::size_t envelope_slab_capacity() const { return env_slots_.size(); }
   std::size_t callback_slab_capacity() const { return fn_slots_.size(); }
 
-  /// Cancelled ids whose heap entry has not surfaced yet. Bounded by the
-  /// number of live timers: cancelling a fired or non-timer id is a no-op
+  /// Cancelled timers whose heap entry has not surfaced yet. Bounded by
+  /// the timer heap: cancelling a fired or non-timer handle is a no-op
   /// (regression guard for the cancel-after-fire leak).
-  std::size_t cancelled_pending() const { return cancelled_.size(); }
-  std::size_t live_timer_count() const { return live_timer_slots_.size(); }
+  std::size_t cancelled_pending() const {
+    return timers_.size() - live_timers_;
+  }
+  std::size_t live_timer_count() const { return live_timers_; }
 
  private:
-  /// One scheduled event: the ordering key plus a handle into the payload
+  /// One scheduled event: the ordering key plus a handle into a payload
   /// slab. Trivially copyable — this is all that heaps and buckets move.
+  /// `to` (a delivery's receiver) fills what would otherwise be padding.
   struct Ref {
     TimeNs at;
     std::uint64_t id;
     std::uint32_t slot;
+    NodeId to;
   };
+  static_assert(sizeof(Ref) == 24, "Ref must stay three words");
   /// Min-heap / ascending-sort order on (at, id).
   struct RefAfter {
     bool operator()(const Ref& a, const Ref& b) const {
@@ -118,11 +139,19 @@ class EventQueue {
     return static_cast<std::uint64_t>(at) >> kBucketShift;
   }
 
+  // Timer handles pack (id << kSlotBits) | slot.
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
+  static constexpr std::uint64_t kNoId = ~0ull;
+
   // --- delivery tier ---
-  /// True when a live delivery exists; fills `out` with the earliest one.
+  /// Where the earliest delivery sits; kNone when no delivery is pending.
+  enum class Tier { kNone, kDrain, kExtra, kFar };
+  /// Fills `out` with the earliest pending delivery and returns its tier.
   /// Pours and sorts the next calendar bucket if the drain ran dry.
-  bool peek_delivery(Ref& out) const;
-  void pop_delivery(const Ref& ref);
+  Tier peek_delivery(Ref& out) const;
+  void pop_delivery(Tier tier);
+  void push_delivery(const Ref& ref);
   /// Moves the earliest non-empty bucket into the drain. Requires the
   /// drain to be empty and wheel_count_ > 0.
   void pour_next_bucket() const;
@@ -135,7 +164,8 @@ class EventQueue {
   }
 
   // --- timer tier ---
-  /// Discards cancelled events sitting at the front of the timer heap.
+  /// Discards heap entries of cancelled timers sitting at the front of
+  /// the timer heap: entries whose slot no longer holds their id.
   void drop_dead() const;
 
   // Drain: the bucket whose tick == drain_tick_, sorted ascending, plus a
@@ -159,25 +189,31 @@ class EventQueue {
 
   std::size_t deliveries_live_ = 0;  // drain remainder + extra + wheel + far
 
-  // Envelope slab with slot recycling. Each slot keeps the directory the
-  // delivery was scheduled through (a simulation may host several).
+  // Delivery slab with slot recycling: one slot per send, shared by all
+  // of its receivers. Each slot keeps the directory the send was
+  // scheduled through (a simulation may host several).
   struct DeliverySlot {
-    Envelope env;
+    PayloadPtr payload;
     ProcessDirectory* dir = nullptr;
+    TimeNs sent_at = 0;
+    NodeId from = kNoNode;
+    std::uint32_t pending = 0;  // receivers that have not fired yet
   };
   std::vector<DeliverySlot> env_slots_;
   std::vector<std::uint32_t> env_free_;
 
-  // Timers: POD heap + recycled callback slab + lazy cancellation. A
-  // cancelled id's heap entry stays until it surfaces; cancel() releases
-  // the callback slot eagerly and only marks ids that are actually live
-  // (live_timer_slots_: id -> slot for every timer still in the heap), so
-  // cancelled_ stays bounded by the live timer count.
+  // Timers: POD heap + recycled callback slab + lazy cancellation. A slot
+  // holds the id of the live timer using it (kNoId once fired or
+  // cancelled); cancel() releases the slot eagerly, and the orphaned heap
+  // entry is discarded when it surfaces.
+  struct TimerSlot {
+    Callback fn;
+    std::uint64_t live_id = kNoId;
+  };
   mutable RefHeap timers_;
-  mutable std::vector<Callback> fn_slots_;
-  mutable std::vector<std::uint32_t> fn_free_;
-  mutable std::unordered_set<std::uint64_t> cancelled_;
-  mutable std::unordered_map<std::uint64_t, std::uint32_t> live_timer_slots_;
+  std::vector<TimerSlot> fn_slots_;
+  std::vector<std::uint32_t> fn_free_;
+  std::size_t live_timers_ = 0;
 
   std::uint64_t next_id_ = 0;
   std::uint64_t deliveries_dropped_ = 0;

@@ -13,8 +13,8 @@ namespace lyra::sim {
 /// sites: the payload and its shared_ptr control block come from the
 /// arena in a single block and the slot is recycled when the last
 /// receiver releases it. An n-recipient broadcast therefore costs one
-/// pooled allocation total — the Envelope copies share the pointer and
-/// the event queue keeps them in its own slab.
+/// pooled allocation total — the event queue holds the pointer once per
+/// send, and each receiver's Envelope shares it.
 template <typename T, typename... Args>
 std::shared_ptr<T> make_payload(Args&&... args) {
   static_assert(std::is_base_of_v<Payload, T>,

@@ -40,12 +40,20 @@ class Simulation {
 
   void cancel(std::uint64_t event_id) { queue_.cancel(event_id); }
 
-  /// Message-delivery fast path: no callback allocation per message. The
-  /// destination (env.to) is resolved through `dir` at delivery time, so
-  /// crashed processes drop their in-flight messages instead of dangling.
-  void schedule_delivery_in(TimeNs delay, ProcessDirectory* dir,
-                            Envelope env) {
-    queue_.schedule_delivery(now_ + delay, dir, std::move(env));
+  /// Message-delivery fast path: one slab slot per send, no callback
+  /// allocation. Each receiver (absolute time, not before now()) is
+  /// resolved through `dir` at delivery time, so crashed processes drop
+  /// their in-flight messages instead of dangling.
+  void schedule_deliveries(ProcessDirectory* dir, NodeId from,
+                           PayloadPtr payload,
+                           std::span<const Receiver> receivers) {
+    queue_.schedule_deliveries(dir, from, now_, std::move(payload), receivers);
+  }
+
+  /// Messages that reached a vacant (crashed) destination slot while in
+  /// flight: sent while the receiver was up, lost when it went down.
+  std::uint64_t deliveries_dropped() const {
+    return queue_.deliveries_dropped();
   }
 
   /// Runs events until the queue drains or the clock passes `deadline`.

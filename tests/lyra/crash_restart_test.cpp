@@ -261,6 +261,28 @@ TEST(CrashRestart, ScheduledCrashRestartUnderClientLoad) {
   EXPECT_GT(cluster.network().messages_dropped(), 0u);
 }
 
+TEST(CrashRestart, MessagesInFlightToACrashedNodeAreCounted) {
+  // WAN one-way latencies (tens of ms) exceed the 3 ms heartbeat period,
+  // so a crash always catches peer messages in flight to the victim. They
+  // are lost at delivery time and counted by the simulation; the network
+  // counts only sends addressed to the slot while it is vacant.
+  auto opts = crash_options(5);
+  opts.topology = net::three_continents(4);
+  harness::LyraCluster cluster(opts);
+  cluster.start();
+  cluster.run_for(ms(200));
+  EXPECT_EQ(cluster.simulation().deliveries_dropped(), 0u);
+  EXPECT_EQ(cluster.network().messages_dropped(), 0u);
+  cluster.crash_node(2);
+  cluster.run_for(ms(10));  // shorter than any inter-continent hop
+  const std::uint64_t in_flight = cluster.simulation().deliveries_dropped();
+  EXPECT_GT(in_flight, 0u);
+  EXPECT_GT(cluster.network().messages_dropped(), 0u);
+  cluster.restart_node(2);
+  cluster.run_for(ms(300));
+  EXPECT_EQ(cluster.simulation().deliveries_dropped(), in_flight);
+}
+
 TEST(CrashRestart, UpToFNodesCrashAndRecover) {
   // n = 7, f = 2: crash two nodes with overlapping downtime. The remaining
   // 2f+1 keep committing; both recover and the cluster stays consistent.

@@ -85,6 +85,59 @@ TEST_F(NetworkTest, CountsDeliveries) {
   EXPECT_EQ(net_.messages_delivered(), 3u);
 }
 
+TEST(NetworkFifo, BroadcastThenUnicastKeepChannelOrderUnderJitter) {
+  // A broadcast and a unicast to the same receiver share that channel:
+  // under heavy jitter the receiver still sees them in send order.
+  sim::Simulation sim(5);
+  Network net(&sim, std::make_unique<UniformLatency>(ms(10), 0.5), 3);
+  std::vector<std::unique_ptr<Sink>> nodes;
+  for (NodeId i = 0; i < 3; ++i) {
+    nodes.push_back(std::make_unique<Sink>(&sim, &net, i));
+    net.attach(nodes.back().get());
+  }
+  for (int i = 0; i < 100; ++i) {
+    nodes[0]->broadcast(std::make_shared<Ping>(2 * i));
+    nodes[0]->send(1, std::make_shared<Ping>(2 * i + 1));
+  }
+  sim.run_all();
+  ASSERT_EQ(nodes[1]->received.size(), 200u);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(sim::payload_as<Ping>(nodes[1]->received[i])->tag, i);
+  }
+  ASSERT_EQ(nodes[2]->received.size(), 100u);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(sim::payload_as<Ping>(nodes[2]->received[i])->tag, 2 * i);
+  }
+}
+
+/// Holds back the message tagged 1 by an extra 100 ms.
+class HoldTagOne final : public Adversary {
+ public:
+  TimeNs delay(const sim::Envelope& env, TimeNs base_delay, Rng&) override {
+    return sim::payload_as<Ping>(env)->tag == 1 ? base_delay + ms(100)
+                                                : base_delay;
+  }
+};
+
+TEST_F(NetworkTest, ChannelFloorsSurviveDetachAndAttach) {
+  // A restarted node's channels keep their ordering: a message sent after
+  // the restart cannot overtake one sent to the node before it crashed.
+  HoldTagOne hold;
+  net_.set_adversary(&hold);
+  nodes_[0]->send(1, std::make_shared<Ping>(1));  // due at 110 ms
+  net_.detach(1);
+  sim_.run_until(ms(20));
+  Sink restarted(&sim_, &net_, 1);
+  net_.attach(&restarted);
+  nodes_[0]->send(1, std::make_shared<Ping>(2));  // 30 ms without the floor
+  sim_.run_all();
+  ASSERT_EQ(restarted.received.size(), 2u);
+  EXPECT_EQ(sim::payload_as<Ping>(restarted.received[0])->tag, 1);
+  EXPECT_EQ(sim::payload_as<Ping>(restarted.received[1])->tag, 2);
+  EXPECT_EQ(restarted.received[1].delivered_at, ms(110));
+  EXPECT_TRUE(nodes_[1]->received.empty());
+}
+
 TEST(NetworkDeterminism, SameSeedSameDeliveryTimes) {
   auto run = [](std::uint64_t seed) {
     sim::Simulation sim(seed);

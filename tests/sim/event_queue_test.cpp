@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <memory>
 #include <vector>
+
+#include "sim/process.hpp"
 
 namespace lyra::sim {
 namespace {
@@ -21,10 +25,11 @@ class RecordingDirectory final : public ProcessDirectory {
   mutable std::vector<NodeId> fired;
 };
 
-Envelope envelope_to(NodeId to) {
-  Envelope env;
-  env.to = to;
-  return env;
+/// Schedules a single-receiver send (a fan-out of one).
+void schedule_one(EventQueue& q, TimeNs at, ProcessDirectory* dir,
+                  NodeId to) {
+  const Receiver r{to, at};
+  q.schedule_deliveries(dir, /*from=*/0, /*sent_at=*/0, nullptr, {&r, 1});
 }
 
 TEST(EventQueue, RunsInTimeOrder) {
@@ -87,17 +92,28 @@ TEST(EventQueue, NestedSchedulingRunsLater) {
 }
 
 TEST(EventQueue, NextTimeReportsEarliestLiveEvent) {
+  // run_next_until runs only an event due by the deadline, and reports
+  // its time through the clock; a cancelled event is skipped.
   EventQueue q;
   const auto id = q.schedule_at(10, [] {});
   q.schedule_at(20, [] {});
-  EXPECT_EQ(q.next_time(), 10);
+  TimeNs clock = 0;
+  EXPECT_FALSE(q.run_next_until(9, clock));
+  EXPECT_EQ(clock, 0);
   q.cancel(id);
-  EXPECT_EQ(q.next_time(), 20);
+  EXPECT_FALSE(q.run_next_until(19, clock));
+  EXPECT_TRUE(q.run_next_until(20, clock));
+  EXPECT_EQ(clock, 20);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, EmptyQueueNextTimeIsSentinel) {
+  // An empty queue runs nothing, whatever the deadline, and leaves the
+  // clock alone.
   EventQueue q;
-  EXPECT_EQ(q.next_time(), kNoSeq);
+  TimeNs clock = 7;
+  EXPECT_FALSE(q.run_next_until(std::numeric_limits<TimeNs>::max(), clock));
+  EXPECT_EQ(clock, 7);
 }
 
 TEST(EventQueue, EqualTimeTimersAndDeliveriesFireInInsertionOrder) {
@@ -107,10 +123,10 @@ TEST(EventQueue, EqualTimeTimersAndDeliveriesFireInInsertionOrder) {
   RecordingDirectory dir;
   std::vector<NodeId> order;  // timers recorded as 1000 + k
   q.schedule_at(5, [&] { order.push_back(1000); });
-  q.schedule_delivery(5, &dir, envelope_to(0));
+  schedule_one(q, 5, &dir, 0);
   q.schedule_at(5, [&] { order.push_back(1001); });
-  q.schedule_delivery(5, &dir, envelope_to(1));
-  q.schedule_delivery(5, &dir, envelope_to(2));
+  schedule_one(q, 5, &dir, 1);
+  schedule_one(q, 5, &dir, 2);
   q.schedule_at(5, [&] { order.push_back(1002); });
   while (!q.empty()) {
     const std::size_t before = dir.fired.size();
@@ -131,14 +147,14 @@ TEST(EventQueue, DeliveryOrderSpansWheelSpillAndLateTiers) {
   const TimeNs far2 = ms(1000);
   const TimeNs near1 = ms(1);
   const TimeNs near2 = us(200);
-  q.schedule_delivery(far1, &dir, envelope_to(10));
-  q.schedule_delivery(near1, &dir, envelope_to(11));
-  q.schedule_delivery(far2, &dir, envelope_to(12));
-  q.schedule_delivery(near2, &dir, envelope_to(13));
+  schedule_one(q, far1, &dir, 10);
+  schedule_one(q, near1, &dir, 11);
+  schedule_one(q, far2, &dir, 12);
+  schedule_one(q, near2, &dir, 13);
   // A timer firing at near2 schedules a delivery at that same instant:
   // its tick is already being drained, so it rides the side heap — and
   // must still fire before anything at a later time.
-  q.schedule_at(near2, [&] { q.schedule_delivery(near2, &dir, envelope_to(14)); });
+  q.schedule_at(near2, [&] { schedule_one(q, near2, &dir, 14); });
 
   std::vector<TimeNs> fire_times;
   while (!q.empty()) fire_times.push_back(q.run_next());
@@ -152,8 +168,8 @@ TEST(EventQueue, VacantDirectorySlotCountsAsDropped) {
   // at delivery time and the queue drops the message, keeping count.
   EventQueue q;
   RecordingDirectory dir;
-  q.schedule_delivery(10, &dir, envelope_to(3));
-  q.schedule_delivery(20, &dir, envelope_to(4));
+  schedule_one(q, 10, &dir, 3);
+  schedule_one(q, 20, &dir, 4);
   EXPECT_EQ(q.deliveries_dropped(), 0u);
   EXPECT_EQ(q.run_next(), 10);
   EXPECT_EQ(q.deliveries_dropped(), 1u);
@@ -169,16 +185,16 @@ TEST(EventQueue, EnvelopeSlabRecyclesSlots) {
   RecordingDirectory dir;
   TimeNs t = 0;
   for (int i = 0; i < 1000; ++i) {
-    q.schedule_delivery(t += us(100), &dir, envelope_to(0));
+    schedule_one(q, t += us(100), &dir, 0);
     q.run_next();
   }
   EXPECT_EQ(q.envelope_slab_capacity(), 1u);
   // Burst of 8 in flight at once: the high-water mark, then recycled.
-  for (int i = 0; i < 8; ++i) q.schedule_delivery(t + us(i), &dir, envelope_to(0));
+  for (int i = 0; i < 8; ++i) schedule_one(q, t + us(i), &dir, 0);
   while (!q.empty()) q.run_next();
   t += us(100);
   for (int i = 0; i < 200; ++i) {
-    q.schedule_delivery(t += us(100), &dir, envelope_to(0));
+    schedule_one(q, t += us(100), &dir, 0);
     q.run_next();
   }
   EXPECT_EQ(q.envelope_slab_capacity(), 8u);
@@ -229,10 +245,11 @@ TEST(EventQueue, CancelDeliveryIdIsNoop) {
   // that suppresses or leaks anything.
   EventQueue q;
   RecordingDirectory dir;
-  // Ids come from one shared counter; the delivery's id is the successor
-  // of the timer id handed out just before it.
+  // Deliveries hand out no handle, so cancel() can never reach one. A
+  // timer handle packs (id, slot): `timer_id + 1` is not the next event's
+  // id but the timer's id on a slot no live timer holds.
   const auto timer_id = q.schedule_at(20, [] {});
-  q.schedule_delivery(10, &dir, envelope_to(0));
+  schedule_one(q, 10, &dir, 0);
   EXPECT_FALSE(q.cancel(timer_id + 1));
   EXPECT_EQ(q.cancelled_pending(), 0u);
   q.run_next();
@@ -279,6 +296,117 @@ TEST(EventQueue, CancelAfterRescheduleOnlyHitsTheOldId) {
   EXPECT_EQ(b, 1);
   q.cancel(idb);  // already fired: harmless no-op
   EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, StaleHandleOfReusedSlotIsNoop) {
+  // A cancelled timer frees its slot at once while its heap entry stays
+  // behind. Whichever of the two heap entries sharing the slot surfaces
+  // first, the stale handle must not touch the new timer.
+  for (const TimeNs new_at : {TimeNs{20}, TimeNs{40}}) {
+    EventQueue q;
+    int old_runs = 0, new_runs = 0;
+    const auto stale = q.schedule_at(30, [&] { ++old_runs; });
+    EXPECT_TRUE(q.cancel(stale));
+    q.schedule_at(new_at, [&] { ++new_runs; });  // reuses the slot
+    EXPECT_EQ(q.callback_slab_capacity(), 1u);
+    EXPECT_FALSE(q.cancel(stale));
+    EXPECT_EQ(q.live_timer_count(), 1u);
+    EXPECT_EQ(q.run_next(), new_at);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(old_runs, 0);
+    EXPECT_EQ(new_runs, 1);
+  }
+}
+
+TEST(EventQueue, FanOutInterleavedWithTimersFiresInInsertionOrder) {
+  // Each receiver of a fan-out takes its own id in list order, so at
+  // equal times a fan-out's receivers sit between the timers scheduled
+  // before and after it; an earlier receiver time still goes first.
+  EventQueue q;
+  RecordingDirectory dir;
+  std::vector<NodeId> order;  // timers recorded as 1000 + k
+  const std::vector<Receiver> first{{0, 5}, {1, 5}, {2, 3}};
+  const std::vector<Receiver> second{{3, 5}, {4, 5}};
+  q.schedule_at(5, [&] { order.push_back(1000); });
+  q.schedule_deliveries(&dir, 9, 0, nullptr, first);
+  q.schedule_at(5, [&] { order.push_back(1001); });
+  q.schedule_deliveries(&dir, 9, 0, nullptr, second);
+  q.schedule_at(5, [&] { order.push_back(1002); });
+  while (!q.empty()) {
+    const std::size_t before = dir.fired.size();
+    q.run_next();
+    if (dir.fired.size() > before) order.push_back(dir.fired.back());
+  }
+  EXPECT_EQ(order,
+            (std::vector<NodeId>{2, 1000, 0, 1, 1001, 3, 4, 1002}));
+}
+
+struct Ping final : Payload {
+  const char* name() const override { return "PING"; }
+};
+
+TEST(EventQueue, FanOutHoldsOneSlotUntilItsLastReceiver) {
+  EventQueue q;
+  RecordingDirectory dir;
+  const auto payload = std::make_shared<Ping>();
+  std::vector<Receiver> all(48);
+  for (NodeId i = 0; i < 48; ++i) all[i] = Receiver{i, us(100) + i};
+  q.schedule_deliveries(&dir, 0, 0, payload, all);
+  EXPECT_EQ(q.envelope_slab_capacity(), 1u);
+  EXPECT_EQ(payload.use_count(), 2);  // the caller's copy + the slot's
+  for (int i = 0; i < 47; ++i) q.run_next();
+  // One receiver still pending: the slot stays taken, so a new send
+  // needs a second one.
+  EXPECT_EQ(payload.use_count(), 2);
+  q.schedule_deliveries(&dir, 0, 0, payload, all);
+  EXPECT_EQ(q.envelope_slab_capacity(), 2u);
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(payload.use_count(), 1);  // the last receiver released it
+  EXPECT_EQ(q.deliveries_dropped(), 96u);
+  // Both slots are free again: later sends recycle them.
+  for (int round = 0; round < 10; ++round) {
+    q.schedule_deliveries(&dir, 0, 0, payload, all);
+    q.schedule_deliveries(&dir, 0, 0, payload, all);
+    while (!q.empty()) q.run_next();
+  }
+  EXPECT_EQ(q.envelope_slab_capacity(), 2u);
+}
+
+TEST(EventQueue, VacantReceiverInsideFanOutIsDroppedAlone) {
+  struct Sink final : Process {
+    using Process::Process;
+    void on_message(const Envelope& env) override { got.push_back(env); }
+    std::vector<Envelope> got;
+  };
+  struct NoTransport final : Transport {
+    void send(NodeId, NodeId, PayloadPtr) override {}
+    std::size_t node_count() const override { return 0; }
+  };
+  struct SlotDirectory final : ProcessDirectory {
+    Process* process_at(NodeId id) const override { return slots[id]; }
+    std::vector<Process*> slots;
+  };
+  Simulation sim(1);  // only hosts the sinks; the queue under test is `q`
+  NoTransport transport;
+  Sink a(&sim, &transport, 0);
+  Sink c(&sim, &transport, 2);
+  SlotDirectory dir;
+  dir.slots = {&a, nullptr, &c};
+  EventQueue q;
+  const auto payload = std::make_shared<Ping>();
+  const std::vector<Receiver> all{{0, 10}, {1, 10}, {2, 10}};
+  q.schedule_deliveries(&dir, /*from=*/9, /*sent_at=*/4, payload, all);
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(q.deliveries_dropped(), 1u);
+  for (const Sink* s : {&a, &c}) {
+    ASSERT_EQ(s->got.size(), 1u);
+    const Envelope& env = s->got[0];
+    EXPECT_EQ(env.from, 9u);
+    EXPECT_EQ(env.to, s->id());
+    EXPECT_EQ(env.sent_at, 4);
+    EXPECT_EQ(env.delivered_at, 10);
+    EXPECT_EQ(env.payload.get(), payload.get());
+  }
 }
 
 }  // namespace
