@@ -27,10 +27,7 @@ int main() {
     opts.config.f = (n - 1) / 3;
     opts.config.delta = ms(160);
     opts.config.retain_payloads = false;
-    opts.topology = net::three_continents(n, std::vector<net::Region>(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      opts.topology.placement[n + i] = opts.topology.placement[i];
-    }
+    opts.topology = net::three_continents_with_clients(n);
     opts.seed = 42;
     harness::LyraCluster cluster(std::move(opts));
     cluster.network().set_bandwidth(125e6);

@@ -15,14 +15,6 @@ namespace lyra::fuzz {
 
 namespace {
 
-/// The experiment harness's deployment: 3 continents, one client-pool
-/// slot co-located with each node.
-net::Topology benchmark_topology(std::size_t n) {
-  net::Topology t = net::three_continents(n, std::vector<net::Region>(n));
-  for (std::size_t i = 0; i < n; ++i) t.placement[n + i] = t.placement[i];
-  return t;
-}
-
 constexpr TimeNs kClientStart = ms(900);
 
 TimeNs last_fault_end(const ScenarioPlan& plan) {
@@ -89,18 +81,6 @@ void schedule_workload_faults(sim::Simulation& sim, Cluster& cluster,
         cluster.node(i).set_mempool_capacity(plan.mempool_capacity);
       }
     });
-  }
-}
-
-template <typename Cluster>
-void collect_open_loop_report(const Cluster& cluster, RunReport& rep) {
-  for (const auto& pool : cluster.open_pools()) {
-    const workload::OpenLoopStats& s = pool->stats();
-    rep.committed_txs += s.committed_total;
-    rep.resubmissions += s.resubmissions;
-    rep.offered_txs += s.offered;
-    rep.backpressure_rejects += s.rejected_events;
-    rep.terminal_rejects += s.terminal_rejects;
   }
 }
 
@@ -197,25 +177,15 @@ void schedule_sweeps(sim::Simulation& sim, const ScenarioPlan& plan,
   }
 }
 
-void run_lyra_plan(const ScenarioPlan& plan, const RunOptions& opts,
-                   RunReport& rep) {
-  harness::LyraClusterOptions co;
-  co.config.n = plan.n;
-  co.config.f = plan.f();
-  co.config.delta = ms(160);  // 1.2x the longest one-way leg
-  co.config.batch_size = plan.batch_size;
-  // Open-loop plans keep payloads so the double-commit invariant can
-  // decode committed workload batches.
-  co.config.retain_payloads = plan.state_sync || plan.open_loop();
-  co.config.mempool_capacity = plan.mempool_capacity;
-  co.topology = benchmark_topology(plan.n);
-  co.seed = plan.seed;
-  co.durable_storage = !plan.crashes.empty() || plan.state_sync;
-  co.state_sync = plan.state_sync;
-  if (!plan.byz.empty()) co.node_factory = make_node_factory(plan);
-
-  harness::LyraCluster cluster(std::move(co));
-  apply_sync_byzantine(cluster, plan);
+/// The protocol-independent half of a plan run: adversary, client pools
+/// (none on silent nodes), workload faults, then `schedule_crashes`, the
+/// ledger probe 1 ms after the last fault (`probe_ledger`), in-run and
+/// final invariant sweeps, and the pool summary. Scheduling order fixes
+/// event ids, so it must not change.
+template <typename Cluster, typename ScheduleCrashes, typename ProbeLedger>
+void drive_plan(Cluster& cluster, const ScenarioPlan& plan,
+                const RunOptions& opts, CheckContext& ctx, RunReport& rep,
+                ScheduleCrashes schedule_crashes, ProbeLedger probe_ledger) {
   FuzzAdversary adversary(plan.n, plan.partitions, plan.delays);
   if (!plan.partitions.empty() || !plan.delays.empty()) {
     cluster.network().set_adversary(&adversary);
@@ -235,39 +205,16 @@ void run_lyra_plan(const ScenarioPlan& plan, const RunOptions& opts,
 
   sim::Simulation& sim = cluster.simulation();
   schedule_workload_faults(sim, cluster, plan);
-  for (const CrashFault& c : plan.crashes) {
-    // Guarded callbacks instead of schedule_crash_restart: a corpus plan
-    // may race faults in ways the bare harness hooks would assert on.
-    sim.schedule_at(c.crash_at, [&cluster, c] {
-      if (cluster.node_alive(c.node)) cluster.crash_node(c.node);
-    });
-    const TimeNs window = c.restart_at - c.crash_at;
-    if (c.wipe_disk) {
-      sim.schedule_at(c.crash_at + window * 2 / 5, [&cluster, c] {
-        if (!cluster.node_alive(c.node)) cluster.wipe_disk(c.node);
-      });
-    }
-    if (c.corrupt_wal) {
-      sim.schedule_at(c.crash_at + window / 2, [&cluster, c] {
-        if (!cluster.node_alive(c.node)) cluster.corrupt_wal(c.node);
-      });
-    }
-    sim.schedule_at(c.restart_at, [&cluster, c] {
-      if (!cluster.node_alive(c.node)) cluster.restart_node(c.node);
-    });
-  }
-
+  schedule_crashes();
   std::size_t ledger_at_last_fault = 0;
   const TimeNs fault_end = last_fault_end(plan);
   if (fault_end > 0 && fault_end < plan.duration) {
-    sim.schedule_at(fault_end + ms(1), [&cluster, &ledger_at_last_fault] {
-      ledger_at_last_fault = cluster.max_ledger_length();
+    sim.schedule_at(fault_end + ms(1), [&probe_ledger, &ledger_at_last_fault] {
+      ledger_at_last_fault = probe_ledger();
     });
   }
 
-  CheckContext ctx;
   ctx.plan = &plan;
-  ctx.lyra = &cluster;
   ctx.is_byz = byz_mask(plan);
   const InvariantRegistry reg = InvariantRegistry::standard();
   bool tripped = false;
@@ -284,17 +231,73 @@ void run_lyra_plan(const ScenarioPlan& plan, const RunOptions& opts,
   dedup_violations(rep.violations);
 
   rep.min_ledger = cluster.min_ledger_length();
-  rep.max_ledger = cluster.max_ledger_length();
-  rep.restarts = cluster.restarts();
-  rep.late_accepts = cluster.total_late_accepts();
   rep.partitioned_messages = adversary.partitioned_messages();
   rep.delayed_messages = adversary.delayed_messages();
-  rep.sync_installs_refused = cluster.statesync_totals().installs_refused;
   for (const auto& pool : cluster.pools()) {
     rep.committed_txs += pool->committed_total();
     rep.resubmissions += pool->resubmissions();
   }
-  collect_open_loop_report(cluster, rep);
+  for (const auto& pool : cluster.open_pools()) {
+    const workload::OpenLoopStats& s = pool->stats();
+    rep.committed_txs += s.committed_total;
+    rep.resubmissions += s.resubmissions;
+    rep.offered_txs += s.offered;
+    rep.backpressure_rejects += s.rejected_events;
+    rep.terminal_rejects += s.terminal_rejects;
+  }
+}
+
+void run_lyra_plan(const ScenarioPlan& plan, const RunOptions& opts,
+                   RunReport& rep) {
+  harness::LyraClusterOptions co;
+  co.config.n = plan.n;
+  co.config.f = plan.f();
+  co.config.delta = ms(160);  // 1.2x the longest one-way leg
+  co.config.batch_size = plan.batch_size;
+  // Open-loop plans keep payloads so the double-commit invariant can
+  // decode committed workload batches.
+  co.config.retain_payloads = plan.state_sync || plan.open_loop();
+  co.config.mempool_capacity = plan.mempool_capacity;
+  co.topology = net::three_continents_with_clients(plan.n);
+  co.seed = plan.seed;
+  co.durable_storage = !plan.crashes.empty() || plan.state_sync;
+  co.state_sync = plan.state_sync;
+  if (!plan.byz.empty()) co.node_factory = make_node_factory(plan);
+
+  harness::LyraCluster cluster(std::move(co));
+  apply_sync_byzantine(cluster, plan);
+  const auto schedule_crashes = [&cluster, &plan] {
+    sim::Simulation& sim = cluster.simulation();
+    for (const CrashFault& c : plan.crashes) {
+      // Guarded callbacks instead of schedule_crash_restart: a corpus plan
+      // may race faults in ways the bare harness hooks would assert on.
+      sim.schedule_at(c.crash_at, [&cluster, c] {
+        if (cluster.node_alive(c.node)) cluster.crash_node(c.node);
+      });
+      const TimeNs window = c.restart_at - c.crash_at;
+      if (c.wipe_disk) {
+        sim.schedule_at(c.crash_at + window * 2 / 5, [&cluster, c] {
+          if (!cluster.node_alive(c.node)) cluster.wipe_disk(c.node);
+        });
+      }
+      if (c.corrupt_wal) {
+        sim.schedule_at(c.crash_at + window / 2, [&cluster, c] {
+          if (!cluster.node_alive(c.node)) cluster.corrupt_wal(c.node);
+        });
+      }
+      sim.schedule_at(c.restart_at, [&cluster, c] {
+        if (!cluster.node_alive(c.node)) cluster.restart_node(c.node);
+      });
+    }
+  };
+  CheckContext ctx;
+  ctx.lyra = &cluster;
+  drive_plan(cluster, plan, opts, ctx, rep, schedule_crashes,
+             [&cluster] { return cluster.max_ledger_length(); });
+  rep.max_ledger = cluster.max_ledger_length();
+  rep.restarts = cluster.restarts();
+  rep.late_accepts = cluster.total_late_accepts();
+  rep.sync_installs_refused = cluster.statesync_totals().installs_refused;
 }
 
 void run_pompe_plan(const ScenarioPlan& plan, const RunOptions& opts,
@@ -306,62 +309,15 @@ void run_pompe_plan(const ScenarioPlan& plan, const RunOptions& opts,
   co.config.batch_size = plan.batch_size;
   co.config.initial_leader = 0;
   co.config.mempool_capacity = plan.mempool_capacity;
-  co.topology = benchmark_topology(plan.n);
+  co.topology = net::three_continents_with_clients(plan.n);
   co.seed = plan.seed;
 
   harness::PompeCluster cluster(std::move(co));
-  FuzzAdversary adversary(plan.n, plan.partitions, plan.delays);
-  if (!plan.partitions.empty() || !plan.delays.empty()) {
-    cluster.network().set_adversary(&adversary);
-  }
-  for (NodeId i = 0; i < plan.n; ++i) {
-    if (plan.open_loop()) {
-      cluster.add_open_loop_pool(i, make_open_loop_options(plan), plan.seed);
-      continue;
-    }
-    client::ClientPool& pool = cluster.add_client_pool(
-        i, plan.clients_per_node, kClientStart, kClientStart, plan.duration);
-    if (plan.resubmit_timeout > 0) {
-      pool.set_resubmit_timeout(plan.resubmit_timeout);
-    }
-  }
-
-  sim::Simulation& sim = cluster.simulation();
-  schedule_workload_faults(sim, cluster, plan);
-  std::size_t ledger_at_last_fault = 0;
-  const TimeNs fault_end = last_fault_end(plan);
-  if (fault_end > 0 && fault_end < plan.duration) {
-    sim.schedule_at(fault_end + ms(1), [&cluster, &ledger_at_last_fault] {
-      ledger_at_last_fault = cluster.min_ledger_length();
-    });
-  }
-
   CheckContext ctx;
-  ctx.plan = &plan;
   ctx.pompe = &cluster;
-  const InvariantRegistry reg = InvariantRegistry::standard();
-  bool tripped = false;
-  schedule_sweeps(sim, plan, opts, ctx, reg, tripped, rep.violations);
-
-  cluster.start();
-  cluster.run_for(plan.duration);
-
-  ctx.final_phase = true;
-  ctx.now = sim.now();
-  ctx.ledger_at_last_fault = ledger_at_last_fault;
-  std::vector<Violation> final_v = reg.run(ctx);
-  rep.violations.insert(rep.violations.end(), final_v.begin(), final_v.end());
-  dedup_violations(rep.violations);
-
-  rep.min_ledger = cluster.min_ledger_length();
+  drive_plan(cluster, plan, opts, ctx, rep, [] {},
+             [&cluster] { return cluster.min_ledger_length(); });
   rep.max_ledger = rep.min_ledger;
-  rep.partitioned_messages = adversary.partitioned_messages();
-  rep.delayed_messages = adversary.delayed_messages();
-  for (const auto& pool : cluster.pools()) {
-    rep.committed_txs += pool->committed_total();
-    rep.resubmissions += pool->resubmissions();
-  }
-  collect_open_loop_report(cluster, rep);
 }
 
 }  // namespace

@@ -16,16 +16,6 @@ namespace lyra::harness {
 
 namespace {
 
-/// 3-continent topology with one client-pool slot co-located with each
-/// node (the paper's dedicated client machines, §VI-A).
-net::Topology benchmark_topology(std::size_t n) {
-  net::Topology t = net::three_continents(n, std::vector<net::Region>(n));
-  for (std::size_t i = 0; i < n; ++i) {
-    t.placement[n + i] = t.placement[i];
-  }
-  return t;
-}
-
 /// Aggregated-client layout (RunConfig::client_shard): nodes grouped into
 /// same-region shards of up to `shard` targets, one pool slot per shard
 /// placed in that shard's region (so client-to-node latencies match the
@@ -160,22 +150,24 @@ void fold_economics(const workload::EconomicsReport& rep, RunResult* r) {
   r->victim_slippage = rep.victim_slippage;
 }
 
-RunResult run_lyra(const RunConfig& config) {
-  LyraClusterOptions opts;
+/// The protocol-independent half of a run: the configuration both
+/// protocols share, client placement (one pool per node, or sharded),
+/// bandwidth, the timed run, client stats, verify-cache and mempool sums,
+/// and economics. Nodes below `dead` are crash-faulty: they get no
+/// clients and no stats, and economics reads node `dead`. `before_start`
+/// schedules protocol faults once the pools are placed; `collect` adds
+/// the protocol-only results.
+template <class ClusterT, class Options, class Economics, class BeforeStart,
+          class Collect>
+RunResult run_cluster(const RunConfig& config, Options opts, std::size_t dead,
+                      Economics economics, BeforeStart before_start,
+                      Collect collect) {
   opts.config.n = config.n;
   opts.config.f = config.f();
   opts.config.delta = ms(160);  // 1.2x the longest one-way leg
-  opts.config.lambda = config.lambda;
   opts.config.batch_size = config.batch_size;
   opts.config.batch_timeout = config.batch_timeout;
-  opts.config.heartbeat_period = config.heartbeat;
-  opts.config.obfuscate = config.obfuscate;
-  opts.config.max_outstanding_proposals = config.max_outstanding;
   opts.config.memoize_verification = config.memoize_verify;
-  // Flat host memory by default; serving reveal catch-up needs the bytes,
-  // and so does the economics evaluation of an open-loop ledger.
-  opts.config.retain_payloads =
-      config.wants_state_sync() || config.workload.open_loop;
   if (config.workload.open_loop) {
     opts.config.mempool_capacity = config.workload.mempool_capacity;
   }
@@ -183,13 +175,85 @@ RunResult run_lyra(const RunConfig& config) {
       config.client_shard > 0 && !config.workload.open_loop;
   ShardPlan plan;
   if (sharded_clients) {
-    plan = make_shard_plan(config.n, config.client_shard,
-                           config.byzantine_silent, config.client_nodes);
+    plan = make_shard_plan(config.n, config.client_shard, dead,
+                           config.client_nodes);
     opts.topology = std::move(plan.topology);
   } else {
-    opts.topology = benchmark_topology(config.n);
+    opts.topology = net::three_continents_with_clients(config.n);
   }
   opts.seed = config.seed;
+
+  ClusterT cluster(std::move(opts));
+  cluster.network().set_bandwidth(config.bandwidth_bytes_per_sec);
+  if (sharded_clients) {
+    for (std::vector<NodeId>& shard : plan.shards) {
+      cluster.add_client_pool(std::move(shard), config.clients_per_node,
+                              config.client_start, config.measure_from,
+                              config.duration);
+    }
+  } else {
+    const workload::OpenLoopOptions open_opts = make_open_loop_options(config);
+    for (NodeId i = static_cast<NodeId>(dead); i < config.n; ++i) {
+      if (config.workload.open_loop) {
+        cluster.add_open_loop_pool(i, open_opts, config.seed);
+      } else {
+        if (config.client_nodes > 0 && i >= config.client_nodes) continue;
+        cluster.add_client_pool(i, config.clients_per_node,
+                                config.client_start, config.measure_from,
+                                config.duration);
+      }
+    }
+  }
+  before_start(cluster);
+  cluster.start();
+  const auto host_start = std::chrono::steady_clock::now();
+  const std::uint64_t executed = cluster.run_for(config.duration);
+  const std::chrono::duration<double> host_elapsed =
+      std::chrono::steady_clock::now() - host_start;
+
+  RunResult r = config.workload.open_loop
+                    ? collect_open_loop_stats(cluster, config)
+                    : collect_client_stats(cluster, config);
+  r.events_executed = executed;
+  r.host_seconds = host_elapsed.count();
+  r.sim_seconds = to_ms(config.duration) / 1000.0;
+  r.prefix_consistent = cluster.ledgers_prefix_consistent();
+  r.messages_dropped = cluster.network().messages_dropped() +
+                       cluster.simulation().deliveries_dropped();
+  for (NodeId i = static_cast<NodeId>(dead); i < config.n; ++i) {
+    if (!cluster.node_alive(i)) continue;  // crashed, never restarted
+    r.verify_cache_hits += cluster.node(i).stats().verify_cache_hits;
+    r.verify_cache_misses += cluster.node(i).stats().verify_cache_misses;
+  }
+  if (config.workload.open_loop) {
+    for (NodeId i = 0; i < config.n; ++i) {
+      if (!cluster.node_alive(i)) continue;
+      if (const workload::Mempool* mp = cluster.node(i).mempool()) {
+        r.mempool_rejects += mp->stats().rejected_full;
+        r.mempool_evictions += mp->stats().evicted;
+      }
+    }
+    // Ledger order is identical on every correct node (prefix consistency
+    // above checks that); evaluate economics on the first correct one.
+    workload::EconomicsParams ep;
+    ep.slippage_bps = config.workload.slippage_bps;
+    fold_economics(economics(cluster.node(static_cast<NodeId>(dead)), ep),
+                   &r);
+  }
+  collect(cluster, r);
+  return r;
+}
+
+RunResult run_lyra(const RunConfig& config) {
+  LyraClusterOptions opts;
+  opts.config.lambda = config.lambda;
+  opts.config.heartbeat_period = config.heartbeat;
+  opts.config.obfuscate = config.obfuscate;
+  opts.config.max_outstanding_proposals = config.max_outstanding;
+  // Flat host memory by default; serving reveal catch-up needs the bytes,
+  // and so does the economics evaluation of an open-loop ledger.
+  opts.config.retain_payloads =
+      config.wants_state_sync() || config.workload.open_loop;
   opts.durable_storage = !config.crash_restarts.empty();
   opts.state_sync = config.wants_state_sync();
   opts.statesync_config.delta_transfer = config.delta_sync;
@@ -222,150 +286,82 @@ RunResult run_lyra(const RunConfig& config) {
     };
   }
 
-  LyraCluster cluster(std::move(opts));
-  cluster.network().set_bandwidth(config.bandwidth_bytes_per_sec);
-  const workload::OpenLoopOptions open_opts = make_open_loop_options(config);
-  if (sharded_clients) {
-    for (std::vector<NodeId>& shard : plan.shards) {
-      cluster.add_client_pool(std::move(shard), config.clients_per_node,
-                              config.client_start, config.measure_from,
-                              config.duration);
-    }
-  } else {
-    for (NodeId i = 0; i < config.n; ++i) {
-      if (i < config.byzantine_silent) continue;  // no clients on dead nodes
-      if (config.workload.open_loop) {
-        cluster.add_open_loop_pool(i, open_opts, config.seed);
-      } else {
-        if (config.client_nodes > 0 && i >= config.client_nodes) continue;
-        cluster.add_client_pool(i, config.clients_per_node,
-                                config.client_start, config.measure_from,
-                                config.duration);
+  const auto schedule_crashes = [&config](LyraCluster& cluster) {
+    for (const RunConfig::CrashRestart& cr : config.crash_restarts) {
+      cluster.schedule_crash_restart(cr.node, cr.crash_at, cr.restart_at);
+      const NodeId id = cr.node;
+      if (cr.wipe_disk_at > 0) {
+        cluster.simulation().schedule_at(
+            cr.wipe_disk_at, [&cluster, id] { cluster.wipe_disk(id); });
+      }
+      if (cr.corrupt_wal) {
+        const TimeNs at = cr.crash_at + (cr.restart_at - cr.crash_at) / 2;
+        cluster.simulation().schedule_at(
+            at, [&cluster, id] { cluster.corrupt_wal(id); });
       }
     }
-  }
-  for (const RunConfig::CrashRestart& cr : config.crash_restarts) {
-    cluster.schedule_crash_restart(cr.node, cr.crash_at, cr.restart_at);
-    const NodeId id = cr.node;
-    if (cr.wipe_disk_at > 0) {
-      cluster.simulation().schedule_at(
-          cr.wipe_disk_at, [&cluster, id] { cluster.wipe_disk(id); });
+  };
+  const auto collect = [&config](LyraCluster& cluster, RunResult& r) {
+    r.late_accepts = cluster.total_late_accepts();
+    r.restarts = cluster.restarts();
+    for (NodeId i = 0; i < config.n; ++i) {
+      const NodeRecoveryInfo& info = cluster.recovery_info(i);
+      if (!info.happened) continue;
+      r.recovered_wal_records += info.stats.replayed_records;
+      if (info.stats.snapshot_loaded) ++r.recovered_snapshots;
+      r.recovery_cpu_ms += to_ms(info.recovery_cpu);
+      if (info.stats.torn_tail_bytes > 0) ++r.torn_tail_repairs;
+      if (info.outcome == RestartOutcome::kStateSync) ++r.full_state_syncs;
+      if (info.outcome == RestartOutcome::kDeltaSync) ++r.delta_state_syncs;
+      if (!info.error.empty()) ++r.refused_restarts;
     }
-    if (cr.corrupt_wal) {
-      const TimeNs at = cr.crash_at + (cr.restart_at - cr.crash_at) / 2;
-      cluster.simulation().schedule_at(
-          at, [&cluster, id] { cluster.corrupt_wal(id); });
-    }
-  }
-  cluster.start();
-  const auto host_start = std::chrono::steady_clock::now();
-  const std::uint64_t executed = cluster.run_for(config.duration);
-  const std::chrono::duration<double> host_elapsed =
-      std::chrono::steady_clock::now() - host_start;
-
-  RunResult r = config.workload.open_loop
-                    ? collect_open_loop_stats(cluster, config)
-                    : collect_client_stats(cluster, config);
-  r.events_executed = executed;
-  r.host_seconds = host_elapsed.count();
-  r.sim_seconds = to_ms(config.duration) / 1000.0;
-  r.prefix_consistent = cluster.ledgers_prefix_consistent();
-  r.late_accepts = cluster.total_late_accepts();
-  if (config.workload.open_loop) {
+    const statesync::StateSyncStats sync = cluster.statesync_totals();
+    r.sync_chunks_fetched = sync.chunks_fetched;
+    r.sync_chunks_local = sync.chunks_local;
+    r.sync_chunks_rejected = sync.chunks_rejected;
+    r.sync_bytes_transferred = sync.bytes_transferred;
+    r.sync_bytes_local = sync.bytes_local;
+    r.sync_serves_shed = sync.serves_shed;
+    r.sync_entries_installed = sync.entries_installed;
+    r.catchup_reveals = sync.catchup_reveals;
     for (NodeId i = 0; i < config.n; ++i) {
       if (!cluster.node_alive(i)) continue;
-      if (const workload::Mempool* mp = cluster.node(i).mempool()) {
-        r.mempool_rejects += mp->stats().rejected_full;
-        r.mempool_evictions += mp->stats().evicted;
+      for (const core::CommittedBatch& cb : cluster.node(i).ledger()) {
+        if (cb.revealed_at == 0) ++r.unrevealed_batches;
       }
     }
-    // Ledger order is identical on every correct node (prefix consistency
-    // below checks that); evaluate economics on the first non-silent one.
-    workload::EconomicsParams ep;
-    ep.slippage_bps = config.workload.slippage_bps;
-    const NodeId correct = static_cast<NodeId>(config.byzantine_silent);
-    fold_economics(
-        attacks::evaluate_lyra_economics(cluster.node(correct), ep), &r);
-  }
-  r.restarts = cluster.restarts();
-  r.messages_dropped = cluster.network().messages_dropped() +
-                       cluster.simulation().deliveries_dropped();
-  for (NodeId i = 0; i < config.n; ++i) {
-    const NodeRecoveryInfo& info = cluster.recovery_info(i);
-    if (!info.happened) continue;
-    r.recovered_wal_records += info.stats.replayed_records;
-    if (info.stats.snapshot_loaded) ++r.recovered_snapshots;
-    r.recovery_cpu_ms += to_ms(info.recovery_cpu);
-    if (info.stats.torn_tail_bytes > 0) ++r.torn_tail_repairs;
-    if (info.outcome == RestartOutcome::kStateSync) ++r.full_state_syncs;
-    if (info.outcome == RestartOutcome::kDeltaSync) ++r.delta_state_syncs;
-    if (!info.error.empty()) ++r.refused_restarts;
-  }
-  const statesync::StateSyncStats sync = cluster.statesync_totals();
-  r.sync_chunks_fetched = sync.chunks_fetched;
-  r.sync_chunks_local = sync.chunks_local;
-  r.sync_chunks_rejected = sync.chunks_rejected;
-  r.sync_bytes_transferred = sync.bytes_transferred;
-  r.sync_bytes_local = sync.bytes_local;
-  r.sync_serves_shed = sync.serves_shed;
-  r.sync_entries_installed = sync.entries_installed;
-  r.catchup_reveals = sync.catchup_reveals;
-  for (NodeId i = 0; i < config.n; ++i) {
-    if (!cluster.node_alive(i)) continue;
-    for (const core::CommittedBatch& cb : cluster.node(i).ledger()) {
-      if (cb.revealed_at == 0) ++r.unrevealed_batches;
-    }
-  }
 
-  Samples rounds;
-  std::uint64_t ok = 0;
-  std::uint64_t rejected = 0;
-  for (NodeId i = static_cast<NodeId>(config.byzantine_silent);
-       i < config.n; ++i) {
-    if (!cluster.node_alive(i)) continue;  // crashed, never restarted
-    const auto& stats = cluster.node(i).stats();
-    for (double v : stats.decide_rounds.values()) rounds.add(v);
-    ok += stats.validations_ok;
-    rejected += stats.validations_rejected;
-    r.verify_cache_hits += stats.verify_cache_hits;
-    r.verify_cache_misses += stats.verify_cache_misses;
-    if (const auto* rep = dynamic_cast<const attacks::ReplayInitLyraNode*>(
-            &cluster.node(i))) {
-      r.replays_sent += rep->replays_sent();
+    Samples rounds;
+    std::uint64_t ok = 0;
+    std::uint64_t rejected = 0;
+    for (NodeId i = static_cast<NodeId>(config.byzantine_silent);
+         i < config.n; ++i) {
+      if (!cluster.node_alive(i)) continue;  // crashed, never restarted
+      const auto& stats = cluster.node(i).stats();
+      for (double v : stats.decide_rounds.values()) rounds.add(v);
+      ok += stats.validations_ok;
+      rejected += stats.validations_rejected;
+      if (const auto* rep = dynamic_cast<const attacks::ReplayInitLyraNode*>(
+              &cluster.node(i))) {
+        r.replays_sent += rep->replays_sent();
+      }
     }
-  }
-  r.mean_decide_rounds = rounds.mean();
-  r.max_decide_rounds = rounds.count() ? rounds.max() : 0.0;
-  if (ok + rejected > 0) {
-    r.validation_accept_rate =
-        static_cast<double>(ok) / static_cast<double>(ok + rejected);
-  }
-  return r;
+    r.mean_decide_rounds = rounds.mean();
+    r.max_decide_rounds = rounds.count() ? rounds.max() : 0.0;
+    if (ok + rejected > 0) {
+      r.validation_accept_rate =
+          static_cast<double>(ok) / static_cast<double>(ok + rejected);
+    }
+  };
+  return run_cluster<LyraCluster>(config, std::move(opts),
+                                  config.byzantine_silent,
+                                  attacks::evaluate_lyra_economics,
+                                  schedule_crashes, collect);
 }
 
 RunResult run_pompe(const RunConfig& config) {
   PompeClusterOptions opts;
-  opts.config.n = config.n;
-  opts.config.f = config.f();
-  opts.config.delta = ms(160);
-  opts.config.batch_size = config.batch_size;
-  opts.config.batch_timeout = config.batch_timeout;
   opts.config.initial_leader = 0;  // Oregon
-  opts.config.memoize_verification = config.memoize_verify;
-  if (config.workload.open_loop) {
-    opts.config.mempool_capacity = config.workload.mempool_capacity;
-  }
-  const bool sharded_clients =
-      config.client_shard > 0 && !config.workload.open_loop;
-  ShardPlan plan;
-  if (sharded_clients) {
-    plan = make_shard_plan(config.n, config.client_shard, /*skip_below=*/0,
-                           config.client_nodes);
-    opts.topology = std::move(plan.topology);
-  } else {
-    opts.topology = benchmark_topology(config.n);
-  }
-  opts.seed = config.seed;
   const std::size_t sandwichers =
       config.workload.open_loop ? config.workload.sandwich_attackers : 0;
   if (sandwichers > 0) {
@@ -383,59 +379,14 @@ RunResult run_pompe(const RunConfig& config) {
       return std::make_unique<pompe::PompeNode>(sim, net, id, cfg, reg);
     };
   }
-
-  PompeCluster cluster(std::move(opts));
-  cluster.network().set_bandwidth(config.bandwidth_bytes_per_sec);
-  const workload::OpenLoopOptions open_opts = make_open_loop_options(config);
-  if (sharded_clients) {
-    for (std::vector<NodeId>& shard : plan.shards) {
-      cluster.add_client_pool(std::move(shard), config.clients_per_node,
-                              config.client_start, config.measure_from,
-                              config.duration);
-    }
-  } else {
+  const auto collect = [&config](PompeCluster& cluster, RunResult& r) {
     for (NodeId i = 0; i < config.n; ++i) {
-      if (config.workload.open_loop) {
-        cluster.add_open_loop_pool(i, open_opts, config.seed);
-      } else {
-        if (config.client_nodes > 0 && i >= config.client_nodes) continue;
-        cluster.add_client_pool(i, config.clients_per_node,
-                                config.client_start, config.measure_from,
-                                config.duration);
-      }
+      r.proof_verifications += cluster.node(i).stats().proof_verifications;
     }
-  }
-  cluster.start();
-  const auto host_start = std::chrono::steady_clock::now();
-  const std::uint64_t executed = cluster.run_for(config.duration);
-  const std::chrono::duration<double> host_elapsed =
-      std::chrono::steady_clock::now() - host_start;
-
-  RunResult r = config.workload.open_loop
-                    ? collect_open_loop_stats(cluster, config)
-                    : collect_client_stats(cluster, config);
-  r.events_executed = executed;
-  r.host_seconds = host_elapsed.count();
-  r.sim_seconds = to_ms(config.duration) / 1000.0;
-  r.prefix_consistent = cluster.ledgers_prefix_consistent();
-  for (NodeId i = 0; i < config.n; ++i) {
-    r.proof_verifications += cluster.node(i).stats().proof_verifications;
-    r.verify_cache_hits += cluster.node(i).stats().verify_cache_hits;
-    r.verify_cache_misses += cluster.node(i).stats().verify_cache_misses;
-  }
-  if (config.workload.open_loop) {
-    for (NodeId i = 0; i < config.n; ++i) {
-      if (const workload::Mempool* mp = cluster.node(i).mempool()) {
-        r.mempool_rejects += mp->stats().rejected_full;
-        r.mempool_evictions += mp->stats().evicted;
-      }
-    }
-    workload::EconomicsParams ep;
-    ep.slippage_bps = config.workload.slippage_bps;
-    fold_economics(attacks::evaluate_pompe_economics(cluster.node(0), ep),
-                   &r);
-  }
-  return r;
+  };
+  return run_cluster<PompeCluster>(config, std::move(opts), /*dead=*/0,
+                                   attacks::evaluate_pompe_economics,
+                                   [](PompeCluster&) {}, collect);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "harness/lyra_cluster.hpp"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "storage/wal.hpp"
@@ -22,53 +21,25 @@ const char* to_string(RestartOutcome outcome) {
   return "?";
 }
 
-namespace {
-crypto::KeyRegistry make_registry(std::size_t n, std::size_t quorum,
-                                  std::uint64_t seed) {
-  Rng rng(seed ^ 0x5eed5eedULL);
-  return crypto::KeyRegistry(n, quorum, rng);
-}
-}  // namespace
-
 LyraCluster::LyraCluster(LyraClusterOptions options)
-    : options_(std::move(options)),
-      sim_(options_.seed),
-      registry_(make_registry(options_.config.n, options_.config.quorum(),
-                              options_.seed)),
-      next_id_(static_cast<NodeId>(options_.config.n)) {
-  LYRA_ASSERT(options_.topology.size() >= options_.config.n,
-              "topology smaller than the cluster");
+    : Cluster(std::move(options)),
+      disks_(options_.config.n),
+      journals_(options_.config.n),
+      recovery_info_(options_.config.n) {
   LYRA_ASSERT(!options_.state_sync || options_.durable_storage,
               "state_sync without durable_storage: nothing would trigger "
               "a transfer and synced state would not survive");
-  network_ = std::make_unique<net::Network>(
-      &sim_, options_.topology.make_latency_model(), options_.config.n);
-
-  disks_.resize(options_.config.n);
-  journals_.resize(options_.config.n);
-  recovery_info_.resize(options_.config.n);
   for (NodeId i = 0; i < options_.config.n; ++i) {
-    std::unique_ptr<core::LyraNode> node = build_node(i);
     if (options_.durable_storage) {
       disks_[i] = std::make_unique<storage::MemDisk>();
       journals_[i] = std::make_unique<storage::DurableJournal>(
           disks_[i].get(), options_.journal);
-      node->set_journal(journals_[i].get());
+      nodes_[i]->set_journal(journals_[i].get());
     }
     if (options_.state_sync) {
-      node->enable_state_sync(options_.statesync_config);
+      nodes_[i]->enable_state_sync(options_.statesync_config);
     }
-    network_->attach(node.get());
-    nodes_.push_back(std::move(node));
   }
-}
-
-std::unique_ptr<core::LyraNode> LyraCluster::build_node(NodeId id) {
-  return options_.node_factory
-             ? options_.node_factory(&sim_, network_.get(), id,
-                                     options_.config, &registry_)
-             : std::make_unique<core::LyraNode>(&sim_, network_.get(), id,
-                                                options_.config, &registry_);
 }
 
 void LyraCluster::crash_node(NodeId id) {
@@ -220,108 +191,11 @@ void LyraCluster::schedule_crash_restart(NodeId id, TimeNs crash_at,
   sim_.schedule_at(restart_at, [this, id] { restart_node(id); });
 }
 
-client::ClientPool& LyraCluster::add_client_pool(NodeId target,
-                                                 std::uint32_t width,
-                                                 TimeNs start_at,
-                                                 TimeNs measure_from,
-                                                 TimeNs measure_to) {
-  LYRA_ASSERT(!started_, "add pools before start()");
-  LYRA_ASSERT(next_id_ < options_.topology.size(),
-              "no topology slot left for a client pool");
-  auto pool = std::make_unique<client::ClientPool>(
-      &sim_, network_.get(), next_id_++, target, width, start_at,
-      measure_from, measure_to);
-  network_->attach(pool.get());
-  pools_.push_back(std::move(pool));
-  return *pools_.back();
-}
-
-client::ClientPool& LyraCluster::add_client_pool(std::vector<NodeId> targets,
-                                                 std::uint32_t width,
-                                                 TimeNs start_at,
-                                                 TimeNs measure_from,
-                                                 TimeNs measure_to) {
-  LYRA_ASSERT(!started_, "add pools before start()");
-  LYRA_ASSERT(next_id_ < options_.topology.size(),
-              "no topology slot left for a client pool");
-  LYRA_ASSERT(!targets.empty(), "aggregated pool needs at least one target");
-  auto pool = std::make_unique<client::ClientPool>(
-      &sim_, network_.get(), next_id_++, std::move(targets), width, start_at,
-      measure_from, measure_to);
-  network_->attach(pool.get());
-  pools_.push_back(std::move(pool));
-  return *pools_.back();
-}
-
-workload::OpenLoopClientPool& LyraCluster::add_open_loop_pool(
-    NodeId target, const workload::OpenLoopOptions& options,
-    std::uint64_t run_seed) {
-  LYRA_ASSERT(!started_, "add pools before start()");
-  LYRA_ASSERT(next_id_ < options_.topology.size(),
-              "no topology slot left for an open-loop pool");
-  auto pool = std::make_unique<workload::OpenLoopClientPool>(
-      &sim_, network_.get(), next_id_++, target, options, run_seed);
-  network_->attach(pool.get());
-  open_pools_.push_back(std::move(pool));
-  return *open_pools_.back();
-}
-
-void LyraCluster::adopt_process(std::unique_ptr<sim::Process> process) {
-  LYRA_ASSERT(!started_, "adopt processes before start()");
-  LYRA_ASSERT(process->id() == next_id_, "process ids must stay dense");
-  ++next_id_;
-  network_->attach(process.get());
-  extra_processes_.push_back(std::move(process));
-}
-
-void LyraCluster::start() {
-  LYRA_ASSERT(!started_, "start() must run once");
-  started_ = true;
-  for (auto& n : nodes_) n->on_start();
-  for (auto& p : pools_) p->on_start();
-  for (auto& p : open_pools_) p->on_start();
-  for (auto& p : extra_processes_) p->on_start();
-}
-
 bool LyraCluster::ledgers_prefix_consistent() const {
-  // Compare every ledger against the longest one; crashed (null) slots
-  // have no ledger to compare.
-  const core::LyraNode* longest = nullptr;
-  for (const auto& n : nodes_) {
-    if (n != nullptr &&
-        (longest == nullptr || n->ledger().size() > longest->ledger().size())) {
-      longest = n.get();
-    }
-  }
-  if (longest == nullptr) return true;
-  const auto& ref = longest->ledger();
-  for (const auto& n : nodes_) {
-    if (n == nullptr) continue;
-    const auto& l = n->ledger();
-    if (l.size() > ref.size()) return false;
-    for (std::size_t i = 0; i < l.size(); ++i) {
-      if (l[i].seq != ref[i].seq || l[i].cipher_id != ref[i].cipher_id) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-std::size_t LyraCluster::min_ledger_length() const {
-  std::size_t len = SIZE_MAX;
-  for (const auto& n : nodes_) {
-    if (n != nullptr) len = std::min(len, n->ledger().size());
-  }
-  return len == SIZE_MAX ? 0 : len;
-}
-
-std::size_t LyraCluster::max_ledger_length() const {
-  std::size_t len = 0;
-  for (const auto& n : nodes_) {
-    if (n != nullptr) len = std::max(len, n->ledger().size());
-  }
-  return len;
+  return prefix_consistent(
+      [](const core::CommittedBatch& a, const core::CommittedBatch& b) {
+        return a.seq == b.seq && a.cipher_id == b.cipher_id;
+      });
 }
 
 statesync::StateSyncStats LyraCluster::statesync_totals() const {

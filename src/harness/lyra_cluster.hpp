@@ -5,16 +5,11 @@
 #include <string>
 #include <vector>
 
-#include "client/client_pool.hpp"
-#include "crypto/keys.hpp"
+#include "harness/cluster.hpp"
 #include "lyra/lyra_node.hpp"
-#include "net/network.hpp"
-#include "net/topology.hpp"
-#include "sim/simulation.hpp"
 #include "storage/disk.hpp"
 #include "storage/journal.hpp"
 #include "storage/recovery.hpp"
-#include "workload/open_loop.hpp"
 
 namespace lyra::harness {
 
@@ -72,54 +67,11 @@ struct NodeRecoveryInfo {
   storage::RecoveryStats stats;
 };
 
-/// Assembles a full Lyra deployment on the simulator: key registry,
-/// network, consensus nodes, and optional closed-loop client pools.
-class LyraCluster {
+/// A Lyra deployment (Cluster) plus what only Lyra has: durable storage,
+/// crash/restart, disk fault injection and state sync.
+class LyraCluster : public Cluster<core::LyraNode, LyraClusterOptions> {
  public:
   explicit LyraCluster(LyraClusterOptions options);
-
-  sim::Simulation& simulation() { return sim_; }
-  net::Network& network() { return *network_; }
-  const crypto::KeyRegistry& registry() const { return registry_; }
-  core::LyraNode& node(NodeId id) { return *nodes_.at(id); }
-  std::size_t node_count() const { return nodes_.size(); }
-  const core::Config& config() const { return options_.config; }
-
-  /// Attaches a closed-loop client pool targeting `target`. The pool's
-  /// process id is the next free id; its topology slot must exist.
-  client::ClientPool& add_client_pool(NodeId target, std::uint32_t width,
-                                      TimeNs start_at, TimeNs measure_from,
-                                      TimeNs measure_to);
-
-  /// Aggregated form: one pool process drives `width` logical clients at
-  /// *each* of `targets` through shared timers — O(1) simulation objects
-  /// per shard instead of per node, which is what makes n=300–1000
-  /// sweeps affordable. Consumes a single topology slot (place shards so
-  /// that slot shares a region with the targets to preserve latencies).
-  client::ClientPool& add_client_pool(std::vector<NodeId> targets,
-                                      std::uint32_t width, TimeNs start_at,
-                                      TimeNs measure_from, TimeNs measure_to);
-
-  /// Attaches an open-loop traffic source targeting `target`
-  /// (docs/WORKLOAD.md). Arrival and field streams derive from `run_seed`
-  /// and the pool's process id, so pool placement order does not matter.
-  workload::OpenLoopClientPool& add_open_loop_pool(
-      NodeId target, const workload::OpenLoopOptions& options,
-      std::uint64_t run_seed);
-
-  /// Registers an externally-constructed process (attacker, bespoke
-  /// client) with the network.
-  void adopt_process(std::unique_ptr<sim::Process> process);
-
-  NodeId next_process_id() const { return next_id_; }
-
-  /// Calls on_start on every process. Must run before the simulation.
-  void start();
-
-  /// Returns the number of events executed (perf-harness metric).
-  std::uint64_t run_for(TimeNs duration) {
-    return sim_.run_until(sim_.now() + duration);
-  }
 
   // --- crash / restart (requires durable_storage) ---
 
@@ -151,7 +103,6 @@ class LyraCluster {
   /// escalates); a single-record WAL degrades to a tolerated torn tail.
   void corrupt_wal(NodeId id);
 
-  bool node_alive(NodeId id) const { return nodes_.at(id) != nullptr; }
   storage::MemDisk* disk(NodeId id) { return disks_.at(id).get(); }
   const NodeRecoveryInfo& recovery_info(NodeId id) const {
     return recovery_info_.at(id);
@@ -168,40 +119,16 @@ class LyraCluster {
   /// (seq, cipher_id).
   bool ledgers_prefix_consistent() const;
 
-  /// Shortest ledger across correct nodes.
-  std::size_t min_ledger_length() const;
-  std::size_t max_ledger_length() const;
-
   /// Sum of late_accepts across nodes (must be 0, Lemma 6 completeness).
   std::uint64_t total_late_accepts() const;
 
-  const std::vector<std::unique_ptr<client::ClientPool>>& pools() const {
-    return pools_;
-  }
-  const std::vector<std::unique_ptr<workload::OpenLoopClientPool>>&
-  open_pools() const {
-    return open_pools_;
-  }
-
  private:
-  std::unique_ptr<core::LyraNode> build_node(NodeId id);
-
-  LyraClusterOptions options_;
-  sim::Simulation sim_;
-  crypto::KeyRegistry registry_;
-  std::unique_ptr<net::Network> network_;
-  std::vector<std::unique_ptr<core::LyraNode>> nodes_;
-  std::vector<std::unique_ptr<client::ClientPool>> pools_;
-  std::vector<std::unique_ptr<workload::OpenLoopClientPool>> open_pools_;
-  std::vector<std::unique_ptr<sim::Process>> extra_processes_;
   // Per consensus node; disks outlive crashes, journals are rebuilt on
   // restart (a journal must never append to a torn pre-crash segment).
   std::vector<std::unique_ptr<storage::MemDisk>> disks_;
   std::vector<std::unique_ptr<storage::Journal>> journals_;
   std::vector<NodeRecoveryInfo> recovery_info_;
   std::uint64_t restarts_ = 0;
-  NodeId next_id_;
-  bool started_ = false;
 };
 
 }  // namespace lyra::harness

@@ -69,6 +69,14 @@ Topology three_continents(std::size_t nodes,
   return t;
 }
 
+Topology three_continents_with_clients(std::size_t nodes) {
+  Topology t = three_continents(nodes, std::vector<Region>(nodes));
+  for (std::size_t i = 0; i < nodes; ++i) {
+    t.placement[nodes + i] = t.placement[i];
+  }
+  return t;
+}
+
 Topology triangle_violation(std::size_t nodes) {
   // Alice (Tokyo) and Mallory (Singapore) are appended after the consensus
   // nodes; one consensus node is forced to Mumbai so Carole exists.

@@ -53,6 +53,10 @@ struct Topology {
 Topology three_continents(std::size_t nodes,
                           const std::vector<Region>& extra = {});
 
+/// three_continents(nodes) plus one client slot per node, slot nodes + i
+/// in node i's region: the paper's co-located client machines (§VI-A).
+Topology three_continents_with_clients(std::size_t nodes);
+
 /// Fig. 1 scenario: consensus nodes across 3 continents plus Alice in
 /// Tokyo, Mallory in Singapore, Carole (a consensus node) in Mumbai.
 Topology triangle_violation(std::size_t nodes);

@@ -23,6 +23,17 @@ TEST(Topology, ExtraProcessesAppended) {
   EXPECT_EQ(t.placement[4], Region::kSingapore);
 }
 
+TEST(Topology, ClientSlotsShareTheirNodesRegion) {
+  const Topology t = three_continents_with_clients(5);
+  ASSERT_EQ(t.size(), 10u);
+  const Topology nodes = three_continents(5);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(t.placement[i], nodes.placement[i]);
+    EXPECT_EQ(t.placement[5 + i], t.placement[i]);
+  }
+  EXPECT_DOUBLE_EQ(t.jitter_sigma, nodes.jitter_sigma);
+}
+
 TEST(Topology, RegionLatencyIsSymmetric) {
   for (std::size_t a = 0; a < kRegionCount; ++a) {
     for (std::size_t b = 0; b < kRegionCount; ++b) {

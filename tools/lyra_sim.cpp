@@ -64,7 +64,8 @@ void usage() {
       "                            process drives up to K same-region nodes\n"
       "                            (0 = one pool per node; makes n=300-1000\n"
       "                            sweeps affordable)\n"
-      "  --client-nodes=K          attach clients to nodes 0..K-1 only\n"
+      "  --client-nodes=K          attach closed-loop clients to nodes\n"
+      "                            0..K-1 only\n"
       "                            (0 = every node; each client-bearing\n"
       "                            node proposes, and every instance costs\n"
       "                            O(n^2) consensus traffic — cap the\n"
@@ -315,6 +316,18 @@ int main(int argc, char** argv) {
   if (config.replay_attackers > 0 &&
       config.protocol != RunConfig::Protocol::kLyra) {
     std::fprintf(stderr, "--replay-attackers is Lyra-only\n");
+    return 2;
+  }
+  if (config.byzantine_silent > 0 &&
+      config.protocol != RunConfig::Protocol::kLyra) {
+    std::fprintf(stderr, "--silent is Lyra-only\n");
+    return 2;
+  }
+  if (config.workload.open_loop &&
+      (config.client_shard > 0 || config.client_nodes > 0)) {
+    std::fprintf(stderr,
+                 "--client-shard and --client-nodes shape closed-loop "
+                 "clients; they do not combine with --open-loop\n");
     return 2;
   }
   if (config.byzantine_silent + config.replay_attackers > config.f()) {
