@@ -131,6 +131,21 @@ TEST(HarnessPin, LyraCrashCorruptWalDeltaSync) {
                     0.0});
 }
 
+TEST(HarnessPin, LyraCrashWipeFullSync) {
+  RunConfig c = small_config(RunConfig::Protocol::kLyra, 4);
+  c.duration = ms(6000);
+  // A wiped disk leaves nothing to recover locally: the node rejoins
+  // through a full state transfer from its peers.
+  RunConfig::CrashRestart cr;
+  cr.node = 2;
+  cr.crash_at = ms(2500);
+  cr.restart_at = ms(3500);
+  cr.wipe_disk_at = ms(2900);  // 2/5 into the window
+  c.crash_restarts.push_back(cr);
+  expect_pinned(c, {20334, 720, 675.915451, 274, 1, 1, 0, 1, 0, 2348, 45, 36,
+                    0.0});
+}
+
 /// The pinned subset of a fuzz RunReport.
 struct FuzzPin {
   std::uint64_t committed_txs;
