@@ -23,10 +23,12 @@ int main() {
 
   for (std::size_t silent : {0u, 2u, 5u}) {
     RunConfig config;
-    config.protocol = RunConfig::Protocol::kLyra;
+    config.protocol = harness::Protocol::kLyra;
     config.n = 16;
     config.clients_per_node = 1600;
-    config.byzantine_silent = silent;
+    for (NodeId i = 0; i < silent; ++i) {
+      config.byz.push_back({i, harness::ByzKind::kSilent});
+    }
     config.memoize_verify = bench::memoize_mode();
     const auto r = run_experiment(config);
     std::printf("%7zu %17.1f %18.0f   %s\n", silent, r.mean_latency_ms,
@@ -47,10 +49,11 @@ int main() {
       "throughput_tps\n";
   for (bool memoize : {false, true}) {
     RunConfig config;
-    config.protocol = RunConfig::Protocol::kLyra;
+    config.protocol = harness::Protocol::kLyra;
     config.n = 16;
     config.clients_per_node = 1600;
-    config.replay_attackers = 2;
+    config.byz = {{0, harness::ByzKind::kReplayInit},
+                  {1, harness::ByzKind::kReplayInit}};
     // Long enough that instances are GC'd mid-run and the replay stream is
     // sustained over the measurement window.
     config.duration = ms(10000);

@@ -16,7 +16,7 @@ int main() {
 
   for (double lambda_ms : {1.0, 2.0, 5.0, 10.0, 50.0}) {
     RunConfig config;
-    config.protocol = RunConfig::Protocol::kLyra;
+    config.protocol = harness::Protocol::kLyra;
     config.memoize_verify = bench::memoize_mode();
     config.n = 16;
     config.clients_per_node = 1600;

@@ -15,7 +15,7 @@ int main() {
 
   for (bool obfuscate : {true, false}) {
     RunConfig config;
-    config.protocol = RunConfig::Protocol::kLyra;
+    config.protocol = harness::Protocol::kLyra;
     config.memoize_verify = bench::memoize_mode();
     config.n = 16;
     config.clients_per_node = 1600;

@@ -21,7 +21,7 @@ int main() {
 
   for (std::size_t n : {4u, 7u, 10u, 16u, 31u}) {
     RunConfig config;
-    config.protocol = RunConfig::Protocol::kLyra;
+    config.protocol = harness::Protocol::kLyra;
     config.memoize_verify = bench::memoize_mode();
     config.n = n;
     config.clients_per_node = 800;

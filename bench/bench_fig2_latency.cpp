@@ -36,14 +36,14 @@ int main() {
 
   for (std::size_t n : bench::node_counts()) {
     for (auto protocol :
-         {RunConfig::Protocol::kLyra, RunConfig::Protocol::kPompe}) {
+         {harness::Protocol::kLyra, harness::Protocol::kPompe}) {
       RunConfig config;
       config.protocol = protocol;
       config.n = n;
       config.memoize_verify = bench::memoize_mode();
       // Lyra width: an exact batch multiple under the pacing cap, so
       // latency is measured on steady full batches.
-      config.clients_per_node = protocol == RunConfig::Protocol::kLyra
+      config.clients_per_node = protocol == harness::Protocol::kLyra
                                     ? 1600
                                     : pompe_latency_width(n);
       const RunResult r = run_experiment(config);

@@ -41,14 +41,14 @@ int main() {
     // Lyra saturates once clients cover the proposal-pacing window
     // (3 batches in flight per node).
     RunConfig lyra_cfg;
-    lyra_cfg.protocol = RunConfig::Protocol::kLyra;
+    lyra_cfg.protocol = harness::Protocol::kLyra;
     lyra_cfg.n = n;
     lyra_cfg.memoize_verify = bench::memoize_mode();
     const RunResult lyra = best_of(lyra_cfg, {2600});
 
     // Pompē's knee moves with n: probe around the capacity estimate.
     RunConfig pompe_cfg;
-    pompe_cfg.protocol = RunConfig::Protocol::kPompe;
+    pompe_cfg.protocol = harness::Protocol::kPompe;
     pompe_cfg.n = n;
     pompe_cfg.memoize_verify = bench::memoize_mode();
     const double cap = harness::pompe_capacity_estimate(n, 800, 125e6);

@@ -45,7 +45,7 @@ int main() {
 
   for (double rate : arrival_rates()) {
     for (auto protocol :
-         {RunConfig::Protocol::kLyra, RunConfig::Protocol::kPompe}) {
+         {harness::Protocol::kLyra, harness::Protocol::kPompe}) {
       RunConfig config;
       config.protocol = protocol;
       config.n = n;
@@ -53,10 +53,10 @@ int main() {
       config.measure_from = bench::quick_mode() ? ms(1500) : ms(2500);
       config.batch_size = bench::quick_mode() ? 100 : 800;
       config.workload.open_loop = true;
-      config.workload.arrival_rate = rate;
+      config.workload.arrivals.arrival_rate = rate;
       config.workload.mempool_capacity = bench::quick_mode() ? 256 : 2048;
       config.workload.sandwich_attackers = 1;
-      config.workload.victim_value_threshold = 2000;
+      config.workload.sandwich.value_threshold = 2000;
       const RunResult r = run_experiment(config);
 
       std::printf(

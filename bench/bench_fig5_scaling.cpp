@@ -141,10 +141,11 @@ bench::BenchEntry measure(const std::string& name, const RunConfig& cfg) {
   e.extra.emplace_back("committed", static_cast<double>(r.committed_txs));
   e.extra.emplace_back("mean_ms", r.mean_latency_ms);
   e.extra.emplace_back("p99_ms", r.p99_latency_ms);
-  if (cfg.protocol == RunConfig::Protocol::kLyra) {
+  if (cfg.protocol == harness::Protocol::kLyra) {
     e.extra.emplace_back("accept_rate", r.validation_accept_rate);
   }
-  if (cfg.wants_state_sync()) {
+  if (harness::needs_state_sync(cfg.crashes,
+                                cfg.state_sync || cfg.delta_sync)) {
     e.extra.emplace_back("delta_state_syncs",
                          static_cast<double>(r.delta_state_syncs));
     e.extra.emplace_back("full_state_syncs",
@@ -205,12 +206,12 @@ int main(int argc, char** argv) {
     const std::string suffix = "_n" + std::to_string(p.n);
     if (wanted("lyra" + suffix)) {
       RunConfig lyra = base_config(p);
-      lyra.protocol = RunConfig::Protocol::kLyra;
+      lyra.protocol = harness::Protocol::kLyra;
       entries.push_back(measure("lyra" + suffix, lyra));
     }
     if (wanted("pompe" + suffix)) {
       RunConfig pompe = base_config(p);
-      pompe.protocol = RunConfig::Protocol::kPompe;
+      pompe.protocol = harness::Protocol::kPompe;
       if (p.pompe_duration > 0) pompe.duration = p.pompe_duration;
       entries.push_back(measure("pompe" + suffix, pompe));
     }
@@ -227,14 +228,14 @@ int main(int argc, char** argv) {
   if (!quick && wanted("lyra_n300_recovery")) {
     ScalePoint p{300, 99, 8, ms(100), ms(10000), ms(2500)};
     RunConfig cfg = base_config(p);
-    cfg.protocol = RunConfig::Protocol::kLyra;
+    cfg.protocol = harness::Protocol::kLyra;
     cfg.delta_sync = true;
-    RunConfig::CrashRestart cr;
+    harness::CrashFault cr;
     cr.node = 7;
     cr.crash_at = ms(6300);
     cr.restart_at = ms(9000);
     cr.corrupt_wal = true;
-    cfg.crash_restarts.push_back(cr);
+    cfg.crashes.push_back(cr);
     entries.push_back(measure("lyra_n300_recovery", cfg));
   }
 

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   std::vector<bench::BenchEntry> entries;
 
   RunConfig lyra;
-  lyra.protocol = RunConfig::Protocol::kLyra;
+  lyra.protocol = harness::Protocol::kLyra;
   lyra.n = n;
   lyra.clients_per_node = 2600;  // covers the 3-in-flight pacing window
   lyra.duration = duration;
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
       measure(quick ? "lyra_n31" : "lyra_n100", lyra));
 
   RunConfig pompe;
-  pompe.protocol = RunConfig::Protocol::kPompe;
+  pompe.protocol = harness::Protocol::kPompe;
   pompe.n = n;
   pompe.duration = duration;
   pompe.measure_from = measure_from;

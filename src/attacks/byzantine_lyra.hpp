@@ -135,6 +135,26 @@ class ReplayInitLyraNode final : public core::LyraNode {
   std::uint64_t replays_ = 0;
 };
 
+/// Correct consensus behaviour, Byzantine state-transfer serving (garbage
+/// chunks or a wrong manifest). The cluster attaches the statesync
+/// manager after construction, so the mode is applied at start.
+class SyncByzantineLyraNode final : public core::LyraNode {
+ public:
+  SyncByzantineLyraNode(sim::Simulation* sim, net::Network* network,
+                        NodeId id, const core::Config& config,
+                        const crypto::KeyRegistry* registry,
+                        statesync::ByzantineSyncMode mode)
+      : core::LyraNode(sim, network, id, config, registry), mode_(mode) {}
+
+  void on_start() override {
+    if (statesync() != nullptr) statesync()->set_byzantine_serving(mode_);
+    core::LyraNode::on_start();
+  }
+
+ private:
+  statesync::ByzantineSyncMode mode_;
+};
+
 /// Equivocating broadcaster: sends one INIT to even-numbered processes and
 /// a different one (same instance id) to odd-numbered ones. VVB-Unicity
 /// must prevent both from being delivered with 1.

@@ -11,43 +11,7 @@ namespace {
 
 constexpr TimeNs kWarmup = kFaultWarmup;
 
-/// Max number of simultaneously-down nodes over all crash windows.
-std::uint32_t max_concurrent_down(const std::vector<CrashFault>& crashes) {
-  std::uint32_t worst = 0;
-  for (const CrashFault& a : crashes) {
-    std::uint32_t down = 0;
-    for (const CrashFault& b : crashes) {
-      if (b.crash_at <= a.crash_at && a.crash_at < b.restart_at) ++down;
-    }
-    worst = std::max(worst, down);
-  }
-  return worst;
-}
-
 }  // namespace
-
-const char* to_string(ByzKind kind) {
-  switch (kind) {
-    case ByzKind::kSilent: return "silent";
-    case ByzKind::kReplayInit: return "replay-init";
-    case ByzKind::kSkewedPrediction: return "skewed-prediction";
-    case ByzKind::kLowballStatus: return "lowball-status";
-    case ByzKind::kSyncGarbage: return "sync-garbage";
-    case ByzKind::kSyncWrongManifest: return "sync-wrong-manifest";
-  }
-  return "?";
-}
-
-bool byz_kind_from_string(const std::string& s, ByzKind& out) {
-  for (int k = 0; k <= static_cast<int>(ByzKind::kSyncWrongManifest); ++k) {
-    const auto kind = static_cast<ByzKind>(k);
-    if (s == to_string(kind)) {
-      out = kind;
-      return true;
-    }
-  }
-  return false;
-}
 
 ScenarioPlan generate_plan(std::uint64_t seed) {
   // The generator stream is derived, not the raw seed: the runner derives
@@ -142,7 +106,7 @@ ScenarioPlan generate_plan(std::uint64_t seed) {
       else if (rng.next_bernoulli(0.2)) c.corrupt_wal = true;
       if (c.wipe_disk || c.corrupt_wal) plan.state_sync = true;
       plan.crashes.push_back(c);
-      if (max_concurrent_down(plan.crashes) > crash_budget) {
+      if (harness::max_concurrent_down(plan.crashes) > crash_budget) {
         plan.crashes.pop_back();
         continue;
       }
@@ -257,8 +221,7 @@ std::string serialize_plan(const ScenarioPlan& plan) {
   std::ostringstream out;
   out << "lyra-fuzz-plan v1\n";
   out << "seed " << plan.seed << "\n";
-  out << "protocol "
-      << (plan.protocol == Protocol::kLyra ? "lyra" : "pompe") << "\n";
+  out << "protocol " << harness::protocol_name(plan.protocol) << "\n";
   out << "n " << plan.n << "\n";
   out << "clients " << plan.clients_per_node << "\n";
   out << "batch " << plan.batch_size << "\n";
@@ -375,9 +338,9 @@ bool parse_plan(const std::string& text, ScenarioPlan& plan,
     } else if (word == "protocol") {
       std::string value;
       ls >> value;
-      if (value == "lyra") plan.protocol = Protocol::kLyra;
-      else if (value == "pompe") plan.protocol = Protocol::kPompe;
-      else return fail("unknown protocol '" + value + "'");
+      if (!harness::protocol_from_string(value, plan.protocol)) {
+        return fail("unknown protocol '" + value + "'");
+      }
     } else if (word == "n") {
       if (!scalar_u64(v)) return fail("bad n");
       plan.n = static_cast<std::uint32_t>(v);
@@ -509,38 +472,10 @@ bool validate_plan(const ScenarioPlan& plan, std::string& error) {
   if (plan.batch_size == 0 || plan.batch_size > 1024) {
     return fail("batch must be in [1, 1024]");
   }
-  const std::uint32_t f = plan.f();
-  if (plan.protocol == Protocol::kPompe &&
-      (!plan.crashes.empty() || !plan.byz.empty() || plan.state_sync)) {
-    return fail("pompe plans support only partition/delay faults");
-  }
-  std::vector<bool> crashed(plan.n, false);
-  for (const CrashFault& c : plan.crashes) {
-    if (c.node >= plan.n) return fail("crash node out of range");
-    if (crashed[c.node]) return fail("two crash windows on one node");
-    crashed[c.node] = true;
-    if (c.crash_at <= 0 || c.restart_at <= c.crash_at ||
-        c.restart_at > plan.duration - plan.required_tail()) {
-      return fail("crash window outside the run (or inside the quiet tail)");
-    }
-    if ((c.wipe_disk || c.corrupt_wal) && !plan.state_sync) {
-      return fail("wipe/corrupt without state_sync would refuse the restart");
-    }
-  }
-  std::vector<bool> byzed(plan.n, false);
-  for (const ByzFault& b : plan.byz) {
-    if (b.node >= plan.n) return fail("byz node out of range");
-    if (byzed[b.node]) return fail("two byz kinds on one node");
-    if (crashed[b.node]) return fail("byz node also has a crash window");
-    if (!plan.state_sync && (b.kind == ByzKind::kSyncGarbage ||
-                             b.kind == ByzKind::kSyncWrongManifest)) {
-      return fail("sync byzantine kind requires state_sync");
-    }
-    byzed[b.node] = true;
-  }
-  if (plan.byz.size() > f) return fail("more than f byzantine slots");
-  if (max_concurrent_down(plan.crashes) + plan.byz.size() > f) {
-    return fail("concurrently-down + byzantine exceeds f");
+  if (!harness::validate_faults(plan.n, plan.protocol, plan.crashes,
+                                plan.byz, plan.duration - plan.required_tail(),
+                                plan.state_sync, plan.open_loop(), error)) {
+    return false;
   }
   const std::uint32_t full_mask = (1u << plan.n) - 1;
   for (const PartitionFault& p : plan.partitions) {
@@ -569,9 +504,6 @@ bool validate_plan(const ScenarioPlan& plan, std::string& error) {
     }
     if (plan.arrival_rate == 0 || plan.arrival_rate > 2000) {
       return fail("arrival_rate must be in [1, 2000] for open-loop plans");
-    }
-    if (!plan.crashes.empty()) {
-      return fail("open-loop plans exclude crash faults (mempool not journaled)");
     }
     if (plan.resubmit_timeout != 0) {
       return fail("open-loop plans use the pools' own backoff, not resubmit");

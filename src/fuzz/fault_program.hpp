@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/faults.hpp"
 #include "support/types.hpp"
 
 namespace lyra::fuzz {
@@ -15,24 +16,18 @@ namespace lyra::fuzz {
 /// from that artifact alone — the simulator supplies the determinism.
 ///
 /// Grammar constraints kept by generate() and restore()d by the minimizer:
-///  - at most one crash/restart window per node, windows disjoint in time
-///    per node, never on a Byzantine slot;
-///  - Byzantine slots + concurrently-down nodes <= f so liveness invariants
-///    stay meaningful (safety invariants would hold regardless);
+///  - the crash and Byzantine faults pass harness::validate_faults (one
+///    crash window per node, never on a Byzantine slot, Byzantine slots +
+///    concurrently-down nodes <= f so liveness invariants stay meaningful;
+///    safety invariants would hold regardless);
 ///  - every fault ends before `duration - tail` so the run always has a
 ///    fault-free tail for the convergence/progress invariants.
 
-/// One crash/restart pair. `wipe_disk` erases the node's disk mid-window;
-/// `corrupt_wal` flips bits in the WAL head frame mid-window. Either forces
-/// the generator to enable state sync (otherwise the restart is refused by
-/// design and the node would stay down).
-struct CrashFault {
-  NodeId node = 0;
-  TimeNs crash_at = 0;
-  TimeNs restart_at = 0;
-  bool wipe_disk = false;
-  bool corrupt_wal = false;
-};
+/// Crash, Byzantine and protocol vocabulary shared with RunConfig.
+using harness::ByzFault;
+using harness::ByzKind;
+using harness::CrashFault;
+using harness::Protocol;
 
 /// Messages crossing the side boundary are delayed until `to` (plus normal
 /// delivery latency): a clean partition/heal pair expressed as pure added
@@ -54,26 +49,6 @@ struct DelayFault {
   TimeNs to = 0;
   TimeNs max_extra = 0;
   NodeId victim = kNoNode;
-};
-
-/// Byzantine behaviours the generator can assign to a slot. Protocol-level
-/// variants come from src/attacks; the sync variants misbehave only in the
-/// state-transfer protocol (serving garbage chunks / a wrong manifest).
-enum class ByzKind : std::uint8_t {
-  kSilent = 0,
-  kReplayInit = 1,
-  kSkewedPrediction = 2,
-  kLowballStatus = 3,
-  kSyncGarbage = 4,
-  kSyncWrongManifest = 5,
-};
-
-const char* to_string(ByzKind kind);
-bool byz_kind_from_string(const std::string& s, ByzKind& out);
-
-struct ByzFault {
-  NodeId node = 0;
-  ByzKind kind = ByzKind::kSilent;
 };
 
 /// Open-loop workload faults (only valid on plans with a mempool — see
@@ -103,8 +78,6 @@ struct FlapFault {
   TimeNs to = 0;
   std::uint32_t capacity = 8;
 };
-
-enum class Protocol : std::uint8_t { kLyra = 0, kPompe = 1 };
 
 /// Every fault (including heals and restarts) must end this long before the
 /// run does. One commit over the three-continents topology costs ~1.2-1.5s
@@ -187,9 +160,9 @@ std::string serialize_plan(const ScenarioPlan& plan);
 bool parse_plan(const std::string& text, ScenarioPlan& plan,
                 std::string& error);
 
-/// Structural validity: bounds on n/duration, fault windows inside
-/// the run, crash windows per-node disjoint, byz slots distinct and <= f.
-/// The runner refuses invalid plans instead of asserting.
+/// Structural validity: bounds on n/duration, fault windows inside the
+/// run, and harness::validate_faults with the quiet tail as the end of the
+/// fault window. The runner refuses invalid plans instead of asserting.
 bool validate_plan(const ScenarioPlan& plan, std::string& error);
 
 }  // namespace lyra::fuzz

@@ -1,11 +1,10 @@
 #include "fuzz/runner.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 #include <utility>
 
-#include "attacks/byzantine_lyra.hpp"
+#include "attacks/sandwich.hpp"
 #include "fuzz/fuzz_adversary.hpp"
 #include "harness/lyra_cluster.hpp"
 #include "harness/pompe_cluster.hpp"
@@ -84,13 +83,6 @@ void schedule_workload_faults(sim::Simulation& sim, Cluster& cluster,
   }
 }
 
-bool is_byz_kind(const ScenarioPlan& plan, NodeId node, ByzKind kind) {
-  for (const ByzFault& b : plan.byz) {
-    if (b.node == node && b.kind == kind) return true;
-  }
-  return false;
-}
-
 std::vector<bool> byz_mask(const ScenarioPlan& plan) {
   std::vector<bool> mask(plan.n, false);
   for (const ByzFault& b : plan.byz) mask[b.node] = true;
@@ -107,54 +99,6 @@ void dedup_violations(std::vector<Violation>& v) {
     out.push_back(std::move(viol));
   }
   v = std::move(out);
-}
-
-harness::NodeFactory make_node_factory(const ScenarioPlan& plan) {
-  std::vector<ByzFault> byz = plan.byz;
-  return [byz](sim::Simulation* sim, net::Network* net, NodeId id,
-               const core::Config& cfg, const crypto::KeyRegistry* reg)
-             -> std::unique_ptr<core::LyraNode> {
-    for (const ByzFault& b : byz) {
-      if (b.node != id) continue;
-      switch (b.kind) {
-        case ByzKind::kSilent:
-          return std::make_unique<attacks::SilentLyraNode>(sim, net, id,
-                                                           cfg, reg);
-        case ByzKind::kReplayInit:
-          return std::make_unique<attacks::ReplayInitLyraNode>(sim, net, id,
-                                                               cfg, reg);
-        case ByzKind::kSkewedPrediction:
-          // Skew by exactly λ: the boundary the validation rule guards.
-          return std::make_unique<attacks::SkewedPredictionLyraNode>(
-              sim, net, id, cfg, reg, cfg.lambda);
-        case ByzKind::kLowballStatus:
-          return std::make_unique<attacks::LowballStatusLyraNode>(sim, net,
-                                                                  id, cfg,
-                                                                  reg);
-        case ByzKind::kSyncGarbage:
-        case ByzKind::kSyncWrongManifest:
-          // Correct consensus behaviour; the statesync manager is switched
-          // to its Byzantine serving mode after construction.
-          return std::make_unique<core::LyraNode>(sim, net, id, cfg, reg);
-      }
-    }
-    return std::make_unique<core::LyraNode>(sim, net, id, cfg, reg);
-  };
-}
-
-void apply_sync_byzantine(harness::LyraCluster& cluster,
-                          const ScenarioPlan& plan) {
-  for (const ByzFault& b : plan.byz) {
-    if (b.kind != ByzKind::kSyncGarbage &&
-        b.kind != ByzKind::kSyncWrongManifest) {
-      continue;
-    }
-    statesync::StateSyncManager* mgr = cluster.node(b.node).statesync();
-    if (mgr == nullptr) continue;
-    mgr->set_byzantine_serving(b.kind == ByzKind::kSyncGarbage
-                                   ? statesync::ByzantineSyncMode::kGarbageChunks
-                                   : statesync::ByzantineSyncMode::kWrongManifest);
-  }
 }
 
 /// Wires the in-run sweep/fault schedule shared by both protocols.
@@ -190,8 +134,9 @@ void drive_plan(Cluster& cluster, const ScenarioPlan& plan,
   if (!plan.partitions.empty() || !plan.delays.empty()) {
     cluster.network().set_adversary(&adversary);
   }
+  const std::vector<bool> silent = harness::silent_nodes(plan.n, plan.byz);
   for (NodeId i = 0; i < plan.n; ++i) {
-    if (is_byz_kind(plan, i, ByzKind::kSilent)) continue;  // dead target
+    if (silent[i]) continue;  // dead target
     if (plan.open_loop()) {
       cluster.add_open_loop_pool(i, make_open_loop_options(plan), plan.seed);
       continue;
@@ -254,40 +199,17 @@ void run_lyra_plan(const ScenarioPlan& plan, const RunOptions& opts,
   co.config.f = plan.f();
   co.config.delta = ms(160);  // 1.2x the longest one-way leg
   co.config.batch_size = plan.batch_size;
-  // Open-loop plans keep payloads so the double-commit invariant can
-  // decode committed workload batches.
-  co.config.retain_payloads = plan.state_sync || plan.open_loop();
   co.config.mempool_capacity = plan.mempool_capacity;
   co.topology = net::three_continents_with_clients(plan.n);
   co.seed = plan.seed;
-  co.durable_storage = !plan.crashes.empty() || plan.state_sync;
-  co.state_sync = plan.state_sync;
-  if (!plan.byz.empty()) co.node_factory = make_node_factory(plan);
+  harness::configure_faults(co, plan.crashes, plan.byz, plan.state_sync,
+                            plan.open_loop(), /*sandwichers=*/0, {});
 
   harness::LyraCluster cluster(std::move(co));
-  apply_sync_byzantine(cluster, plan);
   const auto schedule_crashes = [&cluster, &plan] {
-    sim::Simulation& sim = cluster.simulation();
     for (const CrashFault& c : plan.crashes) {
-      // Guarded callbacks instead of schedule_crash_restart: a corpus plan
-      // may race faults in ways the bare harness hooks would assert on.
-      sim.schedule_at(c.crash_at, [&cluster, c] {
-        if (cluster.node_alive(c.node)) cluster.crash_node(c.node);
-      });
-      const TimeNs window = c.restart_at - c.crash_at;
-      if (c.wipe_disk) {
-        sim.schedule_at(c.crash_at + window * 2 / 5, [&cluster, c] {
-          if (!cluster.node_alive(c.node)) cluster.wipe_disk(c.node);
-        });
-      }
-      if (c.corrupt_wal) {
-        sim.schedule_at(c.crash_at + window / 2, [&cluster, c] {
-          if (!cluster.node_alive(c.node)) cluster.corrupt_wal(c.node);
-        });
-      }
-      sim.schedule_at(c.restart_at, [&cluster, c] {
-        if (!cluster.node_alive(c.node)) cluster.restart_node(c.node);
-      });
+      cluster.schedule_crash_restart(c.node, c.crash_at, c.restart_at,
+                                     c.wipe_disk, c.corrupt_wal);
     }
   };
   CheckContext ctx;

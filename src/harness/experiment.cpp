@@ -5,12 +5,9 @@
 #include <memory>
 
 #include "attacks/byzantine_lyra.hpp"
-#include "attacks/sandwich.hpp"
 #include "harness/lyra_cluster.hpp"
 #include "harness/pompe_cluster.hpp"
-#include "workload/economics.hpp"
 #include "workload/mempool.hpp"
-#include "workload/open_loop.hpp"
 
 namespace lyra::harness {
 
@@ -19,22 +16,23 @@ namespace {
 /// Aggregated-client layout (RunConfig::client_shard): nodes grouped into
 /// same-region shards of up to `shard` targets, one pool slot per shard
 /// placed in that shard's region (so client-to-node latencies match the
-/// per-node layout). Nodes below `skip_below` get no clients; a nonzero
-/// `max_targets` (RunConfig::client_nodes) caps the client-bearing set to
-/// nodes 0..max_targets-1.
+/// per-node layout). Silent nodes get no clients; a nonzero `max_targets`
+/// (RunConfig::client_nodes) caps the client-bearing set to nodes
+/// 0..max_targets-1.
 struct ShardPlan {
   std::vector<std::vector<NodeId>> shards;
   net::Topology topology;
 };
 
 ShardPlan make_shard_plan(std::size_t n, std::size_t shard,
-                          std::size_t skip_below, std::size_t max_targets) {
+                          const std::vector<bool>& silent,
+                          std::size_t max_targets) {
   ShardPlan plan;
   const net::Topology base = net::three_continents(n);
   for (std::size_t r = 0; r < net::kRegionCount; ++r) {
     std::vector<NodeId> cur;
     for (NodeId i = 0; i < n; ++i) {
-      if (i < skip_below) continue;  // no clients on dead nodes
+      if (silent[i]) continue;
       if (max_targets > 0 && i >= max_targets) break;
       if (static_cast<std::size_t>(base.placement[i]) != r) continue;
       cur.push_back(i);
@@ -82,29 +80,10 @@ RunResult collect_client_stats(Cluster& cluster, const RunConfig& config) {
 }
 
 workload::OpenLoopOptions make_open_loop_options(const RunConfig& config) {
-  const RunConfig::Workload& w = config.workload;
-  workload::OpenLoopOptions o;
-  o.arrival_rate = w.arrival_rate;
-  o.burst_every_ms = w.burst_every_ms;
-  o.burst_len_ms = w.burst_len_ms;
-  o.burst_mult = w.burst_mult;
-  o.accounts = w.accounts;
-  o.zipf_s = w.zipf_s;
-  o.fee_model = w.fee_model;
-  o.base_fee = w.base_fee;
-  o.base_value = w.base_value;
-  o.value_sigma = w.value_sigma;
-  o.max_retries = w.max_retries;
-  o.retry_backoff = w.retry_backoff;
+  workload::OpenLoopOptions o = config.workload.arrivals;
   o.start_at = config.client_start;
   o.measure_from = config.measure_from;
   o.measure_to = config.duration;
-  return o;
-}
-
-attacks::SandwichOptions make_sandwich_options(const RunConfig& config) {
-  attacks::SandwichOptions o;
-  o.value_threshold = config.workload.victim_value_threshold;
   return o;
 }
 
@@ -153,15 +132,16 @@ void fold_economics(const workload::EconomicsReport& rep, RunResult* r) {
 /// The protocol-independent half of a run: the configuration both
 /// protocols share, client placement (one pool per node, or sharded),
 /// bandwidth, the timed run, client stats, verify-cache and mempool sums,
-/// and economics. Nodes below `dead` are crash-faulty: they get no
-/// clients and no stats, and economics reads node `dead`. `before_start`
+/// and economics. Silent Byzantine slots get no clients and no stats, and
+/// economics reads the first node that is not silent. `before_start`
 /// schedules protocol faults once the pools are placed; `collect` adds
 /// the protocol-only results.
 template <class ClusterT, class Options, class Economics, class BeforeStart,
           class Collect>
-RunResult run_cluster(const RunConfig& config, Options opts, std::size_t dead,
+RunResult run_cluster(const RunConfig& config, Options opts,
                       Economics economics, BeforeStart before_start,
                       Collect collect) {
+  const std::vector<bool> silent = silent_nodes(config.n, config.byz);
   opts.config.n = config.n;
   opts.config.f = config.f();
   opts.config.delta = ms(160);  // 1.2x the longest one-way leg
@@ -175,7 +155,7 @@ RunResult run_cluster(const RunConfig& config, Options opts, std::size_t dead,
       config.client_shard > 0 && !config.workload.open_loop;
   ShardPlan plan;
   if (sharded_clients) {
-    plan = make_shard_plan(config.n, config.client_shard, dead,
+    plan = make_shard_plan(config.n, config.client_shard, silent,
                            config.client_nodes);
     opts.topology = std::move(plan.topology);
   } else {
@@ -193,7 +173,8 @@ RunResult run_cluster(const RunConfig& config, Options opts, std::size_t dead,
     }
   } else {
     const workload::OpenLoopOptions open_opts = make_open_loop_options(config);
-    for (NodeId i = static_cast<NodeId>(dead); i < config.n; ++i) {
+    for (NodeId i = 0; i < config.n; ++i) {
+      if (silent[i]) continue;
       if (config.workload.open_loop) {
         cluster.add_open_loop_pool(i, open_opts, config.seed);
       } else {
@@ -220,8 +201,8 @@ RunResult run_cluster(const RunConfig& config, Options opts, std::size_t dead,
   r.prefix_consistent = cluster.ledgers_prefix_consistent();
   r.messages_dropped = cluster.network().messages_dropped() +
                        cluster.simulation().deliveries_dropped();
-  for (NodeId i = static_cast<NodeId>(dead); i < config.n; ++i) {
-    if (!cluster.node_alive(i)) continue;  // crashed, never restarted
+  for (NodeId i = 0; i < config.n; ++i) {
+    if (silent[i] || !cluster.node_alive(i)) continue;
     r.verify_cache_hits += cluster.node(i).stats().verify_cache_hits;
     r.verify_cache_misses += cluster.node(i).stats().verify_cache_misses;
   }
@@ -234,10 +215,10 @@ RunResult run_cluster(const RunConfig& config, Options opts, std::size_t dead,
       }
     }
     // Ledger order is identical on every correct node (prefix consistency
-    // above checks that); evaluate economics on the first correct one.
-    workload::EconomicsParams ep;
-    ep.slippage_bps = config.workload.slippage_bps;
-    fold_economics(economics(cluster.node(static_cast<NodeId>(dead)), ep),
+    // above checks that); evaluate economics on the first non-silent one.
+    const NodeId first = static_cast<NodeId>(
+        std::find(silent.begin(), silent.end(), false) - silent.begin());
+    fold_economics(economics(cluster.node(first), config.workload.economics),
                    &r);
   }
   collect(cluster, r);
@@ -250,55 +231,18 @@ RunResult run_lyra(const RunConfig& config) {
   opts.config.heartbeat_period = config.heartbeat;
   opts.config.obfuscate = config.obfuscate;
   opts.config.max_outstanding_proposals = config.max_outstanding;
-  // Flat host memory by default; serving reveal catch-up needs the bytes,
-  // and so does the economics evaluation of an open-loop ledger.
-  opts.config.retain_payloads =
-      config.wants_state_sync() || config.workload.open_loop;
-  opts.durable_storage = !config.crash_restarts.empty();
-  opts.state_sync = config.wants_state_sync();
-  opts.statesync_config.delta_transfer = config.delta_sync;
   const std::size_t sandwichers =
       config.workload.open_loop ? config.workload.sandwich_attackers : 0;
-  if (config.byzantine_silent > 0 || config.replay_attackers > 0 ||
-      sandwichers > 0) {
-    const std::size_t silent = config.byzantine_silent;
-    const std::size_t replayers = config.replay_attackers;
-    const std::size_t n = config.n;
-    const attacks::SandwichOptions sw = make_sandwich_options(config);
-    opts.node_factory = [silent, replayers, sandwichers, n, sw](
-                            sim::Simulation* sim, net::Network* net,
-                            NodeId id, const core::Config& cfg,
-                            const crypto::KeyRegistry* reg)
-        -> std::unique_ptr<core::LyraNode> {
-      if (id < silent) {
-        return std::make_unique<attacks::SilentLyraNode>(sim, net, id, cfg,
-                                                         reg);
-      }
-      if (id < silent + replayers) {
-        return std::make_unique<attacks::ReplayInitLyraNode>(sim, net, id,
-                                                             cfg, reg);
-      }
-      if (id >= n - sandwichers) {
-        return std::make_unique<attacks::SandwichLyraNode>(sim, net, id,
-                                                           cfg, reg, sw);
-      }
-      return std::make_unique<core::LyraNode>(sim, net, id, cfg, reg);
-    };
-  }
+  configure_faults(opts, config.crashes, config.byz,
+                   config.state_sync || config.delta_sync,
+                   config.workload.open_loop, sandwichers,
+                   config.workload.sandwich);
+  opts.statesync_config.delta_transfer = config.delta_sync;
 
   const auto schedule_crashes = [&config](LyraCluster& cluster) {
-    for (const RunConfig::CrashRestart& cr : config.crash_restarts) {
-      cluster.schedule_crash_restart(cr.node, cr.crash_at, cr.restart_at);
-      const NodeId id = cr.node;
-      if (cr.wipe_disk_at > 0) {
-        cluster.simulation().schedule_at(
-            cr.wipe_disk_at, [&cluster, id] { cluster.wipe_disk(id); });
-      }
-      if (cr.corrupt_wal) {
-        const TimeNs at = cr.crash_at + (cr.restart_at - cr.crash_at) / 2;
-        cluster.simulation().schedule_at(
-            at, [&cluster, id] { cluster.corrupt_wal(id); });
-      }
+    for (const CrashFault& c : config.crashes) {
+      cluster.schedule_crash_restart(c.node, c.crash_at, c.restart_at,
+                                     c.wipe_disk, c.corrupt_wal);
     }
   };
   const auto collect = [&config](LyraCluster& cluster, RunResult& r) {
@@ -334,9 +278,9 @@ RunResult run_lyra(const RunConfig& config) {
     Samples rounds;
     std::uint64_t ok = 0;
     std::uint64_t rejected = 0;
-    for (NodeId i = static_cast<NodeId>(config.byzantine_silent);
-         i < config.n; ++i) {
-      if (!cluster.node_alive(i)) continue;  // crashed, never restarted
+    const std::vector<bool> silent = silent_nodes(config.n, config.byz);
+    for (NodeId i = 0; i < config.n; ++i) {
+      if (silent[i] || !cluster.node_alive(i)) continue;
       const auto& stats = cluster.node(i).stats();
       for (double v : stats.decide_rounds.values()) rounds.add(v);
       ok += stats.validations_ok;
@@ -354,7 +298,6 @@ RunResult run_lyra(const RunConfig& config) {
     }
   };
   return run_cluster<LyraCluster>(config, std::move(opts),
-                                  config.byzantine_silent,
                                   attacks::evaluate_lyra_economics,
                                   schedule_crashes, collect);
 }
@@ -366,7 +309,7 @@ RunResult run_pompe(const RunConfig& config) {
       config.workload.open_loop ? config.workload.sandwich_attackers : 0;
   if (sandwichers > 0) {
     const std::size_t n = config.n;
-    const attacks::SandwichOptions sw = make_sandwich_options(config);
+    const attacks::SandwichOptions sw = config.workload.sandwich;
     opts.node_factory = [sandwichers, n, sw](
                             sim::Simulation* sim, net::Network* net,
                             NodeId id, const pompe::PompeConfig& cfg,
@@ -384,7 +327,7 @@ RunResult run_pompe(const RunConfig& config) {
       r.proof_verifications += cluster.node(i).stats().proof_verifications;
     }
   };
-  return run_cluster<PompeCluster>(config, std::move(opts), /*dead=*/0,
+  return run_cluster<PompeCluster>(config, std::move(opts),
                                    attacks::evaluate_pompe_economics,
                                    [](PompeCluster&) {}, collect);
 }
@@ -392,8 +335,8 @@ RunResult run_pompe(const RunConfig& config) {
 }  // namespace
 
 RunResult run_experiment(const RunConfig& config) {
-  return config.protocol == RunConfig::Protocol::kLyra ? run_lyra(config)
-                                                       : run_pompe(config);
+  return config.protocol == Protocol::kLyra ? run_lyra(config)
+                                           : run_pompe(config);
 }
 
 double pompe_capacity_estimate(std::size_t n, std::size_t batch_size,
@@ -408,10 +351,6 @@ double pompe_capacity_estimate(std::size_t n, std::size_t batch_size,
   // Pipeline bound: ~8 blocks/s (one per quorum RTT) of ~16 batches.
   const double pipeline_limit = 8.0 * 16.0 * static_cast<double>(batch_size);
   return std::min(egress_limit, pipeline_limit);
-}
-
-const char* protocol_name(RunConfig::Protocol p) {
-  return p == RunConfig::Protocol::kLyra ? "lyra" : "pompe";
 }
 
 }  // namespace lyra::harness

@@ -4,16 +4,17 @@
 #include <string>
 #include <vector>
 
+#include "attacks/sandwich.hpp"
+#include "harness/faults.hpp"
 #include "support/types.hpp"
-#include "workload/samplers.hpp"
+#include "workload/economics.hpp"
+#include "workload/open_loop.hpp"
 
 namespace lyra::harness {
 
 /// One benchmark run: a protocol, a cluster size, and a closed-loop client
 /// load, on the paper's 3-continent topology (§VI-A).
 struct RunConfig {
-  enum class Protocol { kLyra, kPompe };
-
   Protocol protocol = Protocol::kLyra;
   std::size_t n = 4;
   std::uint32_t clients_per_node = 1600;  // closed-loop width per node
@@ -53,12 +54,12 @@ struct RunConfig {
   SeqNum lambda = ms(5);
   bool obfuscate = true;                 // Lyra commit-reveal on/off
   std::size_t max_outstanding = 3;       // Lyra proposal pacing
-  std::size_t byzantine_silent = 0;      // crash-faulty Lyra nodes
 
-  /// Byzantine re-presentation traffic (Lyra only): this many nodes run
-  /// the full protocol but also re-broadcast old INITs after correct
-  /// processes have GC'd them, forcing repeat signature verifications.
-  std::size_t replay_attackers = 0;
+  /// Byzantine slots (Lyra only). Silent slots get no clients and report
+  /// no stats; replay-init slots run the full protocol but also
+  /// re-broadcast old INITs after correct processes have GC'd them,
+  /// forcing repeat signature verifications.
+  std::vector<ByzFault> byz;
 
   /// Cache verification verdicts by (signer, value, signature) identity so
   /// re-presented Byzantine traffic verifies once (lyra::Config::
@@ -69,22 +70,9 @@ struct RunConfig {
   /// goodput, not the NIC line rate).
   double bandwidth_bytes_per_sec = 125e6;
 
-  /// Crash-restart schedule (Lyra only). Each entry tears the node down at
-  /// `crash_at` and rebuilds it from its WAL + snapshots at `restart_at`
-  /// (absolute run times). Non-empty schedules enable durable storage.
-  /// The optional fault injectors make local recovery impossible, so the
-  /// node comes back via peer state transfer (both force state_sync on):
-  /// `wipe_disk_at` deletes every file on the node's disk at that time
-  /// (crash_at < wipe_disk_at < restart_at); `corrupt_wal` flips a byte in
-  /// each WAL segment midway between crash and restart.
-  struct CrashRestart {
-    NodeId node = 0;
-    TimeNs crash_at = 0;
-    TimeNs restart_at = 0;
-    TimeNs wipe_disk_at = 0;  ///< 0 = no wipe
-    bool corrupt_wal = false;
-  };
-  std::vector<CrashRestart> crash_restarts;
+  /// Crash-restart schedule (Lyra only; see CrashFault). Any crash
+  /// enables durable storage; a wiped or corrupted disk forces state sync.
+  std::vector<CrashFault> crashes;
 
   /// Enable the statesync subsystem on every node (src/statesync):
   /// restarted nodes catch up on reveal holes from peers, and nodes with
@@ -103,35 +91,19 @@ struct RunConfig {
   /// byte-identical to the closed-loop harness above.
   struct Workload {
     bool open_loop = false;
-    double arrival_rate = 200.0;  ///< tx/s per node (offered = n * rate)
-    double burst_every_ms = 0;    ///< 0 = no burst episodes
-    double burst_len_ms = 250.0;
-    double burst_mult = 4.0;
-    std::uint64_t accounts = 100000;
-    double zipf_s = 1.0;
+    /// One traffic source per node (offered = n * arrivals.arrival_rate);
+    /// its start and measurement times come from the run window.
+    workload::OpenLoopOptions arrivals;
     std::size_t mempool_capacity = 4096;  ///< per-node bound
-    workload::FeeModel fee_model = workload::FeeModel::kUniform;
-    std::uint64_t base_fee = 100;
-    std::uint64_t base_value = 1000;
-    double value_sigma = 1.5;
-    std::uint32_t max_retries = 6;
-    TimeNs retry_backoff = ms(40);
     /// Economic adversary: this many nodes (highest ids) run the sandwich
     /// variant that bids fees against observed high-value victims.
     std::size_t sandwich_attackers = 0;
-    std::uint64_t victim_value_threshold = 5000;
-    std::uint32_t slippage_bps = 50;
+    attacks::SandwichOptions sandwich;
+    workload::EconomicsParams economics;
   };
   Workload workload;
 
   std::size_t f() const { return (n - 1) / 3; }
-  bool wants_state_sync() const {
-    if (state_sync || delta_sync) return true;
-    for (const CrashRestart& cr : crash_restarts) {
-      if (cr.wipe_disk_at > 0 || cr.corrupt_wal) return true;
-    }
-    return false;
-  }
 };
 
 struct RunResult {
@@ -157,7 +129,7 @@ struct RunResult {
   // traffic it absorbs; hits/misses stay zero with the cache off.
   std::uint64_t verify_cache_hits = 0;
   std::uint64_t verify_cache_misses = 0;
-  std::uint64_t replays_sent = 0;  // re-presented INITs (replay_attackers)
+  std::uint64_t replays_sent = 0;  // re-presented INITs (replay-init slots)
 
   // Crash-restart runs (empty schedule leaves these zero):
   std::uint64_t restarts = 0;
@@ -211,7 +183,5 @@ RunResult run_experiment(const RunConfig& config);
 /// the pipeline rate instead.
 double pompe_capacity_estimate(std::size_t n, std::size_t batch_size,
                                double bandwidth_bytes_per_sec);
-
-const char* protocol_name(RunConfig::Protocol p);
 
 }  // namespace lyra::harness

@@ -185,10 +185,26 @@ void LyraCluster::corrupt_wal(NodeId id) {
 }
 
 void LyraCluster::schedule_crash_restart(NodeId id, TimeNs crash_at,
-                                         TimeNs restart_at) {
+                                         TimeNs restart_at, bool wipe,
+                                         bool corrupt) {
   LYRA_ASSERT(crash_at < restart_at, "restart must come after the crash");
-  sim_.schedule_at(crash_at, [this, id] { crash_node(id); });
-  sim_.schedule_at(restart_at, [this, id] { restart_node(id); });
+  sim_.schedule_at(crash_at, [this, id] {
+    if (node_alive(id)) crash_node(id);
+  });
+  const TimeNs window = restart_at - crash_at;
+  if (wipe) {
+    sim_.schedule_at(crash_at + window * 2 / 5, [this, id] {
+      if (!node_alive(id)) wipe_disk(id);
+    });
+  }
+  if (corrupt) {
+    sim_.schedule_at(crash_at + window / 2, [this, id] {
+      if (!node_alive(id)) corrupt_wal(id);
+    });
+  }
+  sim_.schedule_at(restart_at, [this, id] {
+    if (!node_alive(id)) restart_node(id);
+  });
 }
 
 bool LyraCluster::ledgers_prefix_consistent() const {

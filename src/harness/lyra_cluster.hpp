@@ -89,9 +89,14 @@ class LyraCluster : public Cluster<core::LyraNode, LyraClusterOptions> {
   /// down, and recovery_info(id) carries the outcome and error.
   bool restart_node(NodeId id);
 
-  /// Schedules a crash_node/restart_node pair at absolute simulation
-  /// times. Call before or during the run; restart_at must be > crash_at.
-  void schedule_crash_restart(NodeId id, TimeNs crash_at, TimeNs restart_at);
+  /// Schedules one crash window (a CrashFault) at absolute simulation
+  /// times: crash_node at `crash_at`, wipe_disk 2/5 into the window if
+  /// `wipe`, corrupt_wal halfway if `corrupt`, restart_node at
+  /// `restart_at`. Each step is skipped when the node is not in the state
+  /// it needs, so racing faults never assert mid-run. Call before or
+  /// during the run; restart_at must be > crash_at.
+  void schedule_crash_restart(NodeId id, TimeNs crash_at, TimeNs restart_at,
+                              bool wipe = false, bool corrupt = false);
 
   // --- disk fault injection (node must be down) ---
 

@@ -54,7 +54,7 @@ void expect_pinned(const RunConfig& config, const ExperimentPin& want) {
   EXPECT_DOUBLE_EQ(r.extracted_value, want.extracted_value);
 }
 
-RunConfig small_config(RunConfig::Protocol protocol, std::size_t n) {
+RunConfig small_config(harness::Protocol protocol, std::size_t n) {
   RunConfig c;
   c.protocol = protocol;
   c.n = n;
@@ -65,7 +65,7 @@ RunConfig small_config(RunConfig::Protocol protocol, std::size_t n) {
   return c;
 }
 
-RunConfig sharded_config(RunConfig::Protocol protocol) {
+RunConfig sharded_config(harness::Protocol protocol) {
   RunConfig c = small_config(protocol, 7);
   c.clients_per_node = 32;
   c.client_shard = 2;
@@ -73,75 +73,75 @@ RunConfig sharded_config(RunConfig::Protocol protocol) {
   return c;
 }
 
-RunConfig open_loop_config(RunConfig::Protocol protocol) {
+RunConfig open_loop_config(harness::Protocol protocol) {
   RunConfig c = small_config(protocol, 4);
   c.workload.open_loop = true;
-  c.workload.arrival_rate = 300;
+  c.workload.arrivals.arrival_rate = 300;
   c.workload.mempool_capacity = 64;
   c.workload.sandwich_attackers = 1;
-  c.workload.victim_value_threshold = 2000;
+  c.workload.sandwich.value_threshold = 2000;
   return c;
 }
 
 TEST(HarnessPin, LyraClosedLoop) {
-  expect_pinned(small_config(RunConfig::Protocol::kLyra, 4),
+  expect_pinned(small_config(harness::Protocol::kLyra, 4),
                 {12077, 384, 683.8141635, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.0});
 }
 
 TEST(HarnessPin, PompeClosedLoop) {
-  expect_pinned(small_config(RunConfig::Protocol::kPompe, 4),
+  expect_pinned(small_config(harness::Protocol::kPompe, 4),
                 {1745, 640, 621.356371, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.0});
 }
 
 TEST(HarnessPin, LyraShardedClientsWithSilentNode) {
-  RunConfig c = sharded_config(RunConfig::Protocol::kLyra);
-  c.byzantine_silent = 1;  // the shard plan skips the dead node
+  RunConfig c = sharded_config(harness::Protocol::kLyra);
+  c.byz = {{0, harness::ByzKind::kSilent}};  // the shard plan skips it
   expect_pinned(c, {19074, 256, 875.0098745, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.0});
 }
 
 TEST(HarnessPin, PompeShardedClients) {
-  expect_pinned(sharded_config(RunConfig::Protocol::kPompe),
+  expect_pinned(sharded_config(harness::Protocol::kPompe),
                 {1811, 352, 747.2391655, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.0});
 }
 
 TEST(HarnessPin, LyraOpenLoopSandwich) {
-  expect_pinned(open_loop_config(RunConfig::Protocol::kLyra),
+  expect_pinned(open_loop_config(harness::Protocol::kLyra),
                 {61124, 113, 934.612112, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.0});
 }
 
 TEST(HarnessPin, PompeOpenLoopSandwich) {
-  expect_pinned(open_loop_config(RunConfig::Protocol::kPompe),
+  expect_pinned(open_loop_config(harness::Protocol::kPompe),
                 {36010, 1118, 644.3748615, 0, 0, 0, 0, 0, 0, 0, 0, 0,
                  1156.865});
 }
 
 TEST(HarnessPin, LyraCrashCorruptWalDeltaSync) {
-  RunConfig c = small_config(RunConfig::Protocol::kLyra, 4);
+  RunConfig c = small_config(harness::Protocol::kLyra, 4);
   c.duration = ms(7000);
   c.delta_sync = true;
   // Late enough for a snapshot (one per 64 ledger entries) to exist, so
   // the corrupt WAL resolves through delta sync, not a full transfer.
-  RunConfig::CrashRestart cr;
+  harness::CrashFault cr;
   cr.node = 1;
   cr.crash_at = ms(5200);
   cr.restart_at = ms(5800);
   cr.corrupt_wal = true;
-  c.crash_restarts.push_back(cr);
+  c.crashes.push_back(cr);
   expect_pinned(c, {20741, 1104, 700.154415, 186, 1, 0, 1, 2, 0, 4376, 84, 84,
                     0.0});
 }
 
 TEST(HarnessPin, LyraCrashWipeFullSync) {
-  RunConfig c = small_config(RunConfig::Protocol::kLyra, 4);
+  RunConfig c = small_config(harness::Protocol::kLyra, 4);
   c.duration = ms(6000);
   // A wiped disk leaves nothing to recover locally: the node rejoins
   // through a full state transfer from its peers.
-  RunConfig::CrashRestart cr;
+  harness::CrashFault cr;
   cr.node = 2;
   cr.crash_at = ms(2500);
   cr.restart_at = ms(3500);
-  cr.wipe_disk_at = ms(2900);  // 2/5 into the window
-  c.crash_restarts.push_back(cr);
+  cr.wipe_disk = true;  // 2/5 into the window
+  c.crashes.push_back(cr);
   expect_pinned(c, {20334, 720, 675.915451, 274, 1, 1, 0, 1, 0, 2348, 45, 36,
                     0.0});
 }
@@ -181,6 +181,12 @@ TEST(HarnessPin, FuzzLyraCrashSeed) {
 TEST(HarnessPin, FuzzLyraOpenLoopSeed) {
   // Open loop: delays, a fee spike and two mempool overflows.
   expect_pinned(1, {1415, 92, 92, 0, 0, 761});
+}
+
+TEST(HarnessPin, FuzzLyraSyncByzantineSeed) {
+  // A wiped disk rejoins by full state sync while a Byzantine slot serves
+  // garbage chunks.
+  expect_pinned(974, {1008, 132, 132, 1, 541, 2636});
 }
 
 TEST(HarnessPin, FuzzPompeSeed) {

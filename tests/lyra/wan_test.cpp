@@ -13,7 +13,7 @@ namespace {
 using harness::RunConfig;
 using harness::RunResult;
 
-RunConfig wan_config(RunConfig::Protocol protocol, std::size_t n) {
+RunConfig wan_config(harness::Protocol protocol, std::size_t n) {
   RunConfig c;
   c.protocol = protocol;
   c.n = n;
@@ -25,7 +25,7 @@ RunConfig wan_config(RunConfig::Protocol protocol, std::size_t n) {
 
 TEST(WanIntegration, LyraSubSecondLatencyAndSafety) {
   const RunResult r =
-      run_experiment(wan_config(RunConfig::Protocol::kLyra, 10));
+      run_experiment(wan_config(harness::Protocol::kLyra, 10));
   EXPECT_TRUE(r.prefix_consistent);
   EXPECT_EQ(r.late_accepts, 0u);
   EXPECT_GT(r.throughput_tps, 10'000.0);
@@ -37,7 +37,7 @@ TEST(WanIntegration, LyraSubSecondLatencyAndSafety) {
 
 TEST(WanIntegration, PompeCommitsWithHigherDelayCount) {
   const RunResult r =
-      run_experiment(wan_config(RunConfig::Protocol::kPompe, 10));
+      run_experiment(wan_config(harness::Protocol::kPompe, 10));
   EXPECT_TRUE(r.prefix_consistent);
   EXPECT_GT(r.throughput_tps, 10'000.0);
   // Phase 1 + relay + three chained QCs cannot beat ~3 WAN round trips.
@@ -47,7 +47,7 @@ TEST(WanIntegration, PompeCommitsWithHigherDelayCount) {
 }
 
 TEST(WanIntegration, LyraObfuscationOffIsFasterNotSafer) {
-  RunConfig with = wan_config(RunConfig::Protocol::kLyra, 7);
+  RunConfig with = wan_config(harness::Protocol::kLyra, 7);
   RunConfig without = with;
   without.obfuscate = false;
   const RunResult r_with = run_experiment(with);
@@ -60,9 +60,9 @@ TEST(WanIntegration, LyraObfuscationOffIsFasterNotSafer) {
 
 TEST(WanIntegration, LyraThroughputGrowsWithClusterSize) {
   const RunResult small =
-      run_experiment(wan_config(RunConfig::Protocol::kLyra, 7));
+      run_experiment(wan_config(harness::Protocol::kLyra, 7));
   const RunResult large =
-      run_experiment(wan_config(RunConfig::Protocol::kLyra, 16));
+      run_experiment(wan_config(harness::Protocol::kLyra, 16));
   // Leaderless scaling: more proposers, more throughput (Fig. 3's shape).
   EXPECT_GT(large.throughput_tps, small.throughput_tps * 1.5);
 }

@@ -11,6 +11,7 @@
 // Flags take either --flag=value or --flag value; durations accept "ms"
 // and "s" suffixes (plain numbers are milliseconds).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,23 +40,26 @@ void usage() {
       "                            on big clusters)\n"
       "  --lambda-ms=L             validation window lambda (default 5)\n"
       "  --outstanding=K           Lyra proposal pipeline depth (default 3)\n"
-      "  --silent=S                crash-faulty Lyra nodes (default 0)\n"
-      "  --replay-attackers=R      Lyra nodes that also re-broadcast old\n"
+      "  --silent=S                silent Byzantine Lyra nodes 0..S-1\n"
+      "                            (default 0)\n"
+      "  --replay-attackers=R      Lyra nodes S..S+R-1 also re-broadcast old\n"
       "                            INITs (Byzantine re-presentation traffic;\n"
-      "                            default 0)\n"
+      "                            default 0); S + R <= f\n"
       "  --bandwidth-gbps=B        per-node egress (default 1.0)\n"
       "  --seed=S                  run seed (default 42)\n"
       "  --no-obfuscation          disable Lyra's commit-reveal\n"
-      "  --crash-node=N            crash node N mid-run (Lyra; repeatable)\n"
+      "  --crash-node=N            crash node N mid-run (Lyra; repeatable,\n"
+      "                            one window per node; Byzantine slots +\n"
+      "                            nodes down at once <= f)\n"
       "  --crash-at=T              crash time for the last --crash-node\n"
       "  --restart-at=T            restart time (recovers from WAL+snapshot)\n"
-      "  --wipe-disk-at=T          wipe the last --crash-node's disk at T\n"
-      "                            (crash-at < T < restart-at; rejoins via\n"
-      "                            peer state transfer)\n"
+      "  --wipe-disk               wipe the last --crash-node's disk 2/5\n"
+      "                            into its window (rejoins via peer state\n"
+      "                            transfer)\n"
       "  --corrupt-wal             bit-rot the last --crash-node's WAL while\n"
       "                            it is down (rejoins via state transfer)\n"
       "  --state-sync              enable the statesync subsystem on every\n"
-      "                            node (implied by the two flags above)\n"
+      "                            Lyra node (implied by the two flags above)\n"
       "  --delta-sync              delta state transfer: a rejoining node\n"
       "                            with a decodable snapshot keeps its local\n"
       "                            prefix and pulls only the missing suffix\n"
@@ -137,17 +141,21 @@ bool parse_duration(const std::string& text, TimeNs& out) {
 
 int main(int argc, char** argv) {
   RunConfig config;
-  config.protocol = RunConfig::Protocol::kLyra;
   config.n = 16;
+  std::size_t silent = 0;
+  std::size_t replayers = 0;
+  workload::OpenLoopOptions& arrivals = config.workload.arrivals;
+  // The window the last --crash-node opened; null (after saying so) if none.
+  const auto last_crash = [&config](const char* flag) -> harness::CrashFault* {
+    if (!config.crashes.empty()) return &config.crashes.back();
+    std::fprintf(stderr, "%s needs a preceding --crash-node\n", flag);
+    return nullptr;
+  };
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (parse_value(argc, argv, i, "--protocol", value)) {
-      if (value == "lyra") {
-        config.protocol = RunConfig::Protocol::kLyra;
-      } else if (value == "pompe") {
-        config.protocol = RunConfig::Protocol::kPompe;
-      } else {
+      if (!harness::protocol_from_string(value, config.protocol)) {
         std::fprintf(stderr, "unknown protocol '%s'\n", value.c_str());
         return 2;
       }
@@ -183,87 +191,75 @@ int main(int argc, char** argv) {
     } else if (parse_value(argc, argv, i, "--outstanding", value)) {
       config.max_outstanding = std::strtoull(value.c_str(), nullptr, 10);
     } else if (parse_value(argc, argv, i, "--silent", value)) {
-      config.byzantine_silent = std::strtoull(value.c_str(), nullptr, 10);
+      silent = std::strtoull(value.c_str(), nullptr, 10);
     } else if (parse_value(argc, argv, i, "--replay-attackers", value)) {
-      config.replay_attackers = std::strtoull(value.c_str(), nullptr, 10);
+      replayers = std::strtoull(value.c_str(), nullptr, 10);
     } else if (parse_value(argc, argv, i, "--bandwidth-gbps", value)) {
       config.bandwidth_bytes_per_sec =
           std::strtod(value.c_str(), nullptr) * 125e6;
     } else if (parse_value(argc, argv, i, "--seed", value)) {
       config.seed = std::strtoull(value.c_str(), nullptr, 10);
     } else if (parse_value(argc, argv, i, "--crash-node", value)) {
-      RunConfig::CrashRestart cr;
-      cr.node = static_cast<NodeId>(std::strtoul(value.c_str(), nullptr, 10));
-      config.crash_restarts.push_back(cr);
+      harness::CrashFault c;
+      c.node = static_cast<NodeId>(std::strtoul(value.c_str(), nullptr, 10));
+      config.crashes.push_back(c);
     } else if (parse_value(argc, argv, i, "--crash-at", value)) {
-      if (config.crash_restarts.empty()) {
-        std::fprintf(stderr, "--crash-at needs a preceding --crash-node\n");
-        return 2;
-      }
-      if (!parse_duration(value, config.crash_restarts.back().crash_at)) {
+      harness::CrashFault* c = last_crash("--crash-at");
+      if (c == nullptr) return 2;
+      if (!parse_duration(value, c->crash_at)) {
         std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
         return 2;
       }
     } else if (parse_value(argc, argv, i, "--restart-at", value)) {
-      if (config.crash_restarts.empty()) {
-        std::fprintf(stderr, "--restart-at needs a preceding --crash-node\n");
-        return 2;
-      }
-      if (!parse_duration(value, config.crash_restarts.back().restart_at)) {
+      harness::CrashFault* c = last_crash("--restart-at");
+      if (c == nullptr) return 2;
+      if (!parse_duration(value, c->restart_at)) {
         std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
         return 2;
       }
-    } else if (parse_value(argc, argv, i, "--wipe-disk-at", value)) {
-      if (config.crash_restarts.empty()) {
-        std::fprintf(stderr, "--wipe-disk-at needs a preceding --crash-node\n");
-        return 2;
-      }
-      if (!parse_duration(value, config.crash_restarts.back().wipe_disk_at)) {
-        std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
-        return 2;
-      }
+    } else if (std::strcmp(argv[i], "--wipe-disk") == 0) {
+      harness::CrashFault* c = last_crash("--wipe-disk");
+      if (c == nullptr) return 2;
+      c->wipe_disk = true;
     } else if (std::strcmp(argv[i], "--corrupt-wal") == 0) {
-      if (config.crash_restarts.empty()) {
-        std::fprintf(stderr, "--corrupt-wal needs a preceding --crash-node\n");
-        return 2;
-      }
-      config.crash_restarts.back().corrupt_wal = true;
+      harness::CrashFault* c = last_crash("--corrupt-wal");
+      if (c == nullptr) return 2;
+      c->corrupt_wal = true;
     } else if (parse_value(argc, argv, i, "--arrival-rate", value)) {
-      config.workload.arrival_rate = std::strtod(value.c_str(), nullptr);
+      arrivals.arrival_rate = std::strtod(value.c_str(), nullptr);
     } else if (parse_value(argc, argv, i, "--accounts", value)) {
-      config.workload.accounts = std::strtoull(value.c_str(), nullptr, 10);
+      arrivals.accounts = std::strtoull(value.c_str(), nullptr, 10);
     } else if (parse_value(argc, argv, i, "--zipf-s", value)) {
-      config.workload.zipf_s = std::strtod(value.c_str(), nullptr);
+      arrivals.zipf_s = std::strtod(value.c_str(), nullptr);
     } else if (parse_value(argc, argv, i, "--burst-every", value)) {
       TimeNs t = 0;
       if (!parse_duration(value, t)) {
         std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
         return 2;
       }
-      config.workload.burst_every_ms = to_ms(t);
+      arrivals.burst_every_ms = to_ms(t);
     } else if (parse_value(argc, argv, i, "--burst-len", value)) {
       TimeNs t = 0;
       if (!parse_duration(value, t)) {
         std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
         return 2;
       }
-      config.workload.burst_len_ms = to_ms(t);
+      arrivals.burst_len_ms = to_ms(t);
     } else if (parse_value(argc, argv, i, "--burst-mult", value)) {
-      config.workload.burst_mult = std::strtod(value.c_str(), nullptr);
+      arrivals.burst_mult = std::strtod(value.c_str(), nullptr);
     } else if (parse_value(argc, argv, i, "--mempool-cap", value)) {
       config.workload.mempool_capacity =
           std::strtoull(value.c_str(), nullptr, 10);
     } else if (parse_value(argc, argv, i, "--fee-model", value)) {
-      if (!workload::fee_model_from_string(value,
-                                           &config.workload.fee_model)) {
+      if (!workload::fee_model_from_string(value, &arrivals.fee_model)) {
         std::fprintf(stderr, "unknown fee model '%s'\n", value.c_str());
         return 2;
       }
     } else if (parse_value(argc, argv, i, "--max-retries", value)) {
-      config.workload.max_retries =
+      arrivals.max_retries =
           static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
     } else if (parse_value(argc, argv, i, "--retry-backoff", value)) {
-      if (!parse_duration(value, config.workload.retry_backoff)) {
+      if (!parse_duration(value, arrivals.retry_backoff)) {
         std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
         return 2;
       }
@@ -271,7 +267,7 @@ int main(int argc, char** argv) {
       config.workload.sandwich_attackers =
           std::strtoull(value.c_str(), nullptr, 10);
     } else if (parse_value(argc, argv, i, "--victim-threshold", value)) {
-      config.workload.victim_value_threshold =
+      config.workload.sandwich.value_threshold =
           std::strtoull(value.c_str(), nullptr, 10);
     } else if (std::strcmp(argv[i], "--open-loop") == 0) {
       config.workload.open_loop = true;
@@ -301,7 +297,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "need n > 3f\n");
     return 2;
   }
-  if (config.protocol == RunConfig::Protocol::kLyra && config.obfuscate &&
+  if (config.protocol == harness::Protocol::kLyra && config.obfuscate &&
       config.n > 255) {
     std::fprintf(stderr,
                  "commit-reveal VSS shares live in GF(256), capping "
@@ -313,25 +309,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "measurement window is empty\n");
     return 2;
   }
-  if (config.replay_attackers > 0 &&
-      config.protocol != RunConfig::Protocol::kLyra) {
-    std::fprintf(stderr, "--replay-attackers is Lyra-only\n");
-    return 2;
-  }
-  if (config.byzantine_silent > 0 &&
-      config.protocol != RunConfig::Protocol::kLyra) {
-    std::fprintf(stderr, "--silent is Lyra-only\n");
-    return 2;
-  }
   if (config.workload.open_loop &&
       (config.client_shard > 0 || config.client_nodes > 0)) {
     std::fprintf(stderr,
                  "--client-shard and --client-nodes shape closed-loop "
                  "clients; they do not combine with --open-loop\n");
-    return 2;
-  }
-  if (config.byzantine_silent + config.replay_attackers > config.f()) {
-    std::fprintf(stderr, "silent + replay attackers must stay <= f\n");
     return 2;
   }
   if (config.workload.sandwich_attackers > 0 && !config.workload.open_loop) {
@@ -342,35 +324,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--sandwich-attackers must stay below n\n");
     return 2;
   }
-  if (config.workload.open_loop && !config.crash_restarts.empty()) {
-    // docs/WORKLOAD.md: mempool contents are not journaled, so carved
-    // batches lose their per-tx ids across a restart.
-    std::fprintf(stderr, "--open-loop does not combine with --crash-node\n");
-    return 2;
+  for (std::size_t i = 0; i < std::min(silent + replayers, config.n); ++i) {
+    config.byz.push_back({static_cast<NodeId>(i),
+                          i < silent ? harness::ByzKind::kSilent
+                                     : harness::ByzKind::kReplayInit});
   }
-  for (const auto& cr : config.crash_restarts) {
-    if (config.protocol != RunConfig::Protocol::kLyra) {
-      std::fprintf(stderr, "--crash-node is Lyra-only\n");
-      return 2;
-    }
-    if (cr.node >= config.n) {
-      std::fprintf(stderr, "--crash-node %u out of range\n", cr.node);
-      return 2;
-    }
-    if (cr.crash_at <= 0 || cr.restart_at <= cr.crash_at ||
-        cr.restart_at >= config.duration) {
-      std::fprintf(stderr,
-                   "need 0 < crash-at < restart-at < duration for node %u\n",
-                   cr.node);
-      return 2;
-    }
-    if (cr.wipe_disk_at != 0 &&
-        (cr.wipe_disk_at <= cr.crash_at || cr.wipe_disk_at >= cr.restart_at)) {
-      std::fprintf(stderr,
-                   "need crash-at < wipe-disk-at < restart-at for node %u\n",
-                   cr.node);
-      return 2;
-    }
+  const bool state_sync = harness::needs_state_sync(
+      config.crashes, config.state_sync || config.delta_sync);
+  std::string error;
+  if (!harness::validate_faults(config.n, config.protocol, config.crashes,
+                                config.byz, config.duration, state_sync,
+                                config.workload.open_loop, error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
 
   std::printf("running %s: n=%zu f=%zu clients/node=%u batch=%zu "
@@ -391,13 +357,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.committed_txs));
   std::printf("prefix safety     %10s\n",
               result.prefix_consistent ? "ok" : "VIOLATED");
-  if (config.protocol == RunConfig::Protocol::kLyra) {
+  if (config.protocol == harness::Protocol::kLyra) {
     std::printf("accept rate       %10.4f\n", result.validation_accept_rate);
     std::printf("decide rounds     %10.3f (max %.0f)\n",
                 result.mean_decide_rounds, result.max_decide_rounds);
     std::printf("late accepts      %10llu\n",
                 static_cast<unsigned long long>(result.late_accepts));
-    if (!config.crash_restarts.empty()) {
+    if (!config.crashes.empty()) {
       std::printf("restarts          %10llu\n",
                   static_cast<unsigned long long>(result.restarts));
       std::printf("wal replayed      %10llu records\n",
@@ -412,7 +378,7 @@ int main(int argc, char** argv) {
       std::printf("restarts refused  %10llu\n",
                   static_cast<unsigned long long>(result.refused_restarts));
     }
-    if (config.wants_state_sync()) {
+    if (state_sync) {
       std::printf("full state syncs  %10llu\n",
                   static_cast<unsigned long long>(result.full_state_syncs));
       if (config.delta_sync) {
@@ -467,7 +433,7 @@ int main(int argc, char** argv) {
       std::printf("adversary profit  %10.1f\n", result.adversary_profit);
     }
   }
-  if (config.memoize_verify || config.replay_attackers > 0) {
+  if (config.memoize_verify || replayers > 0) {
     std::printf("verify cache      %10llu hits / %llu misses\n",
                 static_cast<unsigned long long>(result.verify_cache_hits),
                 static_cast<unsigned long long>(result.verify_cache_misses));
