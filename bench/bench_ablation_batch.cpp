@@ -17,7 +17,6 @@ int main() {
   for (std::size_t batch : {50u, 100u, 200u, 400u, 800u, 1600u}) {
     RunConfig config;
     config.protocol = harness::Protocol::kLyra;
-    config.memoize_verify = bench::memoize_mode();
     config.n = 16;
     config.batch_size = batch;
     // Clients sized to keep the proposal pipeline (3 batches) full.

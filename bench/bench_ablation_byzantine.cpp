@@ -5,10 +5,9 @@
 // output (those are covered by unit tests; here we quantify the
 // performance impact of the strongest omission adversary).
 //
-// The second sweep puts re-presentation attackers in the cluster (nodes
-// that keep re-broadcasting GC'd INITs) and measures verification
-// memoization against them: the re-verifications the replay traffic forces
-// become cache hits, so the honest nodes' crypto CPU stays flat.
+// The second run puts re-presentation attackers in the cluster (nodes that
+// keep re-broadcasting GC'd INITs): every replay costs the honest nodes a
+// full signature verification.
 
 #include "bench_common.hpp"
 
@@ -29,7 +28,6 @@ int main() {
     for (NodeId i = 0; i < silent; ++i) {
       config.byz.push_back({i, harness::ByzKind::kSilent});
     }
-    config.memoize_verify = bench::memoize_mode();
     const auto r = run_experiment(config);
     std::printf("%7zu %17.1f %18.0f   %s\n", silent, r.mean_latency_ms,
                 r.throughput_tps, r.prefix_consistent ? "ok" : "VIOLATED");
@@ -40,41 +38,27 @@ int main() {
   bench::write_csv("ablation_byzantine.csv", csv);
 
   bench::print_header(
-      "Ablation: INIT re-presentation vs verification memoization "
-      "(Lyra, n = 16, 2 replay attackers)",
-      "memoize   replays   cache-hits   cache-misses   mean-latency(ms)"
-      "   throughput(tx/s)   safety");
-  std::string replay_csv =
-      "memoize,replays,cache_hits,cache_misses,mean_latency_ms,"
-      "throughput_tps\n";
-  for (bool memoize : {false, true}) {
-    RunConfig config;
-    config.protocol = harness::Protocol::kLyra;
-    config.n = 16;
-    config.clients_per_node = 1600;
-    config.byz = {{0, harness::ByzKind::kReplayInit},
-                  {1, harness::ByzKind::kReplayInit}};
-    // Long enough that instances are GC'd mid-run and the replay stream is
-    // sustained over the measurement window.
-    config.duration = ms(10000);
-    config.measure_from = ms(5000);
-    config.memoize_verify = memoize;
-    const auto r = run_experiment(config);
-    std::printf("%7s %9llu %12llu %14llu %18.1f %18.0f   %s\n",
-                memoize ? "on" : "off",
-                static_cast<unsigned long long>(r.replays_sent),
-                static_cast<unsigned long long>(r.verify_cache_hits),
-                static_cast<unsigned long long>(r.verify_cache_misses),
-                r.mean_latency_ms, r.throughput_tps,
-                r.prefix_consistent ? "ok" : "VIOLATED");
-    std::fflush(stdout);
-    replay_csv += std::string(memoize ? "1" : "0") + "," +
-                  std::to_string(r.replays_sent) + "," +
-                  std::to_string(r.verify_cache_hits) + "," +
-                  std::to_string(r.verify_cache_misses) + "," +
-                  std::to_string(r.mean_latency_ms) + "," +
-                  std::to_string(r.throughput_tps) + "\n";
-  }
-  bench::write_csv("ablation_replay_memoize.csv", replay_csv);
+      "Ablation: INIT re-presentation (Lyra, n = 16, 2 replay attackers)",
+      "replays   mean-latency(ms)   throughput(tx/s)   safety");
+  RunConfig config;
+  config.protocol = harness::Protocol::kLyra;
+  config.n = 16;
+  config.clients_per_node = 1600;
+  config.byz = {{0, harness::ByzKind::kReplayInit},
+                {1, harness::ByzKind::kReplayInit}};
+  // Long enough that instances are GC'd mid-run and the replay stream is
+  // sustained over the measurement window.
+  config.duration = ms(10000);
+  config.measure_from = ms(5000);
+  const auto r = run_experiment(config);
+  std::printf("%7llu %18.1f %18.0f   %s\n",
+              static_cast<unsigned long long>(r.replays_sent),
+              r.mean_latency_ms, r.throughput_tps,
+              r.prefix_consistent ? "ok" : "VIOLATED");
+  bench::write_csv("ablation_replay.csv",
+                   "replays,mean_latency_ms,throughput_tps\n" +
+                       std::to_string(r.replays_sent) + "," +
+                       std::to_string(r.mean_latency_ms) + "," +
+                       std::to_string(r.throughput_tps) + "\n");
   return 0;
 }

@@ -16,7 +16,6 @@ int main() {
   for (bool obfuscate : {true, false}) {
     RunConfig config;
     config.protocol = harness::Protocol::kLyra;
-    config.memoize_verify = bench::memoize_mode();
     config.n = 16;
     config.clients_per_node = 1600;
     config.obfuscate = obfuscate;

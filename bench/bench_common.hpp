@@ -19,14 +19,6 @@ inline bool quick_mode() {
   return quick != nullptr && quick[0] == '1';
 }
 
-/// LYRA_BENCH_MEMOIZE=1 turns on verification memoization in every figure
-/// bench (RunConfig::memoize_verify), for before/after comparisons under
-/// Byzantine re-presentation traffic.
-inline bool memoize_mode() {
-  const char* m = std::getenv("LYRA_BENCH_MEMOIZE");
-  return m != nullptr && m[0] == '1';
-}
-
 /// What the C++ runtime believes the host offers (0 = unknown).
 inline unsigned hw_concurrency() { return std::thread::hardware_concurrency(); }
 

@@ -40,7 +40,6 @@ int main() {
       RunConfig config;
       config.protocol = protocol;
       config.n = n;
-      config.memoize_verify = bench::memoize_mode();
       // Lyra width: an exact batch multiple under the pacing cap, so
       // latency is measured on steady full batches.
       config.clients_per_node = protocol == harness::Protocol::kLyra

@@ -43,14 +43,12 @@ int main() {
     RunConfig lyra_cfg;
     lyra_cfg.protocol = harness::Protocol::kLyra;
     lyra_cfg.n = n;
-    lyra_cfg.memoize_verify = bench::memoize_mode();
     const RunResult lyra = best_of(lyra_cfg, {2600});
 
     // Pompē's knee moves with n: probe around the capacity estimate.
     RunConfig pompe_cfg;
     pompe_cfg.protocol = harness::Protocol::kPompe;
     pompe_cfg.n = n;
-    pompe_cfg.memoize_verify = bench::memoize_mode();
     const double cap = harness::pompe_capacity_estimate(n, 800, 125e6);
     std::vector<std::uint32_t> widths;
     for (double mult : {0.8, 1.4, 2.2}) {

@@ -104,7 +104,6 @@ RunConfig base_config(const ScalePoint& p) {
   cfg.heartbeat = p.heartbeat;
   cfg.duration = p.duration;
   cfg.measure_from = p.measure_from;
-  cfg.memoize_verify = bench::memoize_mode();
   return cfg;
 }
 

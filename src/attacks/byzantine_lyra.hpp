@@ -100,11 +100,9 @@ class SelectiveInitLyraNode final : public core::LyraNode {
 /// later), re-broadcasts the stored message wrapped in InitRelayMsg, over
 /// and over. Each replay carries an identical (proposer, value_id, sig)
 /// triple, so receivers re-enter the signature-verification path for work
-/// they have already done — the traffic Config::memoize_verification is
-/// built to absorb: with the memo cache on, repeats are cache hits and
-/// charge no crypto CPU; with it off, every replay costs a full verify.
-/// Ordering safety is unaffected either way (the stale predictions fail
-/// validation, so the re-joined instance just decides 0 again).
+/// they have already done, and every replay costs a full verify. Ordering
+/// safety is unaffected (the stale predictions fail validation, so the
+/// re-joined instance just decides 0 again).
 class ReplayInitLyraNode final : public core::LyraNode {
  public:
   ReplayInitLyraNode(sim::Simulation* sim, net::Network* network, NodeId id,

@@ -147,7 +147,6 @@ RunResult run_cluster(const RunConfig& config, Options opts,
   opts.config.delta = ms(160);  // 1.2x the longest one-way leg
   opts.config.batch_size = config.batch_size;
   opts.config.batch_timeout = config.batch_timeout;
-  opts.config.memoize_verification = config.memoize_verify;
   if (config.workload.open_loop) {
     opts.config.mempool_capacity = config.workload.mempool_capacity;
   }
@@ -201,11 +200,6 @@ RunResult run_cluster(const RunConfig& config, Options opts,
   r.prefix_consistent = cluster.ledgers_prefix_consistent();
   r.messages_dropped = cluster.network().messages_dropped() +
                        cluster.simulation().deliveries_dropped();
-  for (NodeId i = 0; i < config.n; ++i) {
-    if (silent[i] || !cluster.node_alive(i)) continue;
-    r.verify_cache_hits += cluster.node(i).stats().verify_cache_hits;
-    r.verify_cache_misses += cluster.node(i).stats().verify_cache_misses;
-  }
   if (config.workload.open_loop) {
     for (NodeId i = 0; i < config.n; ++i) {
       if (!cluster.node_alive(i)) continue;

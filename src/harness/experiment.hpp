@@ -61,11 +61,6 @@ struct RunConfig {
   /// forcing repeat signature verifications.
   std::vector<ByzFault> byz;
 
-  /// Cache verification verdicts by (signer, value, signature) identity so
-  /// re-presented Byzantine traffic verifies once (lyra::Config::
-  /// memoize_verification / PompeConfig::memoize_verification).
-  bool memoize_verify = false;
-
   /// Effective per-node egress (DESIGN.md: sustained cross-continent TCP
   /// goodput, not the NIC line rate).
   double bandwidth_bytes_per_sec = 125e6;
@@ -125,10 +120,6 @@ struct RunResult {
   double validation_accept_rate = 1.0;   // Lyra only
   std::uint64_t proof_verifications = 0; // Pompē only
 
-  // Verification memoization (RunConfig::memoize_verify) and the replay
-  // traffic it absorbs; hits/misses stay zero with the cache off.
-  std::uint64_t verify_cache_hits = 0;
-  std::uint64_t verify_cache_misses = 0;
   std::uint64_t replays_sent = 0;  // re-presented INITs (replay-init slots)
 
   // Crash-restart runs (empty schedule leaves these zero):

@@ -82,15 +82,6 @@ struct Config {
   /// every existing run replays bit-identically.
   std::size_t mempool_capacity = 0;
 
-  /// Memoize per-node signature-verification verdicts keyed by
-  /// (signer, message, mac). Repeated presentations of the same signed
-  /// statement (relayed DELIVER proofs, re-broadcast INITs) answer from
-  /// the cache and skip the modeled verification CryptoCosts — only
-  /// misses pay. Changes no protocol decision, only counters and
-  /// simulated CPU charges; off by default so existing runs replay
-  /// bit-identically.
-  bool memoize_verification = false;
-
   /// Simulated crypto CPU costs, divided by `cpu_parallelism`: the paper's
   /// testbed VMs have 16 vCPUs and crypto verification parallelizes.
   crypto::CryptoCosts costs;

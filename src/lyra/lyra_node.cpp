@@ -219,9 +219,18 @@ void LyraNode::set_mempool_capacity(std::size_t capacity) {
   send_mempool_rejects(rejects);
 }
 
-PendingBatch LyraNode::carve_mempool(std::size_t max_txs) {
+PendingBatch LyraNode::carve_batch(bool from_assembler) {
   PendingBatch batch;
-  const std::vector<workload::WorkloadTx> txs = mempool_->take(max_txs);
+  if (from_assembler) {
+    BatchAssembler::Carved carved = assembler_.carve();
+    batch.payload = std::move(carved.payload);
+    batch.tx_count = carved.tx_count;
+    batch.nominal_bytes = carved.nominal_bytes;
+    batch.chunks = std::move(carved.chunks);
+    return batch;
+  }
+  const std::vector<workload::WorkloadTx> txs =
+      mempool_->take(config_.batch_size);
   batch.payload = workload::encode_batch(txs);
   batch.tx_count = static_cast<std::uint32_t>(txs.size());
   batch.nominal_bytes = batch.payload.size();
@@ -278,45 +287,25 @@ void LyraNode::maybe_propose() {
     return mempool_ != nullptr && mempool_->size() >= config_.batch_size;
   };
   while ((assembler_.has_full_batch() || mempool_full()) &&
-         own_batches_.size() < config_.max_outstanding_proposals) {
+         own_proposals_.size() < config_.max_outstanding_proposals) {
     if (now() < next_proposal_at_) {
       // NIC pacing: let the previous batch's fan-out drain first, or its
       // queueing delay would corrupt the perceived sequence numbers.
       set_timer(next_proposal_at_ - now(), [this] { maybe_propose(); });
       return;
     }
-    PendingBatch batch;
-    if (assembler_.has_full_batch()) {
-      BatchAssembler::Carved carved = assembler_.carve();
-      batch.payload = std::move(carved.payload);
-      batch.tx_count = carved.tx_count;
-      batch.nominal_bytes = carved.nominal_bytes;
-      batch.chunks = std::move(carved.chunks);
-    } else {
-      batch = carve_mempool(config_.batch_size);
-    }
-    propose_batch(std::move(batch));
+    propose_batch(carve_batch(assembler_.has_full_batch()));
   }
 }
 
 void LyraNode::flush_partial_batch() {
   const bool mempool_pending = mempool_ != nullptr && !mempool_->empty();
   if (!warmed_up_ || (assembler_.empty() && !mempool_pending)) return;
-  if (own_batches_.size() >= config_.max_outstanding_proposals) {
+  if (own_proposals_.size() >= config_.max_outstanding_proposals) {
     arm_batch_timer();  // retry once a slot frees up
     return;
   }
-  PendingBatch batch;
-  if (!assembler_.empty()) {
-    BatchAssembler::Carved carved = assembler_.carve();
-    batch.payload = std::move(carved.payload);
-    batch.tx_count = carved.tx_count;
-    batch.nominal_bytes = carved.nominal_bytes;
-    batch.chunks = std::move(carved.chunks);
-  } else {
-    batch = carve_mempool(config_.batch_size);
-  }
-  propose_batch(std::move(batch));
+  propose_batch(carve_batch(!assembler_.empty()));
   // Rare mixed-source case: whichever source still holds transactions
   // flushes on the next timeout.
   if (!assembler_.empty() || (mempool_ != nullptr && !mempool_->empty())) {
@@ -345,8 +334,6 @@ void LyraNode::propose_batch(PendingBatch batch) {
   // ordered-propose (Alg. 2): remember s_ref, predict S_t, obfuscate,
   // submit to binary consensus by broadcasting the INIT.
   const SeqNum s_ref = clock_.now();
-  own_s_ref_[inst] = s_ref;
-  own_proposed_at_[inst] = now();
   TimeNs earliest_submit = kMaxSeq;
   for (const auto& chunk : batch.chunks) {
     earliest_submit = std::min(earliest_submit, chunk.submitted_at);
@@ -377,7 +364,7 @@ void LyraNode::propose_batch(PendingBatch batch) {
   charge(ccost(config_.costs.sign));
   msg->sig = signer_.sign(value_id_bytes(value_id));
 
-  own_batches_[inst] = std::move(batch);
+  own_proposals_.emplace(inst, OwnProposal{std::move(batch), s_ref, now()});
   ++stats_.proposals;
   if (config_.pacing_bandwidth > 0) {
     const double fanout_bytes = static_cast<double>(msg->wire_size()) *
@@ -452,7 +439,9 @@ void LyraNode::handle_init(const sim::Envelope& env, const InitMsg& m) {
   // Verify the broadcaster's signature (Alg. 1 line 4) and the batch body.
   const crypto::Digest value_id =
       compute_value_id(m.inst, m.cipher.cipher_id(), m.predictions);
-  if (!check_init_sig(value_id, m.sig, m.inst.proposer, m.nominal_bytes)) {
+  charge(ccost(config_.costs.verify) +
+         ccost(config_.costs.hash_cost(m.nominal_bytes)));
+  if (!registry_->verify(value_id_bytes(value_id), m.sig, m.inst.proposer)) {
     return;
   }
   adopt_init(b, std::static_pointer_cast<const InitMsg>(env.payload));
@@ -501,7 +490,8 @@ void LyraNode::adopt_init(BocInstance& b,
 
   // A DELIVER proof may have arrived before the INIT.
   if (b.proof && !b.round_state(1, config_.n).vv_one) {
-    if (check_threshold_proof(*b.proof, b.value_id)) {
+    charge(ccost(config_.costs.threshold_verify));
+    if (registry_->threshold_verify(*b.proof, value_id_bytes(b.value_id))) {
       if (!b.deliver_broadcast) {
         b.deliver_broadcast = true;
         auto out = sim::make_payload<DeliverMsg>();
@@ -551,8 +541,9 @@ void LyraNode::handle_vote(const sim::Envelope& env, const VoteMsg& m) {
   // The broadcaster refines d_ij from any voter's perceived sequence
   // number (SIV-B1) -- 1-votes and 0-votes alike.
   if (m.inst.proposer == id() && m.perceived != kNoSeq) {
-    if (const auto it = own_s_ref_.find(m.inst); it != own_s_ref_.end()) {
-      distances_.observe(j, m.perceived - it->second);
+    if (const auto it = own_proposals_.find(m.inst);
+        it != own_proposals_.end()) {
+      distances_.observe(j, m.perceived - it->second.s_ref);
     }
   }
 
@@ -612,7 +603,8 @@ void LyraNode::handle_deliver(const sim::Envelope& env, const DeliverMsg& m) {
     return;
   }
 
-  if (!check_threshold_proof(m.proof, b.value_id)) {
+  charge(ccost(config_.costs.threshold_verify));
+  if (!registry_->threshold_verify(m.proof, value_id_bytes(b.value_id))) {
     return;
   }
   if (!b.deliver_broadcast) {
@@ -901,9 +893,9 @@ void LyraNode::decide(BocInstance& b, bool value) {
     LYRA_ASSERT(b.init != nullptr, "decided 1 without a delivered value");
     if (b.inst.proposer == id()) {
       ++stats_.accepted_own;
-      if (const auto it = own_proposed_at_.find(b.inst);
-          it != own_proposed_at_.end()) {
-        stats_.phase_consensus_ms.add(to_ms(now() - it->second));
+      if (const auto it = own_proposals_.find(b.inst);
+          it != own_proposals_.end()) {
+        stats_.phase_consensus_ms.add(to_ms(now() - it->second.proposed_at));
       }
     }
     AcceptedEntry entry;
@@ -914,11 +906,10 @@ void LyraNode::decide(BocInstance& b, bool value) {
     try_commit();
   } else if (b.inst.proposer == id()) {
     ++stats_.rejected_own;
-    const auto it = own_batches_.find(b.inst);
-    if (it != own_batches_.end()) {
-      PendingBatch batch = std::move(it->second);
-      own_batches_.erase(it);
-      own_s_ref_.erase(b.inst);
+    const auto it = own_proposals_.find(b.inst);
+    if (it != own_proposals_.end()) {
+      PendingBatch batch = std::move(it->second.batch);
+      own_proposals_.erase(it);
       if (++batch.attempts <= config_.max_batch_resubmissions) {
         // SMR-Liveness (Lemma 8) rests on correct processes continuously
         // re-inputting rejected transactions; pre-GST rejections are
@@ -1149,13 +1140,11 @@ void LyraNode::notify_clients(const InstanceId& inst, SeqNum seq) {
       send(chunk.client, msg);
     }
   };
-  const auto it = own_batches_.find(inst);
-  if (it != own_batches_.end()) {
-    notify(it->second.chunks);
-    settle_carved_batch(it->second.chunks, /*committed=*/true);
-    own_batches_.erase(it);
-    own_s_ref_.erase(inst);
-    own_proposed_at_.erase(inst);
+  const auto it = own_proposals_.find(inst);
+  if (it != own_proposals_.end()) {
+    notify(it->second.batch.chunks);
+    settle_carved_batch(it->second.batch.chunks, /*committed=*/true);
+    own_proposals_.erase(it);
     // A proposal slot freed up; drain any backlog.
     maybe_propose();
     if (!assembler_.empty() || (mempool_ != nullptr && !mempool_->empty())) {
@@ -1222,47 +1211,6 @@ Bytes LyraNode::value_id_bytes(const crypto::Digest& value_id) const {
   return Bytes(value_id.begin(), value_id.end());
 }
 
-bool LyraNode::check_init_sig(const crypto::Digest& value_id,
-                              const crypto::Signature& sig, NodeId proposer,
-                              std::uint64_t nominal_bytes) {
-  if (config_.memoize_verification) {
-    if (const auto hit = verify_cache_.lookup(proposer, value_id, sig.mac)) {
-      ++stats_.verify_cache_hits;
-      return *hit;
-    }
-    ++stats_.verify_cache_misses;
-  }
-  charge(ccost(config_.costs.verify) +
-         ccost(config_.costs.hash_cost(nominal_bytes)));
-  const bool ok =
-      registry_->verify(value_id_bytes(value_id), sig, proposer);
-  if (config_.memoize_verification) {
-    verify_cache_.store(proposer, value_id, sig.mac, ok);
-  }
-  return ok;
-}
-
-bool LyraNode::check_threshold_proof(const crypto::ThresholdSig& proof,
-                                     const crypto::Digest& value_id) {
-  crypto::Digest proof_key{};
-  if (config_.memoize_verification) {
-    // kNoNode marks threshold entries; real signers are always < n.
-    proof_key = crypto::VerifyCache::fold_threshold(proof);
-    if (const auto hit = verify_cache_.lookup(kNoNode, value_id, proof_key)) {
-      ++stats_.verify_cache_hits;
-      return *hit;
-    }
-    ++stats_.verify_cache_misses;
-  }
-  charge(ccost(config_.costs.threshold_verify));
-  const bool ok =
-      registry_->threshold_verify(proof, value_id_bytes(value_id));
-  if (config_.memoize_verification) {
-    verify_cache_.store(kNoNode, value_id, proof_key, ok);
-  }
-  return ok;
-}
-
 // ---------------------------------------------------------------------------
 // Durability (src/storage)
 // ---------------------------------------------------------------------------
@@ -1309,7 +1257,9 @@ storage::Snapshot LyraNode::make_snapshot() const {
     }
     snap.own_batches.push_back(std::move(rec));
   };
-  for (const auto& [inst, batch] : own_batches_) add_own(inst, batch.chunks);
+  for (const auto& [inst, own] : own_proposals_) {
+    add_own(inst, own.batch.chunks);
+  }
   for (const auto& [inst, chunks] : pending_notify_) add_own(inst, chunks);
   // Hash-map iteration order would otherwise leak into the serialized
   // snapshot (and through it into statesync chunk digests); sort so the

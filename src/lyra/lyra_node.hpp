@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "crypto/keys.hpp"
-#include "crypto/verify_cache.hpp"
 #include "crypto/vss.hpp"
 #include "lyra/batching.hpp"
 #include "lyra/boc_instance.hpp"
@@ -59,10 +58,6 @@ struct NodeStats {
   std::uint64_t validations_ok = 0;
   std::uint64_t validations_rejected = 0;
   std::uint64_t instances_joined = 0;
-  // Verification memoization (config.memoize_verification): verdicts
-  // answered from cache vs. actually computed (and charged).
-  std::uint64_t verify_cache_hits = 0;
-  std::uint64_t verify_cache_misses = 0;
   Samples decide_rounds;  // DBFT rounds per decision (3-delay ablation)
   Samples prediction_error_ms;  // |seq_i(t) - S_t[i]| at validation
   // Per-phase latency of this node's own batches (milliseconds):
@@ -109,6 +104,8 @@ class LyraNode : public sim::Process, public statesync::StateSyncHost {
   std::uint64_t status_counter() const { return status_counter_; }
   SeqNum clock_now() const { return clock_.now(); }
   std::size_t live_instances() const { return instances_.size(); }
+  /// Own proposals not yet rejected or committed.
+  std::size_t outstanding_proposals() const { return own_proposals_.size(); }
 
   /// Invoked for every batch as soon as its payload is revealed, in commit
   /// order per node (execution layer hook: KV store, AMM, ...).
@@ -208,9 +205,10 @@ class LyraNode : public sim::Process, public statesync::StateSyncHost {
                       const std::vector<workload::WorkloadTx>& txs);
   void send_mempool_rejects(
       const std::map<NodeId, std::vector<std::uint64_t>>& rejects);
-  /// Carves the highest-fee mempool transactions into a batch whose
-  /// chunks carry per-transaction ids (client-grouped, carve order).
-  PendingBatch carve_mempool(std::size_t max_txs);
+  /// Carves the next batch from the assembler or, when `from_assembler`
+  /// is false, from the highest-fee mempool transactions (chunks then carry
+  /// per-transaction ids, client-grouped, carve order).
+  PendingBatch carve_batch(bool from_assembler);
   /// Settles a mempool-carved batch with the mempool: committed batches
   /// release the carve stash (ids stay deduplicated forever), dropped
   /// batches reinstate their transactions so they compete for the next
@@ -277,20 +275,11 @@ class LyraNode : public sim::Process, public statesync::StateSyncHost {
     return id() == (round % config_.n);
   }
   TimeNs ccost(TimeNs base) const { return config_.crypto_cost(base); }
-  /// Verifies an INIT signature over `value_id`, optionally through the
-  /// memo cache (charges CryptoCosts only when actually verifying).
-  bool check_init_sig(const crypto::Digest& value_id,
-                      const crypto::Signature& sig, NodeId proposer,
-                      std::uint64_t nominal_bytes);
-  /// Same for a combined threshold signature over `value_id`.
-  bool check_threshold_proof(const crypto::ThresholdSig& proof,
-                             const crypto::Digest& value_id);
 
   // --- state ---
   Config config_;
   const crypto::KeyRegistry* registry_;
   crypto::Signer signer_;
-  crypto::VerifyCache verify_cache_;
   crypto::Vss vss_;
   ordering::OrderingClock clock_;
   ordering::DistanceTable distances_;
@@ -304,12 +293,17 @@ class LyraNode : public sim::Process, public statesync::StateSyncHost {
   std::unique_ptr<workload::Mempool> mempool_;  // null = legacy direct path
   bool batch_timer_armed_ = false;
   TimeNs next_proposal_at_ = 0;  // NIC pacing floor
-  std::unordered_map<InstanceId, PendingBatch> own_batches_;
-  std::unordered_map<InstanceId, SeqNum> own_s_ref_;
-  std::unordered_map<InstanceId, TimeNs> own_proposed_at_;
+  /// An own proposal from propose_batch until it settles: rejection in
+  /// decide() or commit in notify_clients(). Its size is the pacing window.
+  struct OwnProposal {
+    PendingBatch batch;
+    SeqNum s_ref = kNoSeq;
+    TimeNs proposed_at = 0;
+  };
+  std::unordered_map<InstanceId, OwnProposal> own_proposals_;
   /// Own batches recovered from disk whose clients were never
   /// commit-notified (payload is gone; only the notification chunks
-  /// survive). Kept apart from own_batches_ so they neither consume
+  /// survive). Kept apart from own_proposals_ so they neither consume
   /// proposal slots nor look re-proposable.
   std::unordered_map<InstanceId, std::vector<BatchAssembler::Chunk>>
       pending_notify_;

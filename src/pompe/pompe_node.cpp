@@ -405,24 +405,9 @@ Bytes PompeNode::ts_message(const crypto::Digest& digest, SeqNum ts) const {
 bool PompeNode::check_ts_sig(const crypto::Digest& batch_digest, SeqNum ts,
                              const crypto::Signature& sig, NodeId signer,
                              bool count_proof) {
-  crypto::Digest key{};
-  if (config_.memoize_verification) {
-    key = crypto::VerifyCache::fold_scalar(batch_digest,
-                                           static_cast<std::uint64_t>(ts));
-    if (const auto hit = verify_cache_.lookup(signer, key, sig.mac)) {
-      ++stats_.verify_cache_hits;
-      return *hit;
-    }
-    ++stats_.verify_cache_misses;
-  }
   charge(ccost(config_.costs.verify));
   if (count_proof) ++stats_.proof_verifications;
-  const bool ok =
-      registry_->verify(ts_message(batch_digest, ts), sig, signer);
-  if (config_.memoize_verification) {
-    verify_cache_.store(signer, key, sig.mac, ok);
-  }
-  return ok;
+  return registry_->verify(ts_message(batch_digest, ts), sig, signer);
 }
 
 }  // namespace lyra::pompe

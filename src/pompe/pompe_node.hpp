@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "crypto/keys.hpp"
-#include "crypto/verify_cache.hpp"
 #include "hotstuff/hotstuff_core.hpp"
 #include "lyra/batching.hpp"
 #include "lyra/messages.hpp"  // client SubmitMsg / CommitNotifyMsg
@@ -36,11 +35,6 @@ struct PompeConfig {
   double cpu_parallelism = 16.0;
   TimeNs message_overhead = us(1);
 
-  /// Memoize per-node verification verdicts for timestamp signatures
-  /// (same semantics as lyra::Config::memoize_verification: verdicts are
-  /// unchanged, only cache-hit charges are skipped; off by default).
-  bool memoize_verification = false;
-
   /// Bounded fee-priority mempool in front of batch formation — same
   /// semantics as lyra::Config::mempool_capacity, 0 = off (the default,
   /// bit-identical legacy behaviour).
@@ -55,9 +49,6 @@ struct PompeStats {
   std::uint64_t committed_batches = 0;
   std::uint64_t committed_txs = 0;
   std::uint64_t proof_verifications = 0;  // individual timestamp sigs
-  // Verification memoization (PompeConfig::memoize_verification).
-  std::uint64_t verify_cache_hits = 0;
-  std::uint64_t verify_cache_misses = 0;
 };
 
 /// One committed batch in Pompē's output, ordered by assigned timestamp
@@ -138,9 +129,8 @@ class PompeNode : public sim::Process {
     return static_cast<TimeNs>(static_cast<double>(base) /
                                config_.cpu_parallelism);
   }
-  /// Verifies one signed timestamp, optionally through the memo cache
-  /// (charges the modeled verify cost only when actually verifying).
-  /// `count_proof` ticks stats_.proof_verifications for computed checks.
+  /// Charges the modeled verify cost, then verifies one signed timestamp.
+  /// `count_proof` ticks stats_.proof_verifications.
   bool check_ts_sig(const crypto::Digest& batch_digest, SeqNum ts,
                     const crypto::Signature& sig, NodeId signer,
                     bool count_proof);
@@ -148,7 +138,6 @@ class PompeNode : public sim::Process {
   PompeConfig config_;
   const crypto::KeyRegistry* registry_;
   crypto::Signer signer_;
-  crypto::VerifyCache verify_cache_;
   ordering::OrderingClock clock_;
   hotstuff::HotStuffCore hotstuff_;
 

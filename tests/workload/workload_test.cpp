@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -516,11 +517,53 @@ TEST(OpenLoopEndToEnd, DroppedCarvedBatchReinstatesAndResolves) {
   ASSERT_GT(node0.stats().dropped_batches, 0u)
       << "scenario failed to drop a carved batch";
   EXPECT_GT(node0.mempool()->stats().reinstated, 0u);
+  EXPECT_EQ(node0.outstanding_proposals(), 0u);
   const auto& pool = *cluster.open_pools().front();
   EXPECT_EQ(pool.unresolved(), 0u);
   EXPECT_GT(pool.stats().committed_total, 0u);
   EXPECT_EQ(pool.stats().committed_total + pool.stats().terminal_rejects,
             pool.stats().offered);
+}
+
+TEST(OwnProposals, DrainThroughRejectResubmitDropAndCommit) {
+  // Every own proposal leaves node 0's table exactly once: dropped after
+  // its last rejection, or committed on its first or second try. The
+  // transactions take the assembler path (submit_local), not the mempool.
+  const TimeNs heal_at = ms(80);
+  auto opts = open_loop_cluster(17);
+  opts.config.max_batch_resubmissions = 1;
+  opts.node_factory = [&](sim::Simulation* sim, net::Network* net, NodeId id,
+                          const core::Config& cfg,
+                          const crypto::KeyRegistry* reg)
+      -> std::unique_ptr<core::LyraNode> {
+    if (id == 0) {
+      return std::make_unique<core::LyraNode>(sim, net, id, cfg, reg);
+    }
+    return std::make_unique<RejectProposerLyraNode>(sim, net, id, cfg, reg,
+                                                    heal_at);
+  };
+  harness::LyraCluster cluster(std::move(opts));
+  cluster.start();
+  cluster.run_for(ms(40));
+  const core::LyraNode& node0 = cluster.node(0);
+  std::size_t peak = 0;
+  for (int i = 0; i < 80; ++i) {
+    cluster.node(0).submit_local(to_bytes("own-" + std::to_string(i)));
+    cluster.run_for(ms(1));
+    peak = std::max(peak, node0.outstanding_proposals());
+  }
+  cluster.run_for(ms(400));
+
+  const core::NodeStats& st = node0.stats();
+  EXPECT_GT(peak, 0u);
+  EXPECT_GT(st.dropped_batches, 0u);
+  // Each dropped batch was resubmitted once; any resubmission beyond that
+  // was accepted on its second try.
+  EXPECT_GT(st.resubmissions, st.dropped_batches);
+  EXPECT_GT(st.accepted_own, 0u);
+  EXPECT_EQ(st.proposals, st.accepted_own + st.rejected_own);
+  EXPECT_EQ(node0.outstanding_proposals(), 0u);
+  EXPECT_TRUE(cluster.ledgers_prefix_consistent());
 }
 
 TEST(OpenLoopEndToEnd, SameSeedSameOutcome) {

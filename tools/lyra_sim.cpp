@@ -74,9 +74,6 @@ void usage() {
       "                            node proposes, and every instance costs\n"
       "                            O(n^2) consensus traffic — cap the\n"
       "                            proposer set on big-cluster sweeps)\n"
-      "  --memoize-verify          cache signature/proof verification by\n"
-      "                            message identity (re-presented Byzantine\n"
-      "                            traffic verifies once)\n"
       "open-loop workload engine (docs/WORKLOAD.md):\n"
       "  --open-loop               replace closed-loop clients with Poisson\n"
       "                            traffic sources and give every node a\n"
@@ -279,8 +276,6 @@ int main(int argc, char** argv) {
       config.client_shard = std::strtoull(value.c_str(), nullptr, 10);
     } else if (parse_value(argc, argv, i, "--client-nodes", value)) {
       config.client_nodes = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--memoize-verify") == 0) {
-      config.memoize_verify = true;
     } else if (std::strcmp(argv[i], "--no-obfuscation") == 0) {
       config.obfuscate = false;
     } else if (std::strcmp(argv[i], "--help") == 0) {
@@ -433,10 +428,7 @@ int main(int argc, char** argv) {
       std::printf("adversary profit  %10.1f\n", result.adversary_profit);
     }
   }
-  if (config.memoize_verify || replayers > 0) {
-    std::printf("verify cache      %10llu hits / %llu misses\n",
-                static_cast<unsigned long long>(result.verify_cache_hits),
-                static_cast<unsigned long long>(result.verify_cache_misses));
+  if (replayers > 0) {
     std::printf("replays sent      %10llu\n",
                 static_cast<unsigned long long>(result.replays_sent));
   }
