@@ -4,7 +4,7 @@
 
 namespace lyra::crypto {
 
-Digest hmac_sha256(BytesView key, BytesView message) {
+HmacKey::HmacKey(BytesView key) {
   std::array<std::uint8_t, 64> block{};
   if (key.size() > block.size()) {
     const Digest kd = Sha256::hash(key);
@@ -19,16 +19,22 @@ Digest hmac_sha256(BytesView key, BytesView message) {
     ipad[i] = block[i] ^ 0x36;
     opad[i] = block[i] ^ 0x5c;
   }
+  inner_.update(ipad.data(), ipad.size());
+  outer_.update(opad.data(), opad.size());
+}
 
-  Sha256 inner;
-  inner.update(ipad.data(), ipad.size());
-  inner.update(message);
+Digest HmacKey::finish(Sha256& inner) const {
   const Digest inner_digest = inner.finalize();
-
-  Sha256 outer;
-  outer.update(opad.data(), opad.size());
+  Sha256 outer = outer_;
   outer.update(inner_digest.data(), inner_digest.size());
   return outer.finalize();
+}
+
+Digest hmac_sha256(BytesView key, BytesView message) {
+  const HmacKey k(key);
+  Sha256 inner = k.begin();
+  inner.update(message);
+  return k.finish(inner);
 }
 
 }  // namespace lyra::crypto

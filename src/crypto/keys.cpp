@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "crypto/hmac.hpp"
 #include "support/assert.hpp"
 
 namespace lyra::crypto {
@@ -11,16 +10,6 @@ namespace {
 constexpr std::string_view kSignDomain = "sig";
 constexpr std::string_view kShareDomain = "thr";
 constexpr std::string_view kSealDomain = "seal";
-
-Bytes domain_tagged(std::string_view domain, BytesView message) {
-  Bytes input;
-  input.reserve(domain.size() + 1 + message.size());
-  append(input, BytesView(reinterpret_cast<const std::uint8_t*>(domain.data()),
-                          domain.size()));
-  input.push_back(0);
-  append(input, message);
-  return input;
-}
 }  // namespace
 
 KeyRegistry::KeyRegistry(std::size_t num_processes, std::size_t threshold,
@@ -29,35 +18,41 @@ KeyRegistry::KeyRegistry(std::size_t num_processes, std::size_t threshold,
   LYRA_ASSERT(num_processes > 0, "registry needs at least one process");
   LYRA_ASSERT(threshold > 0 && threshold <= num_processes,
               "threshold must be in [1, n]");
-  secrets_.reserve(num_processes);
+  keys_.reserve(num_processes);
   for (std::size_t i = 0; i < num_processes; ++i) {
     Bytes secret(32);
     for (auto& b : secret) b = static_cast<std::uint8_t>(rng.next_u64());
-    secrets_.push_back(std::move(secret));
+    keys_.emplace_back(secret);
   }
 }
 
 Signer KeyRegistry::signer_for(NodeId id) const {
-  LYRA_ASSERT(id < secrets_.size(), "unknown process id");
+  LYRA_ASSERT(id < keys_.size(), "unknown process id");
   return Signer(this, id);
 }
 
 Digest KeyRegistry::mac_for(NodeId id, BytesView message,
                             std::string_view domain) const {
-  LYRA_ASSERT(id < secrets_.size(), "unknown process id");
-  const Bytes input = domain_tagged(domain, message);
-  return hmac_sha256(secrets_[id], input);
+  LYRA_ASSERT(id < keys_.size(), "unknown process id");
+  // MAC over domain || 0 || message, streamed without a joined buffer.
+  const HmacKey& key = keys_[id];
+  Sha256 inner = key.begin();
+  inner.update(domain.data(), domain.size());
+  const std::uint8_t separator = 0;
+  inner.update(&separator, 1);
+  inner.update(message);
+  return key.finish(inner);
 }
 
 bool KeyRegistry::verify(BytesView message, const Signature& sig,
                          NodeId claimed) const {
-  if (sig.signer != claimed || claimed >= secrets_.size()) return false;
+  if (sig.signer != claimed || claimed >= keys_.size()) return false;
   return mac_for(claimed, message, kSignDomain) == sig.mac;
 }
 
 bool KeyRegistry::share_verify(BytesView message, const SigShare& share,
                                NodeId claimed) const {
-  if (share.signer != claimed || claimed >= secrets_.size()) return false;
+  if (share.signer != claimed || claimed >= keys_.size()) return false;
   return mac_for(claimed, message, kShareDomain) == share.mac;
 }
 
@@ -65,7 +60,11 @@ std::optional<ThresholdSig> KeyRegistry::share_combine(
     BytesView message, const std::vector<SigShare>& shares) const {
   ThresholdSig out;
   out.message_digest = Sha256::hash(message);
+  out.shares.reserve(threshold_);
   for (const SigShare& s : shares) {
+    // A proof needs exactly `threshold` shares: the first ones that are
+    // valid and distinct.
+    if (out.shares.size() == threshold_) break;
     if (!share_verify(message, s, s.signer)) continue;
     const bool duplicate =
         std::any_of(out.shares.begin(), out.shares.end(),
@@ -73,7 +72,6 @@ std::optional<ThresholdSig> KeyRegistry::share_combine(
     if (!duplicate) out.shares.push_back(s);
   }
   if (out.shares.size() < threshold_) return std::nullopt;
-  out.shares.resize(threshold_);  // a proof needs exactly `threshold` shares
   return out;
 }
 
@@ -81,13 +79,12 @@ bool KeyRegistry::threshold_verify(const ThresholdSig& sig,
                                    BytesView message) const {
   if (sig.message_digest != Sha256::hash(message)) return false;
   if (sig.shares.size() < threshold_) return false;
-  std::vector<NodeId> seen;
-  for (const SigShare& s : sig.shares) {
-    if (!share_verify(message, s, s.signer)) return false;
-    if (std::find(seen.begin(), seen.end(), s.signer) != seen.end()) {
-      return false;
-    }
-    seen.push_back(s.signer);
+  for (auto it = sig.shares.begin(); it != sig.shares.end(); ++it) {
+    if (!share_verify(message, *it, it->signer)) return false;
+    const bool duplicate =
+        std::any_of(sig.shares.begin(), it,
+                    [&](const SigShare& t) { return t.signer == it->signer; });
+    if (duplicate) return false;
   }
   return true;
 }

@@ -25,6 +25,7 @@ void Sha256::reset() {
 void Sha256::update(BytesView data) { update(data.data(), data.size()); }
 
 void Sha256::update(const void* data, std::size_t len) {
+  if (len == 0) return;  // an empty view may carry a null pointer
   const auto* p = static_cast<const std::uint8_t*>(data);
   total_len_ += len;
 

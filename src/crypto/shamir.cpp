@@ -48,21 +48,29 @@ std::vector<ShamirShare> Shamir::split(BytesView secret, std::uint32_t n,
 
 std::optional<Bytes> Shamir::combine(const std::vector<ShamirShare>& shares,
                                      std::uint32_t k) {
+  std::vector<const ShamirShare*> ptrs;
+  ptrs.reserve(shares.size());
+  for (const ShamirShare& s : shares) ptrs.push_back(&s);
+  return combine(ptrs, k);
+}
+
+std::optional<Bytes> Shamir::combine(
+    std::span<const ShamirShare* const> shares, std::uint32_t k) {
   if (shares.size() < k || k == 0) return std::nullopt;
 
   // Use the first k shares; validate distinct x and equal lengths.
   std::vector<const ShamirShare*> used;
   used.reserve(k);
-  for (const auto& s : shares) {
-    if (s.x == 0) return std::nullopt;
+  for (const ShamirShare* s : shares) {
+    if (s->x == 0) return std::nullopt;
     const bool dup = std::any_of(used.begin(), used.end(), [&](auto* u) {
-      return u->x == s.x;
+      return u->x == s->x;
     });
     if (dup) continue;
-    if (!used.empty() && s.y.size() != used.front()->y.size()) {
+    if (!used.empty() && s->y.size() != used.front()->y.size()) {
       return std::nullopt;
     }
-    used.push_back(&s);
+    used.push_back(s);
     if (used.size() == k) break;
   }
   if (used.size() < k) return std::nullopt;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "support/bytes.hpp"
@@ -33,6 +34,11 @@ class Shamir {
   /// mismatched lengths, or fewer than k shares).
   static std::optional<Bytes> combine(const std::vector<ShamirShare>& shares,
                                       std::uint32_t k);
+
+  /// As above, over pointers to the shares, so a caller that filters
+  /// shares need not copy them.
+  static std::optional<Bytes> combine(
+      std::span<const ShamirShare* const> shares, std::uint32_t k);
 };
 
 }  // namespace lyra::crypto

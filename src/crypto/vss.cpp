@@ -82,9 +82,10 @@ bool Vss::verify_share(const VssCipher& cipher, const VssShare& share) const {
 
 std::optional<Bytes> Vss::decrypt(const VssCipher& cipher,
                                   const std::vector<VssShare>& shares) const {
-  std::vector<ShamirShare> valid;
+  std::vector<const ShamirShare*> valid;
+  valid.reserve(threshold_);
   for (const VssShare& s : shares) {
-    if (verify_share(cipher, s)) valid.push_back(s.key_share);
+    if (verify_share(cipher, s)) valid.push_back(&s.key_share);
     if (valid.size() == threshold_) break;
   }
   const auto key_bytes = Shamir::combine(valid, threshold_);

@@ -7,9 +7,8 @@
 namespace lyra::core {
 
 SeqNum quorum_low_watermark(const std::vector<SeqNum>& values,
-                            std::size_t quorum) {
-  std::vector<SeqNum> known;
-  known.reserve(values.size());
+                            std::size_t quorum, std::vector<SeqNum>& known) {
+  known.clear();
   for (SeqNum v : values) {
     if (v != kNoSeq) known.push_back(v);
   }
@@ -52,7 +51,7 @@ SeqNum CommitState::min_pending() const {
 
 bool CommitState::add_accepted(const AcceptedEntry& entry) {
   const auto [it, inserted] =
-      accepted_index_.emplace(entry.cipher_id, entry.seq);
+      accepted_index_.try_emplace(entry.cipher_id, entry.seq);
   if (!inserted) return false;
   accepted_ordered_.emplace(std::pair{entry.seq, entry.cipher_id}, entry);
   delta_buffer_.push_back(entry);
@@ -79,9 +78,10 @@ void CommitState::on_status(NodeId from, const StatusPiggyback& status) {
 
 bool CommitState::recompute() {
   const std::size_t q = config_->quorum();
-  locked_ = quorum_low_watermark(peer_locked_, q);
+  locked_ = quorum_low_watermark(peer_locked_, q, watermark_buffer_);
 
-  const SeqNum pending_watermark = quorum_low_watermark(peer_min_pending_, q);
+  const SeqNum pending_watermark =
+      quorum_low_watermark(peer_min_pending_, q, watermark_buffer_);
   stable_ = (locked_ == kNoSeq || pending_watermark == kNoSeq)
                 ? kNoSeq
                 : std::min(locked_, pending_watermark);
@@ -159,7 +159,7 @@ void CommitState::restore_extraction(SeqNum committed, SeqNum cursor_seq,
 
 void CommitState::install_synced(const AcceptedEntry& entry) {
   const auto [it, inserted] =
-      accepted_index_.emplace(entry.cipher_id, entry.seq);
+      accepted_index_.try_emplace(entry.cipher_id, entry.seq);
   if (!inserted) return;
   accepted_ordered_.emplace(std::pair{entry.seq, entry.cipher_id}, entry);
 }

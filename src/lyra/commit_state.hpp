@@ -128,6 +128,10 @@ class CommitState {
   std::vector<SeqNum> peer_min_pending_;
   std::vector<std::uint64_t> peer_status_counter_;
 
+  // Working space of quorum_low_watermark, kept so recompute() does not
+  // allocate.
+  std::vector<SeqNum> watermark_buffer_;
+
   SeqNum locked_ = kNoSeq;
   SeqNum stable_ = kNoSeq;
   SeqNum committed_ = kNoSeq;
@@ -141,8 +145,9 @@ class CommitState {
 };
 
 /// min over the 2f+1 highest entries of `values` (Alg. 4 lines 83-85);
-/// kNoSeq when fewer than 2f+1 entries are known. Exposed for unit tests.
+/// kNoSeq when fewer than 2f+1 entries are known. `buffer` is working
+/// space, overwritten on every call. Exposed for unit tests.
 SeqNum quorum_low_watermark(const std::vector<SeqNum>& values,
-                            std::size_t quorum);
+                            std::size_t quorum, std::vector<SeqNum>& buffer);
 
 }  // namespace lyra::core

@@ -362,7 +362,7 @@ void LyraNode::propose_batch(PendingBatch batch) {
   const crypto::Digest value_id =
       compute_value_id(inst, msg->cipher.cipher_id(), msg->predictions);
   charge(ccost(config_.costs.sign));
-  msg->sig = signer_.sign(value_id_bytes(value_id));
+  msg->sig = signer_.sign(value_id);
 
   own_proposals_.emplace(inst, OwnProposal{std::move(batch), s_ref, now()});
   ++stats_.proposals;
@@ -415,6 +415,7 @@ BocInstance& LyraNode::join_instance(const InstanceId& inst) {
     b.inst = inst;
     b.vote_one_from.assign(config_.n, false);
     b.vote_zero_from.assign(config_.n, false);
+    b.shares.reserve(config_.n);  // at most one validation share per voter
     b.joined_at = now();
     ++stats_.instances_joined;
     enter_round(b, 1);
@@ -441,7 +442,7 @@ void LyraNode::handle_init(const sim::Envelope& env, const InitMsg& m) {
       compute_value_id(m.inst, m.cipher.cipher_id(), m.predictions);
   charge(ccost(config_.costs.verify) +
          ccost(config_.costs.hash_cost(m.nominal_bytes)));
-  if (!registry_->verify(value_id_bytes(value_id), m.sig, m.inst.proposer)) {
+  if (!registry_->verify(value_id, m.sig, m.inst.proposer)) {
     return;
   }
   adopt_init(b, std::static_pointer_cast<const InitMsg>(env.payload));
@@ -462,7 +463,7 @@ void LyraNode::adopt_init(BocInstance& b,
   // we saw the INIT); attach the cipher now.
   if (const auto it = reveal_.find(b.init->cipher.cipher_id());
       it != reveal_.end() && !it->second.have_cipher) {
-    it->second.cipher = b.init->cipher;
+    it->second.init = b.init;
     it->second.have_cipher = true;
     it->second.tx_count = b.init->tx_count;
     if (it->second.committed) on_cipher_for_committed(it->first);
@@ -491,7 +492,7 @@ void LyraNode::adopt_init(BocInstance& b,
   // A DELIVER proof may have arrived before the INIT.
   if (b.proof && !b.round_state(1, config_.n).vv_one) {
     charge(ccost(config_.costs.threshold_verify));
-    if (registry_->threshold_verify(*b.proof, value_id_bytes(b.value_id))) {
+    if (registry_->threshold_verify(*b.proof, b.value_id)) {
       if (!b.deliver_broadcast) {
         b.deliver_broadcast = true;
         auto out = sim::make_payload<DeliverMsg>();
@@ -515,7 +516,7 @@ void LyraNode::vote(BocInstance& b, bool value) {
     msg->inst = b.inst;
     msg->value = true;
     charge(ccost(config_.costs.share_sign));
-    msg->share = signer_.share_sign(value_id_bytes(b.value_id));
+    msg->share = signer_.share_sign(b.value_id);
     msg->perceived = b.perceived;  // distance-table piggyback (§VI-B)
     broadcast_msg(msg);
   } else {
@@ -574,7 +575,7 @@ void LyraNode::try_deliver_one(BocInstance& b) {
 
   charge(ccost(config_.costs.share_combine));
   const auto proof =
-      registry_->share_combine(value_id_bytes(b.value_id), b.shares);
+      registry_->share_combine(b.value_id, b.shares);
   if (!proof) return;  // some shares were bogus; wait for more votes
 
   if (!b.deliver_broadcast) {
@@ -604,7 +605,7 @@ void LyraNode::handle_deliver(const sim::Envelope& env, const DeliverMsg& m) {
   }
 
   charge(ccost(config_.costs.threshold_verify));
-  if (!registry_->threshold_verify(m.proof, value_id_bytes(b.value_id))) {
+  if (!registry_->threshold_verify(m.proof, b.value_id)) {
     return;
   }
   if (!b.deliver_broadcast) {
@@ -962,7 +963,7 @@ void LyraNode::merge_accepted(const AcceptedEntry& entry, NodeId from) {
   if (!rec.have_cipher) {
     const auto it = instances_.find(entry.inst);
     if (it != instances_.end() && it->second.init) {
-      rec.cipher = it->second.init->cipher;
+      rec.init = it->second.init;
       rec.have_cipher = true;
       rec.tx_count = it->second.init->tx_count;
     } else if (from != id()) {
@@ -1024,13 +1025,14 @@ void LyraNode::try_commit() {
     }
     if (config_.obfuscate) {
       charge(ccost(config_.costs.vss_partial_decrypt));
-      const crypto::VssShare share = vss_.partial_decrypt(rec.cipher, signer_);
+      const crypto::VssShare share =
+          vss_.partial_decrypt(rec.init->cipher, signer_);
       rec.shares.push_back(share);
       rec.share_broadcast = true;
       shares_msg->shares.emplace_back(entry.cipher_id, share);
       try_reveal(entry.cipher_id);
     } else {
-      finalize_reveal(entry.cipher_id, rec.cipher.ciphertext);
+      finalize_reveal(entry.cipher_id, rec.init->cipher.ciphertext);
     }
   }
   if (!shares_msg->shares.empty()) broadcast_msg(shares_msg);
@@ -1046,12 +1048,13 @@ void LyraNode::on_cipher_for_committed(const crypto::Digest& cipher_id) {
     ledger_[rec.ledger_slot].tx_count = rec.tx_count;
   }
   if (!config_.obfuscate) {
-    finalize_reveal(cipher_id, rec.cipher.ciphertext);
+    finalize_reveal(cipher_id, rec.init->cipher.ciphertext);
     return;
   }
   if (!rec.share_broadcast) {
     charge(ccost(config_.costs.vss_partial_decrypt));
-    const crypto::VssShare share = vss_.partial_decrypt(rec.cipher, signer_);
+    const crypto::VssShare share =
+        vss_.partial_decrypt(rec.init->cipher, signer_);
     rec.shares.push_back(share);
     rec.share_broadcast = true;
     auto msg = sim::make_payload<SharesMsg>();
@@ -1084,8 +1087,8 @@ void LyraNode::try_reveal(const crypto::Digest& cipher_id) {
   if (rec.shares.size() < config_.quorum()) return;
 
   charge(ccost(config_.costs.vss_combine) +
-         ccost(config_.costs.hash_cost(rec.cipher.ciphertext.size())));
-  auto payload = vss_.decrypt(rec.cipher, rec.shares);
+         ccost(config_.costs.hash_cost(rec.init->cipher.ciphertext.size())));
+  auto payload = vss_.decrypt(rec.init->cipher, rec.shares);
   if (!payload) return;  // not enough *valid* shares yet
   finalize_reveal(cipher_id, std::move(*payload));
 }
@@ -1097,7 +1100,7 @@ void LyraNode::finalize_reveal(const crypto::Digest& cipher_id,
   rec.revealed = true;
   // Normal path: the digest comes from the cipher. Catch-up installs have
   // no cipher; sync_install_payload stamped rec.payload_digest already.
-  if (rec.have_cipher) rec.payload_digest = rec.cipher.payload_digest;
+  if (rec.have_cipher) rec.payload_digest = rec.init->cipher.payload_digest;
 
   CommittedBatch& cb = ledger_[rec.ledger_slot];
   cb.revealed_at = now();
@@ -1121,9 +1124,9 @@ void LyraNode::finalize_reveal(const crypto::Digest& cipher_id,
   }
   if (cb.inst.proposer == id()) notify_clients(cb.inst, cb.seq);
 
-  // Free the bulky cipher; the instance map still holds the INIT for
-  // late ReqInit pulls until GC.
-  rec.cipher = crypto::VssCipher{};
+  // Let go of the INIT; the instance map still holds it for late ReqInit
+  // pulls until GC.
+  rec.init.reset();
   rec.shares.clear();
   rec.shares.shrink_to_fit();
 }
@@ -1205,10 +1208,6 @@ crypto::Digest LyraNode::compute_value_id(
   h.add(cipher_id);
   for (SeqNum s : preds) h.add_i64(s);
   return h.digest();
-}
-
-Bytes LyraNode::value_id_bytes(const crypto::Digest& value_id) const {
-  return Bytes(value_id.begin(), value_id.end());
 }
 
 // ---------------------------------------------------------------------------

@@ -266,7 +266,6 @@ class LyraNode : public sim::Process, public statesync::StateSyncHost {
   crypto::Digest compute_value_id(const InstanceId& inst,
                                   const crypto::Digest& cipher_id,
                                   const std::vector<SeqNum>& preds) const;
-  Bytes value_id_bytes(const crypto::Digest& value_id) const;
   template <class Msg>
   void broadcast_msg(std::shared_ptr<Msg> msg);
   template <class Msg>
@@ -310,7 +309,10 @@ class LyraNode : public sim::Process, public statesync::StateSyncHost {
 
   // Reveal state per accepted cipher.
   struct RevealRecord {
-    crypto::VssCipher cipher;
+    /// The INIT carrying this entry's cipher, shared with the instance
+    /// that adopted it. Set with have_cipher; dropped again at reveal,
+    /// while have_cipher stays set.
+    std::shared_ptr<const InitMsg> init;
     bool have_cipher = false;
     InstanceId inst;
     SeqNum seq = kNoSeq;

@@ -24,7 +24,6 @@ PompeNode::PompeNode(sim::Simulation* sim, net::Network* network, NodeId id,
       registry_(registry),
       signer_(registry->signer_for(id)),
       clock_(sim, offset_for(id, config.clock_offset_spread)),
-      assembler_(config.batch_size, id),
       hotstuff_(
           [&] {
             hotstuff::HotStuffCore::Options o;
@@ -65,7 +64,8 @@ PompeNode::PompeNode(sim::Simulation* sim, net::Network* network, NodeId id,
                   },
               .on_commit =
                   [this](const hotstuff::Block& b) { on_block_commit(b); },
-          }) {
+          }),
+      assembler_(config.batch_size, id) {
   LYRA_ASSERT(config.n > 3 * config.f, "need n > 3f");
   if (config.mempool_capacity > 0) {
     mempool_ = workload::make_fee_priority_mempool(config.mempool_capacity);

@@ -17,39 +17,63 @@ inline bool ref_before(TimeNs a_at, std::uint64_t a_id, TimeNs b_at,
   return a_id < b_id;
 }
 
+/// Takes a slot from `free` or appends one to `slots`.
+template <class Slot>
+std::uint32_t take_slot(std::vector<Slot>& slots,
+                        std::vector<std::uint32_t>& free) {
+  if (!free.empty()) {
+    const std::uint32_t slot = free.back();
+    free.pop_back();
+    return slot;
+  }
+  slots.emplace_back();
+  return static_cast<std::uint32_t>(slots.size() - 1);
+}
+
 }  // namespace
+
+std::uint64_t EventQueue::make_handle(std::uint64_t id, std::uint64_t slot) {
+  LYRA_ASSERT(slot <= kSlotMask, "too many live events for a handle");
+  LYRA_ASSERT(id < (1ull << (64 - kSlotBits)), "event id overflows a handle");
+  return (id << kSlotBits) | slot;
+}
 
 std::uint64_t EventQueue::schedule_at(TimeNs at, Callback fn) {
   const std::uint64_t id = next_id_++;
-  std::uint32_t slot;
-  if (!fn_free_.empty()) {
-    slot = fn_free_.back();
-    fn_free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(fn_slots_.size());
-    LYRA_ASSERT(slot <= kSlotMask, "too many live timers for a handle");
-    fn_slots_.emplace_back();
-  }
-  LYRA_ASSERT(id < (1ull << (64 - kSlotBits)), "timer id overflows a handle");
+  const std::uint32_t slot = take_slot(fn_slots_, fn_free_);
   fn_slots_[slot].fn = std::move(fn);
   fn_slots_[slot].live_id = id;
   timers_.push(Ref{at, id, slot, kNoNode});
   ++live_timers_;
-  return (id << kSlotBits) | slot;
+  return make_handle(id, slot);
+}
+
+std::uint64_t EventQueue::schedule_pump(TimeNs at, Process* process) {
+  const std::uint64_t id = next_id_++;
+  const std::uint32_t slot = take_slot(pump_slots_, pump_free_);
+  pump_slots_[slot] = PumpSlot{process, id};
+  push_delivery(Ref{at, id, slot | kPumpFlag, kNoNode});
+  return make_handle(id, slot);
+}
+
+void EventQueue::cancel_pump(std::uint64_t handle) {
+  const std::uint64_t slot = handle & kSlotMask;
+  if (slot >= pump_slots_.size() ||
+      pump_slots_[slot].live_id != handle >> kSlotBits) {
+    return;
+  }
+  // The queued entry stays behind; peek_live_delivery() discards it.
+  pump_slots_[slot] = PumpSlot{};
+  pump_free_.push_back(static_cast<std::uint32_t>(slot));
+  --deliveries_live_;
 }
 
 void EventQueue::schedule_deliveries(ProcessDirectory* dir, NodeId from,
                                      TimeNs sent_at, PayloadPtr payload,
                                      std::span<const Receiver> receivers) {
   if (receivers.empty()) return;
-  std::uint32_t slot;
-  if (!env_free_.empty()) {
-    slot = env_free_.back();
-    env_free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(env_slots_.size());
-    env_slots_.emplace_back();
-  }
+  const std::uint32_t slot = take_slot(env_slots_, env_free_);
+  LYRA_ASSERT(slot < kPumpFlag, "too many pending sends");
   DeliverySlot& ds = env_slots_[slot];
   ds.payload = std::move(payload);
   ds.dir = dir;
@@ -197,7 +221,16 @@ void EventQueue::pop_delivery(Tier tier) {
     case Tier::kNone:
       LYRA_ASSERT(false, "pop_delivery with no delivery pending");
   }
-  --deliveries_live_;
+}
+
+EventQueue::Tier EventQueue::peek_live_delivery(Ref& out) {
+  Tier tier = peek_delivery(out);
+  while (tier != Tier::kNone && (out.slot & kPumpFlag) != 0 &&
+         pump_slots_[out.slot & ~kPumpFlag].live_id != out.id) {
+    pop_delivery(tier);  // cancelled pump: already uncounted
+    tier = peek_delivery(out);
+  }
+  return tier;
 }
 
 bool EventQueue::empty() const {
@@ -208,7 +241,7 @@ bool EventQueue::empty() const {
 bool EventQueue::run_next_until(TimeNs deadline, TimeNs& clock) {
   drop_dead();
   Ref del;
-  const Tier tier = peek_delivery(del);
+  const Tier tier = peek_live_delivery(del);
   if (!timers_.empty() &&
       (tier == Tier::kNone ||
        ref_before(timers_.top().at, timers_.top().id, del.at, del.id))) {
@@ -227,7 +260,25 @@ bool EventQueue::run_next_until(TimeNs deadline, TimeNs& clock) {
   }
   if (tier == Tier::kNone || del.at > deadline) return false;
   pop_delivery(tier);
+  --deliveries_live_;
   clock = del.at;
+  if ((del.slot & kPumpFlag) != 0) {
+    run_pump(del);
+  } else {
+    run_delivery(del);
+  }
+  return true;
+}
+
+void EventQueue::run_pump(const Ref& ref) {
+  const std::uint32_t slot = ref.slot & ~kPumpFlag;
+  Process* process = pump_slots_[slot].process;
+  pump_slots_[slot] = PumpSlot{};
+  pump_free_.push_back(slot);  // freed first: the pump may schedule the next
+  process->pump();
+}
+
+void EventQueue::run_delivery(const Ref& del) {
   DeliverySlot& ds = env_slots_[del.slot];
   // Resolve the destination now: the process registered at send time may
   // have crashed (slot vacant -> drop) or restarted (new object).
@@ -251,7 +302,6 @@ bool EventQueue::run_next_until(TimeNs deadline, TimeNs& clock) {
   } else {
     ++deliveries_dropped_;
   }
-  return true;
 }
 
 TimeNs EventQueue::run_next() {

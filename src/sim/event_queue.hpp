@@ -50,12 +50,18 @@ struct Receiver {
 ///    slot of a recycled slab holding the shared payload; each receiver's
 ///    handle names the slot, and the last receiver to fire releases it.
 ///
+///    A busy process's pump (Process::pump, which handles the next message
+///    of its inbox) rides the same tier: its handle flags the slot field
+///    and names a slot of a small {Process*, live id} slab instead of a
+///    send, so the pump costs neither a closure nor a timer-heap sift.
+///
 ///  * Generic callbacks (timers; sparse) keep a binary heap of the same
 ///    handles, with the std::function bodies in their own recycled slab —
-///    heap sift-ups move 24-byte PODs, never closures. Each callback slot
-///    records the id of the live event holding it, so cancellation is a
-///    compare-and-clear and a dead heap entry is recognised by its slot
-///    no longer holding its id.
+///    heap sift-ups move 24-byte PODs, never closures.
+///
+/// Timer and pump slots record the id of the live event holding them, so
+/// cancellation is a compare-and-clear and a dead entry is recognised, and
+/// skipped without moving the clock, by its slot no longer holding its id.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -77,6 +83,15 @@ class EventQueue {
   /// unknown handle is a harmless no-op. Returns true when a live event
   /// was actually cancelled, false for such a no-op.
   bool cancel(std::uint64_t handle);
+
+  /// Schedules `process->pump()` at absolute time `at`, ordered with every
+  /// other event by (at, id). Returns a handle for cancel_pump(). The same
+  /// time rule as for deliveries applies.
+  std::uint64_t schedule_pump(TimeNs at, Process* process);
+
+  /// Cancels a pending pump (the process is going away). Fired or unknown
+  /// handles are a no-op, as for cancel().
+  void cancel_pump(std::uint64_t handle);
 
   /// True when no live (non-cancelled) event remains.
   bool empty() const;
@@ -139,10 +154,14 @@ class EventQueue {
     return static_cast<std::uint64_t>(at) >> kBucketShift;
   }
 
-  // Timer handles pack (id << kSlotBits) | slot.
+  // Timer and pump handles pack (id << kSlotBits) | slot.
   static constexpr int kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
   static constexpr std::uint64_t kNoId = ~0ull;
+  /// Set in a delivery-tier Ref's slot field when the slot is a pump slot.
+  static constexpr std::uint32_t kPumpFlag = 1u << 31;
+
+  static std::uint64_t make_handle(std::uint64_t id, std::uint64_t slot);
 
   // --- delivery tier ---
   /// Where the earliest delivery sits; kNone when no delivery is pending.
@@ -150,8 +169,13 @@ class EventQueue {
   /// Fills `out` with the earliest pending delivery and returns its tier.
   /// Pours and sorts the next calendar bucket if the drain ran dry.
   Tier peek_delivery(Ref& out) const;
+  /// Removes the entry peek_delivery() returned from `tier`.
   void pop_delivery(Tier tier);
   void push_delivery(const Ref& ref);
+  /// Peeks like peek_delivery(), first discarding cancelled pumps.
+  Tier peek_live_delivery(Ref& out);
+  void run_pump(const Ref& ref);
+  void run_delivery(const Ref& ref);
   /// Moves the earliest non-empty bucket into the drain. Requires the
   /// drain to be empty and wheel_count_ > 0.
   void pour_next_bucket() const;
@@ -187,7 +211,8 @@ class EventQueue {
   // third candidate source at pop time.
   RefHeap far_;
 
-  std::size_t deliveries_live_ = 0;  // drain remainder + extra + wheel + far
+  // Drain remainder + extra + wheel + far, less cancelled pumps.
+  std::size_t deliveries_live_ = 0;
 
   // Delivery slab with slot recycling: one slot per send, shared by all
   // of its receivers. Each slot keeps the directory the send was
@@ -214,6 +239,14 @@ class EventQueue {
   std::vector<TimerSlot> fn_slots_;
   std::vector<std::uint32_t> fn_free_;
   std::size_t live_timers_ = 0;
+
+  // Pumps: at most one pending per process. live_id as for TimerSlot.
+  struct PumpSlot {
+    Process* process = nullptr;
+    std::uint64_t live_id = kNoId;
+  };
+  std::vector<PumpSlot> pump_slots_;
+  std::vector<std::uint32_t> pump_free_;
 
   std::uint64_t next_id_ = 0;
   std::uint64_t deliveries_dropped_ = 0;

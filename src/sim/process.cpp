@@ -12,7 +12,7 @@ Process::Process(Simulation* sim, Transport* transport, NodeId id)
 
 Process::~Process() {
   for (const auto& [token, event_id] : live_timers_) sim_->cancel(event_id);
-  if (pump_scheduled_) sim_->cancel(pump_event_);
+  if (pump_scheduled_) sim_->cancel_pump(pump_event_);
 }
 
 void Process::deliver(Envelope env) {
@@ -31,8 +31,7 @@ void Process::deliver(Envelope env) {
 void Process::schedule_pump() {
   if (pump_scheduled_) return;
   pump_scheduled_ = true;
-  pump_event_ = sim_->schedule_at(std::max(sim_->now(), cpu_busy_until_),
-                                  [this] { pump(); });
+  pump_event_ = sim_->schedule_pump(cpu_busy_until_, this);
 }
 
 void Process::pump() {
@@ -44,8 +43,7 @@ void Process::pump() {
     schedule_pump();
     return;
   }
-  Envelope env = std::move(inbox_.front());
-  inbox_.pop_front();
+  const Envelope env = inbox_.pop_front();
   ++messages_processed_;
   on_message(env);
   if (!inbox_.empty()) schedule_pump();

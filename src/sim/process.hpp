@@ -1,10 +1,10 @@
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <unordered_map>
 
 #include "sim/message.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulation.hpp"
 #include "support/types.hpp"
 
@@ -59,8 +59,8 @@ class Process {
 
   Process(Simulation* sim, Transport* transport, NodeId id);
 
-  /// Cancels every outstanding timer and the pending pump event: those
-  /// callbacks capture `this`, so they must not outlive the process. This
+  /// Cancels every outstanding timer and the pending pump event: both
+  /// call back into `this`, so they must not outlive the process. This
   /// is what makes mid-run teardown (simulated crash) safe.
   virtual ~Process();
 
@@ -112,6 +112,8 @@ class Process {
   bool tracing() const { return sim_->trace().enabled(); }
 
  private:
+  friend class EventQueue;  // runs pump()
+
   void schedule_pump();
   void pump();
 
@@ -119,7 +121,7 @@ class Process {
   Transport* transport_;
   NodeId id_;
 
-  std::deque<Envelope> inbox_;
+  Ring<Envelope> inbox_;
   bool pump_scheduled_ = false;
   std::uint64_t pump_event_ = 0;
   TimeNs cpu_busy_until_ = 0;

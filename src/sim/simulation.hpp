@@ -40,6 +40,14 @@ class Simulation {
 
   void cancel(std::uint64_t event_id) { queue_.cancel(event_id); }
 
+  /// Schedules `process`'s inbox pump at `at` (not before now()); see
+  /// EventQueue::schedule_pump.
+  std::uint64_t schedule_pump(TimeNs at, Process* process) {
+    return queue_.schedule_pump(at < now_ ? now_ : at, process);
+  }
+
+  void cancel_pump(std::uint64_t handle) { queue_.cancel_pump(handle); }
+
   /// Message-delivery fast path: one slab slot per send, no callback
   /// allocation. Each receiver (absolute time, not before now()) is
   /// resolved through `dir` at delivery time, so crashed processes drop

@@ -14,9 +14,9 @@ namespace lyra::support {
 /// objects (message payloads, shared_ptr control blocks, signature
 /// buffers). Allocations round up to a 16-byte granule; each class keeps a
 /// free list of recycled blocks and carves new ones from 64 KiB slabs, so
-/// a steady-state simulation run performs no general-heap allocation on
-/// the message path at all. Requests beyond the largest class fall back to
-/// operator new.
+/// in steady state payloads and their control blocks never reach the
+/// general heap. Requests beyond the largest class fall back to operator
+/// new.
 ///
 /// Not thread-safe: the simulator runs every experiment on one thread, and
 /// the whole process shares one arena.

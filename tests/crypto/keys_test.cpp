@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/hex.hpp"
+
 namespace lyra::crypto {
 namespace {
 
@@ -116,6 +118,37 @@ TEST_F(KeysTest, DeriveSecretIsStablePerContext) {
   EXPECT_EQ(s.derive_secret(ctx1), s.derive_secret(ctx1));
   EXPECT_NE(s.derive_secret(ctx1), s.derive_secret(ctx2));
   EXPECT_NE(s.derive_secret(ctx1), registry_.signer_for(2).derive_secret(ctx1));
+}
+
+// Known answers of a seeded 4-process registry. Simulated runs cannot tell
+// a wrong-but-consistent MAC from the right one, so these pin the bytes of
+// every keyed primitive directly. The messages cover the empty message, a
+// short one, the 55/56-byte padding edge of the inner block (4-byte domain
+// tag plus 52 bytes) and a body spanning two blocks.
+TEST(KeysKnownAnswer, SeededRegistryMacs) {
+  Rng rng(42);
+  const KeyRegistry registry(4, 3, rng);
+  Bytes edge(52);
+  for (std::size_t i = 0; i < edge.size(); ++i) {
+    edge[i] = static_cast<std::uint8_t>(i);
+  }
+  Bytes two_blocks(100);
+  for (std::size_t i = 0; i < two_blocks.size(); ++i) {
+    two_blocks[i] = static_cast<std::uint8_t>(0xa5 ^ i);
+  }
+  const auto hex = [](const Digest& d) { return to_hex(d); };
+  EXPECT_EQ(hex(registry.signer_for(0).sign(Bytes{}).mac),
+            "36c23bc563cf56a88906b49dc24d634adcc709b9be45d8d0ae5f1c6b5eb6506b");
+  EXPECT_EQ(hex(registry.signer_for(1).sign(to_bytes("kat")).mac),
+            "6f7bfb4a5e53f4838f32606af4785c7e01060f556e306adbdeeeabc9e320d54d");
+  EXPECT_EQ(hex(registry.signer_for(3).sign(edge).mac),
+            "18b3410a073d180235430dcdafbed0eadb4940a6135d8e29a1333819551035a8");
+  EXPECT_EQ(hex(registry.signer_for(2).share_sign(to_bytes("kat")).mac),
+            "c66e202064bd0929646691c95d85da639ad96bf879a1d764bb99445ac60c7f32");
+  EXPECT_EQ(hex(registry.signer_for(3).share_sign(two_blocks).mac),
+            "5559a172e5f75d145a9b8e6eb08fe784b758cae5ca05caf9330f0b4e58ca07a7");
+  EXPECT_EQ(hex(registry.signer_for(0).derive_secret(to_bytes("cipher"))),
+            "ef845946abada9b9133c900bb10a3adf7743d31a3dccf134b13e4117f8b78795");
 }
 
 }  // namespace

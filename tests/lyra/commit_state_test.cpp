@@ -38,18 +38,21 @@ Config small_config() {
 }
 
 TEST(QuorumLowWatermark, RequiresQuorumKnownValues) {
-  EXPECT_EQ(quorum_low_watermark({kNoSeq, kNoSeq, 5, 7}, 3), kNoSeq);
-  EXPECT_EQ(quorum_low_watermark({1, kNoSeq, 5, 7}, 3), 1);
+  std::vector<SeqNum> buffer;
+  EXPECT_EQ(quorum_low_watermark({kNoSeq, kNoSeq, 5, 7}, 3, buffer), kNoSeq);
+  EXPECT_EQ(quorum_low_watermark({1, kNoSeq, 5, 7}, 3, buffer), 1);
 }
 
 TEST(QuorumLowWatermark, TakesMinOfHighestQuorum) {
   // 2f+1 = 3 highest of {1, 5, 7, 9} are {5, 7, 9}; min = 5. A Byzantine
   // peer reporting 1 cannot hold the watermark down (Alg. 4 line 83).
-  EXPECT_EQ(quorum_low_watermark({1, 5, 7, 9}, 3), 5);
+  std::vector<SeqNum> buffer;
+  EXPECT_EQ(quorum_low_watermark({1, 5, 7, 9}, 3, buffer), 5);
 }
 
 TEST(QuorumLowWatermark, ExactQuorumIsPlainMin) {
-  EXPECT_EQ(quorum_low_watermark({9, 5, 7}, 3), 5);
+  std::vector<SeqNum> buffer;
+  EXPECT_EQ(quorum_low_watermark({9, 5, 7}, 3, buffer), 5);
 }
 
 class CommitStateTest : public ::testing::Test {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "sim/process.hpp"
+#include "sim/simulation.hpp"
 
 namespace lyra::sim {
 namespace {
@@ -23,6 +24,20 @@ class RecordingDirectory final : public ProcessDirectory {
     return nullptr;
   }
   mutable std::vector<NodeId> fired;
+};
+
+struct NullTransport final : Transport {
+  void send(NodeId, NodeId, PayloadPtr) override {}
+  std::size_t node_count() const override { return 1; }
+};
+
+/// A process that handles nothing, as a pump target.
+class IdleProcess final : public Process {
+ public:
+  using Process::Process;
+
+ protected:
+  void on_message(const Envelope&) override {}
 };
 
 /// Schedules a single-receiver send (a fan-out of one).
@@ -134,6 +149,33 @@ TEST(EventQueue, EqualTimeTimersAndDeliveriesFireInInsertionOrder) {
     if (dir.fired.size() > before) order.push_back(dir.fired.back());
   }
   EXPECT_EQ(order, (std::vector<NodeId>{1000, 0, 1001, 1, 2, 1002}));
+}
+
+TEST(EventQueue, CancelledPumpLeavesTheQueueEmpty) {
+  // A cancelled pump stays queued but is not counted: empty() is true,
+  // and nothing runs or moves the clock when its entry surfaces.
+  // The process's own simulation only serves its constructor; the test
+  // drives a separate queue.
+  Simulation sim(1);
+  NullTransport transport;
+  IdleProcess p(&sim, &transport, 0);
+  EventQueue q;
+  const auto handle = q.schedule_pump(10, &p);
+  EXPECT_FALSE(q.empty());
+  q.cancel_pump(handle);
+  q.cancel_pump(handle);  // second cancel: a no-op
+  EXPECT_TRUE(q.empty());
+  TimeNs clock = 3;
+  EXPECT_FALSE(q.run_next_until(std::numeric_limits<TimeNs>::max(), clock));
+  EXPECT_EQ(clock, 3);
+  // Behind a dead pump, a live event runs at its own time.
+  const auto dead = q.schedule_pump(20, &p);
+  q.cancel_pump(dead);
+  bool ran = false;
+  q.schedule_at(30, [&] { ran = true; });
+  EXPECT_EQ(q.run_next(), 30);
+  EXPECT_TRUE(ran);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, DeliveryOrderSpansWheelSpillAndLateTiers) {

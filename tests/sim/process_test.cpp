@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <vector>
+
 namespace lyra::sim {
 namespace {
 
@@ -61,6 +66,48 @@ class Recorder final : public Process {
 
  private:
   TimeNs cost_;
+};
+
+/// Directory over a fixed set of processes, for deliveries scheduled
+/// straight through the simulation.
+class VectorDirectory final : public ProcessDirectory {
+ public:
+  explicit VectorDirectory(std::vector<Process*> slots)
+      : slots_(std::move(slots)) {}
+  Process* process_at(NodeId id) const override { return slots_.at(id); }
+
+ private:
+  std::vector<Process*> slots_;
+};
+
+struct Tagged final : Payload {
+  explicit Tagged(int t) : tag(t) {}
+  const char* name() const override { return "TAGGED"; }
+  int tag;
+};
+
+Envelope tagged(int tag) {
+  Envelope env;
+  env.payload = std::make_shared<Tagged>(tag);
+  return env;
+}
+
+/// Appends each handled message's tag to a shared log; charges `cost`.
+class TagLog final : public Process {
+ public:
+  TagLog(Simulation* sim, Transport* t, NodeId id, TimeNs cost,
+         std::vector<int>* log)
+      : Process(sim, t, id), cost_(cost), log_(log) {}
+
+ protected:
+  void on_message(const Envelope& env) override {
+    log_->push_back(payload_as<Tagged>(env)->tag);
+    charge(cost_);
+  }
+
+ private:
+  TimeNs cost_;
+  std::vector<int>* log_;
 };
 
 TEST(Process, DeliversAfterTransportDelay) {
@@ -174,6 +221,76 @@ TEST(Process, BytesSentAccumulateWireSizes) {
   a.send(1, std::make_shared<Ping>());
   sim.run_all();
   EXPECT_EQ(a.bytes_sent(), 1064u);
+}
+
+TEST(Process, PumpTimerAndDeliveryAtOneTimeFireInSchedulingOrder) {
+  // A busy process's pump takes its id when it is scheduled, like a timer
+  // or a delivery, so at one time the three fire in the order they were
+  // scheduled, whichever order that is.
+  enum Kind { kPump = 1, kTimer = 2, kDelivery = 3 };  // = the logged tag
+  std::array<int, 3> kinds{kPump, kTimer, kDelivery};
+  do {
+    Simulation sim(1);
+    FixedDelayTransport net(&sim, ms(1), 2);
+    std::vector<int> log;
+    TagLog busy(&sim, &net, 0, ms(10), &log);
+    TagLog idle(&sim, &net, 1, 0, &log);
+    VectorDirectory dir({&busy, &idle});
+    busy.deliver(tagged(0));  // handled at once; the CPU is busy to 10 ms
+    for (const int kind : kinds) {
+      if (kind == kPump) {
+        busy.deliver(tagged(kPump));  // queued: pump at 10 ms
+      } else if (kind == kTimer) {
+        sim.schedule_at(ms(10), [&log] { log.push_back(kTimer); });
+      } else {
+        const Receiver r{1, ms(10)};
+        sim.schedule_deliveries(&dir, 0, std::make_shared<Tagged>(kDelivery),
+                                {&r, 1});
+      }
+    }
+    EXPECT_EQ(sim.run_all(), 3u);
+    EXPECT_EQ(sim.now(), ms(10));
+    EXPECT_EQ(log, (std::vector<int>{0, kinds[0], kinds[1], kinds[2]}));
+  } while (std::next_permutation(kinds.begin(), kinds.end()));
+}
+
+TEST(Process, DestroyingABusyProcessCancelsItsPump) {
+  // Teardown with a queued inbox (a simulated crash): the pending pump is
+  // dropped without running anything and without moving the clock.
+  Simulation sim(1);
+  FixedDelayTransport net(&sim, ms(1), 1);
+  std::vector<int> log;
+  auto busy = std::make_unique<TagLog>(&sim, &net, 0, ms(10), &log);
+  for (int tag = 0; tag < 3; ++tag) busy->deliver(tagged(tag));
+  EXPECT_EQ(busy->inbox_depth(), 2u);
+  busy.reset();
+  EXPECT_EQ(sim.run_all(), 0u);
+  EXPECT_EQ(sim.now(), 0);
+  // A later event still runs at its own time.
+  sim.schedule_at(ms(20), [&log] { log.push_back(9); });
+  EXPECT_EQ(sim.run_all(), 1u);
+  EXPECT_EQ(sim.now(), ms(20));
+  EXPECT_EQ(log, (std::vector<int>{0, 9}));
+}
+
+TEST(Process, QueuedMessagesKeepArrivalOrder) {
+  // The inbox is a ring: messages queued behind a busy CPU come out in
+  // arrival order while the ring wraps and grows. The first burst queues
+  // five and four are handled, so the second wraps the 8-slot ring and
+  // its last message grows it while wrapped.
+  Simulation sim(1);
+  FixedDelayTransport net(&sim, ms(1), 1);
+  std::vector<int> log;
+  TagLog busy(&sim, &net, 0, ms(1), &log);
+  int next = 0;
+  for (int burst : {6, 8, 3}) {
+    for (int i = 0; i < burst; ++i) busy.deliver(tagged(next++));
+    sim.run_until(sim.now() + ms(4));  // handle four, leave the rest queued
+  }
+  sim.run_all();
+  std::vector<int> expected(next);
+  for (int i = 0; i < next; ++i) expected[i] = i;
+  EXPECT_EQ(log, expected);
 }
 
 }  // namespace

@@ -260,7 +260,9 @@ TEST(WalTest, DropSegmentsBeforeKeepsSuffix) {
   writer.drop_segments_before(keep_from);
   for (const std::string& name : disk.list()) {
     std::uint64_t index = 0;
-    if (parse_wal_segment_name(name, index)) EXPECT_GE(index, keep_from);
+    if (parse_wal_segment_name(name, index)) {
+      EXPECT_GE(index, keep_from);
+    }
   }
   const auto records = replay_all(disk, nullptr);
   EXPECT_EQ(records.size(), 2u);
