@@ -1,8 +1,10 @@
 #include "attacks/frontrun.hpp"
 
 #include <map>
-#include "sim/payload_pool.hpp"
 #include <string>
+
+#include "attacks/ledger.hpp"
+#include "sim/payload_pool.hpp"
 
 namespace lyra::attacks {
 
@@ -130,21 +132,11 @@ void FrontRunningLyraNode::on_message(const sim::Envelope& env) {
 }
 
 FrontRunOutcome evaluate_pompe_frontrun(const pompe::PompeNode& node) {
-  std::vector<BytesView> payloads;
-  for (const pompe::PompeCommitted& c : node.ledger()) {
-    if (const Bytes* p = node.batch_payload(c.batch_digest)) {
-      payloads.push_back(*p);
-    }
-  }
-  return evaluate_payload_sequence(payloads);
+  return evaluate_payload_sequence(committed_payloads(node));
 }
 
 FrontRunOutcome evaluate_lyra_frontrun(const core::LyraNode& node) {
-  std::vector<BytesView> payloads;
-  for (const core::CommittedBatch& c : node.ledger()) {
-    payloads.push_back(c.payload);
-  }
-  return evaluate_payload_sequence(payloads);
+  return evaluate_payload_sequence(committed_payloads(node));
 }
 
 }  // namespace lyra::attacks

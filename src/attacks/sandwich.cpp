@@ -1,5 +1,7 @@
 #include "attacks/sandwich.hpp"
 
+#include "attacks/ledger.hpp"
+
 namespace lyra::attacks {
 namespace {
 
@@ -21,30 +23,20 @@ workload::WorkloadTx make_attack(NodeId self, std::uint64_t counter,
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Pompē: cleartext phase 1 leaks every victim in time to act
-// ---------------------------------------------------------------------------
-
-SandwichPompeNode::SandwichPompeNode(sim::Simulation* sim,
-                                     net::Network* network, NodeId id,
-                                     const pompe::PompeConfig& config,
-                                     const crypto::KeyRegistry* registry,
-                                     const SandwichOptions& options)
-    : pompe::PompeNode(sim, network, id, config, registry),
-      options_(options) {}
-
-void SandwichPompeNode::inject(const workload::WorkloadTx& attack) {
+template <class Node>
+void SandwichAttacker<Node>::inject(const workload::WorkloadTx& attack) {
   // Through the regular admission path so organic residents this order
   // displaces still get their backpressure signal.
-  admit_workload(id(), {attack});
+  this->admit_workload(this->id(), {attack});
   ++attacks_injected_;
-  flush_partial_batch();  // race the victim's timestamp quorum
+  this->flush_partial_batch();  // race the victim's ordering
 }
 
-void SandwichPompeNode::observe_batch(const pompe::TsRequestMsg& m) {
-  if (m.proposer == id() || mempool_ == nullptr) return;
+template <class Node>
+void SandwichAttacker<Node>::attack_batch(BytesView payload) {
+  if (this->mempool() == nullptr) return;
   std::vector<workload::WorkloadTx> txs;
-  if (!workload::decode_batch(m.payload, &txs)) return;
+  if (!workload::decode_batch(payload, &txs)) return;
   std::size_t taken = 0;
   for (const workload::WorkloadTx& victim : txs) {
     if (victim.role != workload::kRoleOrganic) continue;
@@ -54,58 +46,33 @@ void SandwichPompeNode::observe_batch(const pompe::TsRequestMsg& m) {
     ++victims_observed_;
     ++taken;
 
-    inject(make_attack(id(), ++next_attack_, victim, workload::kRoleFront,
-                       victim.fee + options_.fee_bid_delta, now()));
-    // The back order follows on a later batch so it sequences after the
+    const NodeId self = this->id();
+    inject(make_attack(self, ++next_attack_, victim, workload::kRoleFront,
+                       victim.fee + options_.fee_bid_delta, this->now()));
+    // The back order follows on a later batch so it orders after the
     // victim, closing the sandwich.
     const workload::WorkloadTx back =
-        make_attack(id(), ++next_attack_, victim, workload::kRoleBack,
-                    victim.fee == 0 ? 1 : victim.fee, now());
-    set_timer(options_.back_delay, [this, back] { inject(back); });
+        make_attack(self, ++next_attack_, victim, workload::kRoleBack,
+                    victim.fee == 0 ? 1 : victim.fee, this->now());
+    this->set_timer(options_.back_delay, [this, back] { inject(back); });
   }
 }
 
-// ---------------------------------------------------------------------------
-// Lyra: commit-reveal blinds the adversary until the order is fixed
-// ---------------------------------------------------------------------------
+template class SandwichAttacker<pompe::PompeNode>;
+template class SandwichAttacker<core::LyraNode>;
 
-SandwichLyraNode::SandwichLyraNode(sim::Simulation* sim,
-                                   net::Network* network, NodeId id,
-                                   const core::Config& config,
-                                   const crypto::KeyRegistry* registry,
-                                   const SandwichOptions& options)
-    : core::LyraNode(sim, network, id, config, registry),
-      options_(options) {}
-
-void SandwichLyraNode::inject(const workload::WorkloadTx& attack) {
-  admit_workload(id(), {attack});
-  ++attacks_injected_;
-  flush_partial_batch();
+// Pompē: cleartext phase 1 leaks every victim in time to act.
+void SandwichPompeNode::observe_batch(const pompe::TsRequestMsg& m) {
+  if (m.proposer != id()) attack_batch(m.payload);
 }
 
+// Lyra: commit-reveal blinds the adversary until the order is fixed.
 void SandwichLyraNode::on_start() {
   core::LyraNode::on_start();
   // Payloads first become readable at reveal time — after commit. The
   // adversary reacts immediately then; it is structurally too late.
   set_reveal_hook([this](const core::CommittedBatch& batch) {
-    if (mempool_ == nullptr) return;
-    std::vector<workload::WorkloadTx> txs;
-    if (!workload::decode_batch(batch.payload, &txs)) return;
-    std::size_t taken = 0;
-    for (const workload::WorkloadTx& victim : txs) {
-      if (victim.role != workload::kRoleOrganic) continue;
-      if (victim.value < options_.value_threshold) continue;
-      if (taken >= options_.max_targets_per_batch) break;
-      if (!targeted_.insert(victim.id).second) continue;
-      ++victims_observed_;
-      ++taken;
-      inject(make_attack(id(), ++next_attack_, victim, workload::kRoleFront,
-                         victim.fee + options_.fee_bid_delta, now()));
-      const workload::WorkloadTx back =
-          make_attack(id(), ++next_attack_, victim, workload::kRoleBack,
-                      victim.fee == 0 ? 1 : victim.fee, now());
-      set_timer(options_.back_delay, [this, back] { inject(back); });
-    }
+    attack_batch(batch.payload);
   });
 }
 
@@ -115,22 +82,12 @@ void SandwichLyraNode::on_start() {
 
 workload::EconomicsReport evaluate_pompe_economics(
     const pompe::PompeNode& node, const workload::EconomicsParams& params) {
-  std::vector<BytesView> payloads;
-  for (const pompe::PompeCommitted& c : node.ledger()) {
-    if (const Bytes* p = node.batch_payload(c.batch_digest)) {
-      payloads.push_back(*p);
-    }
-  }
-  return workload::evaluate_economics(payloads, params);
+  return workload::evaluate_economics(committed_payloads(node), params);
 }
 
 workload::EconomicsReport evaluate_lyra_economics(
     const core::LyraNode& node, const workload::EconomicsParams& params) {
-  std::vector<BytesView> payloads;
-  for (const core::CommittedBatch& c : node.ledger()) {
-    payloads.push_back(c.payload);
-  }
-  return workload::evaluate_economics(payloads, params);
+  return workload::evaluate_economics(committed_payloads(node), params);
 }
 
 }  // namespace lyra::attacks

@@ -23,24 +23,27 @@ struct SandwichOptions {
   TimeNs back_delay = ms(2);
 };
 
-/// Mallory on Pompē with an economic motive: phase-1 timestamp requests
-/// carry batch payloads in the clear, so this node decodes every workload
-/// batch other proposers sequence, picks high-value victims, and injects a
-/// fee-bid front order (immediately, racing the victim's timestamp
-/// quorum) and a back order (shortly after) through its own mempool and
-/// proposer role. Requires mempool_capacity > 0 on this node.
-class SandwichPompeNode final : public pompe::PompeNode {
+/// The sandwich adversary's body, the same on both protocols: scans a
+/// readable batch for high-value organic victims and injects, per victim,
+/// a fee-bid front order (immediately) and a back order (after
+/// `back_delay`, so it rides a later batch) through the node's own
+/// mempool and proposer role. Needs a mempool on the node; without one it
+/// stays idle. Only the trigger differs per protocol.
+template <class Node>
+class SandwichAttacker : public Node {
  public:
-  SandwichPompeNode(sim::Simulation* sim, net::Network* network, NodeId id,
-                    const pompe::PompeConfig& config,
-                    const crypto::KeyRegistry* registry,
-                    const SandwichOptions& options);
+  template <class Config>
+  SandwichAttacker(sim::Simulation* sim, net::Network* network, NodeId id,
+                   const Config& config, const crypto::KeyRegistry* registry,
+                   const SandwichOptions& options)
+      : Node(sim, network, id, config, registry), options_(options) {}
 
   std::uint64_t victims_observed() const { return victims_observed_; }
   std::uint64_t attacks_injected() const { return attacks_injected_; }
 
  protected:
-  void observe_batch(const pompe::TsRequestMsg& m) override;
+  /// Attacks the victims in one readable batch payload.
+  void attack_batch(BytesView payload);
 
  private:
   void inject(const workload::WorkloadTx& attack);
@@ -52,31 +55,27 @@ class SandwichPompeNode final : public pompe::PompeNode {
   std::uint64_t attacks_injected_ = 0;
 };
 
-/// Mallory on Lyra: same motive, but phase-1 traffic is VSS ciphertext —
-/// payloads only become readable at reveal time, after the order is
-/// already fixed. The node still reacts then (the best it can do), which
-/// demonstrates the economic claim: its front orders always land after
-/// their victims, so extracted value is ~0.
-class SandwichLyraNode final : public core::LyraNode {
+/// Mallory on Pompē: phase-1 timestamp requests carry batch payloads in
+/// the clear, so this node attacks every workload batch other proposers
+/// sequence, racing the victim's timestamp quorum.
+class SandwichPompeNode final : public SandwichAttacker<pompe::PompeNode> {
  public:
-  SandwichLyraNode(sim::Simulation* sim, net::Network* network, NodeId id,
-                   const core::Config& config,
-                   const crypto::KeyRegistry* registry,
-                   const SandwichOptions& options);
+  using SandwichAttacker::SandwichAttacker;
+
+ protected:
+  void observe_batch(const pompe::TsRequestMsg& m) override;
+};
+
+/// Mallory on Lyra: phase-1 traffic is VSS ciphertext — payloads only
+/// become readable at reveal time, after the order is already fixed. The
+/// node still reacts then (the best it can do), which demonstrates the
+/// economic claim: its front orders always land after their victims, so
+/// extracted value is ~0.
+class SandwichLyraNode final : public SandwichAttacker<core::LyraNode> {
+ public:
+  using SandwichAttacker::SandwichAttacker;
 
   void on_start() override;
-
-  std::uint64_t victims_observed() const { return victims_observed_; }
-  std::uint64_t attacks_injected() const { return attacks_injected_; }
-
- private:
-  void inject(const workload::WorkloadTx& attack);
-
-  SandwichOptions options_;
-  std::unordered_set<std::uint64_t> targeted_;
-  std::uint64_t next_attack_ = 0;
-  std::uint64_t victims_observed_ = 0;
-  std::uint64_t attacks_injected_ = 0;
 };
 
 /// Economic outcome from a node's committed ledger (payload order).

@@ -1,10 +1,15 @@
 #pragma once
 
 #include <deque>
+#include <map>
+#include <memory>
 #include <vector>
 
+#include "lyra/messages.hpp"
+#include "sim/process.hpp"
 #include "support/bytes.hpp"
 #include "support/types.hpp"
+#include "workload/mempool.hpp"
 
 namespace lyra::core {
 
@@ -99,6 +104,87 @@ class BatchAssembler {
   std::deque<Pending> pending_;
   std::size_t pending_txs_ = 0;
   std::uint64_t nonce_ = 0;
+};
+
+/// The client-intake layer of a proposer, shared by Lyra and Pompē so a
+/// backend adds only a node type: the assembler, the optional bounded
+/// fee-priority mempool in front of it (docs/WORKLOAD.md), the batch
+/// timer, mempool rejects, carving, settlement and client commit
+/// notification. A derived node decides only *when* it proposes, through
+/// maybe_propose() and flush_partial_batch().
+class BatchingNode : public sim::Process {
+ public:
+  /// `mempool_capacity` 0 leaves the mempool off (the legacy direct path).
+  BatchingNode(sim::Simulation* sim, sim::Transport* transport, NodeId id,
+               std::size_t batch_size, TimeNs batch_timeout,
+               std::size_t mempool_capacity);
+
+  /// Injects client transactions directly (tests/examples). `submitted_at`
+  /// defaults to now.
+  void submit_local(BytesView tx, NodeId reply_to = kNoNode,
+                    TimeNs submitted_at = -1);
+
+  /// Bounded fee-priority admission in front of the assembler; nullptr
+  /// unless the node was built with a mempool capacity.
+  workload::Mempool* mempool() { return mempool_.get(); }
+  const workload::Mempool* mempool() const { return mempool_.get(); }
+  /// Runtime capacity change (fuzz admission-flap fault); shrink-evicted
+  /// transactions earn their clients a MempoolReject. No-op without a
+  /// mempool.
+  void set_mempool_capacity(std::size_t capacity);
+
+ protected:
+  using Chunk = BatchAssembler::Chunk;
+  using Carved = BatchAssembler::Carved;
+
+  /// Proposes the full batches the node may propose now.
+  virtual void maybe_propose() = 0;
+  /// Proposes what is left on the batch timeout.
+  virtual void flush_partial_batch() = 0;
+
+  void handle_submit(const sim::Envelope& env, const SubmitMsg& m);
+  /// Admits open-loop submissions; rejected/evicted transactions earn
+  /// their clients a MempoolReject (grouped per client).
+  void admit_workload(NodeId from,
+                      const std::vector<workload::WorkloadTx>& txs);
+  /// Runs maybe_propose() then flush_partial_batch() one batch timeout
+  /// from now, unless that is already pending.
+  void arm_batch_timer();
+
+  /// Whether the assembler or the mempool holds a full batch.
+  bool has_full_batch() const {
+    return assembler_.has_full_batch() ||
+           (mempool_ != nullptr && mempool_->size() >= batch_size_);
+  }
+  /// Whether the assembler or the mempool holds any transaction.
+  bool has_pending() const {
+    return !assembler_.empty() || (mempool_ != nullptr && !mempool_->empty());
+  }
+  /// Carves the next batch from the assembler when it holds a full batch
+  /// (with `partial`, any transaction), else from the highest-fee mempool
+  /// transactions; those chunks carry per-transaction ids, client-grouped
+  /// in carve order.
+  Carved carve(bool partial);
+  /// Settles a carved batch with the mempool: a committed batch releases
+  /// the carve stash (ids stay deduplicated forever), a dropped one
+  /// reinstates its transactions so they compete for the next carve
+  /// instead of staying duplicate-suppressed while never committed.
+  void settle(const std::vector<Chunk>& chunks, bool committed);
+  /// Sends each chunk's client its CommitNotify.
+  void notify_clients(const std::vector<Chunk>& chunks, SeqNum seq);
+
+  BatchAssembler assembler_;
+  std::unique_ptr<workload::Mempool> mempool_;  // null = legacy direct path
+
+ private:
+  /// A rejected transaction goes to its client; a node never rejects to
+  /// itself (an adversary feeding its own node has no retry loop).
+  void send_rejects(
+      const std::map<NodeId, std::vector<std::uint64_t>>& rejects);
+
+  std::size_t batch_size_;
+  TimeNs batch_timeout_;
+  bool batch_timer_armed_ = false;
 };
 
 }  // namespace lyra::core

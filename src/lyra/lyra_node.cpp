@@ -21,7 +21,8 @@ TimeNs offset_for(NodeId id, TimeNs spread, std::uint64_t seed) {
 
 LyraNode::LyraNode(sim::Simulation* sim, net::Network* network, NodeId id,
                    const Config& config, const crypto::KeyRegistry* registry)
-    : Process(sim, network, id),
+    : BatchingNode(sim, network, id, config.batch_size, config.batch_timeout,
+                   config.mempool_capacity),
       config_(config),
       registry_(registry),
       signer_(registry->signer_for(id)),
@@ -29,12 +30,8 @@ LyraNode::LyraNode(sim::Simulation* sim, net::Network* network, NodeId id,
            static_cast<std::uint32_t>(config.quorum())),
       clock_(sim, offset_for(id, config.clock_offset_spread, 0xc10c)),
       distances_(config.n, config.distance_alpha),
-      commit_(config_),
-      assembler_(config.batch_size, id) {
+      commit_(config_) {
   LYRA_ASSERT(config.n > 3 * config.f, "need n > 3f");
-  if (config.mempool_capacity > 0) {
-    mempool_ = workload::make_fee_priority_mempool(config.mempool_capacity);
-  }
 }
 
 void LyraNode::on_start() {
@@ -155,138 +152,12 @@ void LyraNode::on_message(const sim::Envelope& env) {
 }
 
 // ---------------------------------------------------------------------------
-// Client intake and proposing (Alg. 2)
+// Proposing (Alg. 2)
 // ---------------------------------------------------------------------------
-
-void LyraNode::submit_local(BytesView tx, NodeId reply_to,
-                            TimeNs submitted_at) {
-  SubmitMsg m;
-  m.count = 1;
-  m.submitted_at = submitted_at < 0 ? now() : submitted_at;
-  m.txs.emplace_back(tx.begin(), tx.end());
-  sim::Envelope env;
-  env.from = reply_to;
-  env.to = id();
-  handle_submit(env, m);
-}
-
-void LyraNode::handle_submit(const sim::Envelope& env, const SubmitMsg& m) {
-  if (mempool_ != nullptr && !m.wtxs.empty()) {
-    admit_workload(env.from, m.wtxs);
-    maybe_propose();
-    if (mempool_ != nullptr && !mempool_->empty()) arm_batch_timer();
-    return;
-  }
-  assembler_.add(env.from, m.count, m.submitted_at, m.txs);
-  maybe_propose();
-  if (!assembler_.empty()) arm_batch_timer();
-}
-
-void LyraNode::admit_workload(NodeId from,
-                              const std::vector<workload::WorkloadTx>& txs) {
-  std::map<NodeId, std::vector<std::uint64_t>> rejects;
-  for (const workload::WorkloadTx& tx : txs) {
-    auto result = mempool_->admit(tx);
-    if (result.outcome == workload::Mempool::Outcome::kRejected) {
-      rejects[tx.client == kNoNode ? from : tx.client].push_back(tx.id);
-    }
-    for (const workload::WorkloadTx& evicted : result.evicted) {
-      rejects[evicted.client].push_back(evicted.id);
-    }
-  }
-  send_mempool_rejects(rejects);
-}
-
-void LyraNode::send_mempool_rejects(
-    const std::map<NodeId, std::vector<std::uint64_t>>& rejects) {
-  for (const auto& [client, ids] : rejects) {
-    // Self-submitted transactions (an adversary feeding its own node)
-    // have no retry loop to signal.
-    if (client == kNoNode || client == id()) continue;
-    auto msg = sim::make_payload<MempoolRejectMsg>();
-    msg->tx_ids = ids;
-    send(client, std::move(msg));
-  }
-}
-
-void LyraNode::set_mempool_capacity(std::size_t capacity) {
-  if (mempool_ == nullptr) return;
-  std::map<NodeId, std::vector<std::uint64_t>> rejects;
-  for (const workload::WorkloadTx& evicted :
-       mempool_->set_capacity(capacity)) {
-    rejects[evicted.client].push_back(evicted.id);
-  }
-  send_mempool_rejects(rejects);
-}
-
-PendingBatch LyraNode::carve_batch(bool from_assembler) {
-  PendingBatch batch;
-  if (from_assembler) {
-    BatchAssembler::Carved carved = assembler_.carve();
-    batch.payload = std::move(carved.payload);
-    batch.tx_count = carved.tx_count;
-    batch.nominal_bytes = carved.nominal_bytes;
-    batch.chunks = std::move(carved.chunks);
-    return batch;
-  }
-  const std::vector<workload::WorkloadTx> txs =
-      mempool_->take(config_.batch_size);
-  batch.payload = workload::encode_batch(txs);
-  batch.tx_count = static_cast<std::uint32_t>(txs.size());
-  batch.nominal_bytes = batch.payload.size();
-  for (const workload::WorkloadTx& tx : txs) {
-    if (batch.chunks.empty() || batch.chunks.back().client != tx.client) {
-      batch.chunks.push_back({tx.client, 0, tx.submitted_at, {}});
-    }
-    BatchAssembler::Chunk& chunk = batch.chunks.back();
-    ++chunk.count;
-    chunk.submitted_at = std::min(chunk.submitted_at, tx.submitted_at);
-    chunk.tx_ids.push_back(tx.id);
-  }
-  return batch;
-}
-
-void LyraNode::settle_carved_batch(
-    const std::vector<BatchAssembler::Chunk>& chunks, bool committed) {
-  if (mempool_ == nullptr) return;
-  std::vector<std::uint64_t> ids;
-  for (const BatchAssembler::Chunk& chunk : chunks) {
-    ids.insert(ids.end(), chunk.tx_ids.begin(), chunk.tx_ids.end());
-  }
-  if (ids.empty()) return;  // assembler-fed batches carry no ids
-  if (committed) {
-    mempool_->confirm(ids);
-    return;
-  }
-  // Dropped without committing: put the transactions back in contention.
-  // Whatever the pool refuses under current pressure gets the standard
-  // backpressure signal so the client's retry ladder takes over; without
-  // this the ids would stay duplicate-suppressed and the txs could never
-  // commit (carved-batch retention liveness bug).
-  std::map<NodeId, std::vector<std::uint64_t>> rejects;
-  for (const workload::WorkloadTx& tx : mempool_->reinstate(ids)) {
-    rejects[tx.client].push_back(tx.id);
-  }
-  send_mempool_rejects(rejects);
-  if (!mempool_->empty()) arm_batch_timer();
-}
-
-void LyraNode::arm_batch_timer() {
-  if (batch_timer_armed_) return;
-  batch_timer_armed_ = true;
-  set_timer(config_.batch_timeout, [this] {
-    batch_timer_armed_ = false;
-    maybe_propose();
-    flush_partial_batch();
-  });
-}
 
 void LyraNode::maybe_propose() {
   if (!warmed_up_) return;
-  const auto mempool_full = [this] {
-    return mempool_ != nullptr && mempool_->size() >= config_.batch_size;
-  };
-  while ((assembler_.has_full_batch() || mempool_full()) &&
+  while (has_full_batch() &&
          own_proposals_.size() < config_.max_outstanding_proposals) {
     if (now() < next_proposal_at_) {
       // NIC pacing: let the previous batch's fan-out drain first, or its
@@ -294,23 +165,20 @@ void LyraNode::maybe_propose() {
       set_timer(next_proposal_at_ - now(), [this] { maybe_propose(); });
       return;
     }
-    propose_batch(carve_batch(assembler_.has_full_batch()));
+    propose_batch({carve(/*partial=*/false)});
   }
 }
 
 void LyraNode::flush_partial_batch() {
-  const bool mempool_pending = mempool_ != nullptr && !mempool_->empty();
-  if (!warmed_up_ || (assembler_.empty() && !mempool_pending)) return;
+  if (!warmed_up_ || !has_pending()) return;
   if (own_proposals_.size() >= config_.max_outstanding_proposals) {
     arm_batch_timer();  // retry once a slot frees up
     return;
   }
-  propose_batch(carve_batch(!assembler_.empty()));
+  propose_batch({carve(/*partial=*/true)});
   // Rare mixed-source case: whichever source still holds transactions
   // flushes on the next timeout.
-  if (!assembler_.empty() || (mempool_ != nullptr && !mempool_->empty())) {
-    arm_batch_timer();
-  }
+  if (has_pending()) arm_batch_timer();
 }
 
 void LyraNode::propose_batch(PendingBatch batch) {
@@ -324,8 +192,8 @@ void LyraNode::propose_batch(PendingBatch batch) {
     journal_->proposal(inst.index);
     storage::OwnBatchRecord rec;
     rec.inst = inst;
-    rec.chunks.reserve(batch.chunks.size());
-    for (const BatchAssembler::Chunk& chunk : batch.chunks) {
+    rec.chunks.reserve(batch.carved.chunks.size());
+    for (const Chunk& chunk : batch.carved.chunks) {
       rec.chunks.push_back({chunk.client, chunk.count, chunk.submitted_at});
     }
     journal_->own_batch(rec);
@@ -335,7 +203,7 @@ void LyraNode::propose_batch(PendingBatch batch) {
   // submit to binary consensus by broadcasting the INIT.
   const SeqNum s_ref = clock_.now();
   TimeNs earliest_submit = kMaxSeq;
-  for (const auto& chunk : batch.chunks) {
+  for (const Chunk& chunk : batch.carved.chunks) {
     earliest_submit = std::min(earliest_submit, chunk.submitted_at);
   }
   if (earliest_submit != kMaxSeq) {
@@ -345,18 +213,19 @@ void LyraNode::propose_batch(PendingBatch batch) {
   auto msg = sim::make_payload<InitMsg>();
   msg->inst = inst;
   msg->predictions = build_predictions(s_ref);
-  msg->tx_count = batch.tx_count;
-  msg->nominal_bytes = batch.nominal_bytes;
+  const Carved& carved = batch.carved;
+  msg->tx_count = carved.tx_count;
+  msg->nominal_bytes = carved.nominal_bytes;
 
   charge(ccost(config_.costs.vss_encrypt_base) +
-         ccost(config_.costs.hash_cost(batch.nominal_bytes)));
+         ccost(config_.costs.hash_cost(carved.nominal_bytes)));
   if (config_.obfuscate) {
-    msg->cipher = vss_.encrypt(batch.payload, sim().rng());
+    msg->cipher = vss_.encrypt(carved.payload, sim().rng());
   } else {
     // Ablation mode: the "cipher" carries the payload in the clear.
-    msg->cipher.ciphertext = batch.payload;
+    msg->cipher.ciphertext = carved.payload;
     msg->cipher.payload_digest =
-        crypto::Hasher().add_str("clear").add(batch.payload).digest();
+        crypto::Hasher().add_str("clear").add(carved.payload).digest();
   }
 
   const crypto::Digest value_id =
@@ -922,7 +791,7 @@ void LyraNode::decide(BocInstance& b, bool value) {
         });
       } else {
         ++stats_.dropped_batches;
-        settle_carved_batch(batch.chunks, /*committed=*/false);
+        settle(batch.carved.chunks, /*committed=*/false);
       }
     }
   }
@@ -1122,7 +991,7 @@ void LyraNode::finalize_reveal(const crypto::Digest& cipher_id,
     cb.payload.clear();
     cb.payload.shrink_to_fit();
   }
-  if (cb.inst.proposer == id()) notify_clients(cb.inst, cb.seq);
+  if (cb.inst.proposer == id()) settle_own_batch(cb.inst, cb.seq);
 
   // Let go of the INIT; the instance map still holds it for late ReqInit
   // pulls until GC.
@@ -1131,35 +1000,22 @@ void LyraNode::finalize_reveal(const crypto::Digest& cipher_id,
   rec.shares.shrink_to_fit();
 }
 
-void LyraNode::notify_clients(const InstanceId& inst, SeqNum seq) {
-  const auto notify = [&](const std::vector<BatchAssembler::Chunk>& chunks) {
-    for (const BatchAssembler::Chunk& chunk : chunks) {
-      if (chunk.client == kNoNode || chunk.client == id()) continue;
-      auto msg = sim::make_payload<CommitNotifyMsg>();
-      msg->count = chunk.count;
-      msg->submitted_at = chunk.submitted_at;
-      msg->seq = seq;
-      msg->tx_ids = chunk.tx_ids;
-      send(chunk.client, msg);
-    }
-  };
+void LyraNode::settle_own_batch(const InstanceId& inst, SeqNum seq) {
   const auto it = own_proposals_.find(inst);
   if (it != own_proposals_.end()) {
-    notify(it->second.batch.chunks);
-    settle_carved_batch(it->second.batch.chunks, /*committed=*/true);
+    notify_clients(it->second.batch.carved.chunks, seq);
+    settle(it->second.batch.carved.chunks, /*committed=*/true);
     own_proposals_.erase(it);
     // A proposal slot freed up; drain any backlog.
     maybe_propose();
-    if (!assembler_.empty() || (mempool_ != nullptr && !mempool_->empty())) {
-      arm_batch_timer();
-    }
+    if (has_pending()) arm_batch_timer();
     return;
   }
   // Replay path: a batch proposed by a pre-crash incarnation just
   // committed+revealed; its clients are still waiting on the notification.
   const auto pit = pending_notify_.find(inst);
   if (pit == pending_notify_.end()) return;
-  notify(pit->second);
+  notify_clients(pit->second, seq);
   pending_notify_.erase(pit);
 }
 
@@ -1247,17 +1103,17 @@ storage::Snapshot LyraNode::make_snapshot() const {
   // previous incarnation. Rejected-and-resubmitted instances are absent
   // from both maps, so their stale WAL records die here.
   const auto add_own = [&](const InstanceId& inst,
-                           const std::vector<BatchAssembler::Chunk>& chunks) {
+                           const std::vector<Chunk>& chunks) {
     storage::OwnBatchRecord rec;
     rec.inst = inst;
     rec.chunks.reserve(chunks.size());
-    for (const BatchAssembler::Chunk& chunk : chunks) {
+    for (const Chunk& chunk : chunks) {
       rec.chunks.push_back({chunk.client, chunk.count, chunk.submitted_at});
     }
     snap.own_batches.push_back(std::move(rec));
   };
   for (const auto& [inst, own] : own_proposals_) {
-    add_own(inst, own.batch.chunks);
+    add_own(inst, own.batch.carved.chunks);
   }
   for (const auto& [inst, chunks] : pending_notify_) add_own(inst, chunks);
   // Hash-map iteration order would otherwise leak into the serialized
@@ -1356,7 +1212,7 @@ void LyraNode::restore(const storage::RecoveredState& recovered) {
   for (const storage::OwnBatchRecord& rec : recovered.own_batches) {
     const auto it = inst_revealed.find(rec.inst);
     if (it != inst_revealed.end() && it->second) continue;  // notified
-    std::vector<BatchAssembler::Chunk> chunks;
+    std::vector<Chunk> chunks;
     chunks.reserve(rec.chunks.size());
     for (const storage::OwnBatchChunk& chunk : rec.chunks) {
       chunks.push_back({chunk.client, chunk.count, chunk.submitted_at, {}});

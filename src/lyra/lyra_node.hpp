@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -21,16 +20,12 @@
 #include "storage/journal.hpp"
 #include "storage/recovery.hpp"
 #include "support/stats.hpp"
-#include "workload/mempool.hpp"
 
 namespace lyra::core {
 
-/// A batch of client transactions carved by the proposer's assembler.
+/// An own batch on its way through consensus.
 struct PendingBatch {
-  Bytes payload;  // serialized transactions
-  std::uint32_t tx_count = 0;
-  std::uint64_t nominal_bytes = 0;
-  std::vector<BatchAssembler::Chunk> chunks;
+  BatchAssembler::Carved carved;
   std::uint32_t attempts = 0;  // resubmissions after rejection
 };
 
@@ -71,17 +66,12 @@ struct NodeStats {
 /// observes, the Commit protocol (Alg. 4) over the accepted transactions,
 /// and the commit-reveal scheme on top. Byzantine behaviours subclass this
 /// and override the virtual hooks.
-class LyraNode : public sim::Process, public statesync::StateSyncHost {
+class LyraNode : public BatchingNode, public statesync::StateSyncHost {
  public:
   LyraNode(sim::Simulation* sim, net::Network* network, NodeId id,
            const Config& config, const crypto::KeyRegistry* registry);
 
   void on_start() override;
-
-  /// Injects client transactions directly (tests/examples). `submitted_at`
-  /// defaults to now.
-  void submit_local(BytesView tx, NodeId reply_to = kNoNode,
-                    TimeNs submitted_at = -1);
 
   // --- read-side API ---
   const Config& config() const { return config_; }
@@ -112,15 +102,6 @@ class LyraNode : public sim::Process, public statesync::StateSyncHost {
   void set_reveal_hook(std::function<void(const CommittedBatch&)> hook) {
     reveal_hook_ = std::move(hook);
   }
-
-  /// Bounded fee-priority admission in front of the assembler; nullptr
-  /// unless config.mempool_capacity > 0 (docs/WORKLOAD.md).
-  workload::Mempool* mempool() { return mempool_.get(); }
-  const workload::Mempool* mempool() const { return mempool_.get(); }
-  /// Runtime capacity change (fuzz admission-flap fault); shrink-evicted
-  /// transactions earn their clients a MempoolReject. No-op without a
-  /// mempool.
-  void set_mempool_capacity(std::size_t capacity);
 
   // --- durability (src/storage) ---
 
@@ -194,30 +175,12 @@ class LyraNode : public sim::Process, public statesync::StateSyncHost {
   /// Whether to take part in an instance at all (silent-Byzantine hook).
   virtual bool participate(const InstanceId& inst) const;
 
-  // --- proposing ---
-  void maybe_propose();
-  void flush_partial_batch();
-  void arm_batch_timer();
+  // --- proposing: the outstanding-proposal window and NIC pacing ---
+  void maybe_propose() override;
+  void flush_partial_batch() override;
   void propose_batch(PendingBatch batch);
-  /// Admits open-loop submissions; rejected/evicted transactions earn
-  /// their clients a MempoolReject (grouped per client).
-  void admit_workload(NodeId from,
-                      const std::vector<workload::WorkloadTx>& txs);
-  void send_mempool_rejects(
-      const std::map<NodeId, std::vector<std::uint64_t>>& rejects);
-  /// Carves the next batch from the assembler or, when `from_assembler`
-  /// is false, from the highest-fee mempool transactions (chunks then carry
-  /// per-transaction ids, client-grouped, carve order).
-  PendingBatch carve_batch(bool from_assembler);
-  /// Settles a mempool-carved batch with the mempool: committed batches
-  /// release the carve stash (ids stay deduplicated forever), dropped
-  /// batches reinstate their transactions so they compete for the next
-  /// carve instead of being duplicate-suppressed while never committed.
-  void settle_carved_batch(const std::vector<BatchAssembler::Chunk>& chunks,
-                           bool committed);
 
   // --- message handlers ---
-  void handle_submit(const sim::Envelope& env, const SubmitMsg& m);
   void handle_init(const sim::Envelope& env, const InitMsg& m);
   void handle_vote(const sim::Envelope& env, const VoteMsg& m);
   void handle_deliver(const sim::Envelope& env, const DeliverMsg& m);
@@ -260,7 +223,9 @@ class LyraNode : public sim::Process, public statesync::StateSyncHost {
   /// (Byzantine broadcaster path): share + reveal catch-up.
   void on_cipher_for_committed(const crypto::Digest& cipher_id);
   void finalize_reveal(const crypto::Digest& cipher_id, Bytes payload);
-  void notify_clients(const InstanceId& inst, SeqNum seq);
+  /// Commit-notifies and settles a revealed own batch (or replays the
+  /// notification of one a pre-crash incarnation proposed).
+  void settle_own_batch(const InstanceId& inst, SeqNum seq);
 
   // --- helpers ---
   crypto::Digest compute_value_id(const InstanceId& inst,
@@ -288,12 +253,10 @@ class LyraNode : public sim::Process, public statesync::StateSyncHost {
   std::uint64_t next_proposal_index_ = 0;
 
   // Proposer-side batch state.
-  BatchAssembler assembler_;
-  std::unique_ptr<workload::Mempool> mempool_;  // null = legacy direct path
-  bool batch_timer_armed_ = false;
   TimeNs next_proposal_at_ = 0;  // NIC pacing floor
   /// An own proposal from propose_batch until it settles: rejection in
-  /// decide() or commit in notify_clients(). Its size is the pacing window.
+  /// decide() or commit in settle_own_batch(). Its size is the pacing
+  /// window.
   struct OwnProposal {
     PendingBatch batch;
     SeqNum s_ref = kNoSeq;
@@ -304,8 +267,7 @@ class LyraNode : public sim::Process, public statesync::StateSyncHost {
   /// commit-notified (payload is gone; only the notification chunks
   /// survive). Kept apart from own_proposals_ so they neither consume
   /// proposal slots nor look re-proposable.
-  std::unordered_map<InstanceId, std::vector<BatchAssembler::Chunk>>
-      pending_notify_;
+  std::unordered_map<InstanceId, std::vector<Chunk>> pending_notify_;
 
   // Reveal state per accepted cipher.
   struct RevealRecord {

@@ -19,7 +19,8 @@ TimeNs offset_for(NodeId id, TimeNs spread) {
 PompeNode::PompeNode(sim::Simulation* sim, net::Network* network, NodeId id,
                      const PompeConfig& config,
                      const crypto::KeyRegistry* registry)
-    : Process(sim, network, id),
+    : BatchingNode(sim, network, id, config.batch_size, config.batch_timeout,
+                   config.mempool_capacity),
       config_(config),
       registry_(registry),
       signer_(registry->signer_for(id)),
@@ -64,12 +65,8 @@ PompeNode::PompeNode(sim::Simulation* sim, net::Network* network, NodeId id,
                   },
               .on_commit =
                   [this](const hotstuff::Block& b) { on_block_commit(b); },
-          }),
-      assembler_(config.batch_size, id) {
+          }) {
   LYRA_ASSERT(config.n > 3 * config.f, "need n > 3f");
-  if (config.mempool_capacity > 0) {
-    mempool_ = workload::make_fee_priority_mempool(config.mempool_capacity);
-  }
 }
 
 void PompeNode::on_start() { hotstuff_.on_start(); }
@@ -97,126 +94,34 @@ void PompeNode::on_message(const sim::Envelope& env) {
 }
 
 // ---------------------------------------------------------------------------
-// Client intake (same protocol as Lyra's)
+// Proposing
 // ---------------------------------------------------------------------------
 
-void PompeNode::submit_local(BytesView tx, NodeId reply_to,
-                             TimeNs submitted_at) {
-  core::SubmitMsg m;
-  m.count = 1;
-  m.submitted_at = submitted_at < 0 ? now() : submitted_at;
-  m.txs.emplace_back(tx.begin(), tx.end());
-  sim::Envelope env;
-  env.from = reply_to;
-  env.to = id();
-  handle_submit(env, m);
-}
-
-void PompeNode::handle_submit(const sim::Envelope& env,
-                              const core::SubmitMsg& m) {
-  if (mempool_ != nullptr && !m.wtxs.empty()) {
-    admit_workload(env.from, m.wtxs);
-    maybe_propose();
-    if (mempool_ != nullptr && !mempool_->empty()) arm_batch_timer();
-    return;
-  }
-  assembler_.add(env.from, m.count, m.submitted_at, m.txs);
-  maybe_propose();
-  if (!assembler_.empty()) arm_batch_timer();
-}
-
-void PompeNode::arm_batch_timer() {
-  if (batch_timer_armed_) return;
-  batch_timer_armed_ = true;
-  set_timer(config_.batch_timeout, [this] {
-    batch_timer_armed_ = false;
-    maybe_propose();
-    flush_partial_batch();
-  });
-}
-
-void PompeNode::admit_workload(NodeId from,
-                               const std::vector<workload::WorkloadTx>& txs) {
-  std::map<NodeId, std::vector<std::uint64_t>> rejects;
-  for (const workload::WorkloadTx& tx : txs) {
-    auto result = mempool_->admit(tx);
-    if (result.outcome == workload::Mempool::Outcome::kRejected) {
-      rejects[tx.client == kNoNode ? from : tx.client].push_back(tx.id);
-    }
-    for (const workload::WorkloadTx& evicted : result.evicted) {
-      rejects[evicted.client].push_back(evicted.id);
-    }
-  }
-  send_mempool_rejects(rejects);
-}
-
-void PompeNode::send_mempool_rejects(
-    const std::map<NodeId, std::vector<std::uint64_t>>& rejects) {
-  for (const auto& [client, ids] : rejects) {
-    if (client == kNoNode || client == id()) continue;
-    auto msg = sim::make_payload<core::MempoolRejectMsg>();
-    msg->tx_ids = ids;
-    send(client, std::move(msg));
-  }
-}
-
-void PompeNode::set_mempool_capacity(std::size_t capacity) {
-  if (mempool_ == nullptr) return;
-  std::map<NodeId, std::vector<std::uint64_t>> rejects;
-  for (const workload::WorkloadTx& evicted :
-       mempool_->set_capacity(capacity)) {
-    rejects[evicted.client].push_back(evicted.id);
-  }
-  send_mempool_rejects(rejects);
-}
-
-core::BatchAssembler::Carved PompeNode::carve_mempool(std::size_t max_txs) {
-  core::BatchAssembler::Carved carved;
-  const std::vector<workload::WorkloadTx> txs = mempool_->take(max_txs);
-  carved.payload = workload::encode_batch(txs);
-  carved.tx_count = static_cast<std::uint32_t>(txs.size());
-  carved.nominal_bytes = carved.payload.size();
-  for (const workload::WorkloadTx& tx : txs) {
-    if (carved.chunks.empty() || carved.chunks.back().client != tx.client) {
-      carved.chunks.push_back({tx.client, 0, tx.submitted_at, {}});
-    }
-    core::BatchAssembler::Chunk& chunk = carved.chunks.back();
-    ++chunk.count;
-    chunk.submitted_at = std::min(chunk.submitted_at, tx.submitted_at);
-    chunk.tx_ids.push_back(tx.id);
-  }
-  return carved;
-}
-
 void PompeNode::maybe_propose() {
-  while (assembler_.has_full_batch()) propose_carved(assembler_.carve());
-  while (mempool_ != nullptr && mempool_->size() >= config_.batch_size) {
-    propose_carved(carve_mempool(config_.batch_size));
-  }
+  while (has_full_batch()) propose_carved(carve(/*partial=*/false));
 }
 
 void PompeNode::flush_partial_batch() {
-  if (!assembler_.empty()) propose_carved(assembler_.carve());
+  // maybe_propose() left the assembler below one batch, so its carve
+  // empties it and the second carve reaches the mempool.
+  if (!assembler_.empty()) propose_carved(carve(/*partial=*/true));
   if (mempool_ != nullptr && !mempool_->empty()) {
-    propose_carved(carve_mempool(config_.batch_size));
+    propose_carved(carve(/*partial=*/true));
   }
 }
 
-void PompeNode::propose_carved(core::BatchAssembler::Carved carved) {
+void PompeNode::propose_carved(Carved carved) {
   auto msg = sim::make_payload<TsRequestMsg>();
   msg->proposer = id();
   msg->tx_count = carved.tx_count;
   msg->nominal_bytes = carved.nominal_bytes;
-  msg->payload = std::move(carved.payload);
+  msg->payload = carved.payload;
   msg->batch_digest =
       crypto::Hasher().add_str("pompe-batch").add(msg->payload).digest();
   charge(ccost(config_.costs.hash_cost(msg->nominal_bytes)));
 
   OwnBatch own;
-  own.payload = msg->payload;
-  own.tx_count = msg->tx_count;
-  own.nominal_bytes = msg->nominal_bytes;
-  own.chunks = std::move(carved.chunks);
+  own.carved = std::move(carved);
   own.replied.assign(config_.n, false);
   own_batches_.emplace(msg->batch_digest, std::move(own));
 
@@ -280,8 +185,8 @@ void PompeNode::handle_ts_reply(const sim::Envelope& env,
   msg->batch_digest = m.batch_digest;
   msg->proposer = id();
   msg->assigned_ts = assigned;
-  msg->tx_count = own.tx_count;
-  msg->nominal_bytes = own.nominal_bytes;
+  msg->tx_count = own.carved.tx_count;
+  msg->nominal_bytes = own.carved.nominal_bytes;
   msg->proof = std::move(proof);
   broadcast(std::move(msg));
 }
@@ -364,24 +269,10 @@ void PompeNode::on_block_commit(const hotstuff::Block& block) {
     if (e.proposer == id()) {
       const auto it = own_batches_.find(e.batch_digest);
       if (it != own_batches_.end()) {
-        for (const core::BatchAssembler::Chunk& chunk : it->second.chunks) {
-          if (chunk.client == kNoNode || chunk.client == id()) continue;
-          auto msg = sim::make_payload<core::CommitNotifyMsg>();
-          msg->count = chunk.count;
-          msg->submitted_at = chunk.submitted_at;
-          msg->seq = e.assigned_ts;
-          msg->tx_ids = chunk.tx_ids;
-          send(chunk.client, std::move(msg));
-        }
-        if (mempool_ != nullptr) {
-          std::vector<std::uint64_t> ids;
-          for (const core::BatchAssembler::Chunk& chunk : it->second.chunks) {
-            ids.insert(ids.end(), chunk.tx_ids.begin(), chunk.tx_ids.end());
-          }
-          // Pompē never drops an ordered batch, so commit is the only
-          // settlement point for the mempool's carve stash.
-          mempool_->confirm(ids);
-        }
+        notify_clients(it->second.carved.chunks, e.assigned_ts);
+        // Pompē never drops an ordered batch, so commit is the only
+        // settlement point for the mempool's carve stash.
+        settle(it->second.carved.chunks, /*committed=*/true);
         own_batches_.erase(it);
       }
     }

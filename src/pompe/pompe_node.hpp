@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -16,7 +15,6 @@
 #include "pompe/messages.hpp"
 #include "sim/process.hpp"
 #include "support/stats.hpp"
-#include "workload/mempool.hpp"
 
 namespace lyra::pompe {
 
@@ -66,15 +64,12 @@ struct PompeCommitted {
 /// collects 2f+1 signed timestamps and assigns their median; phase 2 runs
 /// the sequenced batches through chained HotStuff. Leader-based: the
 /// HotStuff leader carries every batch to every replica.
-class PompeNode : public sim::Process {
+class PompeNode : public core::BatchingNode {
  public:
   PompeNode(sim::Simulation* sim, net::Network* network, NodeId id,
             const PompeConfig& config, const crypto::KeyRegistry* registry);
 
   void on_start() override;
-
-  void submit_local(BytesView tx, NodeId reply_to = kNoNode,
-                    TimeNs submitted_at = -1);
 
   const PompeConfig& config() const { return config_; }
   const std::vector<PompeCommitted>& ledger() const { return ledger_; }
@@ -92,13 +87,6 @@ class PompeNode : public sim::Process {
     commit_hook_ = std::move(hook);
   }
 
-  /// Bounded fee-priority admission (nullptr unless mempool_capacity > 0).
-  workload::Mempool* mempool() { return mempool_.get(); }
-  const workload::Mempool* mempool() const { return mempool_.get(); }
-  /// Runtime capacity change (fuzz admission-flap fault); shrink-evicted
-  /// transactions earn their clients a MempoolReject.
-  void set_mempool_capacity(std::size_t capacity);
-
  protected:
   void on_message(const sim::Envelope& env) override;
 
@@ -109,16 +97,11 @@ class PompeNode : public sim::Process {
   /// phase 1 (the front-runner taps this).
   virtual void observe_batch(const TsRequestMsg& m) { (void)m; }
 
-  void handle_submit(const sim::Envelope& env, const core::SubmitMsg& m);
-  void maybe_propose();
-  void flush_partial_batch();
-  void propose_carved(core::BatchAssembler::Carved carved);
-  void admit_workload(NodeId from,
-                      const std::vector<workload::WorkloadTx>& txs);
-  void send_mempool_rejects(
-      const std::map<NodeId, std::vector<std::uint64_t>>& rejects);
-  core::BatchAssembler::Carved carve_mempool(std::size_t max_txs);
-  void arm_batch_timer();
+  /// Proposes every full batch: Pompē has no proposal window.
+  void maybe_propose() override;
+  /// One partial carve per non-empty source.
+  void flush_partial_batch() override;
+  void propose_carved(Carved carved);
   void handle_ts_request(const sim::Envelope& env, const TsRequestMsg& m);
   void handle_ts_reply(const sim::Envelope& env, const TsReplyMsg& m);
   void handle_sequence(const sim::Envelope& env, const SequenceMsg& m);
@@ -141,20 +124,13 @@ class PompeNode : public sim::Process {
   ordering::OrderingClock clock_;
   hotstuff::HotStuffCore hotstuff_;
 
-  // Proposer-side batch accumulation (same closed-loop client protocol as
-  // Lyra).
+  // Own batches in phase 1 until they commit.
   struct OwnBatch {
-    Bytes payload;
-    std::uint32_t tx_count = 0;
-    std::uint64_t nominal_bytes = 0;
-    std::vector<core::BatchAssembler::Chunk> chunks;
+    Carved carved;
     std::vector<SignedTs> replies;
     std::vector<bool> replied;
     bool sequenced = false;
   };
-  core::BatchAssembler assembler_;
-  std::unique_ptr<workload::Mempool> mempool_;  // null = legacy direct path
-  bool batch_timer_armed_ = false;
 
   std::unordered_map<crypto::Digest, OwnBatch, crypto::DigestHash>
       own_batches_;

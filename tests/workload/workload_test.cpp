@@ -1,8 +1,9 @@
 // Workload engine tests: golden arrival/fee/account sequences (the
 // samplers are explicit inverse-CDF on our own Rng, so exact goldens are
 // stable across standard libraries), mempool admission/eviction semantics,
-// the WLB1 batch codec, the economics evaluator, and an end-to-end
-// open-loop run against a small Lyra cluster (docs/WORKLOAD.md).
+// the WLB1 batch codec, the economics evaluator, and end-to-end open-loop
+// runs through the shared client-intake layer of small Lyra and Pompē
+// clusters (docs/WORKLOAD.md).
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,9 @@
 #include <map>
 #include <set>
 
+#include "attacks/ledger.hpp"
 #include "harness/lyra_cluster.hpp"
+#include "harness/pompe_cluster.hpp"
 #include "workload/economics.hpp"
 #include "workload/mempool.hpp"
 #include "workload/open_loop.hpp"
@@ -424,8 +427,25 @@ OpenLoopOptions fast_open_loop() {
   return o;
 }
 
-TEST(OpenLoopEndToEnd, EveryTransactionResolvesAndLedgersCarryBatches) {
-  harness::LyraCluster cluster(open_loop_cluster(1));
+harness::PompeClusterOptions pompe_open_loop_cluster(std::uint64_t seed) {
+  harness::PompeClusterOptions opts;
+  opts.config.n = 4;
+  opts.config.f = 1;
+  opts.config.delta = ms(3);
+  opts.config.batch_size = 16;
+  opts.config.batch_timeout = ms(5);
+  opts.config.clock_offset_spread = us(300);
+  opts.config.mempool_capacity = 16;
+  opts.topology = net::single_region(8);  // 4 nodes + 4 extra slots
+  opts.seed = seed;
+  return opts;
+}
+
+/// Every offered transaction resolves, and the committed batches decode
+/// with no tx id twice on any node. One body for both protocols: they
+/// share the client-intake layer (core::BatchingNode).
+template <class Cluster>
+void expect_open_loop_resolves(Cluster& cluster) {
   for (NodeId i = 0; i < 4; ++i) {
     cluster.add_open_loop_pool(i, fast_open_loop(), /*run_seed=*/1);
   }
@@ -441,6 +461,7 @@ TEST(OpenLoopEndToEnd, EveryTransactionResolvesAndLedgersCarryBatches) {
     EXPECT_EQ(s.committed_total + s.terminal_rejects +
                   pool->unresolved(),
               s.offered);
+    EXPECT_EQ(s.duplicate_notifies, 0u);
   }
   EXPECT_GT(committed, 0u);
   EXPECT_GE(offered, committed);  // terminal rejects are possible
@@ -450,9 +471,9 @@ TEST(OpenLoopEndToEnd, EveryTransactionResolvesAndLedgersCarryBatches) {
   for (NodeId i = 0; i < 4; ++i) {
     std::set<std::uint64_t> seen;
     std::uint64_t decoded_txs = 0;
-    for (const auto& entry : cluster.node(i).ledger()) {
+    for (BytesView payload : attacks::committed_payloads(cluster.node(i))) {
       std::vector<WorkloadTx> txs;
-      if (!decode_batch(entry.payload, &txs)) continue;
+      if (!decode_batch(payload, &txs)) continue;
       for (const WorkloadTx& tx : txs) {
         EXPECT_TRUE(seen.insert(tx.id).second)
             << "tx " << tx.id << " committed twice on node " << i;
@@ -461,6 +482,105 @@ TEST(OpenLoopEndToEnd, EveryTransactionResolvesAndLedgersCarryBatches) {
     }
     EXPECT_GT(decoded_txs, 0u);
   }
+}
+
+TEST(OpenLoopEndToEnd, EveryTransactionResolvesAndLedgersCarryBatches) {
+  harness::LyraCluster cluster(open_loop_cluster(1));
+  expect_open_loop_resolves(cluster);
+}
+
+TEST(OpenLoopEndToEnd, PompeEveryTransactionResolvesAndLedgersCarryBatches) {
+  harness::PompeCluster cluster(pompe_open_loop_cluster(1));
+  expect_open_loop_resolves(cluster);
+}
+
+/// A client process that only records the commit notifications it gets.
+class NotifyRecorder final : public sim::Process {
+ public:
+  using Process::Process;
+  /// submitted_at -> notifications carrying it.
+  std::map<TimeNs, int> notified;
+  std::uint64_t notified_txs = 0;
+
+ protected:
+  void on_message(const sim::Envelope& env) override {
+    if (const auto* m = sim::payload_as<core::CommitNotifyMsg>(env)) {
+      ++notified[m->submitted_at];
+      notified_txs += m->count;
+    }
+  }
+};
+
+/// One node takes submit_local transactions (assembler) and open-loop
+/// transactions (mempool) in the same window: both commit, and each
+/// client hears exactly once per chunk.
+template <class Cluster>
+void expect_mixed_sources_commit(Cluster& cluster) {
+  auto& pool = cluster.add_open_loop_pool(0, fast_open_loop(), 3);
+  auto owned = std::make_unique<NotifyRecorder>(
+      &cluster.simulation(), &cluster.network(), cluster.next_process_id());
+  NotifyRecorder& recorder = *owned;
+  cluster.adopt_process(std::move(owned));
+  cluster.start();
+  cluster.run_for(ms(50));  // open-loop arrivals start at 40ms
+
+  constexpr int kLocal = 40;
+  std::vector<TimeNs> submitted;
+  for (int i = 0; i < kLocal; ++i) {
+    submitted.push_back(cluster.simulation().now());
+    cluster.node(0).submit_local(to_bytes("local-" + std::to_string(i)),
+                                 recorder.id());
+    cluster.run_for(ms(3));
+  }
+  cluster.run_for(ms(1000));
+
+  // Assembler side: one notification per submission (each is a chunk of
+  // one), and every payload committed exactly once.
+  EXPECT_EQ(recorder.notified_txs, static_cast<std::uint64_t>(kLocal));
+  ASSERT_EQ(recorder.notified.size(), submitted.size());
+  for (TimeNs at : submitted) EXPECT_EQ(recorder.notified[at], 1) << at;
+  std::uint64_t workload_txs = 0;
+  std::vector<int> local_commits(kLocal, 0);
+  for (BytesView payload : attacks::committed_payloads(cluster.node(1))) {
+    std::vector<WorkloadTx> txs;
+    if (decode_batch(payload, &txs)) {
+      workload_txs += txs.size();
+      continue;
+    }
+    // Explicit payloads are length-prefixed, so "local-1" cannot match
+    // inside "local-12".
+    const std::string_view text = as_string_view(payload);
+    for (int i = 0; i < kLocal; ++i) {
+      const Bytes tx = to_bytes("local-" + std::to_string(i));
+      Bytes needle;
+      append_u64(needle, tx.size());
+      append(needle, tx);
+      if (text.find(as_string_view(needle)) != std::string_view::npos) {
+        ++local_commits[static_cast<std::size_t>(i)];
+      }
+    }
+  }
+  for (int i = 0; i < kLocal; ++i) {
+    EXPECT_EQ(local_commits[static_cast<std::size_t>(i)], 1) << "local-" << i;
+  }
+
+  // Mempool side: every tx id notified once, all of them resolved.
+  const OpenLoopStats& s = pool.stats();
+  EXPECT_GT(s.committed_total, 0u);
+  EXPECT_EQ(s.duplicate_notifies, 0u);
+  EXPECT_EQ(pool.unresolved(), 0u);
+  EXPECT_EQ(s.committed_total + s.terminal_rejects, s.offered);
+  EXPECT_EQ(workload_txs, s.committed_total);
+}
+
+TEST(MixedSourceIntake, LyraCommitsBothSourcesAndNotifiesEachChunkOnce) {
+  harness::LyraCluster cluster(open_loop_cluster(3));
+  expect_mixed_sources_commit(cluster);
+}
+
+TEST(MixedSourceIntake, PompeCommitsBothSourcesAndNotifiesEachChunkOnce) {
+  harness::PompeCluster cluster(pompe_open_loop_cluster(3));
+  expect_mixed_sources_commit(cluster);
 }
 
 /// Correct-but-hostile peer whose validation-function rejects every INIT
