@@ -66,7 +66,8 @@ int main() {
           r.goodput_tps, r.p50_latency_ms, r.p99_latency_ms,
           static_cast<unsigned long long>(r.rejected_submits),
           static_cast<unsigned long long>(r.mempool_evictions),
-          r.extracted_value, r.prefix_consistent ? "ok" : "VIOLATED");
+          r.economics.extracted_value,
+          r.prefix_consistent ? "ok" : "VIOLATED");
       std::fflush(stdout);
 
       csv += std::to_string(rate) + "," + harness::protocol_name(protocol) +
@@ -77,8 +78,8 @@ int main() {
              std::to_string(r.rejected_submits) + "," +
              std::to_string(r.mempool_evictions) + "," +
              std::to_string(r.terminal_rejects) + "," +
-             std::to_string(r.extracted_value) + "," +
-             std::to_string(r.adversary_profit) + "\n";
+             std::to_string(r.economics.extracted_value) + "," +
+             std::to_string(r.economics.adversary_profit) + "\n";
 
       bench::BenchEntry e;
       e.name = std::string(harness::protocol_name(protocol)) + "_load" +
@@ -103,7 +104,7 @@ int main() {
                  {"p99_ms", r.p99_latency_ms},
                  {"rejected", static_cast<double>(r.rejected_submits)},
                  {"evicted", static_cast<double>(r.mempool_evictions)},
-                 {"extracted_value", r.extracted_value}};
+                 {"extracted_value", r.economics.extracted_value}};
       entries.push_back(std::move(e));
     }
   }

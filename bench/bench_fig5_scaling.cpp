@@ -150,13 +150,13 @@ bench::BenchEntry measure(const std::string& name, const RunConfig& cfg) {
     e.extra.emplace_back("full_state_syncs",
                          static_cast<double>(r.full_state_syncs));
     e.extra.emplace_back("sync_bytes_transferred",
-                         static_cast<double>(r.sync_bytes_transferred));
+                         static_cast<double>(r.sync.bytes_transferred));
     e.extra.emplace_back("sync_bytes_local",
-                         static_cast<double>(r.sync_bytes_local));
+                         static_cast<double>(r.sync.bytes_local));
     e.extra.emplace_back("sync_chunks_fetched",
-                         static_cast<double>(r.sync_chunks_fetched));
+                         static_cast<double>(r.sync.chunks_fetched));
     e.extra.emplace_back("sync_chunks_local",
-                         static_cast<double>(r.sync_chunks_local));
+                         static_cast<double>(r.sync.chunks_local));
   }
   std::printf("%-14s %8zu %12llu %10.2f %12.0f %10.1f %9.1f   %s\n",
               name.c_str(), cfg.n,

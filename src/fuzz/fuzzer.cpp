@@ -32,7 +32,7 @@ FuzzSummary fuzz(const FuzzOptions& options) {
     if (report.ok()) {
       log("seed " + std::to_string(seed) + ": ok (" +
           std::to_string(plan.fault_count()) + " faults, " +
-          std::to_string(report.committed_txs) + " txs)");
+          std::to_string(report.run.committed_txs) + " txs)");
       continue;
     }
     log("seed " + std::to_string(seed) +

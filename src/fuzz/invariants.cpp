@@ -336,9 +336,7 @@ void check_post_fault_progress(const CheckContext& ctx,
   // client retries. Without resubmission an empty post-fault tail is
   // permitted behaviour, so only resubmitting plans are held to progress.
   if (ctx.plan->resubmit_timeout == 0) return;
-  const std::size_t now_len = ctx.pompe != nullptr
-                                  ? ctx.pompe->min_ledger_length()
-                                  : ctx.lyra->max_ledger_length();
+  const std::size_t now_len = progress_ledger_length(ctx);
   if (now_len <= ctx.ledger_at_last_fault) {
     out.push_back({"post-fault-progress",
                    "no batch committed after the last fault (ledger stuck "
@@ -456,6 +454,11 @@ void check_client_resubmit_lag(const CheckContext& ctx,
 }
 
 }  // namespace
+
+std::size_t progress_ledger_length(const CheckContext& ctx) {
+  return ctx.pompe != nullptr ? ctx.pompe->min_ledger_length()
+                              : ctx.lyra->max_ledger_length();
+}
 
 std::vector<Violation> InvariantRegistry::run(const CheckContext& ctx) const {
   std::vector<Violation> out;

@@ -40,6 +40,10 @@ struct CheckContext {
   std::vector<bool> is_byz;  ///< per consensus node
 };
 
+/// The ledger length post-fault-progress compares across the last fault:
+/// the shortest Pompē ledger, the longest Lyra one.
+std::size_t progress_ledger_length(const CheckContext& ctx);
+
 using CheckFn = void (*)(const CheckContext&, std::vector<Violation>&);
 
 /// Named machine-checked properties. The standard() registry encodes the

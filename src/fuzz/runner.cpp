@@ -4,17 +4,13 @@
 #include <set>
 #include <utility>
 
-#include "attacks/sandwich.hpp"
 #include "fuzz/fuzz_adversary.hpp"
 #include "harness/lyra_cluster.hpp"
 #include "harness/pompe_cluster.hpp"
-#include "workload/open_loop.hpp"
 
 namespace lyra::fuzz {
 
 namespace {
-
-constexpr TimeNs kClientStart = ms(900);
 
 TimeNs last_fault_end(const ScenarioPlan& plan) {
   TimeNs end = 0;
@@ -27,23 +23,37 @@ TimeNs last_fault_end(const ScenarioPlan& plan) {
   return end;  // 0 when the plan only has whole-run (Byzantine) faults
 }
 
-/// Workload knobs for open-loop plans. Fixed small retry ladder: the plan
-/// only chooses capacity and rate, and kOpenLoopDrain was sized for this
-/// ladder (see fault_program.hpp).
-workload::OpenLoopOptions make_open_loop_options(const ScenarioPlan& plan) {
-  workload::OpenLoopOptions o;
-  o.arrival_rate = plan.arrival_rate;
-  o.accounts = 1000;
-  o.max_retries = kOpenLoopRetries;
-  o.retry_backoff = kOpenLoopBackoff;
-  o.retry_backoff_cap = kOpenLoopBackoffCap;
-  o.start_at = kClientStart;
-  // Arrivals stop at the head of the quiet tail so every transaction can
-  // reach a terminal state before the end-of-run resolution sweep.
-  o.stop_at = plan.duration - plan.required_tail();
-  o.measure_from = kClientStart;
-  o.measure_to = plan.duration;
-  return o;
+/// The plan's deployment as an experiment: unlimited bandwidth, and a
+/// measurement window from time 0 so the result counts every commit, also
+/// of overflow bursts injected before the clients start (faults begin at
+/// kFaultWarmup, 800 ms; clients at 900 ms). Open-loop plans get a fixed
+/// small retry ladder (the plan only chooses capacity and rate, and
+/// kOpenLoopDrain was sized for this ladder, see fault_program.hpp), and
+/// arrivals stop at the head of the quiet tail so every transaction can
+/// reach a terminal state before the end-of-run resolution sweep.
+harness::RunConfig make_run_config(const ScenarioPlan& plan) {
+  harness::RunConfig c;
+  c.protocol = plan.protocol;
+  c.n = plan.n;
+  c.clients_per_node = plan.clients_per_node;
+  c.duration = plan.duration;
+  c.measure_from = 0;
+  c.seed = plan.seed;
+  c.batch_size = plan.batch_size;
+  c.bandwidth_bytes_per_sec = 0;
+  c.byz = plan.byz;
+  c.crashes = plan.crashes;
+  c.state_sync = plan.state_sync;
+  c.workload.open_loop = plan.open_loop();
+  c.workload.mempool_capacity = plan.mempool_capacity;
+  workload::OpenLoopOptions& a = c.workload.arrivals;
+  a.arrival_rate = plan.arrival_rate;
+  a.accounts = 1000;
+  a.max_retries = kOpenLoopRetries;
+  a.retry_backoff = kOpenLoopBackoff;
+  a.retry_backoff_cap = kOpenLoopBackoffCap;
+  a.stop_at = plan.duration - plan.required_tail();
+  return c;
 }
 
 /// Schedules the open-loop workload faults as harness-level events that
@@ -101,145 +111,75 @@ void dedup_violations(std::vector<Violation>& v) {
   v = std::move(out);
 }
 
-/// Wires the in-run sweep/fault schedule shared by both protocols.
-/// `sweeps` fire as harness-level events between handler runs, so reading
-/// cross-node state is safe.
-void schedule_sweeps(sim::Simulation& sim, const ScenarioPlan& plan,
-                     const RunOptions& opts, CheckContext& ctx,
-                     const InvariantRegistry& reg, bool& tripped,
-                     std::vector<Violation>& out) {
-  for (TimeNs t = opts.check_interval; t < plan.duration;
-       t += opts.check_interval) {
-    sim.schedule_at(t, [&sim, &ctx, &reg, &tripped, &out] {
-      if (tripped) return;  // first witness is enough; keep the run cheap
-      ctx.now = sim.now();
-      std::vector<Violation> v = reg.run(ctx);
-      if (v.empty()) return;
-      tripped = true;
-      out.insert(out.end(), v.begin(), v.end());
-    });
-  }
+void bind(CheckContext& ctx, harness::LyraCluster& cluster) {
+  ctx.lyra = &cluster;
+}
+void bind(CheckContext& ctx, harness::PompeCluster& cluster) {
+  ctx.pompe = &cluster;
 }
 
-/// The protocol-independent half of a plan run: adversary, client pools
-/// (none on silent nodes), workload faults, then `schedule_crashes`, the
-/// ledger probe 1 ms after the last fault (`probe_ledger`), in-run and
-/// final invariant sweeps, and the pool summary. Scheduling order fixes
-/// event ids, so it must not change.
-template <typename Cluster, typename ScheduleCrashes, typename ProbeLedger>
-void drive_plan(Cluster& cluster, const ScenarioPlan& plan,
-                const RunOptions& opts, CheckContext& ctx, RunReport& rep,
-                ScheduleCrashes schedule_crashes, ProbeLedger probe_ledger) {
+/// Runs the plan through the experiment driver, which places the pools
+/// (none on silent slots) and schedules the crashes. The hooks add only
+/// what fuzzing owns: the adversary, closed-loop resubmission, workload
+/// faults, the ledger probe 1 ms after the last fault, in-run and final
+/// invariant sweeps, and the end-of-run ledger and adversary reads.
+/// Scheduling order fixes event ids, so it must not change.
+template <class Cluster>
+void run_hooked(const ScenarioPlan& plan, const RunOptions& opts,
+                RunReport& rep) {
   FuzzAdversary adversary(plan.n, plan.partitions, plan.delays);
-  if (!plan.partitions.empty() || !plan.delays.empty()) {
-    cluster.network().set_adversary(&adversary);
-  }
-  const std::vector<bool> silent = harness::silent_nodes(plan.n, plan.byz);
-  for (NodeId i = 0; i < plan.n; ++i) {
-    if (silent[i]) continue;  // dead target
-    if (plan.open_loop()) {
-      cluster.add_open_loop_pool(i, make_open_loop_options(plan), plan.seed);
-      continue;
-    }
-    client::ClientPool& pool = cluster.add_client_pool(
-        i, plan.clients_per_node, kClientStart, kClientStart, plan.duration);
-    if (plan.resubmit_timeout > 0) {
-      pool.set_resubmit_timeout(plan.resubmit_timeout);
-    }
-  }
-
-  sim::Simulation& sim = cluster.simulation();
-  schedule_workload_faults(sim, cluster, plan);
-  schedule_crashes();
-  std::size_t ledger_at_last_fault = 0;
-  const TimeNs fault_end = last_fault_end(plan);
-  if (fault_end > 0 && fault_end < plan.duration) {
-    sim.schedule_at(fault_end + ms(1), [&probe_ledger, &ledger_at_last_fault] {
-      ledger_at_last_fault = probe_ledger();
-    });
-  }
-
+  CheckContext ctx;
   ctx.plan = &plan;
   ctx.is_byz = byz_mask(plan);
   const InvariantRegistry reg = InvariantRegistry::standard();
-  bool tripped = false;
-  schedule_sweeps(sim, plan, opts, ctx, reg, tripped, rep.violations);
+  bool tripped = false;  // an in-run sweep found a violation
 
-  cluster.start();
-  cluster.run_for(plan.duration);
-
-  ctx.final_phase = true;
-  ctx.now = sim.now();
-  ctx.ledger_at_last_fault = ledger_at_last_fault;
-  std::vector<Violation> final_v = reg.run(ctx);
-  rep.violations.insert(rep.violations.end(), final_v.begin(), final_v.end());
-  dedup_violations(rep.violations);
-
-  rep.min_ledger = cluster.min_ledger_length();
-  rep.partitioned_messages = adversary.partitioned_messages();
-  rep.delayed_messages = adversary.delayed_messages();
-  for (const auto& pool : cluster.pools()) {
-    rep.committed_txs += pool->committed_total();
-    rep.resubmissions += pool->resubmissions();
-  }
-  for (const auto& pool : cluster.open_pools()) {
-    const workload::OpenLoopStats& s = pool->stats();
-    rep.committed_txs += s.committed_total;
-    rep.resubmissions += s.resubmissions;
-    rep.offered_txs += s.offered;
-    rep.backpressure_rejects += s.rejected_events;
-    rep.terminal_rejects += s.terminal_rejects;
-  }
-}
-
-void run_lyra_plan(const ScenarioPlan& plan, const RunOptions& opts,
-                   RunReport& rep) {
-  harness::LyraClusterOptions co;
-  co.config.n = plan.n;
-  co.config.f = plan.f();
-  co.config.delta = ms(160);  // 1.2x the longest one-way leg
-  co.config.batch_size = plan.batch_size;
-  co.config.mempool_capacity = plan.mempool_capacity;
-  co.topology = net::three_continents_with_clients(plan.n);
-  co.seed = plan.seed;
-  harness::configure_faults(co, plan.crashes, plan.byz, plan.state_sync,
-                            plan.open_loop(), /*sandwichers=*/0, {});
-
-  harness::LyraCluster cluster(std::move(co));
-  const auto schedule_crashes = [&cluster, &plan] {
-    for (const CrashFault& c : plan.crashes) {
-      cluster.schedule_crash_restart(c.node, c.crash_at, c.restart_at,
-                                     c.wipe_disk, c.corrupt_wal);
+  harness::RunHooks<Cluster> hooks;
+  hooks.before_start = [&](Cluster& cluster) {
+    bind(ctx, cluster);
+    if (!plan.partitions.empty() || !plan.delays.empty()) {
+      cluster.network().set_adversary(&adversary);
+    }
+    if (plan.resubmit_timeout > 0) {
+      for (const auto& pool : cluster.pools()) {
+        pool->set_resubmit_timeout(plan.resubmit_timeout);
+      }
+    }
+    sim::Simulation& sim = cluster.simulation();
+    schedule_workload_faults(sim, cluster, plan);
+    const TimeNs fault_end = last_fault_end(plan);
+    if (fault_end > 0 && fault_end < plan.duration) {
+      sim.schedule_at(fault_end + ms(1), [&ctx] {
+        ctx.ledger_at_last_fault = progress_ledger_length(ctx);
+      });
+    }
+    // In-run sweeps fire as harness-level events between handler runs, so
+    // reading cross-node state is safe.
+    for (TimeNs t = opts.check_interval; t < plan.duration;
+         t += opts.check_interval) {
+      sim.schedule_at(t, [&ctx, &reg, &tripped, &rep, at = t] {
+        if (tripped) return;  // first witness is enough; keep the run cheap
+        ctx.now = at;
+        std::vector<Violation> v = reg.run(ctx);
+        if (v.empty()) return;
+        tripped = true;
+        rep.violations.insert(rep.violations.end(), v.begin(), v.end());
+      });
     }
   };
-  CheckContext ctx;
-  ctx.lyra = &cluster;
-  drive_plan(cluster, plan, opts, ctx, rep, schedule_crashes,
-             [&cluster] { return cluster.max_ledger_length(); });
-  rep.max_ledger = cluster.max_ledger_length();
-  rep.restarts = cluster.restarts();
-  rep.late_accepts = cluster.total_late_accepts();
-  rep.sync_installs_refused = cluster.statesync_totals().installs_refused;
-}
-
-void run_pompe_plan(const ScenarioPlan& plan, const RunOptions& opts,
-                    RunReport& rep) {
-  harness::PompeClusterOptions co;
-  co.config.n = plan.n;
-  co.config.f = plan.f();
-  co.config.delta = ms(160);
-  co.config.batch_size = plan.batch_size;
-  co.config.initial_leader = 0;
-  co.config.mempool_capacity = plan.mempool_capacity;
-  co.topology = net::three_continents_with_clients(plan.n);
-  co.seed = plan.seed;
-
-  harness::PompeCluster cluster(std::move(co));
-  CheckContext ctx;
-  ctx.pompe = &cluster;
-  drive_plan(cluster, plan, opts, ctx, rep, [] {},
-             [&cluster] { return cluster.min_ledger_length(); });
-  rep.max_ledger = rep.min_ledger;
+  hooks.after_run = [&](Cluster& cluster) {
+    ctx.final_phase = true;
+    ctx.now = cluster.simulation().now();
+    std::vector<Violation> final_v = reg.run(ctx);
+    rep.violations.insert(rep.violations.end(), final_v.begin(),
+                          final_v.end());
+    dedup_violations(rep.violations);
+    rep.min_ledger = cluster.min_ledger_length();
+    rep.max_ledger = progress_ledger_length(ctx);
+    rep.partitioned_messages = adversary.partitioned_messages();
+    rep.delayed_messages = adversary.delayed_messages();
+  };
+  rep.run = harness::run_experiment(make_run_config(plan), hooks);
 }
 
 }  // namespace
@@ -252,9 +192,9 @@ RunReport run_plan(const ScenarioPlan& plan, const RunOptions& opts) {
     return rep;
   }
   if (plan.protocol == Protocol::kLyra) {
-    run_lyra_plan(plan, opts, rep);
+    run_hooked<harness::LyraCluster>(plan, opts, rep);
   } else {
-    run_pompe_plan(plan, opts, rep);
+    run_hooked<harness::PompeCluster>(plan, opts, rep);
   }
   return rep;
 }

@@ -5,6 +5,7 @@
 
 #include "fuzz/fault_program.hpp"
 #include "fuzz/invariants.hpp"
+#include "harness/experiment.hpp"
 
 namespace lyra::fuzz {
 
@@ -21,27 +22,22 @@ struct RunReport {
   bool invalid_plan = false;
   std::string error;  ///< set iff invalid_plan
 
-  // Run summary, for logs and reports.
-  std::uint64_t committed_txs = 0;
+  /// The experiment driver's summary of the run (commits, restarts,
+  /// resubmissions, late accepts, state sync, open-loop counters).
+  harness::RunResult run;
+  // What only the fuzz hooks read at the end of the run.
   std::size_t min_ledger = 0;
-  std::size_t max_ledger = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t resubmissions = 0;
-  std::uint64_t late_accepts = 0;
+  std::size_t max_ledger = 0;  ///< progress_ledger_length() at the end
   std::uint64_t partitioned_messages = 0;
   std::uint64_t delayed_messages = 0;
-  std::uint64_t sync_installs_refused = 0;
-  // Open-loop plans only (all zero otherwise).
-  std::uint64_t offered_txs = 0;
-  std::uint64_t backpressure_rejects = 0;
-  std::uint64_t terminal_rejects = 0;
 
   bool ok() const { return !invalid_plan && violations.empty(); }
 };
 
-/// Builds the cluster the plan describes, installs the adversary,
-/// schedules every fault, and sweeps the invariant registry during and
-/// after the run. Deterministic: same plan, same report.
+/// Runs the deployment the plan describes through harness::run_experiment,
+/// with hooks that install the adversary, schedule the workload faults and
+/// sweep the invariant registry during and after the run. Deterministic:
+/// same plan, same report.
 RunReport run_plan(const ScenarioPlan& plan, const RunOptions& opts = {});
 
 }  // namespace lyra::fuzz

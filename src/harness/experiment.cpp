@@ -7,6 +7,7 @@
 #include "attacks/byzantine_lyra.hpp"
 #include "harness/lyra_cluster.hpp"
 #include "harness/pompe_cluster.hpp"
+#include "support/assert.hpp"
 #include "workload/mempool.hpp"
 
 namespace lyra::harness {
@@ -60,6 +61,7 @@ RunResult collect_client_stats(Cluster& cluster, const RunConfig& config) {
   std::uint64_t weighted_count = 0;
   for (const auto& pool : cluster.pools()) {
     r.committed_txs += pool->committed_in_window();
+    r.resubmissions += pool->resubmissions();
     for (double v : pool->latency_ms().values()) all_latencies.add(v);
     weighted_sum +=
         pool->weighted_mean_latency_ms() *
@@ -105,8 +107,13 @@ RunResult collect_open_loop_stats(Cluster& cluster, const RunConfig& config) {
   }
   const double window_s =
       to_ms(config.duration - config.measure_from) / 1000.0;
+  // Arrivals run from client_start to stop_at, or to the end if unset.
+  const TimeNs arrivals_end =
+      config.workload.arrivals.stop_at > 0
+          ? std::min(config.workload.arrivals.stop_at, config.duration)
+          : config.duration;
   const double offered_s =
-      to_ms(config.duration - config.client_start) / 1000.0;
+      to_ms(arrivals_end - config.client_start) / 1000.0;
   r.throughput_tps = static_cast<double>(r.committed_txs) / window_s;
   r.goodput_tps = r.throughput_tps;
   r.offered_txs = offered;
@@ -119,28 +126,18 @@ RunResult collect_open_loop_stats(Cluster& cluster, const RunConfig& config) {
   return r;
 }
 
-void fold_economics(const workload::EconomicsReport& rep, RunResult* r) {
-  r->victims_targeted = rep.victims_targeted;
-  r->frontrun_successes = rep.frontrun_successes;
-  r->sandwich_completes = rep.sandwich_completes;
-  r->attacks_committed = rep.attack_committed;
-  r->extracted_value = rep.extracted_value;
-  r->adversary_profit = rep.adversary_profit;
-  r->victim_slippage = rep.victim_slippage;
-}
-
 /// The protocol-independent half of a run: the configuration both
 /// protocols share, client placement (one pool per node, or sharded),
-/// bandwidth, the timed run, client stats, verify-cache and mempool sums,
-/// and economics. Silent Byzantine slots get no clients and no stats, and
-/// economics reads the first node that is not silent. `before_start`
-/// schedules protocol faults once the pools are placed; `collect` adds
-/// the protocol-only results.
+/// bandwidth, the timed run, client and mempool sums, and economics.
+/// Silent Byzantine slots get no clients and no stats, and economics reads
+/// the first node that is not silent. `before_start` schedules protocol
+/// faults once the pools are placed, ahead of the caller's hook; `collect`
+/// adds the protocol-only results before the caller's `after_run`.
 template <class ClusterT, class Options, class Economics, class BeforeStart,
           class Collect>
 RunResult run_cluster(const RunConfig& config, Options opts,
                       Economics economics, BeforeStart before_start,
-                      Collect collect) {
+                      Collect collect, const RunHooks<ClusterT>& hooks) {
   const std::vector<bool> silent = silent_nodes(config.n, config.byz);
   opts.config.n = config.n;
   opts.config.f = config.f();
@@ -185,6 +182,7 @@ RunResult run_cluster(const RunConfig& config, Options opts,
     }
   }
   before_start(cluster);
+  if (hooks.before_start) hooks.before_start(cluster);
   cluster.start();
   const auto host_start = std::chrono::steady_clock::now();
   const std::uint64_t executed = cluster.run_for(config.duration);
@@ -212,14 +210,24 @@ RunResult run_cluster(const RunConfig& config, Options opts,
     // above checks that); evaluate economics on the first non-silent one.
     const NodeId first = static_cast<NodeId>(
         std::find(silent.begin(), silent.end(), false) - silent.begin());
-    fold_economics(economics(cluster.node(first), config.workload.economics),
-                   &r);
+    r.economics = economics(cluster.node(first), config.workload.economics);
   }
   collect(cluster, r);
+  if (hooks.after_run) hooks.after_run(cluster);
   return r;
 }
 
-RunResult run_lyra(const RunConfig& config) {
+}  // namespace
+
+RunResult run_experiment(const RunConfig& config) {
+  return config.protocol == Protocol::kLyra
+             ? run_experiment(config, RunHooks<LyraCluster>{})
+             : run_experiment(config, RunHooks<PompeCluster>{});
+}
+
+RunResult run_experiment(const RunConfig& config,
+                         const RunHooks<LyraCluster>& hooks) {
+  LYRA_ASSERT(config.protocol == Protocol::kLyra, "Lyra hooks on a Pompe run");
   LyraClusterOptions opts;
   opts.config.lambda = config.lambda;
   opts.config.heartbeat_period = config.heartbeat;
@@ -253,15 +261,7 @@ RunResult run_lyra(const RunConfig& config) {
       if (info.outcome == RestartOutcome::kDeltaSync) ++r.delta_state_syncs;
       if (!info.error.empty()) ++r.refused_restarts;
     }
-    const statesync::StateSyncStats sync = cluster.statesync_totals();
-    r.sync_chunks_fetched = sync.chunks_fetched;
-    r.sync_chunks_local = sync.chunks_local;
-    r.sync_chunks_rejected = sync.chunks_rejected;
-    r.sync_bytes_transferred = sync.bytes_transferred;
-    r.sync_bytes_local = sync.bytes_local;
-    r.sync_serves_shed = sync.serves_shed;
-    r.sync_entries_installed = sync.entries_installed;
-    r.catchup_reveals = sync.catchup_reveals;
+    r.sync = cluster.statesync_totals();
     for (NodeId i = 0; i < config.n; ++i) {
       if (!cluster.node_alive(i)) continue;
       for (const core::CommittedBatch& cb : cluster.node(i).ledger()) {
@@ -293,10 +293,12 @@ RunResult run_lyra(const RunConfig& config) {
   };
   return run_cluster<LyraCluster>(config, std::move(opts),
                                   attacks::evaluate_lyra_economics,
-                                  schedule_crashes, collect);
+                                  schedule_crashes, collect, hooks);
 }
 
-RunResult run_pompe(const RunConfig& config) {
+RunResult run_experiment(const RunConfig& config,
+                         const RunHooks<PompeCluster>& hooks) {
+  LYRA_ASSERT(config.protocol == Protocol::kPompe, "Pompe hooks on a Lyra run");
   PompeClusterOptions opts;
   opts.config.initial_leader = 0;  // Oregon
   const std::size_t sandwichers =
@@ -323,14 +325,7 @@ RunResult run_pompe(const RunConfig& config) {
   };
   return run_cluster<PompeCluster>(config, std::move(opts),
                                    attacks::evaluate_pompe_economics,
-                                   [](PompeCluster&) {}, collect);
-}
-
-}  // namespace
-
-RunResult run_experiment(const RunConfig& config) {
-  return config.protocol == Protocol::kLyra ? run_lyra(config)
-                                           : run_pompe(config);
+                                   [](PompeCluster&) {}, collect, hooks);
 }
 
 double pompe_capacity_estimate(std::size_t n, std::size_t batch_size,

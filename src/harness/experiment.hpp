@@ -1,11 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "attacks/sandwich.hpp"
 #include "harness/faults.hpp"
+#include "statesync/manager.hpp"
 #include "support/types.hpp"
 #include "workload/economics.hpp"
 #include "workload/open_loop.hpp"
@@ -134,15 +136,8 @@ struct RunResult {
   std::uint64_t full_state_syncs = 0;       // rebuilt entirely from peers
   std::uint64_t delta_state_syncs = 0;      // kept local prefix, pulled suffix
 
-  // State-sync counters, summed over all nodes (state_sync runs only):
-  std::uint64_t sync_chunks_fetched = 0;
-  std::uint64_t sync_chunks_local = 0;      // satisfied from local disk
-  std::uint64_t sync_chunks_rejected = 0;
-  std::uint64_t sync_bytes_transferred = 0;
-  std::uint64_t sync_bytes_local = 0;       // bytes NOT moved over the wire
-  std::uint64_t sync_serves_shed = 0;       // chunk serves dropped at the cap
-  std::uint64_t sync_entries_installed = 0;
-  std::uint64_t catchup_reveals = 0;
+  /// State-sync counters summed over all nodes (state_sync runs only).
+  statesync::StateSyncStats sync;
   std::uint64_t unrevealed_batches = 0;  // reveal holes left at run end
 
   // Open-loop workload runs (RunConfig::Workload; zero otherwise).
@@ -151,22 +146,35 @@ struct RunResult {
   std::uint64_t offered_txs = 0;
   std::uint64_t rejected_submits = 0;   // backpressure signals to clients
   std::uint64_t terminal_rejects = 0;   // dropped after max_retries
-  std::uint64_t resubmissions = 0;
+  std::uint64_t resubmissions = 0;      // client resends (closed loop too)
   std::uint64_t mempool_evictions = 0;  // outbid and displaced
   std::uint64_t mempool_rejects = 0;    // refused at admission (full)
 
-  // Economic front-running metric (workload.sandwich_attackers > 0).
-  std::uint64_t victims_targeted = 0;
-  std::uint64_t frontrun_successes = 0;
-  std::uint64_t sandwich_completes = 0;
-  std::uint64_t attacks_committed = 0;
-  double extracted_value = 0.0;   // value units taken from victims
-  double adversary_profit = 0.0;  // extracted minus fee spend
-  double victim_slippage = 0.0;
+  /// Economic front-running metric (workload.sandwich_attackers > 0),
+  /// scored on the first non-silent node's ledger (open-loop runs only).
+  workload::EconomicsReport economics;
+};
+
+class LyraCluster;
+class PompeCluster;
+
+/// Caller code around one run: `before_start` runs once the client pools
+/// and the crash schedule are placed, `after_run` once the run is over and
+/// its RunResult collected. The fuzz runner adds its adversary, workload
+/// faults and invariant sweeps this way.
+template <class Cluster>
+struct RunHooks {
+  std::function<void(Cluster&)> before_start;
+  std::function<void(Cluster&)> after_run;
 };
 
 /// Executes one run and aggregates client-side measurements.
 RunResult run_experiment(const RunConfig& config);
+/// The same run with hooks; `config.protocol` must name the cluster type.
+RunResult run_experiment(const RunConfig& config,
+                         const RunHooks<LyraCluster>& hooks);
+RunResult run_experiment(const RunConfig& config,
+                         const RunHooks<PompeCluster>& hooks);
 
 /// Crude capacity estimate for Pompē at n nodes (tx/s), used by benches to
 /// pick client widths around the saturation knee: the leader's egress

@@ -371,12 +371,12 @@ TEST(FullStackPlans, ResubmitTimersSurviveCrashTeardown) {
               ? report.error
               : report.violations[0].invariant + ": " +
                     report.violations[0].detail);
-  EXPECT_GT(report.committed_txs, 0u);
-  EXPECT_EQ(report.restarts, 1u);
-  EXPECT_GT(report.resubmissions, 0u);
+  EXPECT_GT(report.run.committed_txs, 0u);
+  EXPECT_EQ(report.run.restarts, 1u);
+  EXPECT_GT(report.run.resubmissions, 0u);
   const RunReport again = run_plan(plan);
-  EXPECT_EQ(again.committed_txs, report.committed_txs);
-  EXPECT_EQ(again.resubmissions, report.resubmissions);
+  EXPECT_EQ(again.run.committed_txs, report.run.committed_txs);
+  EXPECT_EQ(again.run.resubmissions, report.run.resubmissions);
   EXPECT_EQ(again.min_ledger, report.min_ledger);
   EXPECT_EQ(again.max_ledger, report.max_ledger);
 }
@@ -403,10 +403,10 @@ TEST(OpenLoopPlans, WorkloadFaultsRunCleanAndResolve) {
               ? report.error
               : report.violations[0].invariant + ": " +
                     report.violations[0].detail);
-  EXPECT_GT(report.committed_txs, 0u);
-  EXPECT_GT(report.offered_txs, report.committed_txs);
+  EXPECT_GT(report.run.committed_txs, 0u);
+  EXPECT_GT(report.run.offered_txs, report.run.committed_txs);
   // A 96-tx burst into a 32-slot mempool must produce backpressure.
-  EXPECT_GT(report.backpressure_rejects, 0u);
+  EXPECT_GT(report.run.rejected_submits, 0u);
 }
 
 TEST(OpenLoopPlans, PompeOpenLoopResolves) {
@@ -427,7 +427,7 @@ TEST(OpenLoopPlans, PompeOpenLoopResolves) {
               ? report.error
               : report.violations[0].invariant + ": " +
                     report.violations[0].detail);
-  EXPECT_GT(report.committed_txs, 0u);
+  EXPECT_GT(report.run.committed_txs, 0u);
 }
 
 // The self-check behind the fuzzer's reason to exist: re-introduce a fixed

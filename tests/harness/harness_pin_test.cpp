@@ -46,12 +46,12 @@ void expect_pinned(const RunConfig& config, const ExperimentPin& want) {
   EXPECT_EQ(r.restarts, want.restarts);
   EXPECT_EQ(r.full_state_syncs, want.full_state_syncs);
   EXPECT_EQ(r.delta_state_syncs, want.delta_state_syncs);
-  EXPECT_EQ(r.sync_chunks_fetched, want.sync_chunks_fetched);
-  EXPECT_EQ(r.sync_chunks_local, want.sync_chunks_local);
-  EXPECT_EQ(r.sync_bytes_transferred, want.sync_bytes_transferred);
-  EXPECT_EQ(r.sync_entries_installed, want.sync_entries_installed);
-  EXPECT_EQ(r.catchup_reveals, want.catchup_reveals);
-  EXPECT_DOUBLE_EQ(r.extracted_value, want.extracted_value);
+  EXPECT_EQ(r.sync.chunks_fetched, want.sync_chunks_fetched);
+  EXPECT_EQ(r.sync.chunks_local, want.sync_chunks_local);
+  EXPECT_EQ(r.sync.bytes_transferred, want.sync_bytes_transferred);
+  EXPECT_EQ(r.sync.entries_installed, want.sync_entries_installed);
+  EXPECT_EQ(r.sync.catchup_reveals, want.catchup_reveals);
+  EXPECT_DOUBLE_EQ(r.economics.extracted_value, want.extracted_value);
 }
 
 RunConfig small_config(harness::Protocol protocol, std::size_t n) {
@@ -154,6 +154,11 @@ struct FuzzPin {
   std::uint64_t restarts;
   std::uint64_t partitioned_messages;
   std::uint64_t delayed_messages;
+  std::uint64_t resubmissions;
+  // Open-loop plans only (zero otherwise).
+  std::uint64_t offered_txs;
+  std::uint64_t rejected_submits;
+  std::uint64_t terminal_rejects;
 };
 
 void expect_pinned(std::uint64_t seed, const FuzzPin& want) {
@@ -162,36 +167,41 @@ void expect_pinned(std::uint64_t seed, const FuzzPin& want) {
                                 ? rep.error
                                 : rep.violations[0].invariant + ": " +
                                       rep.violations[0].detail);
-  EXPECT_EQ(rep.committed_txs, want.committed_txs);
+  EXPECT_EQ(rep.run.committed_txs, want.committed_txs);
   EXPECT_EQ(rep.min_ledger, want.min_ledger);
   EXPECT_EQ(rep.max_ledger, want.max_ledger);
-  EXPECT_EQ(rep.restarts, want.restarts);
+  EXPECT_EQ(rep.run.restarts, want.restarts);
   EXPECT_EQ(rep.partitioned_messages, want.partitioned_messages);
   EXPECT_EQ(rep.delayed_messages, want.delayed_messages);
+  EXPECT_EQ(rep.run.resubmissions, want.resubmissions);
+  EXPECT_EQ(rep.run.offered_txs, want.offered_txs);
+  EXPECT_EQ(rep.run.rejected_submits, want.rejected_submits);
+  EXPECT_EQ(rep.run.terminal_rejects, want.terminal_rejects);
 }
 
 // The plans behind these seeds are pinned by
 // FaultProgram.GeneratorOutputIsPinned.
 
 TEST(HarnessPin, FuzzLyraCrashSeed) {
-  // Two crashes (one wiped disk), a partition, two delays, a silent node.
-  expect_pinned(2, {384, 0, 93, 2, 900, 1029});
+  // Two crashes (one wiped disk), a partition, two delays, a silent node;
+  // closed-loop clients resubmit after 1200 ms.
+  expect_pinned(2, {384, 0, 93, 2, 900, 1029, 75, 0, 0, 0});
 }
 
 TEST(HarnessPin, FuzzLyraOpenLoopSeed) {
   // Open loop: delays, a fee spike and two mempool overflows.
-  expect_pinned(1, {1415, 92, 92, 0, 0, 761});
+  expect_pinned(1, {1415, 92, 92, 0, 0, 761, 11975, 5229, 15789, 3814});
 }
 
 TEST(HarnessPin, FuzzLyraSyncByzantineSeed) {
   // A wiped disk rejoins by full state sync while a Byzantine slot serves
   // garbage chunks.
-  expect_pinned(974, {1008, 132, 132, 1, 541, 2636});
+  expect_pinned(974, {1008, 132, 132, 1, 541, 2636, 0, 0, 0, 0});
 }
 
 TEST(HarnessPin, FuzzPompeSeed) {
   // Pompē under two partitions.
-  expect_pinned(4, {1576, 190, 190, 0, 153, 0});
+  expect_pinned(4, {1576, 190, 190, 0, 153, 0, 0, 0, 0, 0});
 }
 
 }  // namespace

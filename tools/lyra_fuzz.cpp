@@ -138,7 +138,8 @@ int main(int argc, char** argv) {
       if (report.ok()) {
         if (!quiet) {
           std::printf("%s: ok (%llu txs, ledger %zu)\n", path.c_str(),
-                      static_cast<unsigned long long>(report.committed_txs),
+                      static_cast<unsigned long long>(
+                          report.run.committed_txs),
                       report.max_ledger);
         }
         continue;

@@ -8,14 +8,18 @@
 //   lyra_sim --protocol=lyra --nodes=16 --lambda-ms=2 --no-obfuscation
 //   lyra_sim --nodes=4 --crash-node 2 --crash-at 3s --restart-at 5s
 //
-// Flags take either --flag=value or --flag value; durations accept "ms"
-// and "s" suffixes (plain numbers are milliseconds).
+// Flags take either --flag=value or --flag value; a value that does not
+// parse whole exits 2. Durations accept "ms" and "s" suffixes (plain
+// numbers are milliseconds).
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "harness/experiment.hpp"
 
@@ -116,12 +120,28 @@ bool parse_value(int argc, char** argv, int& i, const char* flag,
   return false;
 }
 
+/// The whole of `text` as a T: "12" parses, "", "12x", "-1" and an
+/// out-of-range value do not, and neither do negative or non-finite
+/// floating-point values.
+template <class T>
+bool parse_number(const std::string& text, T& out) {
+  T v{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc() || end != last) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v) || v < 0) return false;
+  }
+  out = v;
+  return true;
+}
+
 /// "3s" -> 3 s, "250ms" -> 250 ms, "1500" -> 1500 ms.
 bool parse_duration(const std::string& text, TimeNs& out) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str()) return false;
-  const std::string suffix(end);
+  const std::size_t digits = text.find_last_of("0123456789.") + 1;
+  const std::string suffix = text.substr(digits);
+  double v = 0;
+  if (!parse_number(text.substr(0, digits), v)) return false;
   if (suffix.empty() || suffix == "ms") {
     out = ms(v);
   } else if (suffix == "s") {
@@ -132,6 +152,10 @@ bool parse_duration(const std::string& text, TimeNs& out) {
     return false;
   }
   return true;
+}
+
+void bad_value(const char* flag, const std::string& value) {
+  std::fprintf(stderr, "bad value for %s: '%s'\n", flag, value.c_str());
 }
 
 }  // namespace
@@ -151,67 +175,62 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    // Parse `value` into `out`, or say which flag had a bad value.
+    const auto set = [&value](const char* flag, auto& out) {
+      if (parse_number(value, out)) return true;
+      bad_value(flag, value);
+      return false;
+    };
+    const auto set_duration = [&value](const char* flag, TimeNs& out) {
+      if (parse_duration(value, out)) return true;
+      bad_value(flag, value);
+      return false;
+    };
+    double real = 0;
+    TimeNs t = 0;
     if (parse_value(argc, argv, i, "--protocol", value)) {
       if (!harness::protocol_from_string(value, config.protocol)) {
         std::fprintf(stderr, "unknown protocol '%s'\n", value.c_str());
         return 2;
       }
     } else if (parse_value(argc, argv, i, "--nodes", value)) {
-      config.n = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set("--nodes", config.n)) return 2;
     } else if (parse_value(argc, argv, i, "--clients", value)) {
-      config.clients_per_node =
-          static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!set("--clients", config.clients_per_node)) return 2;
     } else if (parse_value(argc, argv, i, "--duration-ms", value)) {
-      if (!parse_duration(value, config.duration)) {
-        std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
-        return 2;
-      }
+      if (!set_duration("--duration-ms", config.duration)) return 2;
     } else if (parse_value(argc, argv, i, "--measure-from-ms", value)) {
-      if (!parse_duration(value, config.measure_from)) {
-        std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
-        return 2;
-      }
+      if (!set_duration("--measure-from-ms", config.measure_from)) return 2;
     } else if (parse_value(argc, argv, i, "--batch-timeout", value)) {
-      if (!parse_duration(value, config.batch_timeout)) {
-        std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
-        return 2;
-      }
+      if (!set_duration("--batch-timeout", config.batch_timeout)) return 2;
     } else if (parse_value(argc, argv, i, "--batch", value)) {
-      config.batch_size = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set("--batch", config.batch_size)) return 2;
     } else if (parse_value(argc, argv, i, "--heartbeat-ms", value)) {
-      if (!parse_duration(value, config.heartbeat)) {
-        std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
-        return 2;
-      }
+      if (!set_duration("--heartbeat-ms", config.heartbeat)) return 2;
     } else if (parse_value(argc, argv, i, "--lambda-ms", value)) {
-      config.lambda = ms(std::strtod(value.c_str(), nullptr));
+      if (!set("--lambda-ms", real)) return 2;
+      config.lambda = ms(real);
     } else if (parse_value(argc, argv, i, "--outstanding", value)) {
-      config.max_outstanding = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set("--outstanding", config.max_outstanding)) return 2;
     } else if (parse_value(argc, argv, i, "--silent", value)) {
-      silent = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set("--silent", silent)) return 2;
     } else if (parse_value(argc, argv, i, "--replay-attackers", value)) {
-      replayers = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set("--replay-attackers", replayers)) return 2;
     } else if (parse_value(argc, argv, i, "--bandwidth-gbps", value)) {
-      config.bandwidth_bytes_per_sec =
-          std::strtod(value.c_str(), nullptr) * 125e6;
+      if (!set("--bandwidth-gbps", real)) return 2;
+      config.bandwidth_bytes_per_sec = real * 125e6;
     } else if (parse_value(argc, argv, i, "--seed", value)) {
-      config.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set("--seed", config.seed)) return 2;
     } else if (parse_value(argc, argv, i, "--crash-node", value)) {
       harness::CrashFault c;
-      c.node = static_cast<NodeId>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!set("--crash-node", c.node)) return 2;
       config.crashes.push_back(c);
     } else if (parse_value(argc, argv, i, "--crash-at", value)) {
       harness::CrashFault* c = last_crash("--crash-at");
-      if (c == nullptr) return 2;
-      if (!parse_duration(value, c->crash_at)) {
-        std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
-        return 2;
-      }
+      if (c == nullptr || !set_duration("--crash-at", c->crash_at)) return 2;
     } else if (parse_value(argc, argv, i, "--restart-at", value)) {
       harness::CrashFault* c = last_crash("--restart-at");
-      if (c == nullptr) return 2;
-      if (!parse_duration(value, c->restart_at)) {
-        std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
+      if (c == nullptr || !set_duration("--restart-at", c->restart_at)) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--wipe-disk") == 0) {
@@ -223,49 +242,39 @@ int main(int argc, char** argv) {
       if (c == nullptr) return 2;
       c->corrupt_wal = true;
     } else if (parse_value(argc, argv, i, "--arrival-rate", value)) {
-      arrivals.arrival_rate = std::strtod(value.c_str(), nullptr);
+      if (!set("--arrival-rate", arrivals.arrival_rate)) return 2;
     } else if (parse_value(argc, argv, i, "--accounts", value)) {
-      arrivals.accounts = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set("--accounts", arrivals.accounts)) return 2;
     } else if (parse_value(argc, argv, i, "--zipf-s", value)) {
-      arrivals.zipf_s = std::strtod(value.c_str(), nullptr);
+      if (!set("--zipf-s", arrivals.zipf_s)) return 2;
     } else if (parse_value(argc, argv, i, "--burst-every", value)) {
-      TimeNs t = 0;
-      if (!parse_duration(value, t)) {
-        std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
-        return 2;
-      }
+      if (!set_duration("--burst-every", t)) return 2;
       arrivals.burst_every_ms = to_ms(t);
     } else if (parse_value(argc, argv, i, "--burst-len", value)) {
-      TimeNs t = 0;
-      if (!parse_duration(value, t)) {
-        std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
-        return 2;
-      }
+      if (!set_duration("--burst-len", t)) return 2;
       arrivals.burst_len_ms = to_ms(t);
     } else if (parse_value(argc, argv, i, "--burst-mult", value)) {
-      arrivals.burst_mult = std::strtod(value.c_str(), nullptr);
+      if (!set("--burst-mult", arrivals.burst_mult)) return 2;
     } else if (parse_value(argc, argv, i, "--mempool-cap", value)) {
-      config.workload.mempool_capacity =
-          std::strtoull(value.c_str(), nullptr, 10);
+      if (!set("--mempool-cap", config.workload.mempool_capacity)) return 2;
     } else if (parse_value(argc, argv, i, "--fee-model", value)) {
       if (!workload::fee_model_from_string(value, &arrivals.fee_model)) {
         std::fprintf(stderr, "unknown fee model '%s'\n", value.c_str());
         return 2;
       }
     } else if (parse_value(argc, argv, i, "--max-retries", value)) {
-      arrivals.max_retries =
-          static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
+      if (!set("--max-retries", arrivals.max_retries)) return 2;
     } else if (parse_value(argc, argv, i, "--retry-backoff", value)) {
-      if (!parse_duration(value, arrivals.retry_backoff)) {
-        std::fprintf(stderr, "bad duration '%s'\n", value.c_str());
+      if (!set_duration("--retry-backoff", arrivals.retry_backoff)) return 2;
+    } else if (parse_value(argc, argv, i, "--sandwich-attackers", value)) {
+      if (!set("--sandwich-attackers", config.workload.sandwich_attackers)) {
         return 2;
       }
-    } else if (parse_value(argc, argv, i, "--sandwich-attackers", value)) {
-      config.workload.sandwich_attackers =
-          std::strtoull(value.c_str(), nullptr, 10);
     } else if (parse_value(argc, argv, i, "--victim-threshold", value)) {
-      config.workload.sandwich.value_threshold =
-          std::strtoull(value.c_str(), nullptr, 10);
+      if (!set("--victim-threshold",
+               config.workload.sandwich.value_threshold)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--open-loop") == 0) {
       config.workload.open_loop = true;
     } else if (std::strcmp(argv[i], "--state-sync") == 0) {
@@ -273,9 +282,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--delta-sync") == 0) {
       config.delta_sync = true;
     } else if (parse_value(argc, argv, i, "--client-shard", value)) {
-      config.client_shard = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set("--client-shard", config.client_shard)) return 2;
     } else if (parse_value(argc, argv, i, "--client-nodes", value)) {
-      config.client_nodes = std::strtoull(value.c_str(), nullptr, 10);
+      if (!set("--client-nodes", config.client_nodes)) return 2;
     } else if (std::strcmp(argv[i], "--no-obfuscation") == 0) {
       config.obfuscate = false;
     } else if (std::strcmp(argv[i], "--help") == 0) {
@@ -288,6 +297,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (config.batch_size == 0 || config.max_outstanding == 0) {
+    std::fprintf(stderr, "--batch and --outstanding must be at least 1\n");
+    return 2;
+  }
   if (config.n <= 3 * config.f()) {
     std::fprintf(stderr, "need n > 3f\n");
     return 2;
@@ -374,6 +387,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(result.refused_restarts));
     }
     if (state_sync) {
+      const statesync::StateSyncStats& sync = result.sync;
       std::printf("full state syncs  %10llu\n",
                   static_cast<unsigned long long>(result.full_state_syncs));
       if (config.delta_sync) {
@@ -381,18 +395,18 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(result.delta_state_syncs));
       }
       std::printf("sync chunks       %10llu (%llu rejected, %llu local)\n",
-                  static_cast<unsigned long long>(result.sync_chunks_fetched),
-                  static_cast<unsigned long long>(result.sync_chunks_rejected),
-                  static_cast<unsigned long long>(result.sync_chunks_local));
+                  static_cast<unsigned long long>(sync.chunks_fetched),
+                  static_cast<unsigned long long>(sync.chunks_rejected),
+                  static_cast<unsigned long long>(sync.chunks_local));
       std::printf("sync bytes        %10llu (%llu saved locally)\n",
-                  static_cast<unsigned long long>(result.sync_bytes_transferred),
-                  static_cast<unsigned long long>(result.sync_bytes_local));
+                  static_cast<unsigned long long>(sync.bytes_transferred),
+                  static_cast<unsigned long long>(sync.bytes_local));
       std::printf("serves shed       %10llu\n",
-                  static_cast<unsigned long long>(result.sync_serves_shed));
+                  static_cast<unsigned long long>(sync.serves_shed));
       std::printf("sync entries      %10llu\n",
-                  static_cast<unsigned long long>(result.sync_entries_installed));
+                  static_cast<unsigned long long>(sync.entries_installed));
       std::printf("catch-up reveals  %10llu\n",
-                  static_cast<unsigned long long>(result.catchup_reveals));
+                  static_cast<unsigned long long>(sync.catchup_reveals));
       std::printf("unrevealed left   %10llu\n",
                   static_cast<unsigned long long>(result.unrevealed_batches));
     }
@@ -416,16 +430,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(result.mempool_rejects),
                 static_cast<unsigned long long>(result.mempool_evictions));
     if (config.workload.sandwich_attackers > 0) {
+      const workload::EconomicsReport& econ = result.economics;
       std::printf("victims targeted  %10llu\n",
-                  static_cast<unsigned long long>(result.victims_targeted));
+                  static_cast<unsigned long long>(econ.victims_targeted));
       std::printf("front-runs won    %10llu\n",
-                  static_cast<unsigned long long>(result.frontrun_successes));
+                  static_cast<unsigned long long>(econ.frontrun_successes));
       std::printf("sandwiches closed %10llu\n",
-                  static_cast<unsigned long long>(result.sandwich_completes));
+                  static_cast<unsigned long long>(econ.sandwich_completes));
       std::printf("attack txs landed %10llu\n",
-                  static_cast<unsigned long long>(result.attacks_committed));
-      std::printf("extracted value   %10.1f\n", result.extracted_value);
-      std::printf("adversary profit  %10.1f\n", result.adversary_profit);
+                  static_cast<unsigned long long>(econ.attack_committed));
+      std::printf("extracted value   %10.1f\n", econ.extracted_value);
+      std::printf("adversary profit  %10.1f\n", econ.adversary_profit);
     }
   }
   if (replayers > 0) {
