@@ -23,14 +23,14 @@ int main() {
   for (std::size_t silent : {0u, 2u, 5u}) {
     RunConfig config;
     config.protocol = harness::Protocol::kLyra;
-    config.n = 16;
+    config.node.n = 16;
     config.clients_per_node = 1600;
     for (NodeId i = 0; i < silent; ++i) {
       config.byz.push_back({i, harness::ByzKind::kSilent});
     }
     const auto r = run_experiment(config);
     std::printf("%7zu %17.1f %18.0f   %s\n", silent, r.mean_latency_ms,
-                r.throughput_tps, r.prefix_consistent ? "ok" : "VIOLATED");
+                r.throughput_tps, bench::safety(r));
     std::fflush(stdout);
     csv += std::to_string(silent) + "," + std::to_string(r.mean_latency_ms) +
            "," + std::to_string(r.throughput_tps) + "\n";
@@ -42,7 +42,7 @@ int main() {
       "replays   mean-latency(ms)   throughput(tx/s)   safety");
   RunConfig config;
   config.protocol = harness::Protocol::kLyra;
-  config.n = 16;
+  config.node.n = 16;
   config.clients_per_node = 1600;
   config.byz = {{0, harness::ByzKind::kReplayInit},
                 {1, harness::ByzKind::kReplayInit}};
@@ -53,8 +53,7 @@ int main() {
   const auto r = run_experiment(config);
   std::printf("%7llu %18.1f %18.0f   %s\n",
               static_cast<unsigned long long>(r.replays_sent),
-              r.mean_latency_ms, r.throughput_tps,
-              r.prefix_consistent ? "ok" : "VIOLATED");
+              r.mean_latency_ms, r.throughput_tps, bench::safety(r));
   bench::write_csv("ablation_replay.csv",
                    "replays,mean_latency_ms,throughput_tps\n" +
                        std::to_string(r.replays_sent) + "," +

@@ -10,18 +10,18 @@ using harness::RunConfig;
 int main() {
   bench::print_header(
       "Ablation: commit-reveal obfuscation on/off (Lyra, n = 16)",
-      " obfuscation   mean-latency(ms)   throughput(tx/s)");
+      " obfuscation   mean-latency(ms)   throughput(tx/s)   safety");
   std::string csv = "obfuscate,mean_latency_ms,throughput_tps\n";
 
   for (bool obfuscate : {true, false}) {
     RunConfig config;
     config.protocol = harness::Protocol::kLyra;
-    config.n = 16;
+    config.node.n = 16;
     config.clients_per_node = 1600;
-    config.obfuscate = obfuscate;
+    config.node.obfuscate = obfuscate;
     const auto r = run_experiment(config);
-    std::printf("%12s %17.1f %18.0f\n", obfuscate ? "on" : "off",
-                r.mean_latency_ms, r.throughput_tps);
+    std::printf("%12s %17.1f %18.0f   %s\n", obfuscate ? "on" : "off",
+                r.mean_latency_ms, r.throughput_tps, bench::safety(r));
     std::fflush(stdout);
     csv += std::string(obfuscate ? "on" : "off") + "," +
            std::to_string(r.mean_latency_ms) + "," +

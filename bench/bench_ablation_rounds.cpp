@@ -16,18 +16,18 @@ using harness::RunConfig;
 int main() {
   bench::print_header(
       "Ablation: good-case decision rounds (Lyra BOC, 3 continents)",
-      "    n   mean-DBFT-rounds   max   message-delays(good case)");
+      "    n   mean-DBFT-rounds   max   safety   message-delays(good case)");
   std::string csv = "n,mean_rounds,max_rounds\n";
 
   for (std::size_t n : {4u, 7u, 10u, 16u, 31u}) {
     RunConfig config;
     config.protocol = harness::Protocol::kLyra;
-    config.n = n;
+    config.node.n = n;
     config.clients_per_node = 800;
     config.duration = ms(5000);
     const auto r = run_experiment(config);
-    std::printf("%5zu %18.3f %5.0f   %s\n", n, r.mean_decide_rounds,
-                r.max_decide_rounds,
+    std::printf("%5zu %18.3f %5.0f   %-8s %s\n", n, r.mean_decide_rounds,
+                r.max_decide_rounds, bench::safety(r),
                 r.max_decide_rounds <= 1.0 ? "3 (optimal, Theorem 3)"
                                            : "3 + extra rounds");
     std::fflush(stdout);

@@ -76,6 +76,13 @@ inline void reset_peak_rss() {
 #endif
 }
 
+/// The safety verdict every run_experiment bench prints on each row
+/// (EXPERIMENTS.md, "Safety checks"): prefix-consistent ledgers and no
+/// late accepts.
+inline const char* safety(const harness::RunResult& r) {
+  return r.prefix_consistent && r.late_accepts == 0 ? "ok" : "VIOLATED";
+}
+
 inline void print_header(const char* title, const char* columns) {
   std::printf("\n=== %s ===\n%s\n", title, columns);
   std::fflush(stdout);

@@ -39,7 +39,7 @@ int main() {
          {harness::Protocol::kLyra, harness::Protocol::kPompe}) {
       RunConfig config;
       config.protocol = protocol;
-      config.n = n;
+      config.node.n = n;
       // Lyra width: an exact batch multiple under the pacing cap, so
       // latency is measured on steady full batches.
       config.clients_per_node = protocol == harness::Protocol::kLyra
@@ -49,7 +49,7 @@ int main() {
       std::printf("%5zu %10s %13u %10.1f %10.1f %10.1f  %s\n", n,
                   harness::protocol_name(protocol), config.clients_per_node,
                   r.mean_latency_ms, r.p50_latency_ms, r.p99_latency_ms,
-                  r.prefix_consistent ? "ok" : "VIOLATED");
+                  bench::safety(r));
       std::fflush(stdout);
       csv += std::to_string(n) + "," + harness::protocol_name(protocol) +
              "," + std::to_string(config.clients_per_node) + "," +

@@ -48,13 +48,12 @@ int main() {
          {harness::Protocol::kLyra, harness::Protocol::kPompe}) {
       RunConfig config;
       config.protocol = protocol;
-      config.n = n;
+      config.node.n = n;
       config.duration = bench::quick_mode() ? ms(4000) : ms(6000);
       config.measure_from = bench::quick_mode() ? ms(1500) : ms(2500);
-      config.batch_size = bench::quick_mode() ? 100 : 800;
-      config.workload.open_loop = true;
+      config.node.batch_size = bench::quick_mode() ? 100 : 800;
+      config.node.mempool_capacity = bench::quick_mode() ? 256 : 2048;
       config.workload.arrivals.arrival_rate = rate;
-      config.workload.mempool_capacity = bench::quick_mode() ? 256 : 2048;
       config.workload.sandwich_attackers = 1;
       config.workload.sandwich.value_threshold = 2000;
       const RunResult r = run_experiment(config);
@@ -67,7 +66,7 @@ int main() {
           static_cast<unsigned long long>(r.rejected_submits),
           static_cast<unsigned long long>(r.mempool_evictions),
           r.economics.extracted_value,
-          r.prefix_consistent ? "ok" : "VIOLATED");
+          bench::safety(r));
       std::fflush(stdout);
 
       csv += std::to_string(rate) + "," + harness::protocol_name(protocol) +
@@ -86,7 +85,7 @@ int main() {
                std::to_string(static_cast<int>(rate));
       e.params = "n=" + std::to_string(n) +
                  " rate=" + std::to_string(static_cast<int>(rate)) +
-                 " cap=" + std::to_string(config.workload.mempool_capacity);
+                 " cap=" + std::to_string(config.node.mempool_capacity);
       e.seed = config.seed;
       e.events = r.events_executed;
       e.events_per_sec = r.host_seconds > 0

@@ -94,14 +94,14 @@ std::vector<ScalePoint> sweep_points(bool quick) {
 
 RunConfig base_config(const ScalePoint& p) {
   RunConfig cfg;
-  cfg.n = p.n;
+  cfg.node.n = p.n;
   cfg.client_nodes = p.client_nodes;
   cfg.clients_per_node = p.clients_per_node;
   cfg.client_shard = 25;    // one pool process per 25 same-region nodes
-  cfg.obfuscate = false;    // GF(256) cap; see header
-  cfg.lambda = ms(80);
-  cfg.batch_size = 100;
-  cfg.heartbeat = p.heartbeat;
+  cfg.node.obfuscate = false;  // GF(256) cap; see header
+  cfg.node.lambda = ms(80);
+  cfg.node.batch_size = 100;
+  cfg.node.heartbeat_period = p.heartbeat;
   cfg.duration = p.duration;
   cfg.measure_from = p.measure_from;
   return cfg;
@@ -114,13 +114,14 @@ bench::BenchEntry measure(const std::string& name, const RunConfig& cfg) {
 
   bench::BenchEntry e;
   e.name = name;
-  e.params = "n=" + std::to_string(cfg.n) +
+  e.params = "n=" + std::to_string(cfg.node.n) +
              " clients=" + std::to_string(cfg.clients_per_node) +
              " client_nodes=" + std::to_string(cfg.client_nodes) +
              " shard=" + std::to_string(cfg.client_shard) +
-             " batch=" + std::to_string(cfg.batch_size) +
-             " lambda_ms=" + std::to_string(to_ms(cfg.lambda)) +
-             " heartbeat_ms=" + std::to_string(to_ms(cfg.heartbeat)) +
+             " batch=" + std::to_string(cfg.node.batch_size) +
+             " lambda_ms=" + std::to_string(to_ms(cfg.node.lambda)) +
+             " heartbeat_ms=" +
+             std::to_string(to_ms(cfg.node.heartbeat_period)) +
              " duration_ms=" + std::to_string(to_ms(cfg.duration)) +
              " no-obfuscation";
   e.seed = cfg.seed;
@@ -135,8 +136,8 @@ bench::BenchEntry measure(const std::string& name, const RunConfig& cfg) {
   e.hw_concurrency = bench::hw_concurrency();
   e.host_nproc = bench::host_nproc();
   e.extra.emplace_back("rss_bytes", static_cast<double>(rss));
-  e.extra.emplace_back("rss_per_node",
-                       static_cast<double>(rss) / static_cast<double>(cfg.n));
+  e.extra.emplace_back("rss_per_node", static_cast<double>(rss) /
+                                           static_cast<double>(cfg.node.n));
   e.extra.emplace_back("committed", static_cast<double>(r.committed_txs));
   e.extra.emplace_back("mean_ms", r.mean_latency_ms);
   e.extra.emplace_back("p99_ms", r.p99_latency_ms);
@@ -159,12 +160,12 @@ bench::BenchEntry measure(const std::string& name, const RunConfig& cfg) {
                          static_cast<double>(r.sync.chunks_local));
   }
   std::printf("%-14s %8zu %12llu %10.2f %12.0f %10.1f %9.1f   %s\n",
-              name.c_str(), cfg.n,
+              name.c_str(), cfg.node.n,
               static_cast<unsigned long long>(r.committed_txs),
               r.throughput_tps, static_cast<double>(rss) / (1024.0 * 1024.0),
               static_cast<double>(rss) / (1024.0 * 1024.0) /
-                  static_cast<double>(cfg.n),
-              r.mean_latency_ms, r.prefix_consistent ? "ok" : "VIOLATED");
+                  static_cast<double>(cfg.node.n),
+              r.mean_latency_ms, bench::safety(r));
   std::fflush(stdout);
   return e;
 }

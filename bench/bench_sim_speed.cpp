@@ -28,9 +28,9 @@ bench::BenchEntry measure(const std::string& name, const RunConfig& cfg) {
   const RunResult r = run_experiment(cfg);
   bench::BenchEntry e;
   e.name = name;
-  e.params = "n=" + std::to_string(cfg.n) +
+  e.params = "n=" + std::to_string(cfg.node.n) +
              " clients=" + std::to_string(cfg.clients_per_node) +
-             " batch=" + std::to_string(cfg.batch_size) +
+             " batch=" + std::to_string(cfg.node.batch_size) +
              " duration_ms=" + std::to_string(to_ms(cfg.duration));
   e.seed = cfg.seed;
   e.events = r.events_executed;
@@ -46,7 +46,7 @@ bench::BenchEntry measure(const std::string& name, const RunConfig& cfg) {
   std::printf("%-14s %12llu %10.2f %14.0f %12.0f   %s\n", name.c_str(),
               static_cast<unsigned long long>(e.events), e.host_seconds,
               e.events_per_sec, e.throughput_tps,
-              r.prefix_consistent ? "ok" : "VIOLATED");
+              bench::safety(r));
   std::fflush(stdout);
   return e;
 }
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
 
   RunConfig lyra;
   lyra.protocol = harness::Protocol::kLyra;
-  lyra.n = n;
+  lyra.node.n = n;
   lyra.clients_per_node = 2600;  // covers the 3-in-flight pacing window
   lyra.duration = duration;
   lyra.measure_from = measure_from;
@@ -92,11 +92,11 @@ int main(int argc, char** argv) {
 
   RunConfig pompe;
   pompe.protocol = harness::Protocol::kPompe;
-  pompe.n = n;
+  pompe.node.n = n;
   pompe.duration = duration;
   pompe.measure_from = measure_from;
-  const double cap = harness::pompe_capacity_estimate(n, pompe.batch_size,
-                                                      125e6);
+  const double cap =
+      harness::pompe_capacity_estimate(n, pompe.node.batch_size, 125e6);
   pompe.clients_per_node = static_cast<std::uint32_t>(
       std::max(200.0, cap * 1.4 * 1.3 / static_cast<double>(n)));
   entries.push_back(

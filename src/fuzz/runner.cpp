@@ -34,18 +34,17 @@ TimeNs last_fault_end(const ScenarioPlan& plan) {
 harness::RunConfig make_run_config(const ScenarioPlan& plan) {
   harness::RunConfig c;
   c.protocol = plan.protocol;
-  c.n = plan.n;
+  c.node.n = plan.n;
+  c.node.batch_size = plan.batch_size;
+  c.node.mempool_capacity = plan.mempool_capacity;
   c.clients_per_node = plan.clients_per_node;
   c.duration = plan.duration;
   c.measure_from = 0;
   c.seed = plan.seed;
-  c.batch_size = plan.batch_size;
   c.bandwidth_bytes_per_sec = 0;
   c.byz = plan.byz;
   c.crashes = plan.crashes;
   c.state_sync = plan.state_sync;
-  c.workload.open_loop = plan.open_loop();
-  c.workload.mempool_capacity = plan.mempool_capacity;
   workload::OpenLoopOptions& a = c.workload.arrivals;
   a.arrival_rate = plan.arrival_rate;
   a.accounts = 1000;

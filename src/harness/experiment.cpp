@@ -126,9 +126,9 @@ RunResult collect_open_loop_stats(Cluster& cluster, const RunConfig& config) {
   return r;
 }
 
-/// The protocol-independent half of a run: the configuration both
-/// protocols share, client placement (one pool per node, or sharded),
-/// bandwidth, the timed run, client and mempool sums, and economics.
+/// The protocol-independent half of a run: f from n, client placement
+/// (one pool per node, or sharded), bandwidth, the timed run, client and
+/// mempool sums, and economics.
 /// Silent Byzantine slots get no clients and no stats, and economics reads
 /// the first node that is not silent. `before_start` schedules protocol
 /// faults once the pools are placed, ahead of the caller's hook; `collect`
@@ -138,24 +138,16 @@ template <class ClusterT, class Options, class Economics, class BeforeStart,
 RunResult run_cluster(const RunConfig& config, Options opts,
                       Economics economics, BeforeStart before_start,
                       Collect collect, const RunHooks<ClusterT>& hooks) {
-  const std::vector<bool> silent = silent_nodes(config.n, config.byz);
-  opts.config.n = config.n;
+  const std::size_t n = config.node.n;
+  const std::vector<bool> silent = silent_nodes(n, config.byz);
   opts.config.f = config.f();
-  opts.config.delta = ms(160);  // 1.2x the longest one-way leg
-  opts.config.batch_size = config.batch_size;
-  opts.config.batch_timeout = config.batch_timeout;
-  if (config.workload.open_loop) {
-    opts.config.mempool_capacity = config.workload.mempool_capacity;
-  }
-  const bool sharded_clients =
-      config.client_shard > 0 && !config.workload.open_loop;
+  const bool sharded_clients = config.client_shard > 0 && !config.open_loop();
   ShardPlan plan;
   if (sharded_clients) {
-    plan = make_shard_plan(config.n, config.client_shard, silent,
-                           config.client_nodes);
+    plan = make_shard_plan(n, config.client_shard, silent, config.client_nodes);
     opts.topology = std::move(plan.topology);
   } else {
-    opts.topology = net::three_continents_with_clients(config.n);
+    opts.topology = net::three_continents_with_clients(n);
   }
   opts.seed = config.seed;
 
@@ -169,9 +161,9 @@ RunResult run_cluster(const RunConfig& config, Options opts,
     }
   } else {
     const workload::OpenLoopOptions open_opts = make_open_loop_options(config);
-    for (NodeId i = 0; i < config.n; ++i) {
+    for (NodeId i = 0; i < n; ++i) {
       if (silent[i]) continue;
-      if (config.workload.open_loop) {
+      if (config.open_loop()) {
         cluster.add_open_loop_pool(i, open_opts, config.seed);
       } else {
         if (config.client_nodes > 0 && i >= config.client_nodes) continue;
@@ -189,17 +181,16 @@ RunResult run_cluster(const RunConfig& config, Options opts,
   const std::chrono::duration<double> host_elapsed =
       std::chrono::steady_clock::now() - host_start;
 
-  RunResult r = config.workload.open_loop
-                    ? collect_open_loop_stats(cluster, config)
-                    : collect_client_stats(cluster, config);
+  RunResult r = config.open_loop() ? collect_open_loop_stats(cluster, config)
+                                   : collect_client_stats(cluster, config);
   r.events_executed = executed;
   r.host_seconds = host_elapsed.count();
   r.sim_seconds = to_ms(config.duration) / 1000.0;
   r.prefix_consistent = cluster.ledgers_prefix_consistent();
   r.messages_dropped = cluster.network().messages_dropped() +
                        cluster.simulation().deliveries_dropped();
-  if (config.workload.open_loop) {
-    for (NodeId i = 0; i < config.n; ++i) {
+  if (config.open_loop()) {
+    for (NodeId i = 0; i < n; ++i) {
       if (!cluster.node_alive(i)) continue;
       if (const workload::Mempool* mp = cluster.node(i).mempool()) {
         r.mempool_rejects += mp->stats().rejected_full;
@@ -229,16 +220,12 @@ RunResult run_experiment(const RunConfig& config,
                          const RunHooks<LyraCluster>& hooks) {
   LYRA_ASSERT(config.protocol == Protocol::kLyra, "Lyra hooks on a Pompe run");
   LyraClusterOptions opts;
-  opts.config.lambda = config.lambda;
-  opts.config.heartbeat_period = config.heartbeat;
-  opts.config.obfuscate = config.obfuscate;
-  opts.config.max_outstanding_proposals = config.max_outstanding;
+  opts.config = config.node;
   const std::size_t sandwichers =
-      config.workload.open_loop ? config.workload.sandwich_attackers : 0;
+      config.open_loop() ? config.workload.sandwich_attackers : 0;
   configure_faults(opts, config.crashes, config.byz,
-                   config.state_sync || config.delta_sync,
-                   config.workload.open_loop, sandwichers,
-                   config.workload.sandwich);
+                   config.state_sync || config.delta_sync, config.open_loop(),
+                   sandwichers, config.workload.sandwich);
   opts.statesync_config.delta_transfer = config.delta_sync;
 
   const auto schedule_crashes = [&config](LyraCluster& cluster) {
@@ -250,7 +237,7 @@ RunResult run_experiment(const RunConfig& config,
   const auto collect = [&config](LyraCluster& cluster, RunResult& r) {
     r.late_accepts = cluster.total_late_accepts();
     r.restarts = cluster.restarts();
-    for (NodeId i = 0; i < config.n; ++i) {
+    for (NodeId i = 0; i < config.node.n; ++i) {
       const NodeRecoveryInfo& info = cluster.recovery_info(i);
       if (!info.happened) continue;
       r.recovered_wal_records += info.stats.replayed_records;
@@ -262,7 +249,7 @@ RunResult run_experiment(const RunConfig& config,
       if (!info.error.empty()) ++r.refused_restarts;
     }
     r.sync = cluster.statesync_totals();
-    for (NodeId i = 0; i < config.n; ++i) {
+    for (NodeId i = 0; i < config.node.n; ++i) {
       if (!cluster.node_alive(i)) continue;
       for (const core::CommittedBatch& cb : cluster.node(i).ledger()) {
         if (cb.revealed_at == 0) ++r.unrevealed_batches;
@@ -272,8 +259,8 @@ RunResult run_experiment(const RunConfig& config,
     Samples rounds;
     std::uint64_t ok = 0;
     std::uint64_t rejected = 0;
-    const std::vector<bool> silent = silent_nodes(config.n, config.byz);
-    for (NodeId i = 0; i < config.n; ++i) {
+    const std::vector<bool> silent = silent_nodes(config.node.n, config.byz);
+    for (NodeId i = 0; i < config.node.n; ++i) {
       if (silent[i] || !cluster.node_alive(i)) continue;
       const auto& stats = cluster.node(i).stats();
       for (double v : stats.decide_rounds.values()) rounds.add(v);
@@ -300,11 +287,12 @@ RunResult run_experiment(const RunConfig& config,
                          const RunHooks<PompeCluster>& hooks) {
   LYRA_ASSERT(config.protocol == Protocol::kPompe, "Pompe hooks on a Lyra run");
   PompeClusterOptions opts;
+  static_cast<core::NodeConfig&>(opts.config) = config.node;
   opts.config.initial_leader = 0;  // Oregon
   const std::size_t sandwichers =
-      config.workload.open_loop ? config.workload.sandwich_attackers : 0;
+      config.open_loop() ? config.workload.sandwich_attackers : 0;
   if (sandwichers > 0) {
-    const std::size_t n = config.n;
+    const std::size_t n = config.node.n;
     const attacks::SandwichOptions sw = config.workload.sandwich;
     opts.node_factory = [sandwichers, n, sw](
                             sim::Simulation* sim, net::Network* net,
@@ -319,7 +307,7 @@ RunResult run_experiment(const RunConfig& config,
     };
   }
   const auto collect = [&config](PompeCluster& cluster, RunResult& r) {
-    for (NodeId i = 0; i < config.n; ++i) {
+    for (NodeId i = 0; i < config.node.n; ++i) {
       r.proof_verifications += cluster.node(i).stats().proof_verifications;
     }
   };

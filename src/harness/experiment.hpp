@@ -7,6 +7,7 @@
 
 #include "attacks/sandwich.hpp"
 #include "harness/faults.hpp"
+#include "lyra/config.hpp"
 #include "statesync/manager.hpp"
 #include "support/types.hpp"
 #include "workload/economics.hpp"
@@ -18,7 +19,20 @@ namespace lyra::harness {
 /// load, on the paper's 3-continent topology (§VI-A).
 struct RunConfig {
   Protocol protocol = Protocol::kLyra;
-  std::size_t n = 4;
+
+  /// The protocol parameters (paper defaults), declared once: Pompē runs
+  /// read the core::NodeConfig part. `node.f` is not read, f() derives it
+  /// from n. Δ is 1.2x the longest one-way leg of the topology. A run is
+  /// open-loop iff `node.mempool_capacity` > 0 (open_loop()). Payloads are
+  /// retained only where the faults or the open loop need them
+  /// (configure_faults turns it on).
+  core::Config node = [] {
+    core::Config c;
+    c.delta = ms(160);
+    c.retain_payloads = false;
+    return c;
+  }();
+
   std::uint32_t clients_per_node = 1600;  // closed-loop width per node
 
   /// Aggregated clients: 0 keeps one closed-loop pool process per node
@@ -28,7 +42,7 @@ struct RunConfig {
   /// O(n/k) simulation objects instead of O(n), which is what makes
   /// n = 300–1000 sweeps affordable. Shards never span regions, so the
   /// client-to-node latency distribution is unchanged. Closed-loop runs
-  /// only (ignored with workload.open_loop).
+  /// only.
   std::size_t client_shard = 0;
 
   /// Cap on how many nodes host clients: 0 gives every node a client pool
@@ -38,24 +52,13 @@ struct RunConfig {
   /// each client-bearing node proposes, so a cluster-size sweep that only
   /// needs a load *anchor* — not the saturation knee — caps the proposer
   /// set to keep wall-clock cost from growing as n^3. Closed-loop runs
-  /// only (ignored with workload.open_loop).
+  /// only.
   std::size_t client_nodes = 0;
 
   TimeNs duration = ms(6000);
   TimeNs measure_from = ms(2500);
   TimeNs client_start = ms(900);  // after Lyra's distance warm-up
   std::uint64_t seed = 42;
-
-  // Protocol knobs (paper defaults).
-  std::size_t batch_size = 800;
-  TimeNs batch_timeout = ms(50);   // partial-batch proposal pacing
-  /// Status-heartbeat period (lyra::Config::heartbeat_period). Each beat
-  /// is an O(n) broadcast from every node, so idle-cluster traffic is
-  /// n^2/period — the big-n scaling sweeps stretch it to stay affordable.
-  TimeNs heartbeat = ms(25);
-  SeqNum lambda = ms(5);
-  bool obfuscate = true;                 // Lyra commit-reveal on/off
-  std::size_t max_outstanding = 3;       // Lyra proposal pacing
 
   /// Byzantine slots (Lyra only). Silent slots get no clients and report
   /// no stats; replay-init slots run the full protocol but also
@@ -83,15 +86,13 @@ struct RunConfig {
   /// state_sync.
   bool delta_sync = false;
 
-  /// Open-loop workload engine (docs/WORKLOAD.md). Off by default:
-  /// open_loop=false leaves every node's mempool disabled and the runs
-  /// byte-identical to the closed-loop harness above.
+  /// Open-loop workload engine (docs/WORKLOAD.md), read only when
+  /// open_loop(): with no mempool the runs are the closed-loop harness
+  /// above.
   struct Workload {
-    bool open_loop = false;
     /// One traffic source per node (offered = n * arrivals.arrival_rate);
     /// its start and measurement times come from the run window.
     workload::OpenLoopOptions arrivals;
-    std::size_t mempool_capacity = 4096;  ///< per-node bound
     /// Economic adversary: this many nodes (highest ids) run the sandwich
     /// variant that bids fees against observed high-value victims.
     std::size_t sandwich_attackers = 0;
@@ -100,7 +101,8 @@ struct RunConfig {
   };
   Workload workload;
 
-  std::size_t f() const { return (n - 1) / 3; }
+  std::size_t f() const { return (node.n - 1) / 3; }
+  bool open_loop() const { return node.mempool_capacity > 0; }
 };
 
 struct RunResult {

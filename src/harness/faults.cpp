@@ -124,7 +124,7 @@ void configure_faults(LyraClusterOptions& opts,
   const bool sync = needs_state_sync(crashes, state_sync);
   opts.durable_storage = !crashes.empty() || sync;
   opts.state_sync = sync;
-  opts.config.retain_payloads = sync || open_loop;
+  if (sync || open_loop) opts.config.retain_payloads = true;
   if (!byz.empty() || sandwichers > 0) {
     opts.node_factory = make_node_factory(byz, sandwichers, sandwich);
   }

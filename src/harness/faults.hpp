@@ -66,11 +66,12 @@ std::vector<bool> silent_nodes(std::size_t n, const std::vector<ByzFault>& byz);
 bool needs_state_sync(const std::vector<CrashFault>& crashes, bool requested);
 
 /// The cluster options the faults imply: durable storage for any crash or
-/// state sync, state sync per needs_state_sync(), payload retention with
-/// state sync (reveal catch-up serves the bytes) or open loop (economics
-/// and the fuzz double-commit check decode them), and a node factory for
-/// the Byzantine slots plus `sandwichers` sandwich attackers on the
-/// highest ids. Leaves `node_factory` alone when there is nothing to build.
+/// state sync, state sync per needs_state_sync(), payload retention turned
+/// on with state sync (reveal catch-up serves the bytes) or open loop
+/// (economics and the fuzz double-commit check decode them), and a node
+/// factory for the Byzantine slots plus `sandwichers` sandwich attackers
+/// on the highest ids. Leaves `node_factory` alone when there is nothing
+/// to build.
 void configure_faults(LyraClusterOptions& opts,
                       const std::vector<CrashFault>& crashes,
                       const std::vector<ByzFault>& byz, bool state_sync,

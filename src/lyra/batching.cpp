@@ -7,14 +7,13 @@
 namespace lyra::core {
 
 BatchingNode::BatchingNode(sim::Simulation* sim, sim::Transport* transport,
-                           NodeId id, std::size_t batch_size,
-                           TimeNs batch_timeout, std::size_t mempool_capacity)
+                           NodeId id, const NodeConfig& config)
     : Process(sim, transport, id),
-      assembler_(batch_size, id),
-      batch_size_(batch_size),
-      batch_timeout_(batch_timeout) {
-  if (mempool_capacity > 0) {
-    mempool_ = workload::make_fee_priority_mempool(mempool_capacity);
+      assembler_(config.batch_size, id),
+      batch_size_(config.batch_size),
+      batch_timeout_(config.batch_timeout) {
+  if (config.mempool_capacity > 0) {
+    mempool_ = workload::make_fee_priority_mempool(config.mempool_capacity);
   }
 }
 

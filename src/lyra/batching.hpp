@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "lyra/config.hpp"
 #include "lyra/messages.hpp"
 #include "sim/process.hpp"
 #include "support/bytes.hpp"
@@ -114,10 +115,10 @@ class BatchAssembler {
 /// maybe_propose() and flush_partial_batch().
 class BatchingNode : public sim::Process {
  public:
-  /// `mempool_capacity` 0 leaves the mempool off (the legacy direct path).
+  /// Reads the batching knobs; `mempool_capacity` 0 leaves the mempool
+  /// off (the legacy direct path).
   BatchingNode(sim::Simulation* sim, sim::Transport* transport, NodeId id,
-               std::size_t batch_size, TimeNs batch_timeout,
-               std::size_t mempool_capacity);
+               const NodeConfig& config);
 
   /// Injects client transactions directly (tests/examples). `submitted_at`
   /// defaults to now.

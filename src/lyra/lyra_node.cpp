@@ -10,26 +10,31 @@
 namespace lyra::core {
 
 namespace {
-/// Clock offsets are deterministic per node id so that a cluster can be
-/// assembled in any order: offset_i in [-spread, +spread].
-TimeNs offset_for(NodeId id, TimeNs spread, std::uint64_t seed) {
-  if (spread == 0) return 0;
-  Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * (id + 1)));
-  return rng.next_in_range(-spread, spread);
-}
+/// EWMA smoothing for the distance table D_i.
+constexpr double kDistanceAlpha = 0.2;
+/// Probe rounds used to learn D_i before proposing (§IV-B1).
+constexpr std::size_t kWarmupProbes = 4;
+/// §VI-D mitigation: reject transactions whose requested sequence number
+/// lies further than this in the future (memory-exhaustion defence).
+constexpr SeqNum kFutureBound = ms(1500);
+/// Sender-side pacing: assumed egress bandwidth used to space out own
+/// proposals so a batch broadcast never queues behind the previous one on
+/// the NIC (kernel pacing / TCP flow control do this in a real
+/// deployment). Keeps the proposer's own fan-out delay out of the
+/// perceived-sequence-number error that lambda validates.
+constexpr double kPacingBandwidth = 125e6;
 }  // namespace
 
 LyraNode::LyraNode(sim::Simulation* sim, net::Network* network, NodeId id,
                    const Config& config, const crypto::KeyRegistry* registry)
-    : BatchingNode(sim, network, id, config.batch_size, config.batch_timeout,
-                   config.mempool_capacity),
+    : BatchingNode(sim, network, id, config),
       config_(config),
       registry_(registry),
       signer_(registry->signer_for(id)),
       vss_(registry, static_cast<std::uint32_t>(config.n),
            static_cast<std::uint32_t>(config.quorum())),
-      clock_(sim, offset_for(id, config.clock_offset_spread, 0xc10c)),
-      distances_(config.n, config.distance_alpha),
+      clock_(sim, config.clock_offset(id, 0xc10c)),
+      distances_(config.n, kDistanceAlpha),
       commit_(config_) {
   LYRA_ASSERT(config.n > 3 * config.f, "need n > 3f");
 }
@@ -52,7 +57,7 @@ void LyraNode::on_start() {
     msg->pad_bytes = static_cast<std::uint64_t>(config_.batch_size) * 32;
     broadcast_msg(msg);
     ++probes_sent_;
-    if (probes_sent_ < config_.warmup_probes) {
+    if (probes_sent_ < kWarmupProbes) {
       set_timer(config_.probe_period, [this, self] { self(self); });
     }
   };
@@ -83,7 +88,7 @@ void LyraNode::on_start() {
 void LyraNode::on_message(const sim::Envelope& env) {
   // Ingest cost is parallelized like crypto: the prototype's runtime
   // spreads connection handling over the VM's 16 vCPUs.
-  charge(ccost(config_.message_overhead * 16));
+  charge(ccost(kMessageOverhead * 16));
 
   const sim::Payload& p = *env.payload;
   const sim::MsgKind kind = p.kind();
@@ -235,13 +240,11 @@ void LyraNode::propose_batch(PendingBatch batch) {
 
   own_proposals_.emplace(inst, OwnProposal{std::move(batch), s_ref, now()});
   ++stats_.proposals;
-  if (config_.pacing_bandwidth > 0) {
-    const double fanout_bytes = static_cast<double>(msg->wire_size()) *
-                                static_cast<double>(config_.n);
-    next_proposal_at_ =
-        now() + static_cast<TimeNs>(fanout_bytes / config_.pacing_bandwidth *
-                                    static_cast<double>(kNsPerSec));
-  }
+  const double fanout_bytes = static_cast<double>(msg->wire_size()) *
+                              static_cast<double>(config_.n);
+  next_proposal_at_ =
+      now() + static_cast<TimeNs>(fanout_bytes / kPacingBandwidth *
+                                  static_cast<double>(kNsPerSec));
   broadcast_msg(msg);
 }
 
@@ -267,7 +270,7 @@ bool LyraNode::validate_init(const InitMsg& m, SeqNum perceived,
   // our locally locked prefix (older than L = 3*Delta)...
   if (requested <= perceived - config_.max_latency()) return false;
   // ...nor absurdly far in the future (§VI-D memory-exhaustion defence).
-  if (requested > perceived + config_.future_bound) return false;
+  if (requested > perceived + kFutureBound) return false;
   return true;
 }
 

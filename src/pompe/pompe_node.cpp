@@ -8,23 +8,14 @@
 
 namespace lyra::pompe {
 
-namespace {
-TimeNs offset_for(NodeId id, TimeNs spread) {
-  if (spread == 0) return 0;
-  Rng rng(0x90'4d'be ^ (0x9e3779b97f4a7c15ULL * (id + 1)));
-  return rng.next_in_range(-spread, spread);
-}
-}  // namespace
-
 PompeNode::PompeNode(sim::Simulation* sim, net::Network* network, NodeId id,
                      const PompeConfig& config,
                      const crypto::KeyRegistry* registry)
-    : BatchingNode(sim, network, id, config.batch_size, config.batch_timeout,
-                   config.mempool_capacity),
+    : BatchingNode(sim, network, id, config),
       config_(config),
       registry_(registry),
       signer_(registry->signer_for(id)),
-      clock_(sim, offset_for(id, config.clock_offset_spread)),
+      clock_(sim, config.clock_offset(id, 0x90'4d'be)),
       hotstuff_(
           [&] {
             hotstuff::HotStuffCore::Options o;
@@ -32,7 +23,6 @@ PompeNode::PompeNode(sim::Simulation* sim, net::Network* network, NodeId id,
             o.f = config.f;
             o.self = id;
             o.initial_leader = config.initial_leader;
-            o.max_block_bytes = config.max_block_bytes;
             o.view_timeout = 10 * config.delta;
             o.costs = config.costs;
             o.cpu_parallelism = config.cpu_parallelism;
@@ -72,7 +62,7 @@ PompeNode::PompeNode(sim::Simulation* sim, net::Network* network, NodeId id,
 void PompeNode::on_start() { hotstuff_.on_start(); }
 
 void PompeNode::on_message(const sim::Envelope& env) {
-  charge(config_.message_overhead);
+  charge(core::kMessageOverhead);
   const sim::Payload& p = *env.payload;
   switch (p.kind()) {
     case sim::MsgKind::kSubmit:
@@ -118,7 +108,7 @@ void PompeNode::propose_carved(Carved carved) {
   msg->payload = carved.payload;
   msg->batch_digest =
       crypto::Hasher().add_str("pompe-batch").add(msg->payload).digest();
-  charge(ccost(config_.costs.hash_cost(msg->nominal_bytes)));
+  charge(config_.crypto_cost(config_.costs.hash_cost(msg->nominal_bytes)));
 
   OwnBatch own;
   own.carved = std::move(carved);
@@ -145,14 +135,14 @@ void PompeNode::handle_ts_request(const sim::Envelope& env,
   if (!known_.contains(m.batch_digest)) {
     known_.emplace(m.batch_digest,
                    KnownBatch{m.payload, m.proposer, m.tx_count});
-    charge(ccost(config_.costs.hash_cost(m.nominal_bytes)));
+    charge(config_.crypto_cost(config_.costs.hash_cost(m.nominal_bytes)));
   }
   observe_batch(m);
 
   auto reply = sim::make_payload<TsReplyMsg>();
   reply->batch_digest = m.batch_digest;
   reply->ts = timestamp_for(m);
-  charge(ccost(config_.costs.sign));
+  charge(config_.crypto_cost(config_.costs.sign));
   reply->sig = signer_.sign(ts_message(m.batch_digest, reply->ts));
   send(env.from, std::move(reply));
 }
@@ -206,7 +196,7 @@ void PompeNode::handle_sequence(const sim::Envelope& env,
     const NodeId who = st.sig.signer;
     if (who >= config_.n || signer_seen[who]) {
       // Malformed or duplicate signer: screening still pays one verify.
-      charge(ccost(config_.costs.verify));
+      charge(config_.crypto_cost(config_.costs.verify));
       ++stats_.proof_verifications;
       continue;
     }
@@ -296,7 +286,7 @@ Bytes PompeNode::ts_message(const crypto::Digest& digest, SeqNum ts) const {
 bool PompeNode::check_ts_sig(const crypto::Digest& batch_digest, SeqNum ts,
                              const crypto::Signature& sig, NodeId signer,
                              bool count_proof) {
-  charge(ccost(config_.costs.verify));
+  charge(config_.crypto_cost(config_.costs.verify));
   if (count_proof) ++stats_.proof_verifications;
   return registry_->verify(ts_message(batch_digest, ts), sig, signer);
 }

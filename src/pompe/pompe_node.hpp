@@ -18,27 +18,11 @@
 
 namespace lyra::pompe {
 
-/// Parameters of a Pompē deployment: same batching and testbed knobs as
-/// Lyra's Config so head-to-head runs compare like for like.
-struct PompeConfig {
-  std::size_t n = 4;
-  std::size_t f = 1;
-  TimeNs delta = ms(150);
-  std::size_t batch_size = 800;
-  TimeNs batch_timeout = ms(50);
-  TimeNs clock_offset_spread = ms(2);  // NTP-grade skew
+/// Parameters of a Pompē deployment: the shared node parameters, so
+/// head-to-head runs with Lyra compare like for like, plus the HotStuff
+/// leader. Blocks cap at HotStuff's own default size.
+struct PompeConfig : core::NodeConfig {
   NodeId initial_leader = 0;
-  std::uint64_t max_block_bytes = 512 * 1024;
-  crypto::CryptoCosts costs;
-  double cpu_parallelism = 16.0;
-  TimeNs message_overhead = us(1);
-
-  /// Bounded fee-priority mempool in front of batch formation — same
-  /// semantics as lyra::Config::mempool_capacity, 0 = off (the default,
-  /// bit-identical legacy behaviour).
-  std::size_t mempool_capacity = 0;
-
-  std::size_t quorum() const { return 2 * f + 1; }
 };
 
 struct PompeStats {
@@ -108,10 +92,6 @@ class PompeNode : public core::BatchingNode {
   void on_block_commit(const hotstuff::Block& block);
 
   Bytes ts_message(const crypto::Digest& digest, SeqNum ts) const;
-  TimeNs ccost(TimeNs base) const {
-    return static_cast<TimeNs>(static_cast<double>(base) /
-                               config_.cpu_parallelism);
-  }
   /// Charges the modeled verify cost, then verifies one signed timestamp.
   /// `count_proof` ticks stats_.proof_verifications.
   bool check_ts_sig(const crypto::Digest& batch_digest, SeqNum ts,

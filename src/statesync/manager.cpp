@@ -13,6 +13,13 @@ namespace {
 /// or a reveal request listing millions of ciphers is dropped outright.
 constexpr std::uint64_t kMaxChunkBytes = 1u << 20;
 constexpr std::size_t kMaxRevealReqIds = 1024;
+/// Ciphers per reveal catch-up round.
+constexpr std::size_t kMaxRevealBatch = 64;
+/// Serving-side LRU capacity, in encoded chunks. Chunks are produced on
+/// demand from the durable snapshot / committed prefix, so this bounds the
+/// server's transfer memory at a few chunks instead of a whole blob per
+/// cut.
+constexpr std::size_t kServeCacheChunks = 16;
 }  // namespace
 
 StateSyncManager::StateSyncManager(StateSyncHost* host, std::size_t n,
@@ -411,7 +418,7 @@ void StateSyncManager::arm_catchup(TimeNs delay) {
 
 void StateSyncManager::catchup_tick() {
   const std::vector<crypto::Digest> holes =
-      host_->sync_unrevealed(config_.max_reveal_batch);
+      host_->sync_unrevealed(kMaxRevealBatch);
   if (holes.empty()) {
     catchup_.clear();
     return;
@@ -572,7 +579,7 @@ Bytes StateSyncManager::serve_chunk(std::uint64_t cut, std::size_t chunk_bytes,
       encode_blob_range(cut, begin, begin + chunk_bytes,
                         byzantine_ == ByzantineSyncMode::kWrongManifest);
   Bytes data = fresh.data;
-  if (serve_lru_.size() < std::max<std::size_t>(config_.serve_cache_chunks, 1)) {
+  if (serve_lru_.size() < kServeCacheChunks) {
     serve_lru_.push_back(std::move(fresh));
   } else {
     std::size_t oldest = 0;

@@ -21,17 +21,10 @@ struct StateSyncConfig {
   /// Chunk requests in flight at once (spread round-robin over the
   /// manifest quorum members).
   std::size_t max_inflight_chunks = 4;
-  /// Ciphers per reveal catch-up round.
-  std::size_t max_reveal_batch = 64;
   /// Requester-side cap on chunk requests outstanding at a single server
   /// (0 = unlimited). Keeps one slow-but-honest peer from absorbing the
   /// whole inflight window a timeout at a time.
   std::size_t max_per_server_inflight = 2;
-  /// Serving-side LRU capacity, in encoded chunks. Chunks are produced on
-  /// demand from the durable snapshot / committed prefix, so this bounds
-  /// the server's transfer memory at a few chunks instead of a whole blob
-  /// per cut.
-  std::size_t serve_cache_chunks = 16;
   /// Serving-side cap on chunk serves in flight (each serve occupies the
   /// modeled CPU for ~delta); 0 = unlimited. Requests arriving past the
   /// cap are shed — the requester's timeout path retries elsewhere.

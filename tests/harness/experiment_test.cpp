@@ -12,13 +12,12 @@ TEST(Experiment, OfferedRateSpansTheArrivalWindow) {
   // before the run ends at 4000 ms: the offered rate is the arrivals over
   // those 1.6 s, not over the whole run.
   harness::RunConfig c;
-  c.n = 4;
-  c.batch_size = 16;
+  c.node.n = 4;
+  c.node.batch_size = 16;
+  c.node.mempool_capacity = 64;
   c.duration = ms(4000);
-  c.workload.open_loop = true;
   c.workload.arrivals.arrival_rate = 300;
   c.workload.arrivals.stop_at = ms(2500);
-  c.workload.mempool_capacity = 64;
   const harness::RunResult r = harness::run_experiment(c);
   ASSERT_GT(r.offered_txs, 0u);
   EXPECT_DOUBLE_EQ(r.offered_tps, static_cast<double>(r.offered_txs) / 1.6);

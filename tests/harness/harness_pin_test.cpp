@@ -57,9 +57,9 @@ void expect_pinned(const RunConfig& config, const ExperimentPin& want) {
 RunConfig small_config(harness::Protocol protocol, std::size_t n) {
   RunConfig c;
   c.protocol = protocol;
-  c.n = n;
+  c.node.n = n;
   c.clients_per_node = 64;
-  c.batch_size = 16;
+  c.node.batch_size = 16;
   c.duration = ms(4000);
   c.measure_from = ms(2500);
   return c;
@@ -75,9 +75,8 @@ RunConfig sharded_config(harness::Protocol protocol) {
 
 RunConfig open_loop_config(harness::Protocol protocol) {
   RunConfig c = small_config(protocol, 4);
-  c.workload.open_loop = true;
+  c.node.mempool_capacity = 64;
   c.workload.arrivals.arrival_rate = 300;
-  c.workload.mempool_capacity = 64;
   c.workload.sandwich_attackers = 1;
   c.workload.sandwich.value_threshold = 2000;
   return c;

@@ -16,7 +16,7 @@ using harness::RunResult;
 RunConfig wan_config(harness::Protocol protocol, std::size_t n) {
   RunConfig c;
   c.protocol = protocol;
-  c.n = n;
+  c.node.n = n;
   c.clients_per_node = 1600;
   c.duration = ms(5000);
   c.measure_from = ms(2500);
@@ -49,7 +49,7 @@ TEST(WanIntegration, PompeCommitsWithHigherDelayCount) {
 TEST(WanIntegration, LyraObfuscationOffIsFasterNotSafer) {
   RunConfig with = wan_config(harness::Protocol::kLyra, 7);
   RunConfig without = with;
-  without.obfuscate = false;
+  without.node.obfuscate = false;
   const RunResult r_with = run_experiment(with);
   const RunResult r_without = run_experiment(without);
   EXPECT_TRUE(r_with.prefix_consistent);

@@ -78,7 +78,8 @@ void usage() {
       "                            node proposes, and every instance costs\n"
       "                            O(n^2) consensus traffic — cap the\n"
       "                            proposer set on big-cluster sweeps)\n"
-      "open-loop workload engine (docs/WORKLOAD.md):\n"
+      "open-loop workload engine (docs/WORKLOAD.md); the flags after\n"
+      "--open-loop need it:\n"
       "  --open-loop               replace closed-loop clients with Poisson\n"
       "                            traffic sources and give every node a\n"
       "                            bounded fee-priority mempool\n"
@@ -158,13 +159,24 @@ void bad_value(const char* flag, const std::string& value) {
   std::fprintf(stderr, "bad value for %s: '%s'\n", flag, value.c_str());
 }
 
+/// Flags that shape the open-loop workload; each needs --open-loop.
+constexpr const char* kOpenLoopFlags[] = {
+    "--arrival-rate",  "--accounts",           "--zipf-s",
+    "--burst-every",   "--burst-len",          "--burst-mult",
+    "--mempool-cap",   "--fee-model",          "--max-retries",
+    "--retry-backoff", "--sandwich-attackers", "--victim-threshold",
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   RunConfig config;
-  config.n = 16;
+  config.node.n = 16;
   std::size_t silent = 0;
   std::size_t replayers = 0;
+  bool open_loop = false;
+  std::size_t mempool_cap = 4096;
+  const char* open_loop_flag = nullptr;  // the last open-loop-only flag
   workload::OpenLoopOptions& arrivals = config.workload.arrivals;
   // The window the last --crash-node opened; null (after saying so) if none.
   const auto last_crash = [&config](const char* flag) -> harness::CrashFault* {
@@ -174,6 +186,13 @@ int main(int argc, char** argv) {
   };
 
   for (int i = 1; i < argc; ++i) {
+    for (const char* flag : kOpenLoopFlags) {
+      const std::size_t len = std::strlen(flag);
+      if (std::strncmp(argv[i], flag, len) == 0 &&
+          (argv[i][len] == '\0' || argv[i][len] == '=')) {
+        open_loop_flag = flag;
+      }
+    }
     std::string value;
     // Parse `value` into `out`, or say which flag had a bad value.
     const auto set = [&value](const char* flag, auto& out) {
@@ -194,7 +213,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (parse_value(argc, argv, i, "--nodes", value)) {
-      if (!set("--nodes", config.n)) return 2;
+      if (!set("--nodes", config.node.n)) return 2;
     } else if (parse_value(argc, argv, i, "--clients", value)) {
       if (!set("--clients", config.clients_per_node)) return 2;
     } else if (parse_value(argc, argv, i, "--duration-ms", value)) {
@@ -202,16 +221,22 @@ int main(int argc, char** argv) {
     } else if (parse_value(argc, argv, i, "--measure-from-ms", value)) {
       if (!set_duration("--measure-from-ms", config.measure_from)) return 2;
     } else if (parse_value(argc, argv, i, "--batch-timeout", value)) {
-      if (!set_duration("--batch-timeout", config.batch_timeout)) return 2;
+      if (!set_duration("--batch-timeout", config.node.batch_timeout)) {
+        return 2;
+      }
     } else if (parse_value(argc, argv, i, "--batch", value)) {
-      if (!set("--batch", config.batch_size)) return 2;
+      if (!set("--batch", config.node.batch_size)) return 2;
     } else if (parse_value(argc, argv, i, "--heartbeat-ms", value)) {
-      if (!set_duration("--heartbeat-ms", config.heartbeat)) return 2;
+      if (!set_duration("--heartbeat-ms", config.node.heartbeat_period)) {
+        return 2;
+      }
     } else if (parse_value(argc, argv, i, "--lambda-ms", value)) {
       if (!set("--lambda-ms", real)) return 2;
-      config.lambda = ms(real);
+      config.node.lambda = ms(real);
     } else if (parse_value(argc, argv, i, "--outstanding", value)) {
-      if (!set("--outstanding", config.max_outstanding)) return 2;
+      if (!set("--outstanding", config.node.max_outstanding_proposals)) {
+        return 2;
+      }
     } else if (parse_value(argc, argv, i, "--silent", value)) {
       if (!set("--silent", silent)) return 2;
     } else if (parse_value(argc, argv, i, "--replay-attackers", value)) {
@@ -256,7 +281,7 @@ int main(int argc, char** argv) {
     } else if (parse_value(argc, argv, i, "--burst-mult", value)) {
       if (!set("--burst-mult", arrivals.burst_mult)) return 2;
     } else if (parse_value(argc, argv, i, "--mempool-cap", value)) {
-      if (!set("--mempool-cap", config.workload.mempool_capacity)) return 2;
+      if (!set("--mempool-cap", mempool_cap)) return 2;
     } else if (parse_value(argc, argv, i, "--fee-model", value)) {
       if (!workload::fee_model_from_string(value, &arrivals.fee_model)) {
         std::fprintf(stderr, "unknown fee model '%s'\n", value.c_str());
@@ -276,7 +301,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--open-loop") == 0) {
-      config.workload.open_loop = true;
+      open_loop = true;
     } else if (std::strcmp(argv[i], "--state-sync") == 0) {
       config.state_sync = true;
     } else if (std::strcmp(argv[i], "--delta-sync") == 0) {
@@ -286,7 +311,7 @@ int main(int argc, char** argv) {
     } else if (parse_value(argc, argv, i, "--client-nodes", value)) {
       if (!set("--client-nodes", config.client_nodes)) return 2;
     } else if (std::strcmp(argv[i], "--no-obfuscation") == 0) {
-      config.obfuscate = false;
+      config.node.obfuscate = false;
     } else if (std::strcmp(argv[i], "--help") == 0) {
       usage();
       return 0;
@@ -297,16 +322,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (config.batch_size == 0 || config.max_outstanding == 0) {
-    std::fprintf(stderr, "--batch and --outstanding must be at least 1\n");
+  if (config.node.batch_size == 0 ||
+      config.node.max_outstanding_proposals == 0 || mempool_cap == 0) {
+    std::fprintf(stderr,
+                 "--batch, --outstanding and --mempool-cap must be at "
+                 "least 1\n");
     return 2;
   }
-  if (config.n <= 3 * config.f()) {
+  if (open_loop_flag != nullptr && !open_loop) {
+    std::fprintf(stderr, "%s needs --open-loop\n", open_loop_flag);
+    return 2;
+  }
+  if (open_loop) config.node.mempool_capacity = mempool_cap;
+  if (config.node.n <= 3 * config.f()) {
     std::fprintf(stderr, "need n > 3f\n");
     return 2;
   }
-  if (config.protocol == harness::Protocol::kLyra && config.obfuscate &&
-      config.n > 255) {
+  if (config.protocol == harness::Protocol::kLyra && config.node.obfuscate &&
+      config.node.n > 255) {
     std::fprintf(stderr,
                  "commit-reveal VSS shares live in GF(256), capping "
                  "obfuscated deployments at n = 255; pass --no-obfuscation "
@@ -317,22 +350,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "measurement window is empty\n");
     return 2;
   }
-  if (config.workload.open_loop &&
+  if (config.open_loop() &&
       (config.client_shard > 0 || config.client_nodes > 0)) {
     std::fprintf(stderr,
                  "--client-shard and --client-nodes shape closed-loop "
                  "clients; they do not combine with --open-loop\n");
     return 2;
   }
-  if (config.workload.sandwich_attackers > 0 && !config.workload.open_loop) {
-    std::fprintf(stderr, "--sandwich-attackers needs --open-loop\n");
-    return 2;
-  }
-  if (config.workload.sandwich_attackers >= config.n) {
+  if (config.workload.sandwich_attackers >= config.node.n) {
     std::fprintf(stderr, "--sandwich-attackers must stay below n\n");
     return 2;
   }
-  for (std::size_t i = 0; i < std::min(silent + replayers, config.n); ++i) {
+  for (std::size_t i = 0; i < std::min(silent + replayers, config.node.n);
+       ++i) {
     config.byz.push_back({static_cast<NodeId>(i),
                           i < silent ? harness::ByzKind::kSilent
                                      : harness::ByzKind::kReplayInit});
@@ -340,18 +370,18 @@ int main(int argc, char** argv) {
   const bool state_sync = harness::needs_state_sync(
       config.crashes, config.state_sync || config.delta_sync);
   std::string error;
-  if (!harness::validate_faults(config.n, config.protocol, config.crashes,
-                                config.byz, config.duration, state_sync,
-                                config.workload.open_loop, error)) {
+  if (!harness::validate_faults(config.node.n, config.protocol,
+                                config.crashes, config.byz, config.duration,
+                                state_sync, config.open_loop(), error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
   }
 
   std::printf("running %s: n=%zu f=%zu clients/node=%u batch=%zu "
               "lambda=%.1fms duration=%.1fs seed=%llu\n",
-              harness::protocol_name(config.protocol), config.n, config.f(),
-              config.clients_per_node, config.batch_size,
-              to_ms(config.lambda), to_ms(config.duration) / 1000.0,
+              harness::protocol_name(config.protocol), config.node.n,
+              config.f(), config.clients_per_node, config.node.batch_size,
+              to_ms(config.node.lambda), to_ms(config.duration) / 1000.0,
               static_cast<unsigned long long>(config.seed));
   std::fflush(stdout);
 
@@ -414,7 +444,7 @@ int main(int argc, char** argv) {
     std::printf("ts verifications  %10llu\n",
                 static_cast<unsigned long long>(result.proof_verifications));
   }
-  if (config.workload.open_loop) {
+  if (config.open_loop()) {
     std::printf("\n--- open-loop workload ---\n");
     std::printf("offered load      %10.0f tx/s (%llu arrivals)\n",
                 result.offered_tps,
