@@ -228,7 +228,6 @@ statesync::StateSyncStats LyraCluster::statesync_totals() const {
     total.chunk_timeouts += s.chunk_timeouts;
     total.bytes_transferred += s.bytes_transferred;
     total.bytes_local += s.bytes_local;
-    total.serves_shed += s.serves_shed;
     total.entries_installed += s.entries_installed;
     total.catchup_reveals += s.catchup_reveals;
     total.catchup_rejections += s.catchup_rejections;

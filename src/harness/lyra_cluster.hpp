@@ -131,7 +131,7 @@ class LyraCluster : public Cluster<core::LyraNode, LyraClusterOptions> {
   // Per consensus node; disks outlive crashes, journals are rebuilt on
   // restart (a journal must never append to a torn pre-crash segment).
   std::vector<std::unique_ptr<storage::MemDisk>> disks_;
-  std::vector<std::unique_ptr<storage::Journal>> journals_;
+  std::vector<std::unique_ptr<storage::DurableJournal>> journals_;
   std::vector<NodeRecoveryInfo> recovery_info_;
   std::uint64_t restarts_ = 0;
 };

@@ -161,7 +161,10 @@ void LyraNode::on_message(const sim::Envelope& env) {
 // ---------------------------------------------------------------------------
 
 void LyraNode::maybe_propose() {
-  if (!warmed_up_) return;
+  // A node rebuilding its prefix from peers does not yet know which own
+  // instance ids an earlier incarnation used; it proposes again from
+  // sync_completed(), once the install has named them.
+  if (!warmed_up_ || syncing()) return;
   while (has_full_batch() &&
          own_proposals_.size() < config_.max_outstanding_proposals) {
     if (now() < next_proposal_at_) {
@@ -175,7 +178,7 @@ void LyraNode::maybe_propose() {
 }
 
 void LyraNode::flush_partial_batch() {
-  if (!warmed_up_ || !has_pending()) return;
+  if (!warmed_up_ || syncing() || !has_pending()) return;
   if (own_proposals_.size() >= config_.max_outstanding_proposals) {
     arm_batch_timer();  // retry once a slot frees up
     return;
@@ -233,12 +236,14 @@ void LyraNode::propose_batch(PendingBatch batch) {
         crypto::Hasher().add_str("clear").add(carved.payload).digest();
   }
 
+  const crypto::Digest cipher_id = msg->cipher.cipher_id();
   const crypto::Digest value_id =
-      compute_value_id(inst, msg->cipher.cipher_id(), msg->predictions);
+      compute_value_id(inst, cipher_id, msg->predictions);
   charge(ccost(config_.costs.sign));
   msg->sig = signer_.sign(value_id);
 
-  own_proposals_.emplace(inst, OwnProposal{std::move(batch), s_ref, now()});
+  own_proposals_.emplace(inst,
+                         OwnProposal{std::move(batch), s_ref, now(), cipher_id});
   ++stats_.proposals;
   const double fanout_bytes = static_cast<double>(msg->wire_size()) *
                               static_cast<double>(config_.n);
@@ -783,20 +788,24 @@ void LyraNode::decide(BocInstance& b, bool value) {
     if (it != own_proposals_.end()) {
       PendingBatch batch = std::move(it->second.batch);
       own_proposals_.erase(it);
-      if (++batch.attempts <= config_.max_batch_resubmissions) {
-        // SMR-Liveness (Lemma 8) rests on correct processes continuously
-        // re-inputting rejected transactions; pre-GST rejections are
-        // expected, so retry patiently (one Delta) and effectively
-        // unboundedly.
-        ++stats_.resubmissions;
-        set_timer(config_.delta, [this, batch = std::move(batch)]() mutable {
-          propose_batch(std::move(batch));
-        });
-      } else {
-        ++stats_.dropped_batches;
-        settle(batch.carved.chunks, /*committed=*/false);
-      }
+      resubmit(std::move(batch));
     }
+  }
+}
+
+void LyraNode::resubmit(PendingBatch batch) {
+  if (++batch.attempts <= config_.max_batch_resubmissions) {
+    // SMR-Liveness (Lemma 8) rests on correct processes continuously
+    // re-inputting rejected transactions; pre-GST rejections are
+    // expected, so retry patiently (one Delta) and effectively
+    // unboundedly.
+    ++stats_.resubmissions;
+    set_timer(config_.delta, [this, batch = std::move(batch)]() mutable {
+      propose_batch(std::move(batch));
+    });
+  } else {
+    ++stats_.dropped_batches;
+    settle(batch.carved.chunks, /*committed=*/false);
   }
 }
 
@@ -826,6 +835,13 @@ void LyraNode::apply_status(NodeId from, const StatusPiggyback& status) {
 }
 
 void LyraNode::merge_accepted(const AcceptedEntry& entry, NodeId from) {
+  if (entry.inst.proposer == id()) {
+    // A restarted node that lost its journal learns the ids of its earlier
+    // incarnation's instances here (resync replies, peers' deltas); it
+    // must never propose one of them again.
+    next_proposal_index_ =
+        std::max(next_proposal_index_, entry.inst.index + 1);
+  }
   if (!commit_.add_accepted(entry)) return;
   if (journal_ != nullptr) journal_->accepted(entry);
   commit_.resolve_pending(entry.cipher_id);
@@ -851,42 +867,19 @@ void LyraNode::try_commit() {
   // Post-restart: the accepted set may have holes until f+1 peers answered
   // the resync; extracting across a hole would fork this ledger. Likewise
   // while a snapshot transfer runs: extraction would race the install.
-  if (resync_pending_ ||
-      (statesync_ != nullptr && statesync_->sync_active())) {
-    return;
-  }
+  if (resync_pending_ || syncing()) return;
   const std::vector<AcceptedEntry> wave = commit_.take_committable();
   if (wave.empty()) return;
 
   auto shares_msg = sim::make_payload<SharesMsg>();
   for (const AcceptedEntry& entry : wave) {
-    RevealRecord& rec = reveal_[entry.cipher_id];
-    rec.committed = true;
-    rec.inst = entry.inst;
-    rec.seq = entry.seq;
-
-    CommittedBatch cb;
-    cb.seq = entry.seq;
-    cb.inst = entry.inst;
-    cb.cipher_id = entry.cipher_id;
-    cb.tx_count = rec.tx_count;
-    cb.committed_at = now();
-    rec.ledger_slot = ledger_.size();
-    ledger_.push_back(std::move(cb));
-    ++stats_.committed_batches;
+    RevealRecord& rec = append_committed(entry);
     if (entry.inst.proposer == id()) {
       if (const auto it = instances_.find(entry.inst);
           it != instances_.end() && it->second.decided) {
         stats_.phase_commit_wait_ms.add(to_ms(now() - it->second.decided_at));
       }
     }
-
-    chain_hash_ = crypto::Hasher()
-                      .add(chain_hash_)
-                      .add_i64(entry.seq)
-                      .add(entry.cipher_id)
-                      .digest();
-    if (journal_ != nullptr) journal_->committed(entry, rec.tx_count);
     LYRA_TRACE("commit", "seq=" + std::to_string(entry.seq));
 
     if (!rec.have_cipher) {
@@ -896,12 +889,7 @@ void LyraNode::try_commit() {
       continue;
     }
     if (config_.obfuscate) {
-      charge(ccost(config_.costs.vss_partial_decrypt));
-      const crypto::VssShare share =
-          vss_.partial_decrypt(rec.init->cipher, signer_);
-      rec.shares.push_back(share);
-      rec.share_broadcast = true;
-      shares_msg->shares.emplace_back(entry.cipher_id, share);
+      release_share(entry.cipher_id, rec, *shares_msg);
       try_reveal(entry.cipher_id);
     } else {
       finalize_reveal(entry.cipher_id, rec.init->cipher.ciphertext);
@@ -911,6 +899,41 @@ void LyraNode::try_commit() {
   if (journal_ != nullptr && journal_->snapshot_due()) {
     journal_->write_snapshot(make_snapshot());
   }
+}
+
+LyraNode::RevealRecord& LyraNode::append_committed(const AcceptedEntry& entry) {
+  RevealRecord& rec = reveal_[entry.cipher_id];
+  rec.committed = true;
+  rec.inst = entry.inst;
+  rec.seq = entry.seq;
+  rec.ledger_slot = ledger_.size();
+
+  CommittedBatch cb;
+  cb.seq = entry.seq;
+  cb.inst = entry.inst;
+  cb.cipher_id = entry.cipher_id;
+  cb.tx_count = rec.tx_count;
+  cb.committed_at = now();
+  ledger_.push_back(std::move(cb));
+  ++stats_.committed_batches;
+
+  chain_hash_ = crypto::Hasher()
+                    .add(chain_hash_)
+                    .add_i64(entry.seq)
+                    .add(entry.cipher_id)
+                    .digest();
+  if (journal_ != nullptr) journal_->committed(entry, rec.tx_count);
+  return rec;
+}
+
+void LyraNode::release_share(const crypto::Digest& cipher_id,
+                             RevealRecord& rec, SharesMsg& out) {
+  charge(ccost(config_.costs.vss_partial_decrypt));
+  const crypto::VssShare share =
+      vss_.partial_decrypt(rec.init->cipher, signer_);
+  rec.shares.push_back(share);
+  rec.share_broadcast = true;
+  out.shares.emplace_back(cipher_id, share);
 }
 
 void LyraNode::on_cipher_for_committed(const crypto::Digest& cipher_id) {
@@ -924,13 +947,8 @@ void LyraNode::on_cipher_for_committed(const crypto::Digest& cipher_id) {
     return;
   }
   if (!rec.share_broadcast) {
-    charge(ccost(config_.costs.vss_partial_decrypt));
-    const crypto::VssShare share =
-        vss_.partial_decrypt(rec.init->cipher, signer_);
-    rec.shares.push_back(share);
-    rec.share_broadcast = true;
     auto msg = sim::make_payload<SharesMsg>();
-    msg->shares.emplace_back(cipher_id, share);
+    release_share(cipher_id, rec, *msg);
     broadcast_msg(msg);
   }
   try_reveal(cipher_id);
@@ -994,7 +1012,7 @@ void LyraNode::finalize_reveal(const crypto::Digest& cipher_id,
     cb.payload.clear();
     cb.payload.shrink_to_fit();
   }
-  if (cb.inst.proposer == id()) settle_own_batch(cb.inst, cb.seq);
+  if (cb.inst.proposer == id()) settle_own_batch(cb);
 
   // Let go of the INIT; the instance map still holds it for late ReqInit
   // pulls until GC.
@@ -1003,10 +1021,19 @@ void LyraNode::finalize_reveal(const crypto::Digest& cipher_id,
   rec.shares.shrink_to_fit();
 }
 
-void LyraNode::settle_own_batch(const InstanceId& inst, SeqNum seq) {
-  const auto it = own_proposals_.find(inst);
+void LyraNode::settle_own_batch(const CommittedBatch& cb) {
+  const auto it = own_proposals_.find(cb.inst);
   if (it != own_proposals_.end()) {
-    notify_clients(it->second.batch.carved.chunks, seq);
+    if (it->second.cipher_id != cb.cipher_id) {
+      // The instance committed an earlier incarnation's cipher under an id
+      // this one proposed again: this batch did not commit, and its
+      // clients must not hear that it did.
+      PendingBatch batch = std::move(it->second.batch);
+      own_proposals_.erase(it);
+      resubmit(std::move(batch));
+      return;
+    }
+    notify_clients(it->second.batch.carved.chunks, cb.seq);
     settle(it->second.batch.carved.chunks, /*committed=*/true);
     own_proposals_.erase(it);
     // A proposal slot freed up; drain any backlog.
@@ -1016,9 +1043,9 @@ void LyraNode::settle_own_batch(const InstanceId& inst, SeqNum seq) {
   }
   // Replay path: a batch proposed by a pre-crash incarnation just
   // committed+revealed; its clients are still waiting on the notification.
-  const auto pit = pending_notify_.find(inst);
+  const auto pit = pending_notify_.find(cb.inst);
   if (pit == pending_notify_.end()) return;
-  notify_clients(pit->second, seq);
+  notify_clients(pit->second, cb.seq);
   pending_notify_.erase(pit);
 }
 
@@ -1163,38 +1190,21 @@ void LyraNode::restore(const storage::RecoveredState& recovered) {
 
   ledger_.reserve(recovered.ledger.size());
   for (const storage::LedgerEntryRecord& rec : recovered.ledger) {
-    RevealRecord& rr = reveal_[rec.entry.cipher_id];
-    rr.inst = rec.entry.inst;
-    rr.seq = rec.entry.seq;
-    rr.tx_count = rec.tx_count;
-    rr.committed = true;
+    // Rebuild the running chain hash link by link (real recovery work:
+    // charge it to the CPU model). The journal is not attached yet, so
+    // nothing is re-journaled; committed_at is the recovery instant, as
+    // the original times are gone.
+    charge(ccost(config_.costs.hash_cost(72)));
+    reveal_[rec.entry.cipher_id].tx_count = rec.tx_count;
+    RevealRecord& rr = append_committed(rec.entry);
     // The share (if released pre-crash) is public; never re-derive or
     // re-release one the old incarnation did not. The cipher itself is
     // not persisted — a ReqInit pull refills it if a reveal is still due.
     rr.share_broadcast = rec.share_released;
     rr.revealed = rec.revealed;
     rr.payload_digest = rec.payload_digest;
-    rr.ledger_slot = ledger_.size();
-
-    CommittedBatch cb;
-    cb.seq = rec.entry.seq;
-    cb.inst = rec.entry.inst;
-    cb.cipher_id = rec.entry.cipher_id;
-    cb.tx_count = rec.tx_count;
-    cb.committed_at = now();  // recovery instant; original times are gone
-    cb.revealed_at = rec.revealed ? now() : 0;
-    ledger_.push_back(std::move(cb));
-
-    // Rebuild the running chain hash link by link (real recovery work:
-    // charge it to the CPU model).
-    charge(ccost(config_.costs.hash_cost(72)));
-    chain_hash_ = crypto::Hasher()
-                      .add(chain_hash_)
-                      .add_i64(rec.entry.seq)
-                      .add(rec.entry.cipher_id)
-                      .digest();
-    ++stats_.committed_batches;
     if (rec.revealed) {
+      ledger_.back().revealed_at = now();
       ++stats_.revealed_batches;
       stats_.committed_txs += rec.tx_count;
     }
@@ -1266,18 +1276,8 @@ std::vector<AcceptedEntry> LyraNode::sync_committed_entries(
   if (first >= ledger_.size()) return out;
   count = std::min<std::uint64_t>(count, ledger_.size() - first);
   out.reserve(count);
-  // Serve the range out of the durable snapshot image where it covers it —
-  // the chunk server then streams from storage instead of walking the
-  // resident ledger — and top up the post-snapshot tail from memory.
-  if (journal_ != nullptr) {
-    journal_->read_ledger_entries(first, count, out);
-  }
-  for (std::size_t i = first + out.size(); out.size() < count; ++i) {
-    AcceptedEntry e;
-    e.cipher_id = ledger_[i].cipher_id;
-    e.seq = ledger_[i].seq;
-    e.inst = ledger_[i].inst;
-    out.push_back(e);
+  for (std::size_t i = first; i < first + count; ++i) {
+    out.push_back({ledger_[i].cipher_id, ledger_[i].seq, ledger_[i].inst});
   }
   return out;
 }
@@ -1335,28 +1335,8 @@ bool LyraNode::sync_install_prefix(
       next_proposal_index_ = std::max(next_proposal_index_, e.inst.index + 1);
     }
     commit_.install_synced(e);
-    RevealRecord& rec = reveal_[e.cipher_id];
-    rec.inst = e.inst;
-    rec.seq = e.seq;
-    rec.committed = true;
-    rec.ledger_slot = ledger_.size();
-
-    CommittedBatch cb;
-    cb.seq = e.seq;
-    cb.inst = e.inst;
-    cb.cipher_id = e.cipher_id;
-    cb.tx_count = rec.tx_count;
-    cb.committed_at = now();
-    ledger_.push_back(std::move(cb));
-    ++stats_.committed_batches;
-
     charge(ccost(config_.costs.hash_cost(72)));
-    chain_hash_ = crypto::Hasher()
-                      .add(chain_hash_)
-                      .add_i64(e.seq)
-                      .add(e.cipher_id)
-                      .digest();
-    if (journal_ != nullptr) journal_->committed(e, rec.tx_count);
+    const RevealRecord& rec = append_committed(e);
     // The cipher may already be here (InitRelay raced the sync): share and
     // reveal right away instead of waiting for catch-up.
     if (rec.have_cipher) on_cipher_for_committed(e.cipher_id);
@@ -1415,9 +1395,12 @@ bool LyraNode::sync_install_payload(const crypto::Digest& cipher_id,
 void LyraNode::sync_completed() {
   // The install moved the extraction cursor; the commit machinery may
   // already hold entries beyond it. Also cut a snapshot so the adopted
-  // prefix does not ride on the WAL alone.
+  // prefix does not ride on the WAL alone. Proposing resumes: the install
+  // moved next_proposal_index_ past every own instance it named.
   try_commit();
   if (journal_ != nullptr) journal_->write_snapshot(make_snapshot());
+  maybe_propose();
+  flush_partial_batch();
 }
 
 }  // namespace lyra::core

@@ -108,11 +108,11 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   /// Installs the durability backend (nullptr = volatile node, the
   /// default; hot paths then pay only an untaken branch). The journal must
   /// outlive the node.
-  void set_journal(storage::Journal* journal) { journal_ = journal; }
-  storage::Journal* journal() const { return journal_; }
+  void set_journal(storage::DurableJournal* journal) { journal_ = journal; }
+  storage::DurableJournal* journal() const { return journal_; }
 
   /// Point-in-time image of the durable state, fed to
-  /// Journal::write_snapshot.
+  /// DurableJournal::write_snapshot.
   storage::Snapshot make_snapshot() const;
 
   /// Re-seeds a freshly constructed node from recovered on-disk state.
@@ -216,8 +216,17 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   // --- Commit protocol / reveal ---
   void apply_status(NodeId from, const StatusPiggyback& status);
   void merge_accepted(const AcceptedEntry& entry, NodeId learned_from);
-  void schedule_commit_poll();
   void try_commit();
+  /// The one ledger append, shared by extraction, recovery and sync
+  /// install: marks the entry's reveal record committed, pushes its
+  /// CommittedBatch, extends the chain hash and journals the commit.
+  /// Callers charge their own CPU.
+  struct RevealRecord;
+  RevealRecord& append_committed(const AcceptedEntry& entry);
+  /// Derives and records this node's decryption share for a committed
+  /// entry and adds it to `out` for broadcast.
+  void release_share(const crypto::Digest& cipher_id, RevealRecord& rec,
+                     SharesMsg& out);
   void try_reveal(const crypto::Digest& cipher_id);
   /// Runs when the cipher of an already-committed entry finally arrives
   /// (Byzantine broadcaster path): share + reveal catch-up.
@@ -225,7 +234,15 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   void finalize_reveal(const crypto::Digest& cipher_id, Bytes payload);
   /// Commit-notifies and settles a revealed own batch (or replays the
   /// notification of one a pre-crash incarnation proposed).
-  void settle_own_batch(const InstanceId& inst, SeqNum seq);
+  void settle_own_batch(const CommittedBatch& cb);
+  /// Re-inputs an own batch that did not commit (Lemma 8), up to the
+  /// resubmission cap.
+  void resubmit(PendingBatch batch);
+  /// True while a snapshot transfer runs: the node neither extracts nor
+  /// proposes until the install names its committed prefix.
+  bool syncing() const {
+    return statesync_ != nullptr && statesync_->sync_active();
+  }
 
   // --- helpers ---
   crypto::Digest compute_value_id(const InstanceId& inst,
@@ -261,6 +278,7 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
     PendingBatch batch;
     SeqNum s_ref = kNoSeq;
     TimeNs proposed_at = 0;
+    crypto::Digest cipher_id{};
   };
   std::unordered_map<InstanceId, OwnProposal> own_proposals_;
   /// Own batches recovered from disk whose clients were never
@@ -299,9 +317,8 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   bool warmed_up_ = false;
   std::size_t probes_sent_ = 0;
   std::uint64_t status_counter_ = 0;
-  bool commit_poll_scheduled_ = false;
   std::function<void(const CommittedBatch&)> reveal_hook_;
-  storage::Journal* journal_ = nullptr;
+  storage::DurableJournal* journal_ = nullptr;
   std::unique_ptr<statesync::StateSyncManager> statesync_;
 
   // Post-restart resync gate: no commit extraction until f+1 peers

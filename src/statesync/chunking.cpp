@@ -2,22 +2,14 @@
 
 #include <algorithm>
 
-#include "storage/codec.hpp"
-
 namespace lyra::statesync {
 
 Bytes encode_sync_prefix(const std::vector<core::AcceptedEntry>& entries) {
   Bytes out;
   out.reserve(sync_prefix_bytes(entries.size()));
   append_u64(out, entries.size());
-  for (const core::AcceptedEntry& e : entries) append_sync_entry(out, e);
+  for (const core::AcceptedEntry& e : entries) storage::append_entry(out, e);
   return out;
-}
-
-void append_sync_entry(Bytes& out, const core::AcceptedEntry& e) {
-  storage::append_digest(out, e.cipher_id);
-  append_i64(out, e.seq);
-  storage::append_instance(out, e.inst);
 }
 
 bool decode_sync_prefix(BytesView data,
@@ -26,18 +18,14 @@ bool decode_sync_prefix(BytesView data,
   const std::uint64_t count = r.u64();
   // Divide, don't multiply: a tampered count near 2^64 would wrap the
   // product past the length check and then abort inside reserve().
-  if (!r.ok() || r.remaining() % kSyncEntryBytes != 0 ||
-      count != r.remaining() / kSyncEntryBytes) {
+  if (!r.ok() || r.remaining() % storage::kEntryBytes != 0 ||
+      count != r.remaining() / storage::kEntryBytes) {
     return false;
   }
   std::vector<core::AcceptedEntry> entries;
   entries.reserve(count);
   for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-    core::AcceptedEntry e;
-    e.cipher_id = r.digest();
-    e.seq = r.i64();
-    e.inst = r.instance();
-    entries.push_back(e);
+    entries.push_back(r.entry());
   }
   if (!r.ok() || r.remaining() != 0) return false;
   out = std::move(entries);

@@ -5,31 +5,26 @@
 
 #include "crypto/hash.hpp"
 #include "lyra/messages.hpp"
+#include "storage/codec.hpp"
 #include "support/bytes.hpp"
 
 namespace lyra::statesync {
 
-/// Encoded size of one prefix entry: digest (32) + seq (8) + instance
-/// (proposer 4 + index 8).
-inline constexpr std::size_t kSyncEntryBytes = 52;
-
 /// Exact blob size for a prefix of `count` entries; a manifest reporting
 /// any other total for its cut is malformed and dropped before grouping.
 inline constexpr std::uint64_t sync_prefix_bytes(std::uint64_t count) {
-  return 8 + count * kSyncEntryBytes;
+  return 8 + count * storage::kEntryBytes;
 }
 
 /// Deterministic wire form of a committed prefix, shared by every correct
-/// node: only the ordering facts (seq, cipher_id, instance) go in. Reveal
-/// flags and transaction counts are deliberately absent — they differ
-/// between correct peers at the same cut (a batch can commit before its
-/// cipher arrives), so including them would split the f+1 manifest quorum.
+/// node: an entry count, then each entry's storage::append_entry image.
+/// Only the ordering facts (seq, cipher_id, instance) go in. Reveal flags
+/// and transaction counts are deliberately absent — they differ between
+/// correct peers at the same cut (a batch can commit before its cipher
+/// arrives), so including them would split the f+1 manifest quorum. The
+/// layout is flat, so the chunk server encodes any byte range from the
+/// entries it covers without materializing the whole blob.
 Bytes encode_sync_prefix(const std::vector<core::AcceptedEntry>& entries);
-
-/// Appends the kSyncEntryBytes-byte wire form of one prefix entry — the
-/// unit the chunk server streams from, so a single chunk can be encoded
-/// without materializing the whole blob.
-void append_sync_entry(Bytes& out, const core::AcceptedEntry& entry);
 
 /// Strict inverse; false on any truncation, trailing garbage, or length
 /// lie. The entry count is bounds-checked against the blob size before any

@@ -15,11 +15,7 @@ constexpr std::uint64_t kMaxChunkBytes = 1u << 20;
 constexpr std::size_t kMaxRevealReqIds = 1024;
 /// Ciphers per reveal catch-up round.
 constexpr std::size_t kMaxRevealBatch = 64;
-/// Serving-side LRU capacity, in encoded chunks. Chunks are produced on
-/// demand from the durable snapshot / committed prefix, so this bounds the
-/// server's transfer memory at a few chunks instead of a whole blob per
-/// cut.
-constexpr std::size_t kServeCacheChunks = 16;
+using storage::kEntryBytes;
 }  // namespace
 
 StateSyncManager::StateSyncManager(StateSyncHost* host, std::size_t n,
@@ -533,22 +529,22 @@ Bytes StateSyncManager::encode_blob_range(std::uint64_t cut,
   // slice. The buffer never exceeds the range by more than one entry plus
   // the 8-byte count header.
   Bytes buf;
-  buf.reserve(static_cast<std::size_t>(end - begin) + kSyncEntryBytes + 8);
+  buf.reserve(static_cast<std::size_t>(end - begin) + kEntryBytes + 8);
   std::uint64_t buf_start = 0;
   if (begin < 8) {
     append_u64(buf, cut);
   } else {
-    buf_start = 8 + ((begin - 8) / kSyncEntryBytes) * kSyncEntryBytes;
+    buf_start = 8 + ((begin - 8) / kEntryBytes) * kEntryBytes;
   }
   const std::uint64_t first_entry =
-      buf_start <= 8 ? 0 : (buf_start - 8) / kSyncEntryBytes;
+      buf_start <= 8 ? 0 : (buf_start - 8) / kEntryBytes;
   const std::uint64_t need =
-      end <= 8 ? 0 : (end - 8 + kSyncEntryBytes - 1) / kSyncEntryBytes;
+      end <= 8 ? 0 : (end - 8 + kEntryBytes - 1) / kEntryBytes;
   if (need > first_entry) {
     const std::vector<core::AcceptedEntry> entries =
         host_->sync_committed_entries(
             first_entry, static_cast<std::size_t>(need - first_entry));
-    for (const core::AcceptedEntry& e : entries) append_sync_entry(buf, e);
+    for (const core::AcceptedEntry& e : entries) storage::append_entry(buf, e);
   }
   if (buf.size() < end - buf_start) return {};  // prefix shorter than cut
   Bytes out(buf.begin() + static_cast<std::ptrdiff_t>(begin - buf_start),
@@ -559,36 +555,6 @@ Bytes StateSyncManager::encode_blob_range(std::uint64_t cut,
     out[8 - begin] ^= 0x01;
   }
   return out;
-}
-
-Bytes StateSyncManager::serve_chunk(std::uint64_t cut, std::size_t chunk_bytes,
-                                    std::uint32_t index) {
-  for (ServeChunk& c : serve_lru_) {
-    if (c.cut == cut && c.chunk_bytes == chunk_bytes && c.index == index) {
-      c.stamp = ++serve_stamp_;
-      return c.data;
-    }
-  }
-  const std::uint64_t begin = std::uint64_t{index} * chunk_bytes;
-  ServeChunk fresh;
-  fresh.cut = cut;
-  fresh.chunk_bytes = chunk_bytes;
-  fresh.index = index;
-  fresh.stamp = ++serve_stamp_;
-  fresh.data =
-      encode_blob_range(cut, begin, begin + chunk_bytes,
-                        byzantine_ == ByzantineSyncMode::kWrongManifest);
-  Bytes data = fresh.data;
-  if (serve_lru_.size() < kServeCacheChunks) {
-    serve_lru_.push_back(std::move(fresh));
-  } else {
-    std::size_t oldest = 0;
-    for (std::size_t i = 1; i < serve_lru_.size(); ++i) {
-      if (serve_lru_[i].stamp < serve_lru_[oldest].stamp) oldest = i;
-    }
-    serve_lru_[oldest] = std::move(fresh);
-  }
-  return data;
 }
 
 const std::vector<crypto::Digest>& StateSyncManager::serve_manifest(
@@ -603,8 +569,6 @@ const std::vector<crypto::Digest>& StateSyncManager::serve_manifest(
   manifest_cache_.reserve(count);
   const bool tampered = byzantine_ == ByzantineSyncMode::kWrongManifest;
   for (std::size_t i = 0; i < count; ++i) {
-    // Streamed, not served through the LRU: a manifest pass touches every
-    // chunk once and would otherwise flush the whole cache.
     const std::uint64_t begin = std::uint64_t{i} * chunk_bytes;
     const Bytes data =
         encode_blob_range(cut, begin, begin + chunk_bytes, tampered);
@@ -648,25 +612,13 @@ void StateSyncManager::handle_chunk_req(const sim::Envelope& env,
   reply->chunk = m.chunk;
   reply->have = host_->sync_ledger_length() >= m.cut;
   if (reply->have) {
-    if (config_.max_concurrent_serves > 0 &&
-        serves_inflight_ >= config_.max_concurrent_serves) {
-      // At the serve cap: shed instead of queueing unbounded work. The
-      // requester's per-chunk timeout rotates it to another quorum member.
-      stats_.serves_shed++;
-      return;
-    }
-    reply->data = serve_chunk(m.cut, static_cast<std::size_t>(m.chunk_bytes),
-                              m.chunk);
+    const std::uint64_t begin = std::uint64_t{m.chunk} * m.chunk_bytes;
+    reply->data =
+        encode_blob_range(m.cut, begin, begin + m.chunk_bytes,
+                          byzantine_ == ByzantineSyncMode::kWrongManifest);
     if (byzantine_ == ByzantineSyncMode::kGarbageChunks &&
         !reply->data.empty()) {
       reply->data[0] ^= 0xFF;  // honest manifest, garbage bytes
-    }
-    if (config_.max_concurrent_serves > 0) {
-      // A serve occupies the node's modeled transfer bandwidth for ~delta.
-      serves_inflight_++;
-      host_->sync_set_timer(delta_, [this] {
-        if (serves_inflight_ > 0) serves_inflight_--;
-      });
     }
   }
   host_->sync_send(env.from, reply);

@@ -25,10 +25,6 @@ struct StateSyncConfig {
   /// (0 = unlimited). Keeps one slow-but-honest peer from absorbing the
   /// whole inflight window a timeout at a time.
   std::size_t max_per_server_inflight = 2;
-  /// Serving-side cap on chunk serves in flight (each serve occupies the
-  /// modeled CPU for ~delta); 0 = unlimited. Requests arriving past the
-  /// cap are shed — the requester's timeout path retries elsewhere.
-  std::size_t max_concurrent_serves = 0;
   /// Delta transfer: a requester that recovered a local committed prefix
   /// synthesizes every chunk lying inside it, digest-verifies it against
   /// the f+1-agreed manifest, and pulls only the missing suffix over the
@@ -51,7 +47,9 @@ struct StateSyncStats {
   std::uint64_t installs_refused = 0;  ///< host rejected a conflicting prefix
   std::uint64_t chunks_local = 0;      ///< delta: chunks satisfied locally
   std::uint64_t bytes_local = 0;       ///< delta: bytes never sent on the wire
-  std::uint64_t serves_shed = 0;       ///< chunk requests dropped at the serve cap
+  /// Always 0: servers answer every chunk request. Kept because the
+  /// reference benchmark reports it.
+  std::uint64_t serves_shed = 0;
 };
 
 /// Test hook: how a Byzantine node's manager misbehaves on the *serving*
@@ -80,10 +78,8 @@ class StateSyncHost {
   // --- serving side (every node, including one that is itself syncing) ---
 
   virtual std::uint64_t sync_ledger_length() const = 0;
-  /// Committed-prefix entries [first, first+count) in commit order,
-  /// preferably read out of the durable snapshot image rather than the
-  /// in-memory ledger (the server never needs more than a chunk's worth
-  /// resident at once). May return fewer entries when the prefix ends.
+  /// Committed-prefix entries [first, first+count) in commit order. May
+  /// return fewer entries when the prefix ends.
   virtual std::vector<core::AcceptedEntry> sync_committed_entries(
       std::uint64_t first, std::size_t count) const = 0;
   /// Reveal facts for one cipher: false when this node knows nothing about
@@ -234,9 +230,6 @@ class StateSyncManager {
   /// (absolute blob byte 8) so a lying server stays self-consistent.
   Bytes encode_blob_range(std::uint64_t cut, std::uint64_t begin,
                           std::uint64_t end, bool tampered) const;
-  /// Chunk `index` of the blob at `cut`, through the serving LRU.
-  Bytes serve_chunk(std::uint64_t cut, std::size_t chunk_bytes,
-                    std::uint32_t index);
   /// Chunk digests of the blob at `cut`, memoized per (cut, chunk_bytes).
   const std::vector<crypto::Digest>& serve_manifest(std::uint64_t cut,
                                                     std::size_t chunk_bytes);
@@ -276,23 +269,13 @@ class StateSyncManager {
 
   std::vector<bool> demoted_;
 
-  // Serving side: encoded chunks at a fixed cut are immutable, so a small
-  // LRU (stamped, linearly scanned — it holds a handful of entries) plus
-  // per-(cut, chunk_bytes) manifest digests replace the old whole-blob
-  // cache; transfer memory on a server is now a few chunks, not O(cut).
-  struct ServeChunk {
-    std::uint64_t cut = 0;
-    std::size_t chunk_bytes = 0;
-    std::uint32_t index = 0;
-    std::uint64_t stamp = 0;
-    Bytes data;
-  };
-  std::vector<ServeChunk> serve_lru_;
-  std::uint64_t serve_stamp_ = 0;
+  // Serving side: chunks are encoded on demand from the committed prefix,
+  // so a server holds one chunk per request, never a whole blob. Manifest
+  // digests are memoized per (cut, chunk_bytes): every requester of a cut
+  // asks for the same manifest.
   std::uint64_t manifest_cache_cut_ = 0;
   std::size_t manifest_cache_chunk_bytes_ = 0;
   std::vector<crypto::Digest> manifest_cache_;
-  std::size_t serves_inflight_ = 0;
 
   // reveal catch-up
   bool catchup_armed_ = false;

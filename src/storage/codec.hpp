@@ -3,13 +3,15 @@
 #include <cstdint>
 
 #include "crypto/sha256.hpp"
+#include "lyra/messages.hpp"
 #include "support/bytes.hpp"
 #include "support/types.hpp"
 
 namespace lyra::storage {
 
-/// Little-endian append helpers shared by the WAL record and snapshot
-/// encoders (the integer primitives live in support/bytes.hpp).
+/// Little-endian append helpers shared by the WAL record, snapshot and
+/// state-sync blob encoders (the integer primitives live in
+/// support/bytes.hpp).
 inline void append_digest(Bytes& out, const crypto::Digest& d) {
   out.insert(out.end(), d.begin(), d.end());
 }
@@ -17,6 +19,17 @@ inline void append_digest(Bytes& out, const crypto::Digest& d) {
 inline void append_instance(Bytes& out, const InstanceId& inst) {
   append_u32(out, inst.proposer);
   append_u64(out, inst.index);
+}
+
+/// Wire form of one committed-prefix entry — cipher id (32), seq (8),
+/// instance (proposer 4 + index 8) — written by WAL records, snapshots and
+/// the state-sync blob alike.
+inline constexpr std::size_t kEntryBytes = 52;
+
+inline void append_entry(Bytes& out, const core::AcceptedEntry& entry) {
+  append_digest(out, entry.cipher_id);
+  append_i64(out, entry.seq);
+  append_instance(out, entry.inst);
 }
 
 /// Bounds-checked cursor over an encoded buffer. Every accessor sets the
@@ -67,6 +80,15 @@ class ByteReader {
     inst.proposer = u32();
     inst.index = u64();
     return inst;
+  }
+
+  /// Inverse of append_entry.
+  core::AcceptedEntry entry() {
+    core::AcceptedEntry e;
+    e.cipher_id = digest();
+    e.seq = i64();
+    e.inst = instance();
+    return e;
   }
 
  private:

@@ -27,40 +27,6 @@ WalWriter::Options wal_options_on(Disk* disk, WalWriter::Options wal) {
 
 }  // namespace
 
-Bytes encode_accepted_record(const core::AcceptedEntry& entry) {
-  Bytes out;
-  out.reserve(52);
-  append_digest(out, entry.cipher_id);
-  append_i64(out, entry.seq);
-  append_instance(out, entry.inst);
-  return out;
-}
-
-bool decode_accepted_record(BytesView payload, core::AcceptedEntry& out) {
-  ByteReader r(payload);
-  out.cipher_id = r.digest();
-  out.seq = r.i64();
-  out.inst = r.instance();
-  return r.ok() && r.remaining() == 0;
-}
-
-Bytes encode_committed_record(const core::AcceptedEntry& entry,
-                              std::uint32_t tx_count) {
-  Bytes out = encode_accepted_record(entry);
-  append_u32(out, tx_count);
-  return out;
-}
-
-bool decode_committed_record(BytesView payload, core::AcceptedEntry& out,
-                             std::uint32_t& tx_count) {
-  ByteReader r(payload);
-  out.cipher_id = r.digest();
-  out.seq = r.i64();
-  out.inst = r.instance();
-  tx_count = r.u32();
-  return r.ok() && r.remaining() == 0;
-}
-
 Bytes encode_revealed_record(const crypto::Digest& cipher_id,
                              const crypto::Digest& payload_digest,
                              std::uint32_t tx_count) {
@@ -143,12 +109,19 @@ void DurableJournal::append(WalRecordType type, BytesView payload) {
 }
 
 void DurableJournal::accepted(const core::AcceptedEntry& entry) {
-  append(WalRecordType::kAccepted, encode_accepted_record(entry));
+  Bytes payload;
+  payload.reserve(kEntryBytes);
+  append_entry(payload, entry);
+  append(WalRecordType::kAccepted, payload);
 }
 
 void DurableJournal::committed(const core::AcceptedEntry& entry,
                                std::uint32_t tx_count) {
-  append(WalRecordType::kCommitted, encode_committed_record(entry, tx_count));
+  Bytes payload;
+  payload.reserve(kEntryBytes + 4);
+  append_entry(payload, entry);
+  append_u32(payload, tx_count);
+  append(WalRecordType::kCommitted, payload);
   ++committed_since_snapshot_;
 }
 
@@ -171,33 +144,6 @@ void DurableJournal::own_batch(const OwnBatchRecord& rec) {
 }
 
 void DurableJournal::restarted() { append(WalRecordType::kRestart, {}); }
-
-std::size_t DurableJournal::read_ledger_entries(
-    std::uint64_t first, std::size_t count,
-    std::vector<core::AcceptedEntry>& out) const {
-  // Newest snapshot on disk, if any.
-  std::uint64_t newest = 0;
-  bool found = false;
-  for (const std::string& name : disk_->list()) {
-    std::uint64_t index = 0;
-    if (parse_snapshot_name(name, index) && (!found || index > newest)) {
-      newest = index;
-      found = true;
-    }
-  }
-  if (!found) return 0;
-  const std::string name = snapshot_name(newest);
-  const Bytes image = disk_->read(name);
-  if (name != validated_snapshot_) {
-    // One CRC pass per image; every later read is offset arithmetic. A
-    // rotted image serves nothing (a server would otherwise hand out
-    // garbage under its own honest manifest and get demoted as Byzantine).
-    validated_snapshot_ = name;
-    validated_ok_ = snapshot_image_valid(image);
-  }
-  if (!validated_ok_) return 0;
-  return read_snapshot_ledger_entries(image, first, count, out);
-}
 
 bool DurableJournal::snapshot_due() const {
   return committed_since_snapshot_ >= options_.snapshot_every_committed;

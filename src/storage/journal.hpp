@@ -17,76 +17,24 @@ enum class WalRecordType : std::uint8_t {
   kOwnBatch = 6,   ///< own batch proposed; clients to notify on its commit
 };
 
-/// The node-facing durability interface. LyraNode calls these hooks at the
-/// exact points where its logical state machine advances; the default
-/// implementations do nothing, so this concrete base *is* the no-op
-/// backend (benches and existing tests run with a null journal and pay
-/// only an untaken branch).
-class Journal {
- public:
-  virtual ~Journal() = default;
-
-  virtual void accepted(const core::AcceptedEntry& entry) { (void)entry; }
-  virtual void committed(const core::AcceptedEntry& entry,
-                         std::uint32_t tx_count) {
-    (void)entry;
-    (void)tx_count;
-  }
-  /// `payload_digest`/`tx_count` let recovery serve state-sync digest
-  /// votes and repair hole-committed entries (committed with tx_count 0
-  /// before the payload was known); defaulted so callers that only track
-  /// the reveal event keep working.
-  virtual void revealed(const crypto::Digest& cipher_id,
-                        const crypto::Digest& payload_digest = crypto::Digest{},
-                        std::uint32_t tx_count = 0) {
-    (void)cipher_id;
-    (void)payload_digest;
-    (void)tx_count;
-  }
-  virtual void proposal(std::uint64_t index) { (void)index; }
-  /// An own batch was proposed; its client chunks must survive a crash so
-  /// a restarted proposer can still commit-notify them.
-  virtual void own_batch(const OwnBatchRecord& rec) { (void)rec; }
-  /// Called once per recovered incarnation, before the node rejoins.
-  virtual void restarted() {}
-
-  /// True when enough has been journaled since the last snapshot that the
-  /// node should hand over a fresh one.
-  virtual bool snapshot_due() const { return false; }
-  virtual void write_snapshot(const Snapshot& snap) { (void)snap; }
-
-  /// Serves committed-prefix entries [first, first+count) out of the
-  /// newest durable snapshot image, appending to `out` and stopping early
-  /// where the snapshot's ledger section ends (the caller tops up the tail
-  /// from its in-memory ledger). Returns the number appended; the no-op
-  /// backend serves nothing. Lets the state-sync chunk server stream from
-  /// storage instead of re-walking the whole resident ledger per transfer.
-  virtual std::size_t read_ledger_entries(
-      std::uint64_t first, std::size_t count,
-      std::vector<core::AcceptedEntry>& out) const {
-    (void)first;
-    (void)count;
-    (void)out;
-    return 0;
-  }
-};
-
 struct DurableJournalStats {
   std::uint64_t wal_records = 0;
   std::uint64_t wal_bytes = 0;
   std::uint64_t snapshots_written = 0;
 };
 
-/// WAL + snapshot backend over a Disk. Every hook appends one framed
-/// record synchronously (write-ahead: the record is durable in the same
-/// simulated instant the state change happens, the discrete-event
+/// The node's durability backend: a WAL + snapshot log over a Disk.
+/// LyraNode calls these hooks at the exact points where its logical state
+/// machine advances (a volatile node holds no journal). Every hook appends
+/// one framed record synchronously (write-ahead: the record is durable in
+/// the same simulated instant the state change happens, the discrete-event
 /// equivalent of fsync-before-ack). Snapshots are cut every
 /// `snapshot_every_committed` ledger appends; each snapshot seals the
 /// current WAL segment and records the suffix start. GC keeps the two
 /// newest snapshots (the older one backs recovery's fallback path should
 /// the newer fail its CRC) and drops WAL segments below what the oldest
 /// retained snapshot needs.
-class DurableJournal final : public Journal {
+class DurableJournal final {
  public:
   struct Options {
     std::uint64_t snapshot_every_committed = 64;
@@ -98,25 +46,29 @@ class DurableJournal final : public Journal {
   explicit DurableJournal(Disk* disk);
   DurableJournal(Disk* disk, Options options);
 
-  void accepted(const core::AcceptedEntry& entry) override;
-  void committed(const core::AcceptedEntry& entry,
-                 std::uint32_t tx_count) override;
+  void accepted(const core::AcceptedEntry& entry);
+  void committed(const core::AcceptedEntry& entry, std::uint32_t tx_count);
+  /// `payload_digest`/`tx_count` let recovery serve state-sync digest
+  /// votes and repair hole-committed entries (committed with tx_count 0
+  /// before the payload was known).
   void revealed(const crypto::Digest& cipher_id,
                 const crypto::Digest& payload_digest = crypto::Digest{},
-                std::uint32_t tx_count = 0) override;
-  void proposal(std::uint64_t index) override;
-  void own_batch(const OwnBatchRecord& rec) override;
-  bool snapshot_due() const override;
-  void write_snapshot(const Snapshot& snap) override;
+                std::uint32_t tx_count = 0);
+  /// Own proposal index consumed; recovery never hands it out again.
+  void proposal(std::uint64_t index);
+  /// An own batch was proposed; its client chunks must survive a crash so
+  /// a restarted proposer can still commit-notify them.
+  void own_batch(const OwnBatchRecord& rec);
+
+  /// True when enough has been journaled since the last snapshot that the
+  /// node should hand over a fresh one.
+  bool snapshot_due() const;
+  void write_snapshot(const Snapshot& snap);
 
   /// Journals a restart marker so the next recovery can count restarts
   /// since the last snapshot and hand out a status-counter epoch no
   /// earlier incarnation ever published (see LyraNode::restore).
-  void restarted() override;
-
-  std::size_t read_ledger_entries(
-      std::uint64_t first, std::size_t count,
-      std::vector<core::AcceptedEntry>& out) const override;
+  void restarted();
 
   const DurableJournalStats& stats() const { return stats_; }
 
@@ -129,22 +81,10 @@ class DurableJournal final : public Journal {
   std::uint64_t committed_since_snapshot_ = 0;
   std::uint64_t next_snapshot_index_ = 0;
   DurableJournalStats stats_;
-  /// CRC validity of the newest snapshot image, checked once per image:
-  /// read_ledger_entries does per-chunk offset reads and must not pay a
-  /// whole-file CRC pass each time.
-  mutable std::string validated_snapshot_;
-  mutable bool validated_ok_ = false;
 };
 
 // --- WAL record payload codecs (shared with recovery) ---
-
-Bytes encode_accepted_record(const core::AcceptedEntry& entry);
-bool decode_accepted_record(BytesView payload, core::AcceptedEntry& out);
-
-Bytes encode_committed_record(const core::AcceptedEntry& entry,
-                              std::uint32_t tx_count);
-bool decode_committed_record(BytesView payload, core::AcceptedEntry& out,
-                             std::uint32_t& tx_count);
+// kAccepted is one append_entry image; kCommitted appends the u32 tx_count.
 
 Bytes encode_revealed_record(const crypto::Digest& cipher_id,
                              const crypto::Digest& payload_digest,

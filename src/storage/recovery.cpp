@@ -52,16 +52,20 @@ RecoveredState recover(const Disk& disk) {
       disk, from_segment, [&](std::uint8_t type, BytesView payload) {
         switch (static_cast<WalRecordType>(type)) {
           case WalRecordType::kAccepted: {
-            core::AcceptedEntry entry;
-            if (decode_accepted_record(payload, entry) &&
+            ByteReader r(payload);
+            const core::AcceptedEntry entry = r.entry();
+            if (r.ok() && r.remaining() == 0 &&
                 accepted_ids.insert(entry.cipher_id).second) {
               state.accepted.push_back(entry);
             }
             break;
           }
           case WalRecordType::kCommitted: {
+            ByteReader r(payload);
             LedgerEntryRecord rec;
-            if (decode_committed_record(payload, rec.entry, rec.tx_count) &&
+            rec.entry = r.entry();
+            rec.tx_count = r.u32();
+            if (r.ok() && r.remaining() == 0 &&
                 ledger_ids.insert(rec.entry.cipher_id).second) {
               state.ledger.push_back(rec);
               if (accepted_ids.insert(rec.entry.cipher_id).second) {

@@ -1,6 +1,5 @@
 #include "storage/snapshot.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "storage/codec.hpp"
@@ -17,7 +16,8 @@ constexpr std::uint32_t kVersion = 2;
 
 Bytes encode_snapshot(const Snapshot& snap) {
   Bytes out;
-  out.reserve(128 + snap.accepted.size() * 44 + snap.ledger.size() * 82);
+  out.reserve(128 + snap.accepted.size() * kEntryBytes +
+              snap.ledger.size() * (kEntryBytes + 37));
   append_u32(out, kMagic);
   append_u32(out, kVersion);
   append_u32(out, snap.node);
@@ -29,16 +29,10 @@ Bytes encode_snapshot(const Snapshot& snap) {
   append_digest(out, snap.chain_hash);
   append_u64(out, snap.wal_start_segment);
   append_u64(out, snap.accepted.size());
-  for (const core::AcceptedEntry& e : snap.accepted) {
-    append_digest(out, e.cipher_id);
-    append_i64(out, e.seq);
-    append_instance(out, e.inst);
-  }
+  for (const core::AcceptedEntry& e : snap.accepted) append_entry(out, e);
   append_u64(out, snap.ledger.size());
   for (const LedgerEntryRecord& rec : snap.ledger) {
-    append_digest(out, rec.entry.cipher_id);
-    append_i64(out, rec.entry.seq);
-    append_instance(out, rec.entry.inst);
+    append_entry(out, rec.entry);
     append_u32(out, rec.tx_count);
     out.push_back(static_cast<std::uint8_t>((rec.revealed ? 1 : 0) |
                                             (rec.share_released ? 2 : 0)));
@@ -83,20 +77,14 @@ bool decode_snapshot(BytesView data, Snapshot& out) {
   if (accepted_count > r.remaining()) return false;  // length sanity
   snap.accepted.reserve(accepted_count);
   for (std::uint64_t i = 0; i < accepted_count && r.ok(); ++i) {
-    core::AcceptedEntry e;
-    e.cipher_id = r.digest();
-    e.seq = r.i64();
-    e.inst = r.instance();
-    snap.accepted.push_back(e);
+    snap.accepted.push_back(r.entry());
   }
   const std::uint64_t ledger_count = r.u64();
   if (ledger_count > r.remaining()) return false;
   snap.ledger.reserve(ledger_count);
   for (std::uint64_t i = 0; i < ledger_count && r.ok(); ++i) {
     LedgerEntryRecord rec;
-    rec.entry.cipher_id = r.digest();
-    rec.entry.seq = r.i64();
-    rec.entry.inst = r.instance();
+    rec.entry = r.entry();
     rec.tx_count = r.u32();
     const std::uint8_t flags = r.u8();
     rec.revealed = (flags & 1) != 0;
@@ -125,67 +113,6 @@ bool decode_snapshot(BytesView data, Snapshot& out) {
   if (!r.ok() || r.remaining() != 0) return false;
   out = std::move(snap);
   return true;
-}
-
-namespace {
-// Fixed strides of the v2 image (see encode_snapshot): 116-byte header,
-// u64 accepted count, 52-byte accepted entries, u64 ledger count, 89-byte
-// ledger records whose first 52 bytes are the AcceptedEntry wire form.
-constexpr std::size_t kHeaderBytes = 116;
-constexpr std::size_t kAcceptedStride = 52;
-constexpr std::size_t kLedgerStride = 89;
-
-std::uint64_t read_u64_at(BytesView data, std::size_t off) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<std::uint64_t>(data[off + static_cast<std::size_t>(i)]);
-  }
-  return v;
-}
-}  // namespace
-
-std::size_t read_snapshot_ledger_entries(
-    BytesView data, std::uint64_t first, std::size_t count,
-    std::vector<core::AcceptedEntry>& out) {
-  if (data.size() < kHeaderBytes + 8 + 4) return 0;
-  ByteReader header(data);
-  if (header.u32() != kMagic || header.u32() != kVersion) return 0;
-  const std::size_t body = data.size() - 4;  // trailing CRC excluded
-  const std::uint64_t accepted_count = read_u64_at(data, kHeaderBytes);
-  // Divide-style bounds: a corrupt count cannot wrap the product.
-  if (accepted_count > (body - kHeaderBytes - 8) / kAcceptedStride) return 0;
-  const std::size_t ledger_count_off =
-      kHeaderBytes + 8 + static_cast<std::size_t>(accepted_count) * kAcceptedStride;
-  if (ledger_count_off + 8 > body) return 0;
-  const std::uint64_t ledger_count = read_u64_at(data, ledger_count_off);
-  const std::size_t ledger_off = ledger_count_off + 8;
-  if (ledger_count > (body - ledger_off) / kLedgerStride) return 0;
-  if (first >= ledger_count) return 0;
-  const std::size_t take = static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, ledger_count - first));
-  for (std::size_t i = 0; i < take; ++i) {
-    ByteReader r(data.subspan(
-        ledger_off + static_cast<std::size_t>(first + i) * kLedgerStride,
-        kAcceptedStride));
-    core::AcceptedEntry e;
-    e.cipher_id = r.digest();
-    e.seq = r.i64();
-    e.inst = r.instance();
-    out.push_back(e);
-  }
-  return take;
-}
-
-bool snapshot_image_valid(BytesView data) {
-  if (data.size() < 12) return false;
-  const std::uint32_t stored_crc =
-      static_cast<std::uint32_t>(data[data.size() - 4]) |
-      (static_cast<std::uint32_t>(data[data.size() - 3]) << 8) |
-      (static_cast<std::uint32_t>(data[data.size() - 2]) << 16) |
-      (static_cast<std::uint32_t>(data[data.size() - 1]) << 24);
-  if (stored_crc != crc32(data.subspan(0, data.size() - 4))) return false;
-  ByteReader r(data);
-  return r.u32() == kMagic && r.u32() == kVersion;
 }
 
 std::string snapshot_name(std::uint64_t index) {

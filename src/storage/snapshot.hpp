@@ -83,21 +83,4 @@ bool decode_snapshot(BytesView data, Snapshot& out);
 std::string snapshot_name(std::uint64_t index);
 bool parse_snapshot_name(const std::string& name, std::uint64_t& index);
 
-/// Random access into an encoded snapshot image without decoding (or
-/// allocating) the whole thing: appends the identity-and-order part of
-/// ledger records [first, first+count) to `out`, stopping early where the
-/// image's ledger section ends. Both the accepted and ledger sections are
-/// fixed-stride, so the read is pure offset arithmetic. Returns the number
-/// of entries appended; 0 on any framing violation. Callers wanting
-/// integrity must have CRC-checked the image once (decode_snapshot or
-/// `snapshot_image_valid`) — this routine deliberately skips the
-/// whole-file CRC so a chunk-sized read stays chunk-sized.
-std::size_t read_snapshot_ledger_entries(BytesView data, std::uint64_t first,
-                                         std::size_t count,
-                                         std::vector<core::AcceptedEntry>& out);
-
-/// One whole-image CRC + framing check, for callers that will then do many
-/// `read_snapshot_ledger_entries` calls against the same image.
-bool snapshot_image_valid(BytesView data);
-
 }  // namespace lyra::storage

@@ -183,8 +183,9 @@ void expect_pinned(std::uint64_t seed, const FuzzPin& want) {
 
 TEST(HarnessPin, FuzzLyraCrashSeed) {
   // Two crashes (one wiped disk), a partition, two delays, a silent node;
-  // closed-loop clients resubmit after 1200 ms.
-  expect_pinned(2, {384, 0, 93, 2, 900, 1029, 75, 0, 0, 0});
+  // closed-loop clients resubmit after 1200 ms. The wiped node proposes
+  // only after its snapshot transfer installs.
+  expect_pinned(2, {344, 0, 82, 2, 1002, 1029, 70, 0, 0, 0});
 }
 
 TEST(HarnessPin, FuzzLyraOpenLoopSeed) {

@@ -3,16 +3,22 @@
 // aborting; restarted nodes fill reveal holes via digest-voted catch-up;
 // Byzantine serving peers cannot poison a transfer; and a restarted
 // proposer replays commit notifications so its closed-loop clients
-// unstall. All invariants are checked against live peers' ledgers —
-// byte-identical payloads included.
+// unstall; a wiped proposer neither reuses its earlier incarnation's
+// instance ids nor commit-notifies a batch that did not commit. All
+// invariants are checked against live peers' ledgers — byte-identical
+// payloads included.
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "harness/lyra_cluster.hpp"
+#include "net/adversary.hpp"
 #include "statesync/chunking.hpp"
 
 namespace lyra {
@@ -416,6 +422,96 @@ TEST(StateSync, BigClusterDeltaSyncMovesOnlySuffix) {
   EXPECT_GT(r.stats.bytes_local, r.stats.bytes_transferred);
   EXPECT_EQ(r.stats.syncs_completed, 1u);
   EXPECT_GE(r.stats.entries_installed, 20u);
+}
+
+/// Pass-through adversary (it adds no delay) that watches one node's
+/// outgoing wire: the cipher of every INIT it broadcasts, and the sequence
+/// number of every CommitNotify it sends once `restarted_at` has passed.
+class ProposerWatch final : public net::Adversary {
+ public:
+  explicit ProposerWatch(NodeId node) : node_(node) {}
+
+  TimeNs delay(const sim::Envelope& env, TimeNs base_delay, Rng&) override {
+    if (env.from != node_) return base_delay;
+    if (const auto* m = sim::payload_as<core::InitMsg>(env)) {
+      ciphers[m->inst.index].insert(m->cipher.cipher_id());
+      if (env.sent_at >= restarted_at) {
+        sent_since_restart.insert(m->cipher.cipher_id());
+      }
+    } else if (const auto* m = sim::payload_as<core::CommitNotifyMsg>(env)) {
+      if (env.sent_at >= restarted_at) notified_seqs.insert(m->seq);
+    }
+    return base_delay;
+  }
+
+  TimeNs restarted_at = std::numeric_limits<TimeNs>::max();
+  /// Own instance index -> every cipher proposed under it.
+  std::map<std::uint64_t, std::set<crypto::Digest>> ciphers;
+  std::set<crypto::Digest> sent_since_restart;
+  std::set<SeqNum> notified_seqs;
+
+ private:
+  NodeId node_;
+};
+
+TEST(StateSync, WipedProposerNeverReusesIdsOrFalselyNotifies) {
+  // A wiped node restarts with no record of the instance ids its earlier
+  // incarnation used, warms up within a few probe rounds, and holds
+  // transactions. A slow transfer (one chunk in flight, one entry per
+  // chunk) keeps it syncing long after that. It must propose nothing until
+  // the install names its committed instances, then propose past them; and
+  // it must commit-notify only batches that committed under its own
+  // cipher.
+  constexpr NodeId kNode = 2;
+  harness::LyraClusterOptions opts = sync_options(5);
+  opts.statesync_config.max_inflight_chunks = 1;
+  harness::LyraCluster cluster(std::move(opts));
+  ProposerWatch watch(kNode);
+  cluster.network().set_adversary(&watch);
+  cluster.start();
+  cluster.run_for(ms(50));
+  for (int round = 0; round < 5; ++round) {
+    submit_one_per_node(cluster, 4, std::to_string(round));
+    cluster.run_for(ms(20));
+  }
+  ASSERT_TRUE(run_until(cluster, ms(1000), [&] {
+    return cluster.min_ledger_length() >= 16 && fully_revealed(cluster.node(0));
+  }));
+  ASSERT_GE(watch.ciphers.size(), 3u);  // the first incarnation proposed
+
+  cluster.crash_node(kNode);
+  cluster.run_for(ms(20));
+  cluster.wipe_disk(kNode);
+  ASSERT_TRUE(cluster.restart_node(kNode));
+  watch.restarted_at = cluster.simulation().now();
+  // Node 0 stands in for the clients: it ignores CommitNotify, but the
+  // watch sees each one leave the restarted node.
+  for (int i = 0; i < 3; ++i) {
+    cluster.node(kNode).submit_local(to_bytes("late-" + std::to_string(i)),
+                                     /*reply_to=*/0);
+  }
+
+  ASSERT_TRUE(run_until(cluster, ms(3000), [&] {
+    return !watch.notified_seqs.empty() && fully_revealed(cluster.node(kNode));
+  }));
+  EXPECT_EQ(cluster.node(kNode).statesync()->stats().syncs_completed, 1u);
+  EXPECT_FALSE(watch.sent_since_restart.empty());
+
+  for (const auto& [index, sent] : watch.ciphers) {
+    EXPECT_EQ(sent.size(), 1u) << "own instance index " << index << " reused";
+  }
+  // Every notification names an own batch of this incarnation.
+  for (const SeqNum seq : watch.notified_seqs) {
+    bool own_batch = false;
+    for (const core::CommittedBatch& cb : cluster.node(kNode).ledger()) {
+      if (cb.seq != seq || cb.inst.proposer != kNode) continue;
+      own_batch = watch.sent_since_restart.count(cb.cipher_id) > 0;
+    }
+    EXPECT_TRUE(own_batch) << "notified seq " << seq
+                           << " did not commit a cipher this node sent";
+  }
+  EXPECT_TRUE(cluster.ledgers_prefix_consistent());
+  EXPECT_EQ(cluster.total_late_accepts(), 0u);
 }
 
 TEST(StateSync, RestartedProposerReplaysCommitNotifications) {

@@ -48,7 +48,8 @@ Snapshot snapshot_upto(int upto) {
 /// commits, and reveals for entries [0, count). With `cut_snapshots`, hands
 /// over a snapshot whenever the journal asks — the node's side of the
 /// snapshot_due/write_snapshot handshake.
-void write_history(Journal& journal, int count, bool cut_snapshots = false) {
+void write_history(DurableJournal& journal, int count,
+                   bool cut_snapshots = false) {
   for (int i = 0; i < count; ++i) {
     journal.proposal(static_cast<std::uint64_t>(i));
     journal.accepted(entry(i, 100 * (i + 1)));

@@ -431,8 +431,6 @@ int main(int argc, char** argv) {
       std::printf("sync bytes        %10llu (%llu saved locally)\n",
                   static_cast<unsigned long long>(sync.bytes_transferred),
                   static_cast<unsigned long long>(sync.bytes_local));
-      std::printf("serves shed       %10llu\n",
-                  static_cast<unsigned long long>(sync.serves_shed));
       std::printf("sync entries      %10llu\n",
                   static_cast<unsigned long long>(sync.entries_installed));
       std::printf("catch-up reveals  %10llu\n",
