@@ -14,7 +14,7 @@ void SelectiveInitLyraNode::propose_selectively(BytesView payload) {
   msg->nominal_bytes = payload.size();
   msg->cipher = vss_.encrypt(payload, sim().rng());
   const crypto::Digest value_id =
-      compute_value_id(inst, msg->cipher.cipher_id(), msg->predictions);
+      compute_value_id(inst, msg->cipher.id, msg->predictions);
   msg->sig = signer_.sign(value_id);
   fill_status(msg->status, /*broadcast=*/false);
   for (NodeId to = 0; to < std::min<std::size_t>(recipients_, config_.n);
@@ -84,7 +84,7 @@ std::shared_ptr<core::InitMsg> EquivocatingLyraNode::make_init(
   msg->nominal_bytes = payload.size();
   msg->cipher = vss_.encrypt(payload, sim().rng());
   const crypto::Digest value_id =
-      compute_value_id(inst, msg->cipher.cipher_id(), msg->predictions);
+      compute_value_id(inst, msg->cipher.id, msg->predictions);
   msg->sig = signer_.sign(value_id);
   fill_status(msg->status, /*broadcast=*/false);
   return msg;

@@ -5,7 +5,7 @@
 
 namespace lyra::crypto {
 
-Digest VssCipher::cipher_id() const {
+Digest VssCipher::compute_id() const {
   return Hasher().add_str("vss-cipher").add(ciphertext).add(payload_digest)
       .digest();
 }
@@ -42,15 +42,15 @@ VssCipher Vss::encrypt(BytesView payload, Rng& rng) const {
   cipher.ciphertext = xor_keystream(key, payload);
   cipher.payload_digest =
       Hasher().add_str("vss-payload").add(payload).digest();
-  const Digest id = cipher.cipher_id();
+  cipher.id = cipher.compute_id();
 
   const auto shares =
       Shamir::split(BytesView(key.data(), key.size()), n_, threshold_, rng);
   cipher.sealed_shares.resize(n_);
   cipher.share_commitments.resize(n_);
   for (std::uint32_t i = 0; i < n_; ++i) {
-    cipher.share_commitments[i] = share_commitment(id, i, shares[i]);
-    const Digest seal = seal_key(registry_->signer_for(i), id);
+    cipher.share_commitments[i] = share_commitment(cipher.id, i, shares[i]);
+    const Digest seal = seal_key(registry_->signer_for(i), cipher.id);
     cipher.sealed_shares[i] = xor_keystream(seal, shares[i].y);
   }
   return cipher;
@@ -60,8 +60,7 @@ VssShare Vss::partial_decrypt(const VssCipher& cipher,
                               const Signer& signer) const {
   LYRA_ASSERT(signer.id() < cipher.sealed_shares.size(),
               "no share for this process in the cipher");
-  const Digest id = cipher.cipher_id();
-  const Digest seal = seal_key(signer, id);
+  const Digest seal = seal_key(signer, cipher.id);
 
   VssShare share;
   share.owner = signer.id();
@@ -75,9 +74,8 @@ bool Vss::verify_share(const VssCipher& cipher, const VssShare& share) const {
   if (share.key_share.x != static_cast<std::uint8_t>(share.owner + 1)) {
     return false;
   }
-  const Digest id = cipher.cipher_id();
   return cipher.share_commitments[share.owner] ==
-         share_commitment(id, share.owner, share.key_share);
+         share_commitment(cipher.id, share.owner, share.key_share);
 }
 
 std::optional<Bytes> Vss::decrypt(const VssCipher& cipher,

@@ -35,10 +35,15 @@ struct VssCipher {
   Bytes ciphertext;
   Digest payload_digest{};                // binds the plaintext
   std::vector<Bytes> sealed_shares;       // sealed_shares[i] for process i
-  std::vector<Digest> share_commitments;  // H(cipher_id || i || share_i)
+  std::vector<Digest> share_commitments;  // H(id || i || share_i)
+  /// Identity of this cipher, as `compute_id()` returns it. The dealer sets
+  /// it; a receiver checks it once against the content (Lyra: on INIT) and
+  /// every later step reads the field instead of rehashing the ciphertext.
+  /// The modelled wire size does not count it: a receiver recomputes it.
+  Digest id{};
 
-  /// Identity of this cipher: digest over ciphertext and payload digest.
-  Digest cipher_id() const;
+  /// Digest over ciphertext and payload digest.
+  Digest compute_id() const;
 };
 
 class Vss {
@@ -57,6 +62,8 @@ class Vss {
   VssShare partial_decrypt(const VssCipher& cipher, const Signer& signer) const;
 
   /// Checks a received share against the cipher's commitment for its owner.
+  /// Trusts `cipher.id`: a cipher whose id does not match its content fails
+  /// every honest share.
   bool verify_share(const VssCipher& cipher, const VssShare& share) const;
 
   /// paper: vss-decrypt(c_m, {rho_m}). Combines >= threshold verified

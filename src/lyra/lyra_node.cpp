@@ -234,16 +234,16 @@ void LyraNode::propose_batch(PendingBatch batch) {
     msg->cipher.ciphertext = carved.payload;
     msg->cipher.payload_digest =
         crypto::Hasher().add_str("clear").add(carved.payload).digest();
+    msg->cipher.id = msg->cipher.compute_id();
   }
 
-  const crypto::Digest cipher_id = msg->cipher.cipher_id();
   const crypto::Digest value_id =
-      compute_value_id(inst, cipher_id, msg->predictions);
+      compute_value_id(inst, msg->cipher.id, msg->predictions);
   charge(ccost(config_.costs.sign));
   msg->sig = signer_.sign(value_id);
 
-  own_proposals_.emplace(inst,
-                         OwnProposal{std::move(batch), s_ref, now(), cipher_id});
+  own_proposals_.emplace(
+      inst, OwnProposal{std::move(batch), s_ref, now(), msg->cipher.id});
   ++stats_.proposals;
   const double fanout_bytes = static_cast<double>(msg->wire_size()) *
                               static_cast<double>(config_.n);
@@ -314,22 +314,25 @@ void LyraNode::handle_init(const sim::Envelope& env, const InitMsg& m) {
   // queueing must not masquerade as network distance.
   b.perceived = env.delivered_at + clock_.offset();
 
-  // Verify the broadcaster's signature (Alg. 1 line 4) and the batch body.
-  const crypto::Digest value_id =
-      compute_value_id(m.inst, m.cipher.cipher_id(), m.predictions);
+  // Verify the batch body and the broadcaster's signature (Alg. 1 line 4).
+  // This is the one place a received cipher's id is hashed: every later
+  // step (shares, reveal, commit) reads the checked `cipher.id`.
   charge(ccost(config_.costs.verify) +
          ccost(config_.costs.hash_cost(m.nominal_bytes)));
+  if (m.cipher.id != m.cipher.compute_id()) return;
+  const crypto::Digest value_id =
+      compute_value_id(m.inst, m.cipher.id, m.predictions);
   if (!registry_->verify(value_id, m.sig, m.inst.proposer)) {
     return;
   }
-  adopt_init(b, std::static_pointer_cast<const InitMsg>(env.payload));
+  adopt_init(b, std::static_pointer_cast<const InitMsg>(env.payload),
+             value_id);
 }
 
-void LyraNode::adopt_init(BocInstance& b,
-                          std::shared_ptr<const InitMsg> init) {
+void LyraNode::adopt_init(BocInstance& b, std::shared_ptr<const InitMsg> init,
+                          const crypto::Digest& value_id) {
   b.init = std::move(init);
-  b.value_id = compute_value_id(b.inst, b.init->cipher.cipher_id(),
-                                b.init->predictions);
+  b.value_id = value_id;
   if (b.perceived == kNoSeq) b.perceived = clock_.now();  // relay path
   b.requested = b.init->predictions.size() > config_.f
                     ? ordering::DistanceTable::requested_seq(
@@ -338,7 +341,7 @@ void LyraNode::adopt_init(BocInstance& b,
 
   // A reveal record may already exist (accepted via a peer's delta before
   // we saw the INIT); attach the cipher now.
-  if (const auto it = reveal_.find(b.init->cipher.cipher_id());
+  if (const auto it = reveal_.find(b.init->cipher.id);
       it != reveal_.end() && !it->second.have_cipher) {
     it->second.init = b.init;
     it->second.have_cipher = true;
@@ -358,7 +361,7 @@ void LyraNode::adopt_init(BocInstance& b,
                                                b.requested);
     if (b.validated) {
       ++stats_.validations_ok;
-      commit_.add_pending(b.init->cipher.cipher_id(), b.requested);
+      commit_.add_pending(b.init->cipher.id, b.requested);
       vote(b, true);
     } else {
       ++stats_.validations_rejected;
@@ -764,7 +767,7 @@ void LyraNode::decide(BocInstance& b, bool value) {
                            " round=" + std::to_string(b.round));
 
   const crypto::Digest cipher_id =
-      b.init ? b.init->cipher.cipher_id() : crypto::kZeroDigest;
+      b.init ? b.init->cipher.id : crypto::kZeroDigest;
   if (b.init) commit_.resolve_pending(cipher_id);
 
   if (value) {
@@ -955,11 +958,15 @@ void LyraNode::on_cipher_for_committed(const crypto::Digest& cipher_id) {
 }
 
 void LyraNode::handle_shares(const sim::Envelope& env, const SharesMsg& m) {
-  (void)env;
+  // A replica speaks only for its own share; otherwise one Byzantine
+  // replica could fill every owner's slot with forgeries before the real
+  // shares arrive and starve decrypt of 2f+1 valid ones. One share per
+  // owner also bounds a record at n.
+  if (env.from >= config_.n) return;
   for (const auto& [cipher_id, share] : m.shares) {
+    if (share.owner != env.from) continue;
     RevealRecord& rec = reveal_[cipher_id];
     if (rec.revealed) continue;
-    if (rec.shares.size() > config_.n) continue;  // bound Byzantine spam
     const bool duplicate = std::any_of(
         rec.shares.begin(), rec.shares.end(),
         [&](const crypto::VssShare& s) { return s.owner == share.owner; });

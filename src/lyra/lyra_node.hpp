@@ -201,7 +201,10 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
 
   // --- BOC machinery ---
   BocInstance& join_instance(const InstanceId& inst);
-  void adopt_init(BocInstance& b, std::shared_ptr<const InitMsg> init);
+  /// Attaches a checked INIT; `value_id` is the id handle_init verified
+  /// the signature against.
+  void adopt_init(BocInstance& b, std::shared_ptr<const InitMsg> init,
+                  const crypto::Digest& value_id);
   void vote(BocInstance& b, bool value);
   void try_deliver_one(BocInstance& b);
   void deliver_value(BocInstance& b, Round round, bool value);

@@ -104,6 +104,35 @@ TEST_F(VssTest, WrongProcessCannotUnsealAnotherShare) {
   EXPECT_FALSE(vss_.verify_share(cipher, stolen));
 }
 
+TEST_F(VssTest, EncryptSetsTheCheckedId) {
+  const VssCipher cipher = vss_.encrypt(to_bytes("secret"), rng_);
+  EXPECT_EQ(cipher.id, cipher.compute_id());
+  EXPECT_NE(cipher.id, Digest{});
+}
+
+TEST_F(VssTest, AlteredIdFailsEveryHonestShare) {
+  // verify_share and partial_decrypt trust the carried id; a cipher whose
+  // id does not match its content yields no share that verifies and so
+  // never decrypts.
+  const Bytes payload = to_bytes("secret");
+  const VssCipher cipher = vss_.encrypt(payload, rng_);
+  VssCipher altered = cipher;
+  altered.id[0] ^= 0x01;
+  ASSERT_NE(altered.id, altered.compute_id());
+  std::vector<VssShare> honest;
+  for (NodeId i = 0; i < kN; ++i) {
+    const VssShare share =
+        vss_.partial_decrypt(cipher, registry_.signer_for(i));
+    EXPECT_FALSE(vss_.verify_share(altered, share)) << "share " << i;
+    honest.push_back(share);
+  }
+  EXPECT_FALSE(vss_.decrypt(altered, honest).has_value());
+  EXPECT_FALSE(
+      vss_.decrypt(altered, shares_from(altered, {0, 1, 2, 3, 4, 5, 6}))
+          .has_value());
+  EXPECT_EQ(vss_.decrypt(cipher, honest), payload);
+}
+
 TEST_F(VssTest, DistinctEncryptionsOfSamePayloadDiffer) {
   const Bytes payload = to_bytes("same payload");
   const VssCipher c1 = vss_.encrypt(payload, rng_);

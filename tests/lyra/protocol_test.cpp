@@ -2,6 +2,7 @@
 
 #include "attacks/byzantine_lyra.hpp"
 #include "harness/lyra_cluster.hpp"
+#include "sim/payload_pool.hpp"
 
 namespace lyra {
 namespace {
@@ -258,6 +259,143 @@ TEST(LyraProtocol, EquivocationNeverCommitsTwoValues) {
     const auto& l = cluster.node(i).ledger();
     for (std::size_t k = 0; k < l.size(); ++k) {
       EXPECT_EQ(l[k].payload, ref[k].payload);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Commit-reveal under Byzantine ciphers and shares
+// ---------------------------------------------------------------------------
+
+/// Correct in every other way, but whenever an INIT arrives it sends
+/// `victim` garbage decryption shares for that cipher under every owner id,
+/// trying to take each owner's slot before the real share lands.
+class ForgedSharesLyraNode final : public core::LyraNode {
+ public:
+  ForgedSharesLyraNode(sim::Simulation* sim, net::Network* net, NodeId id,
+                       const core::Config& cfg,
+                       const crypto::KeyRegistry* reg, NodeId victim)
+      : core::LyraNode(sim, net, id, cfg, reg), victim_(victim) {}
+
+ protected:
+  void on_message(const sim::Envelope& env) override {
+    if (env.payload->kind() == sim::MsgKind::kInit) {
+      const auto& init = static_cast<const core::InitMsg&>(*env.payload);
+      auto forged = sim::make_payload<core::SharesMsg>();
+      for (NodeId owner = 0; owner < config_.n; ++owner) {
+        crypto::VssShare share;
+        share.owner = owner;
+        share.key_share.x = static_cast<std::uint8_t>(owner + 1);
+        share.key_share.y.assign(32, 0xAB);
+        forged->shares.emplace_back(init.cipher.id, share);
+      }
+      send_msg(victim_, forged);
+    }
+    core::LyraNode::on_message(env);
+  }
+
+ private:
+  NodeId victim_;
+};
+
+TEST(LyraProtocol, ForgedSharesUnderOtherOwnersCannotBlockReveal) {
+  auto opts = base_options(4, 1, 43);
+  opts.node_factory = [](sim::Simulation* sim, net::Network* net, NodeId id,
+                         const core::Config& cfg,
+                         const crypto::KeyRegistry* reg)
+      -> std::unique_ptr<core::LyraNode> {
+    if (id == 3) {
+      return std::make_unique<ForgedSharesLyraNode>(sim, net, id, cfg, reg,
+                                                    /*victim=*/0);
+    }
+    return std::make_unique<core::LyraNode>(sim, net, id, cfg, reg);
+  };
+  harness::LyraCluster cluster(opts);
+  cluster.start();
+  cluster.run_for(ms(40));
+  for (int i = 0; i < 12; ++i) {
+    cluster.node(static_cast<NodeId>(i % 4))
+        .submit_local(to_bytes(std::to_string(i) + "-r"));
+    cluster.run_for(ms(10));
+  }
+  cluster.run_for(ms(400));
+
+  // Only node 3 may speak for owner 3: node 0 still collects the real
+  // shares of 0, 1 and 2 and reveals everything it committed.
+  EXPECT_TRUE(cluster.ledgers_prefix_consistent());
+  const auto& ledger = cluster.node(0).ledger();
+  ASSERT_GT(ledger.size(), 0u);
+  for (const auto& cb : ledger) {
+    EXPECT_GT(cb.revealed_at, 0) << "seq " << cb.seq;
+  }
+  EXPECT_EQ(cluster.node(0).stats().revealed_batches,
+            cluster.node(1).stats().revealed_batches);
+}
+
+/// Proposes INITs whose `cipher.id` is not the digest of the cipher's
+/// content, with a valid signature over the value id built from that false
+/// id. Were the id trusted unchecked, such a batch could be accepted and
+/// committed, yet every share would be unsealed and checked under the
+/// wrong id, so it could never be revealed.
+class FalseCipherIdLyraNode final : public core::LyraNode {
+ public:
+  using core::LyraNode::LyraNode;
+
+  void propose_false_id(BytesView payload) {
+    const InstanceId inst{id(), next_proposal_index_++};
+    auto msg = sim::make_payload<core::InitMsg>();
+    msg->inst = inst;
+    msg->predictions = build_predictions(clock_now());
+    msg->tx_count = 1;
+    msg->nominal_bytes = payload.size();
+    msg->cipher = vss_.encrypt(payload, sim().rng());
+    msg->cipher.id[0] ^= 0xFF;
+    msg->sig = signer_.sign(
+        compute_value_id(inst, msg->cipher.id, msg->predictions));
+    broadcast_msg(msg);
+  }
+};
+
+TEST(LyraProtocol, InitWithFalseCipherIdIsNeitherVotedNorCommitted) {
+  auto opts = base_options(4, 1, 47);
+  FalseCipherIdLyraNode* byz = nullptr;
+  opts.node_factory = [&byz](sim::Simulation* sim, net::Network* net,
+                             NodeId id, const core::Config& cfg,
+                             const crypto::KeyRegistry* reg)
+      -> std::unique_ptr<core::LyraNode> {
+    if (id == 0) {
+      auto node =
+          std::make_unique<FalseCipherIdLyraNode>(sim, net, id, cfg, reg);
+      byz = node.get();
+      return node;
+    }
+    return std::make_unique<core::LyraNode>(sim, net, id, cfg, reg);
+  };
+  harness::LyraCluster cluster(opts);
+  cluster.start();
+  cluster.run_for(ms(40));
+  for (int i = 0; i < 4; ++i) {
+    byz->propose_false_id(to_bytes(std::to_string(i) + "-false-id"));
+    cluster.run_for(ms(10));
+  }
+  cluster.run_for(ms(300));
+  for (NodeId i = 1; i < 4; ++i) {
+    EXPECT_EQ(cluster.node(i).stats().validations_ok, 0u) << "node " << i;
+    EXPECT_TRUE(cluster.node(i).ledger().empty()) << "node " << i;
+  }
+
+  // The cluster stays live for honest batches.
+  for (int i = 0; i < 6; ++i) {
+    cluster.node(static_cast<NodeId>(1 + i % 3))
+        .submit_local(to_bytes(std::to_string(i) + "-honest"));
+  }
+  cluster.run_for(ms(400));
+  EXPECT_TRUE(cluster.ledgers_prefix_consistent());
+  for (NodeId i = 1; i < 4; ++i) {
+    EXPECT_GT(cluster.node(i).stats().revealed_batches, 0u) << "node " << i;
+    for (const auto& cb : cluster.node(i).ledger()) {
+      EXPECT_NE(cb.inst.proposer, 0u);
+      EXPECT_GT(cb.revealed_at, 0);
     }
   }
 }

@@ -434,9 +434,9 @@ class ProposerWatch final : public net::Adversary {
   TimeNs delay(const sim::Envelope& env, TimeNs base_delay, Rng&) override {
     if (env.from != node_) return base_delay;
     if (const auto* m = sim::payload_as<core::InitMsg>(env)) {
-      ciphers[m->inst.index].insert(m->cipher.cipher_id());
+      ciphers[m->inst.index].insert(m->cipher.id);
       if (env.sent_at >= restarted_at) {
-        sent_since_restart.insert(m->cipher.cipher_id());
+        sent_since_restart.insert(m->cipher.id);
       }
     } else if (const auto* m = sim::payload_as<core::CommitNotifyMsg>(env)) {
       if (env.sent_at >= restarted_at) notified_seqs.insert(m->seq);
