@@ -1,12 +1,12 @@
 #include "attacks/byzantine_lyra.hpp"
 
-#include "sim/payload_pool.hpp"
+#include <memory>
 
 namespace lyra::attacks {
 
 void SelectiveInitLyraNode::propose_selectively(BytesView payload) {
   const InstanceId inst{id(), next_proposal_index_++};
-  auto msg = sim::make_payload<core::InitMsg>();
+  auto msg = std::make_shared<core::InitMsg>();
   msg->inst = inst;
   const SeqNum s_ref = clock_now();
   msg->predictions = build_predictions(s_ref);
@@ -66,7 +66,7 @@ void ReplayInitLyraNode::replay_tick() {
   }
   for (std::size_t i = 0; i < replay_burst_ && replayable > 0; ++i) {
     if (cursor_ >= replayable) cursor_ = 0;
-    auto relay = sim::make_payload<core::InitRelayMsg>();
+    auto relay = std::make_shared<core::InitRelayMsg>();
     relay->inner = seen_[cursor_++].init;
     broadcast_msg(relay);
     ++replays_;
@@ -76,7 +76,7 @@ void ReplayInitLyraNode::replay_tick() {
 
 std::shared_ptr<core::InitMsg> EquivocatingLyraNode::make_init(
     const InstanceId& inst, BytesView payload) {
-  auto msg = sim::make_payload<core::InitMsg>();
+  auto msg = std::make_shared<core::InitMsg>();
   msg->inst = inst;
   const SeqNum s_ref = clock_now();
   msg->predictions = build_predictions(s_ref);

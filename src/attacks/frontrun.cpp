@@ -1,10 +1,10 @@
 #include "attacks/frontrun.hpp"
 
 #include <map>
+#include <memory>
 #include <string>
 
 #include "attacks/ledger.hpp"
-#include "sim/payload_pool.hpp"
 
 namespace lyra::attacks {
 
@@ -76,7 +76,7 @@ void AliceClient::on_start() {
 
 void AliceClient::submit_next() {
   if (next_index_ >= count_) return;
-  auto msg = sim::make_payload<core::SubmitMsg>();
+  auto msg = std::make_shared<core::SubmitMsg>();
   msg->count = 1;
   msg->submitted_at = now();
   msg->txs.push_back(

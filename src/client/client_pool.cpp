@@ -1,8 +1,8 @@
 #include "client/client_pool.hpp"
 
 #include <algorithm>
+#include <memory>
 
-#include "sim/payload_pool.hpp"
 #include "support/mutation.hpp"
 
 namespace lyra::client {
@@ -37,7 +37,7 @@ void ClientPool::on_start() {
 void ClientPool::submit(std::uint32_t count, NodeId target) {
   if (count == 0) return;
   submitted_total_ += count;
-  auto msg = sim::make_payload<SubmitMsg>();
+  auto msg = std::make_shared<SubmitMsg>();
   msg->count = count;
   msg->submitted_at = now();
   if (resubmit_timeout_ > 0) {
@@ -90,7 +90,7 @@ void ClientPool::check_resubmit() {
     if (now() - wave.last_attempt < resubmit_timeout_) continue;
     max_resubmit_lag_ = std::max(
         max_resubmit_lag_, now() - (wave.last_attempt + resubmit_timeout_));
-    auto msg = sim::make_payload<SubmitMsg>();
+    auto msg = std::make_shared<SubmitMsg>();
     msg->count = wave.count;
     // Latency stays measured from the first attempt: the retry carries the
     // original submission time.

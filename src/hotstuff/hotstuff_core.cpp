@@ -1,9 +1,7 @@
 #include "hotstuff/hotstuff_core.hpp"
 
 #include <algorithm>
-
-#include "sim/payload_pool.hpp"
-#include "support/pool.hpp"
+#include <memory>
 
 #include "support/assert.hpp"
 
@@ -18,7 +16,7 @@ HotStuffCore::HotStuffCore(Options options,
   LYRA_ASSERT(options_.n > 3 * options_.f, "need n > 3f");
   LYRA_ASSERT(options_.view_timeout > 0, "view_timeout must be set");
 
-  auto genesis = support::make_pooled<Block>();
+  auto genesis = std::make_shared<Block>();
   genesis->height = 0;
   genesis_digest_ = genesis->digest();
   blocks_.emplace(genesis_digest_, std::move(genesis));
@@ -74,7 +72,7 @@ void HotStuffCore::try_propose() {
     if (highest_nonempty_height_ <= committed_height_) return;
   }
 
-  auto block = support::make_pooled<Block>();
+  auto block = std::make_shared<Block>();
   block->height = next_height;
   block->view = view_;
   block->proposer = options_.self;
@@ -87,7 +85,7 @@ void HotStuffCore::try_propose() {
   ++blocks_proposed_;
   hooks_.charge(ccost(options_.costs.hash_cost(block->wire_bytes())));
 
-  auto msg = sim::make_payload<ProposalMsg>();
+  auto msg = std::make_shared<ProposalMsg>();
   msg->block = block;
   hooks_.broadcast(std::move(msg));  // self-delivery makes the leader vote
 }
@@ -142,7 +140,7 @@ void HotStuffCore::handle_proposal(const sim::Envelope& env,
   if (fresh && extends_locked) {
     voted_view_ = b.view;
     voted_height_ = b.height;
-    auto vote = sim::make_payload<BlockVoteMsg>();
+    auto vote = std::make_shared<BlockVoteMsg>();
     vote->height = b.height;
     vote->block = digest;
     hooks_.charge(ccost(options_.costs.share_sign));
@@ -264,7 +262,7 @@ void HotStuffCore::on_pacemaker_timeout() {
                                       options_.view_timeout * 16);
   // Broadcast so every replica converges on the new view (self-delivery
   // registers our own NewView with the counting logic).
-  auto msg = sim::make_payload<NewViewMsg>();
+  auto msg = std::make_shared<NewViewMsg>();
   msg->view = view_;
   msg->high_qc = high_qc_;
   hooks_.broadcast(std::move(msg));

@@ -1,8 +1,7 @@
 #include "lyra/batching.hpp"
 
 #include <algorithm>
-
-#include "sim/payload_pool.hpp"
+#include <memory>
 
 namespace lyra::core {
 
@@ -61,7 +60,7 @@ void BatchingNode::send_rejects(
     const std::map<NodeId, std::vector<std::uint64_t>>& rejects) {
   for (const auto& [client, ids] : rejects) {
     if (client == kNoNode || client == id()) continue;
-    auto msg = sim::make_payload<MempoolRejectMsg>();
+    auto msg = std::make_shared<MempoolRejectMsg>();
     msg->tx_ids = ids;
     send(client, std::move(msg));
   }
@@ -136,7 +135,7 @@ void BatchingNode::notify_clients(const std::vector<Chunk>& chunks,
                                   SeqNum seq) {
   for (const Chunk& chunk : chunks) {
     if (chunk.client == kNoNode || chunk.client == id()) continue;
-    auto msg = sim::make_payload<CommitNotifyMsg>();
+    auto msg = std::make_shared<CommitNotifyMsg>();
     msg->count = chunk.count;
     msg->submitted_at = chunk.submitted_at;
     msg->seq = seq;

@@ -1,8 +1,7 @@
 #include "lyra/lyra_node.hpp"
 
 #include <algorithm>
-
-#include "sim/payload_pool.hpp"
+#include <memory>
 
 #include "support/assert.hpp"
 #include "support/mutation.hpp"
@@ -42,7 +41,7 @@ LyraNode::LyraNode(sim::Simulation* sim, net::Network* network, NodeId id,
 void LyraNode::on_start() {
   // Heartbeat keeps the Commit protocol moving on idle nodes.
   const auto heartbeat = [this](auto&& self) -> void {
-    auto msg = sim::make_payload<HeartbeatMsg>();
+    auto msg = std::make_shared<HeartbeatMsg>();
     broadcast_msg(msg);
     set_timer(config_.heartbeat_period,
               [this, self] { self(self); });
@@ -52,7 +51,7 @@ void LyraNode::on_start() {
 
   // Warm-up probes to learn the distance table D_i (§IV-B1).
   const auto probe = [this](auto&& self) -> void {
-    auto msg = sim::make_payload<ProbeMsg>();
+    auto msg = std::make_shared<ProbeMsg>();
     msg->s_ref = clock_.now();
     msg->pad_bytes = static_cast<std::uint64_t>(config_.batch_size) * 32;
     broadcast_msg(msg);
@@ -218,7 +217,7 @@ void LyraNode::propose_batch(PendingBatch batch) {
     stats_.phase_batch_wait_ms.add(to_ms(now() - earliest_submit));
   }
 
-  auto msg = sim::make_payload<InitMsg>();
+  auto msg = std::make_shared<InitMsg>();
   msg->inst = inst;
   msg->predictions = build_predictions(s_ref);
   const Carved& carved = batch.carved;
@@ -375,7 +374,7 @@ void LyraNode::adopt_init(BocInstance& b, std::shared_ptr<const InitMsg> init,
     if (registry_->threshold_verify(*b.proof, b.value_id)) {
       if (!b.deliver_broadcast) {
         b.deliver_broadcast = true;
-        auto out = sim::make_payload<DeliverMsg>();
+        auto out = std::make_shared<DeliverMsg>();
         out->inst = b.inst;
         out->proof = *b.proof;
         broadcast_msg(out);
@@ -392,7 +391,7 @@ void LyraNode::vote(BocInstance& b, bool value) {
     // share) at most once per instance.
     if (b.voted_one) return;
     b.voted_one = true;
-    auto msg = sim::make_payload<VoteMsg>();
+    auto msg = std::make_shared<VoteMsg>();
     msg->inst = b.inst;
     msg->value = true;
     charge(ccost(config_.costs.share_sign));
@@ -402,7 +401,7 @@ void LyraNode::vote(BocInstance& b, bool value) {
   } else {
     if (b.voted_zero) return;
     b.voted_zero = true;
-    auto msg = sim::make_payload<VoteMsg>();
+    auto msg = std::make_shared<VoteMsg>();
     msg->inst = b.inst;
     msg->value = false;
     // 0-votes also piggyback the perceived clock (SVI-B): a broadcaster
@@ -460,7 +459,7 @@ void LyraNode::try_deliver_one(BocInstance& b) {
 
   if (!b.deliver_broadcast) {
     b.deliver_broadcast = true;
-    auto msg = sim::make_payload<DeliverMsg>();
+    auto msg = std::make_shared<DeliverMsg>();
     msg->inst = b.inst;
     msg->proof = *proof;
     broadcast_msg(msg);
@@ -477,7 +476,7 @@ void LyraNode::handle_deliver(const sim::Envelope& env, const DeliverMsg& m) {
     // Keep the proof and pull the INIT we are missing.
     if (!b.proof) {
       b.proof = m.proof;
-      auto req = sim::make_payload<ReqInitMsg>();
+      auto req = std::make_shared<ReqInitMsg>();
       req->inst = m.inst;
       send_msg(env.from, req);
     }
@@ -491,7 +490,7 @@ void LyraNode::handle_deliver(const sim::Envelope& env, const DeliverMsg& m) {
   if (!b.deliver_broadcast) {
     // Alg. 1 line 17: relay the proof so delivery is uniform.
     b.deliver_broadcast = true;
-    auto out = sim::make_payload<DeliverMsg>();
+    auto out = std::make_shared<DeliverMsg>();
     out->inst = m.inst;
     out->proof = m.proof;
     broadcast_msg(out);
@@ -515,7 +514,7 @@ void LyraNode::on_expire_timer(const InstanceId& inst) {
 void LyraNode::forward_init(BocInstance& b) {
   if (!b.init || b.init_forwarded) return;
   b.init_forwarded = true;
-  auto relay = sim::make_payload<InitRelayMsg>();
+  auto relay = std::make_shared<InitRelayMsg>();
   relay->inner = b.init;
   broadcast_msg(relay);
 }
@@ -524,7 +523,7 @@ void LyraNode::handle_req_init(const sim::Envelope& env) {
   const auto* m = sim::payload_as<ReqInitMsg>(env);
   const auto it = instances_.find(m->inst);
   if (it == instances_.end() || !it->second.init) return;
-  auto relay = sim::make_payload<InitRelayMsg>();
+  auto relay = std::make_shared<InitRelayMsg>();
   relay->inner = it->second.init;
   send_msg(env.from, relay);
 }
@@ -543,7 +542,7 @@ void LyraNode::handle_init_relay(const sim::Envelope& env) {
 
 void LyraNode::send_resync_request() {
   if (!resync_pending_) return;
-  auto msg = sim::make_payload<ResyncReqMsg>();
+  auto msg = std::make_shared<ResyncReqMsg>();
   if (!ledger_.empty()) {
     msg->cursor_seq = ledger_.back().seq;
     msg->cursor_id = ledger_.back().cipher_id;
@@ -555,7 +554,7 @@ void LyraNode::send_resync_request() {
 
 void LyraNode::handle_resync_req(const sim::Envelope& env,
                                  const ResyncReqMsg& m) {
-  auto reply = sim::make_payload<ResyncReplyMsg>();
+  auto reply = std::make_shared<ResyncReplyMsg>();
   reply->entries = commit_.accepted_after(m.cursor_seq, m.cursor_id);
   send_msg(env.from, reply);
 }
@@ -600,7 +599,7 @@ void LyraNode::enter_round(BocInstance& b, Round round) {
   if (round >= 2) {
     // vv-broadcast of the current estimate (BV-broadcast semantics: the
     // value m is fixed and proven unique by round 1).
-    auto msg = sim::make_payload<EstMsg>();
+    auto msg = std::make_shared<EstMsg>();
     msg->inst = inst;
     msg->round = round;
     msg->value = b.est;
@@ -633,7 +632,7 @@ void LyraNode::handle_est(const sim::Envelope& env, const EstMsg& m) {
   auto& sent = m.value ? rs.est_one_sent : rs.est_zero_sent;
   if (count >= config_.f + 1 && !sent) {
     sent = true;
-    auto echo = sim::make_payload<EstMsg>();
+    auto echo = std::make_shared<EstMsg>();
     echo->inst = m.inst;
     echo->round = m.round;
     echo->value = m.value;
@@ -694,7 +693,7 @@ void LyraNode::maybe_progress(BocInstance& b) {
   if (is_coordinator(b.round) && !rs.coord_sent &&
       (rs.vv_zero != rs.vv_one)) {
     rs.coord_sent = true;
-    auto msg = sim::make_payload<CoordMsg>();
+    auto msg = std::make_shared<CoordMsg>();
     msg->inst = b.inst;
     msg->round = b.round;
     msg->value = rs.vv_one;
@@ -705,7 +704,7 @@ void LyraNode::maybe_progress(BocInstance& b) {
   // values, preferring the coordinator's suggestion when we delivered it.
   if (!rs.aux_sent && rs.timer_expired && (rs.vv_zero || rs.vv_one)) {
     rs.aux_sent = true;
-    auto msg = sim::make_payload<AuxMsg>();
+    auto msg = std::make_shared<AuxMsg>();
     msg->inst = b.inst;
     msg->round = b.round;
     const bool coord_usable =
@@ -858,7 +857,7 @@ void LyraNode::merge_accepted(const AcceptedEntry& entry, NodeId from) {
       rec.have_cipher = true;
       rec.tx_count = it->second.init->tx_count;
     } else if (from != id()) {
-      auto req = sim::make_payload<ReqInitMsg>();
+      auto req = std::make_shared<ReqInitMsg>();
       req->inst = entry.inst;
       send_msg(from, req);
     }
@@ -874,7 +873,7 @@ void LyraNode::try_commit() {
   const std::vector<AcceptedEntry> wave = commit_.take_committable();
   if (wave.empty()) return;
 
-  auto shares_msg = sim::make_payload<SharesMsg>();
+  auto shares_msg = std::make_shared<SharesMsg>();
   for (const AcceptedEntry& entry : wave) {
     RevealRecord& rec = append_committed(entry);
     if (entry.inst.proposer == id()) {
@@ -950,7 +949,7 @@ void LyraNode::on_cipher_for_committed(const crypto::Digest& cipher_id) {
     return;
   }
   if (!rec.share_broadcast) {
-    auto msg = sim::make_payload<SharesMsg>();
+    auto msg = std::make_shared<SharesMsg>();
     release_share(cipher_id, rec, *msg);
     broadcast_msg(msg);
   }
@@ -1061,7 +1060,7 @@ void LyraNode::settle_own_batch(const CommittedBatch& cb) {
 // ---------------------------------------------------------------------------
 
 void LyraNode::handle_probe(const sim::Envelope& env, const ProbeMsg& m) {
-  auto reply = sim::make_payload<ProbeReplyMsg>();
+  auto reply = std::make_shared<ProbeReplyMsg>();
   reply->s_ref = m.s_ref;
   reply->perceived = clock_.now();
   send_msg(env.from, reply);

@@ -1,8 +1,7 @@
 #include "pompe/pompe_node.hpp"
 
 #include <algorithm>
-
-#include "sim/payload_pool.hpp"
+#include <memory>
 
 #include "support/assert.hpp"
 
@@ -101,7 +100,7 @@ void PompeNode::flush_partial_batch() {
 }
 
 void PompeNode::propose_carved(Carved carved) {
-  auto msg = sim::make_payload<TsRequestMsg>();
+  auto msg = std::make_shared<TsRequestMsg>();
   msg->proposer = id();
   msg->tx_count = carved.tx_count;
   msg->nominal_bytes = carved.nominal_bytes;
@@ -139,7 +138,7 @@ void PompeNode::handle_ts_request(const sim::Envelope& env,
   }
   observe_batch(m);
 
-  auto reply = sim::make_payload<TsReplyMsg>();
+  auto reply = std::make_shared<TsReplyMsg>();
   reply->batch_digest = m.batch_digest;
   reply->ts = timestamp_for(m);
   charge(config_.crypto_cost(config_.costs.sign));
@@ -171,7 +170,7 @@ void PompeNode::handle_ts_reply(const sim::Envelope& env,
             [](const SignedTs& a, const SignedTs& b) { return a.ts < b.ts; });
   const SeqNum assigned = proof[config_.f].ts;  // median of 2f+1
 
-  auto msg = sim::make_payload<SequenceMsg>();
+  auto msg = std::make_shared<SequenceMsg>();
   msg->batch_digest = m.batch_digest;
   msg->proposer = id();
   msg->assigned_ts = assigned;

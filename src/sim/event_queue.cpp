@@ -103,18 +103,21 @@ void EventQueue::push_delivery(const Ref& ref) {
   ++deliveries_live_;
 }
 
-bool EventQueue::cancel(std::uint64_t handle) {
+bool EventQueue::pending(std::uint64_t handle) const {
   // A handle is live only while its slot still holds its id: a fired or
   // cancelled timer cleared it, and a reused slot holds a newer id.
   const std::uint64_t slot = handle & kSlotMask;
-  if (slot >= fn_slots_.size() ||
-      fn_slots_[slot].live_id != handle >> kSlotBits) {
-    return false;
-  }
+  return slot < fn_slots_.size() &&
+         fn_slots_[slot].live_id == handle >> kSlotBits;
+}
+
+bool EventQueue::cancel(std::uint64_t handle) {
+  if (!pending(handle)) return false;
+  const auto slot = static_cast<std::uint32_t>(handle & kSlotMask);
   TimerSlot& ts = fn_slots_[slot];
   ts.live_id = kNoId;
   ts.fn = nullptr;  // release captured state now
-  fn_free_.push_back(static_cast<std::uint32_t>(slot));
+  fn_free_.push_back(slot);
   --live_timers_;
   return true;
 }

@@ -84,6 +84,10 @@ class EventQueue {
   /// was actually cancelled, false for such a no-op.
   bool cancel(std::uint64_t handle);
 
+  /// True while the callback event behind `handle` has neither fired nor
+  /// been cancelled.
+  bool pending(std::uint64_t handle) const;
+
   /// Schedules `process->pump()` at absolute time `at`, ordered with every
   /// other event by (at, id). Returns a handle for cancel_pump(). The same
   /// time rule as for deliveries applies.
@@ -109,7 +113,7 @@ class EventQueue {
   /// (messages in flight to a crashed process).
   std::uint64_t deliveries_dropped() const { return deliveries_dropped_; }
 
-  // --- slab introspection (pool tests and perf diagnostics) ---
+  // --- slab introspection (event-queue tests and perf diagnostics) ---
 
   /// High-water mark of concurrently pending sends (a broadcast counts
   /// once): the delivery slab never shrinks, it only recycles.

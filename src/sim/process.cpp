@@ -11,7 +11,7 @@ Process::Process(Simulation* sim, Transport* transport, NodeId id)
 }
 
 Process::~Process() {
-  for (const auto& [token, event_id] : live_timers_) sim_->cancel(event_id);
+  for (const TimerId id : timers_) sim_->cancel(id);
   if (pump_scheduled_) sim_->cancel_pump(pump_event_);
 }
 
@@ -69,22 +69,16 @@ void Process::charge(TimeNs cost) {
 }
 
 Process::TimerId Process::set_timer(TimeNs delay, std::function<void()> fn) {
-  const TimerId token = next_timer_token_++;
-  const std::uint64_t event_id =
-      sim_->schedule_in(delay, [this, token, fn = std::move(fn)] {
-        // Drop the bookkeeping entry before running: fn may re-arm a timer.
-        live_timers_.erase(token);
-        fn();
-      });
-  live_timers_.emplace(token, event_id);
-  return token;
-}
-
-void Process::cancel_timer(TimerId id) {
-  const auto it = live_timers_.find(id);
-  if (it == live_timers_.end()) return;  // already fired or cancelled
-  sim_->cancel(it->second);
-  live_timers_.erase(it);
+  if (timers_.size() == timers_.capacity()) {
+    std::erase_if(timers_, [this](TimerId id) { return !sim_->pending(id); });
+    // Still half full: grow now, so pruning stays amortised O(1) per timer.
+    if (2 * timers_.size() > timers_.capacity()) {
+      timers_.reserve(2 * timers_.capacity());
+    }
+  }
+  const TimerId id = sim_->schedule_in(delay, std::move(fn));
+  timers_.push_back(id);
+  return id;
 }
 
 void Process::trace(std::string category, std::string text) {

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/message.hpp"
 #include "sim/ring.hpp"
@@ -96,10 +96,12 @@ class Process {
   /// Accounts `cost` of CPU work for the current handler or timer.
   void charge(TimeNs cost);
 
-  /// One-shot timer. The callback does not run if cancelled first, and all
-  /// pending timers die with the process.
+  /// One-shot timer; its id is the event-queue handle. The callback does
+  /// not run if cancelled first, and all pending timers die with the
+  /// process. Cancelling a fired or cancelled id is a no-op. Every id value
+  /// is a possible handle, 0 included: track "armed" beside a stored id.
   TimerId set_timer(TimeNs delay, std::function<void()> fn);
-  void cancel_timer(TimerId id);
+  void cancel_timer(TimerId id) { sim_->cancel(id); }
 
   Simulation& sim() { return *sim_; }
   Transport& transport() { return *transport_; }
@@ -126,10 +128,9 @@ class Process {
   std::uint64_t pump_event_ = 0;
   TimeNs cpu_busy_until_ = 0;
 
-  // Timer token -> underlying event id, for cancellation (explicit or at
-  // destruction). Tokens are never reused within a process lifetime.
-  std::unordered_map<TimerId, std::uint64_t> live_timers_;
-  TimerId next_timer_token_ = 1;
+  // Handles of this process's timers, cancelled at destruction. Fired and
+  // cancelled ones linger until set_timer prunes them.
+  std::vector<TimerId> timers_;
 
   std::uint64_t messages_processed_ = 0;
   std::uint64_t messages_sent_ = 0;

@@ -40,6 +40,11 @@ class Simulation {
 
   void cancel(std::uint64_t event_id) { queue_.cancel(event_id); }
 
+  /// True while `event_id` has neither fired nor been cancelled.
+  bool pending(std::uint64_t event_id) const {
+    return queue_.pending(event_id);
+  }
+
   /// Schedules `process`'s inbox pump at `at` (not before now()); see
   /// EventQueue::schedule_pump.
   std::uint64_t schedule_pump(TimeNs at, Process* process) {

@@ -1,8 +1,7 @@
 #include "statesync/manager.hpp"
 
 #include <algorithm>
-
-#include "sim/payload_pool.hpp"
+#include <memory>
 
 #include "statesync/chunking.hpp"
 
@@ -47,7 +46,7 @@ void StateSyncManager::start_probe() {
   round_++;
   peer_len_.assign(n_, -1);
 
-  auto req = sim::make_payload<SyncManifestReqMsg>();
+  auto req = std::make_shared<SyncManifestReqMsg>();
   req->want_cut = 0;
   req->chunk_bytes = config_.chunk_bytes;
   host_->sync_broadcast(req);
@@ -89,7 +88,7 @@ void StateSyncManager::start_manifest() {
   stats_.manifest_rounds++;
   groups_.clear();
 
-  auto req = sim::make_payload<SyncManifestReqMsg>();
+  auto req = std::make_shared<SyncManifestReqMsg>();
   req->want_cut = cut_;
   req->chunk_bytes = config_.chunk_bytes;
   host_->sync_broadcast(req);
@@ -264,7 +263,7 @@ void StateSyncManager::request_chunk(std::size_t index, NodeId server) {
   inflight_++;
   server_inflight_[server]++;
 
-  auto req = sim::make_payload<SyncChunkReqMsg>();
+  auto req = std::make_shared<SyncChunkReqMsg>();
   req->cut = cut_;
   req->chunk_bytes = config_.chunk_bytes;
   req->chunk = static_cast<std::uint32_t>(index);
@@ -440,12 +439,12 @@ void StateSyncManager::catchup_tick() {
     }
   }
 
-  auto vote_req = sim::make_payload<RevealReqMsg>();
+  auto vote_req = std::make_shared<RevealReqMsg>();
   vote_req->cipher_ids = holes;
   vote_req->want_payload = false;
   std::shared_ptr<RevealReqMsg> payload_req;
   if (server != kNoNode) {
-    payload_req = sim::make_payload<RevealReqMsg>();
+    payload_req = std::make_shared<RevealReqMsg>();
     payload_req->cipher_ids = holes;
     payload_req->want_payload = true;
   }
@@ -582,7 +581,7 @@ const std::vector<crypto::Digest>& StateSyncManager::serve_manifest(
 
 void StateSyncManager::handle_manifest_req(const sim::Envelope& env,
                                            const SyncManifestReqMsg& m) {
-  auto reply = sim::make_payload<SyncManifestReplyMsg>();
+  auto reply = std::make_shared<SyncManifestReplyMsg>();
   reply->ledger_len = host_->sync_ledger_length();
   if (m.want_cut == 0) {
     host_->sync_send(env.from, reply);
@@ -607,7 +606,7 @@ void StateSyncManager::handle_chunk_req(const sim::Envelope& env,
   if (m.chunk_bytes == 0 || m.chunk_bytes > kMaxChunkBytes || m.cut == 0) {
     return;
   }
-  auto reply = sim::make_payload<SyncChunkReplyMsg>();
+  auto reply = std::make_shared<SyncChunkReplyMsg>();
   reply->cut = m.cut;
   reply->chunk = m.chunk;
   reply->have = host_->sync_ledger_length() >= m.cut;
@@ -627,7 +626,7 @@ void StateSyncManager::handle_chunk_req(const sim::Envelope& env,
 void StateSyncManager::handle_reveal_req(const sim::Envelope& env,
                                          const RevealReqMsg& m) {
   if (m.cipher_ids.size() > kMaxRevealReqIds) return;
-  auto reply = sim::make_payload<RevealReplyMsg>();
+  auto reply = std::make_shared<RevealReplyMsg>();
   for (const crypto::Digest& id : m.cipher_ids) {
     RevealReplyMsg::Item item;
     item.cipher_id = id;

@@ -1,9 +1,9 @@
 #include "workload/open_loop.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "lyra/messages.hpp"
-#include "sim/payload_pool.hpp"
 
 namespace lyra::workload {
 namespace {
@@ -79,7 +79,7 @@ void OpenLoopClientPool::inject_burst(std::uint32_t count) {
 }
 
 void OpenLoopClientPool::submit_tx(const WorkloadTx& tx, bool is_retry) {
-  auto msg = sim::make_payload<core::SubmitMsg>();
+  auto msg = std::make_shared<core::SubmitMsg>();
   msg->count = 1;
   // Latency spans all attempts: retries carry the original time.
   msg->submitted_at = tx.submitted_at;

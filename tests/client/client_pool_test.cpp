@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "harness/lyra_cluster.hpp"
-#include "sim/payload_pool.hpp"
 
 namespace lyra {
 namespace {
@@ -62,7 +63,7 @@ class FlakyTarget final : public sim::Process {
       --drop_;
       return;
     }
-    auto notify = sim::make_payload<core::CommitNotifyMsg>();
+    auto notify = std::make_shared<core::CommitNotifyMsg>();
     notify->count = submit->count;
     notify->submitted_at = submit->submitted_at;
     send(env.from, std::move(notify));
@@ -186,7 +187,7 @@ class SelectiveDropTarget final : public sim::Process {
     ++submissions_seen;
     for (std::uint64_t idx : drop_)
       if (idx == submissions_seen) return;
-    auto notify = sim::make_payload<core::CommitNotifyMsg>();
+    auto notify = std::make_shared<core::CommitNotifyMsg>();
     notify->count = submit->count;
     notify->submitted_at = submit->submitted_at;
     send(env.from, std::move(notify));
@@ -248,7 +249,7 @@ class DelayedAckTarget final : public sim::Process {
     const std::uint32_t count = submit->count;
     const TimeNs submitted_at = submit->submitted_at;
     const auto ack = [this, from, count, submitted_at] {
-      auto notify = sim::make_payload<core::CommitNotifyMsg>();
+      auto notify = std::make_shared<core::CommitNotifyMsg>();
       notify->count = count;
       notify->submitted_at = submitted_at;
       send(from, std::move(notify));

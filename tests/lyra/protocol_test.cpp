@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "attacks/byzantine_lyra.hpp"
 #include "harness/lyra_cluster.hpp"
-#include "sim/payload_pool.hpp"
 
 namespace lyra {
 namespace {
@@ -281,7 +282,7 @@ class ForgedSharesLyraNode final : public core::LyraNode {
   void on_message(const sim::Envelope& env) override {
     if (env.payload->kind() == sim::MsgKind::kInit) {
       const auto& init = static_cast<const core::InitMsg&>(*env.payload);
-      auto forged = sim::make_payload<core::SharesMsg>();
+      auto forged = std::make_shared<core::SharesMsg>();
       for (NodeId owner = 0; owner < config_.n; ++owner) {
         crypto::VssShare share;
         share.owner = owner;
@@ -343,7 +344,7 @@ class FalseCipherIdLyraNode final : public core::LyraNode {
 
   void propose_false_id(BytesView payload) {
     const InstanceId inst{id(), next_proposal_index_++};
-    auto msg = sim::make_payload<core::InitMsg>();
+    auto msg = std::make_shared<core::InitMsg>();
     msg->inst = inst;
     msg->predictions = build_predictions(clock_now());
     msg->tx_count = 1;

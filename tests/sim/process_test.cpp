@@ -180,29 +180,78 @@ TEST(Process, BroadcastReachesAllConsensusNodesIncludingSelf) {
   EXPECT_EQ(n0.messages_sent(), 3u);
 }
 
+/// Exposes the timer API; handles no messages.
+class TimerHolder : public Process {
+ public:
+  using Process::cancel_timer;
+  using Process::Process;
+  using Process::set_timer;
+
+ protected:
+  void on_message(const Envelope&) override {}
+};
+
 TEST(Process, TimerFiresAndCancelWorks) {
   Simulation sim(1);
   FixedDelayTransport net(&sim, ms(1), 1);
-
-  class TimerHolder final : public Process {
-   public:
-    using Process::Process;
-    int fired = 0;
-    void arm() {
-      set_timer(ms(5), [this] { ++fired; });
-      const auto id = set_timer(ms(6), [this] { ++fired; });
-      cancel_timer(id);
-    }
-
-   protected:
-    void on_message(const Envelope&) override {}
-  };
-
   TimerHolder p(&sim, &net, 0);
   net.attach(&p);
-  p.arm();
+  int fired = 0;
+  const auto kept = p.set_timer(ms(5), [&fired] { ++fired; });
+  const auto dropped = p.set_timer(ms(6), [&fired] { ++fired; });
+  p.cancel_timer(dropped);
   sim.run_all();
-  EXPECT_EQ(p.fired, 1);
+  EXPECT_EQ(fired, 1);
+
+  // Two later timers take both freed queue slots; cancelling the stale ids
+  // (one fired, one cancelled) leaves them alone.
+  int later = 0;
+  p.set_timer(ms(1), [&later] { ++later; });
+  p.set_timer(ms(2), [&later] { ++later; });
+  p.cancel_timer(kept);
+  p.cancel_timer(dropped);
+  sim.run_all();
+  EXPECT_EQ(later, 2);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Process, DestroyingAProcessCancelsItsTimers) {
+  // Teardown after a re-arming chain of 100 ticks, each of which also
+  // re-aims a guard timer: the fired and cancelled handles are pruned from
+  // the process's list several times over. The chain's next tick, the last
+  // guard and the long timers armed before all of it die with the process.
+  class Ticker final : public TimerHolder {
+   public:
+    Ticker(Simulation* sim, Transport* t, int* runs)
+        : TimerHolder(sim, t, 0), runs_(runs) {}
+    void tick() {
+      ++*runs_;
+      if (guard_armed_) cancel_timer(guard_);
+      guard_armed_ = true;
+      guard_ = set_timer(ms(50), [this] { ++*runs_; });
+      set_timer(ms(1), [this] { tick(); });
+    }
+
+   private:
+    int* runs_;
+    bool guard_armed_ = false;
+    TimerId guard_ = 0;
+  };
+
+  Simulation sim(1);
+  FixedDelayTransport net(&sim, ms(1), 1);
+  int runs = 0;
+  auto p = std::make_unique<Ticker>(&sim, &net, &runs);
+  for (int i = 1; i <= 3; ++i) {
+    p->set_timer(ms(1000 * i), [&runs] { ++runs; });
+  }
+  p->tick();
+  sim.run_until(ms(99));
+  EXPECT_EQ(runs, 100);
+  p.reset();
+  EXPECT_EQ(sim.run_all(), 0u);
+  EXPECT_EQ(sim.now(), ms(99));
+  EXPECT_EQ(runs, 100);
 }
 
 TEST(Process, BytesSentAccumulateWireSizes) {

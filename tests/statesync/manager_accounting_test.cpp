@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "crypto/hash.hpp"
-#include "sim/payload_pool.hpp"
 #include "statesync/chunking.hpp"
 #include "statesync/manager.hpp"
 #include "statesync/messages.hpp"
@@ -131,14 +130,14 @@ struct Rig {
   }
 
   void probe_reply(NodeId from, std::uint64_t ledger_len) {
-    auto m = sim::make_payload<SyncManifestReplyMsg>();
+    auto m = std::make_shared<SyncManifestReplyMsg>();
     m->cut = 0;
     m->ledger_len = ledger_len;
     deliver(from, std::move(m));
   }
 
   void manifest_reply(NodeId from) {
-    auto m = sim::make_payload<SyncManifestReplyMsg>();
+    auto m = std::make_shared<SyncManifestReplyMsg>();
     m->cut = cut;
     m->ledger_len = cut;
     m->have = true;
@@ -149,7 +148,7 @@ struct Rig {
   }
 
   void chunk_reply(NodeId from, std::uint32_t index) {
-    auto m = sim::make_payload<SyncChunkReplyMsg>();
+    auto m = std::make_shared<SyncChunkReplyMsg>();
     m->cut = cut;
     m->chunk = index;
     m->have = true;
