@@ -62,7 +62,7 @@ int main() {
           "%6.0f %10s %14.0f %14.0f %10.1f %10.1f %10llu %10llu %10.1f  "
           "%s\n",
           rate, harness::protocol_name(protocol), r.offered_tps,
-          r.goodput_tps, r.p50_latency_ms, r.p99_latency_ms,
+          r.throughput_tps, r.p50_latency_ms, r.p99_latency_ms,
           static_cast<unsigned long long>(r.rejected_submits),
           static_cast<unsigned long long>(r.mempool_evictions),
           r.economics.extracted_value,
@@ -71,7 +71,7 @@ int main() {
 
       csv += std::to_string(rate) + "," + harness::protocol_name(protocol) +
              "," + std::to_string(r.offered_tps) + "," +
-             std::to_string(r.goodput_tps) + "," +
+             std::to_string(r.throughput_tps) + "," +
              std::to_string(r.p50_latency_ms) + "," +
              std::to_string(r.p99_latency_ms) + "," +
              std::to_string(r.rejected_submits) + "," +
@@ -98,7 +98,7 @@ int main() {
       e.hw_concurrency = bench::hw_concurrency();
       e.host_nproc = bench::host_nproc();
       e.extra = {{"offered_tps", r.offered_tps},
-                 {"goodput_tps", r.goodput_tps},
+                 {"goodput_tps", r.throughput_tps},
                  {"p50_ms", r.p50_latency_ms},
                  {"p99_ms", r.p99_latency_ms},
                  {"rejected", static_cast<double>(r.rejected_submits)},

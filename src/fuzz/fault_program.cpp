@@ -1,6 +1,9 @@
 #include "fuzz/fault_program.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <concepts>
+#include <limits>
 #include <sstream>
 
 #include "support/random.hpp"
@@ -217,58 +220,95 @@ ScenarioPlan generate_plan(std::uint64_t seed) {
   return plan;
 }
 
-std::string serialize_plan(const ScenarioPlan& plan) {
-  std::ostringstream out;
-  out << "lyra-fuzz-plan v1\n";
-  out << "seed " << plan.seed << "\n";
-  out << "protocol " << harness::protocol_name(plan.protocol) << "\n";
-  out << "n " << plan.n << "\n";
-  out << "clients " << plan.clients_per_node << "\n";
-  out << "batch " << plan.batch_size << "\n";
-  out << "duration_ms " << plan.duration / kNsPerMs << "\n";
-  out << "state_sync " << (plan.state_sync ? 1 : 0) << "\n";
-  out << "resubmit_ms " << plan.resubmit_timeout / kNsPerMs << "\n";
-  if (plan.open_loop()) {
-    out << "mempool " << plan.mempool_capacity << "\n";
-    out << "arrival_rate " << plan.arrival_rate << "\n";
-  }
-  for (const CrashFault& c : plan.crashes) {
-    out << "crash node=" << c.node << " crash_ms=" << c.crash_at / kNsPerMs
-        << " restart_ms=" << c.restart_at / kNsPerMs
-        << " wipe=" << (c.wipe_disk ? 1 : 0)
-        << " corrupt=" << (c.corrupt_wal ? 1 : 0) << "\n";
-  }
-  for (const PartitionFault& p : plan.partitions) {
-    out << "partition from_ms=" << p.from / kNsPerMs
-        << " to_ms=" << p.to / kNsPerMs << " mask=" << p.side_mask << "\n";
-  }
-  for (const DelayFault& d : plan.delays) {
-    out << "delay from_ms=" << d.from / kNsPerMs
-        << " to_ms=" << d.to / kNsPerMs
-        << " extra_ms=" << d.max_extra / kNsPerMs << " victim=";
-    if (d.victim == kNoNode) out << "all";
-    else out << d.victim;
-    out << "\n";
-  }
-  for (const ByzFault& b : plan.byz) {
-    out << "byz node=" << b.node << " kind=" << to_string(b.kind) << "\n";
-  }
-  for (const FeeSpikeFault& s : plan.fee_spikes) {
-    out << "fee_spike from_ms=" << s.from / kNsPerMs
-        << " to_ms=" << s.to / kNsPerMs << " mult=" << s.mult << "\n";
-  }
-  for (const OverflowFault& o : plan.overflows) {
-    out << "overflow at_ms=" << o.at / kNsPerMs << " txs=" << o.txs << "\n";
-  }
-  for (const FlapFault& fl : plan.flaps) {
-    out << "flap from_ms=" << fl.from / kNsPerMs
-        << " to_ms=" << fl.to / kNsPerMs << " capacity=" << fl.capacity
-        << "\n";
-  }
-  return out.str();
+namespace {
+
+constexpr const char* kHeader = "lyra-fuzz-plan v1";
+
+/// The plan's setting lines, `word value`, in print order. The open-loop
+/// pair is printed for open-loop plans only.
+constexpr auto kSettings = std::tuple{
+    field<value::Count>("seed", &ScenarioPlan::seed),
+    field<value::Proto>("protocol", &ScenarioPlan::protocol),
+    field<value::Count>("n", &ScenarioPlan::n),
+    field<value::Count>("clients", &ScenarioPlan::clients_per_node),
+    field<value::Count>("batch", &ScenarioPlan::batch_size),
+    field<value::Ms>("duration_ms", &ScenarioPlan::duration),
+    field<value::Flag>("state_sync", &ScenarioPlan::state_sync),
+    field<value::Ms>("resubmit_ms", &ScenarioPlan::resubmit_timeout)};
+constexpr auto kOpenLoopSettings = std::tuple{
+    field<value::Count>("mempool", &ScenarioPlan::mempool_capacity),
+    field<value::Count>("arrival_rate", &ScenarioPlan::arrival_rate)};
+
+template <class Fields, class Visit>
+void for_each_field(const Fields& fields, Visit&& visit) {
+  std::apply([&](const auto&... f) { (visit(f), ...); }, fields);
 }
 
-namespace {
+/// A whole decimal token of at most `max`, stored times `unit`.
+template <class T>
+bool read_number(const std::string& s, std::uint64_t max, T& out,
+                 std::uint64_t unit = 1) {
+  std::uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || stop != end || v > max) return false;
+  out = static_cast<T>(v * unit);
+  return true;
+}
+
+/// Counts, node ids and flags: a decimal that fits the field's type.
+template <class V, std::unsigned_integral T>
+bool read(V, const std::string& s, T& out) {
+  return read_number(s, std::numeric_limits<T>::max(), out);
+}
+bool read(value::NodeOrAll, const std::string& s, NodeId& out) {
+  if (s != "all") return read(value::Node{}, s, out);
+  out = kNoNode;
+  return true;
+}
+bool read(value::Ms, const std::string& s, TimeNs& out) {
+  return read_number(s, std::numeric_limits<TimeNs>::max() / kNsPerMs, out,
+                     kNsPerMs);
+}
+bool read(value::Byz, const std::string& s, ByzKind& out) {
+  return byz_kind_from_string(s, out);
+}
+bool read(value::Proto, const std::string& s, Protocol& out) {
+  return harness::protocol_from_string(s, out);
+}
+
+template <class V, class T>
+void write(std::ostream& out, V, T v) { out << v; }
+void write(std::ostream& out, value::NodeOrAll, NodeId v) {
+  out << (v == kNoNode ? "all" : std::to_string(v));
+}
+void write(std::ostream& out, value::Ms, TimeNs v) { out << v / kNsPerMs; }
+void write(std::ostream& out, value::Byz, ByzKind v) { out << to_string(v); }
+void write(std::ostream& out, value::Proto, Protocol v) {
+  out << harness::protocol_name(v);
+}
+
+/// Sets the field of `target` named `key` from `token`; returns the error,
+/// empty on success. A value kind with a `name` (an enumeration) reports
+/// the value it does not know; otherwise an unknown key reads as
+/// `unknown` and a token that does not fit as `bad`.
+template <class Fields, class T>
+std::string read_field(const Fields& fields, const std::string& key,
+                       const std::string& token, T& target,
+                       const std::string& unknown, const std::string& bad) {
+  std::string why = unknown;
+  for_each_field(fields, [&](const auto& f) {
+    if (key != f.key) return;
+    if (read(f.kind, token, target.*f.member)) {
+      why.clear();
+    } else if constexpr (requires { f.kind.name; }) {
+      why = std::string("unknown ") + f.kind.name + " '" + token + "'";
+    } else {
+      why = bad;
+    }
+  });
+  return why;
+}
 
 /// "key=value" tokens after the directive word; returns false on any
 /// malformed token so corpus typos surface as parse errors, not zeros.
@@ -285,18 +325,50 @@ bool split_kv(std::istringstream& line,
   return !out.empty();
 }
 
-bool to_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  out = 0;
-  for (char ch : s) {
-    if (ch < '0' || ch > '9') return false;
-    if (out > (UINT64_MAX - (ch - '0')) / 10) return false;
-    out = out * 10 + static_cast<std::uint64_t>(ch - '0');
+/// Parses the rest of a fault line into a new fault of `kind`; returns the
+/// error, empty on success.
+template <class Fault, class Fields>
+std::string read_fault(std::istringstream& line,
+                       const FaultKind<Fault, Fields>& kind,
+                       ScenarioPlan& plan) {
+  std::vector<std::pair<std::string, std::string>> kv;
+  if (!split_kv(line, kv)) return "malformed key=value list";
+  Fault fault;
+  for (const auto& [key, token] : kv) {
+    const std::string bad =
+        std::string("bad ") + kind.word + " field '" + key + "'";
+    const std::string why =
+        read_field(kind.fields, key, token, fault, bad, bad);
+    if (!why.empty()) return why;
   }
-  return true;
+  (plan.*kind.list).push_back(fault);
+  return {};
 }
 
 }  // namespace
+
+std::string serialize_plan(const ScenarioPlan& plan) {
+  std::ostringstream out;
+  out << kHeader << "\n";
+  const auto setting = [&](const auto& f) {
+    out << f.key << ' ';
+    write(out, f.kind, plan.*f.member);
+    out << "\n";
+  };
+  for_each_field(kSettings, setting);
+  if (plan.open_loop()) for_each_field(kOpenLoopSettings, setting);
+  for_each_fault_kind([&](const auto& kind) {
+    for (const auto& fault : plan.*kind.list) {
+      out << kind.word;
+      for_each_field(kind.fields, [&](const auto& f) {
+        out << ' ' << f.key << '=';
+        write(out, f.kind, fault.*f.member);
+      });
+      out << "\n";
+    }
+  });
+  return out.str();
+}
 
 bool parse_plan(const std::string& text, ScenarioPlan& plan,
                 std::string& error) {
@@ -304,155 +376,47 @@ bool parse_plan(const std::string& text, ScenarioPlan& plan,
   std::istringstream in(text);
   std::string line;
   std::size_t lineno = 0;
-  // Comment/blank lines may precede the header (annotated corpus files).
+  const auto settings = std::tuple_cat(kSettings, kOpenLoopSettings);
+  // Annotated corpus files may put comment/blank lines before the header.
   bool have_header = false;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
-    have_header = line == "lyra-fuzz-plan v1";
-    break;
-  }
-  if (!have_header) {
-    error = "missing header 'lyra-fuzz-plan v1'";
-    return false;
-  }
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
+    if (!have_header) {
+      if (line != kHeader) break;
+      have_header = true;
+      continue;
+    }
     std::istringstream ls(line);
     std::string word;
     ls >> word;
-    const auto fail = [&](const std::string& why) {
+    std::string why;
+    bool fault = false;
+    for_each_fault_kind([&](const auto& kind) {
+      if (word != kind.word) return;
+      fault = true;
+      why = read_fault(ls, kind, plan);
+    });
+    if (!fault) {
+      std::string token;
+      ls >> token;
+      // Retired execution-thread axis: older artifacts still carry it.
+      std::uint64_t threads = 0;
+      if (word != "threads") {
+        why = read_field(settings, word, token, plan,
+                         "unknown directive '" + word + "'", "bad " + word);
+      } else if (!read(value::Count{}, token, threads)) {
+        why = "bad " + word;
+      }
+    }
+    if (!why.empty()) {
       error = "line " + std::to_string(lineno) + ": " + why;
       return false;
-    };
-    const auto scalar_u64 = [&](std::uint64_t& out) {
-      std::string value;
-      if (!(ls >> value)) return false;
-      return to_u64(value, out);
-    };
-    std::uint64_t v = 0;
-    if (word == "seed") {
-      if (!scalar_u64(v)) return fail("bad seed");
-      plan.seed = v;
-    } else if (word == "protocol") {
-      std::string value;
-      ls >> value;
-      if (!harness::protocol_from_string(value, plan.protocol)) {
-        return fail("unknown protocol '" + value + "'");
-      }
-    } else if (word == "n") {
-      if (!scalar_u64(v)) return fail("bad n");
-      plan.n = static_cast<std::uint32_t>(v);
-    } else if (word == "clients") {
-      if (!scalar_u64(v)) return fail("bad clients");
-      plan.clients_per_node = static_cast<std::uint32_t>(v);
-    } else if (word == "batch") {
-      if (!scalar_u64(v)) return fail("bad batch");
-      plan.batch_size = static_cast<std::uint32_t>(v);
-    } else if (word == "duration_ms") {
-      if (!scalar_u64(v)) return fail("bad duration_ms");
-      plan.duration = static_cast<TimeNs>(v) * kNsPerMs;
-    } else if (word == "threads") {
-      // Retired execution-thread axis: older artifacts still carry it.
-      if (!scalar_u64(v)) return fail("bad threads");
-    } else if (word == "state_sync") {
-      if (!scalar_u64(v) || v > 1) return fail("bad state_sync");
-      plan.state_sync = v == 1;
-    } else if (word == "resubmit_ms") {
-      if (!scalar_u64(v)) return fail("bad resubmit_ms");
-      plan.resubmit_timeout = static_cast<TimeNs>(v) * kNsPerMs;
-    } else if (word == "mempool") {
-      if (!scalar_u64(v)) return fail("bad mempool");
-      plan.mempool_capacity = static_cast<std::uint32_t>(v);
-    } else if (word == "arrival_rate") {
-      if (!scalar_u64(v)) return fail("bad arrival_rate");
-      plan.arrival_rate = static_cast<std::uint32_t>(v);
-    } else if (word == "fee_spike" || word == "overflow" || word == "flap") {
-      std::vector<std::pair<std::string, std::string>> kv;
-      if (!split_kv(ls, kv)) return fail("malformed key=value list");
-      FeeSpikeFault s;
-      OverflowFault o;
-      FlapFault fl;
-      for (const auto& [key, value] : kv) {
-        std::uint64_t num = 0;
-        if (!to_u64(value, num)) return fail("bad " + word + " field '" + key + "'");
-        if (word == "fee_spike") {
-          if (key == "from_ms") s.from = static_cast<TimeNs>(num) * kNsPerMs;
-          else if (key == "to_ms") s.to = static_cast<TimeNs>(num) * kNsPerMs;
-          else if (key == "mult") s.mult = static_cast<std::uint32_t>(num);
-          else return fail("bad fee_spike field '" + key + "'");
-        } else if (word == "overflow") {
-          if (key == "at_ms") o.at = static_cast<TimeNs>(num) * kNsPerMs;
-          else if (key == "txs") o.txs = static_cast<std::uint32_t>(num);
-          else return fail("bad overflow field '" + key + "'");
-        } else {  // flap
-          if (key == "from_ms") fl.from = static_cast<TimeNs>(num) * kNsPerMs;
-          else if (key == "to_ms") fl.to = static_cast<TimeNs>(num) * kNsPerMs;
-          else if (key == "capacity")
-            fl.capacity = static_cast<std::uint32_t>(num);
-          else return fail("bad flap field '" + key + "'");
-        }
-      }
-      if (word == "fee_spike") plan.fee_spikes.push_back(s);
-      else if (word == "overflow") plan.overflows.push_back(o);
-      else plan.flaps.push_back(fl);
-    } else if (word == "crash" || word == "partition" || word == "delay" ||
-               word == "byz") {
-      std::vector<std::pair<std::string, std::string>> kv;
-      if (!split_kv(ls, kv)) return fail("malformed key=value list");
-      CrashFault c;
-      PartitionFault p;
-      DelayFault d;
-      ByzFault b;
-      for (const auto& [key, value] : kv) {
-        std::uint64_t num = 0;
-        const bool is_num = to_u64(value, num);
-        if (word == "crash") {
-          if (key == "node" && is_num) c.node = static_cast<NodeId>(num);
-          else if (key == "crash_ms" && is_num)
-            c.crash_at = static_cast<TimeNs>(num) * kNsPerMs;
-          else if (key == "restart_ms" && is_num)
-            c.restart_at = static_cast<TimeNs>(num) * kNsPerMs;
-          else if (key == "wipe" && is_num && num <= 1) c.wipe_disk = num == 1;
-          else if (key == "corrupt" && is_num && num <= 1)
-            c.corrupt_wal = num == 1;
-          else return fail("bad crash field '" + key + "'");
-        } else if (word == "partition") {
-          if (key == "from_ms" && is_num)
-            p.from = static_cast<TimeNs>(num) * kNsPerMs;
-          else if (key == "to_ms" && is_num)
-            p.to = static_cast<TimeNs>(num) * kNsPerMs;
-          else if (key == "mask" && is_num)
-            p.side_mask = static_cast<std::uint32_t>(num);
-          else return fail("bad partition field '" + key + "'");
-        } else if (word == "delay") {
-          if (key == "from_ms" && is_num)
-            d.from = static_cast<TimeNs>(num) * kNsPerMs;
-          else if (key == "to_ms" && is_num)
-            d.to = static_cast<TimeNs>(num) * kNsPerMs;
-          else if (key == "extra_ms" && is_num)
-            d.max_extra = static_cast<TimeNs>(num) * kNsPerMs;
-          else if (key == "victim" && value == "all") d.victim = kNoNode;
-          else if (key == "victim" && is_num)
-            d.victim = static_cast<NodeId>(num);
-          else return fail("bad delay field '" + key + "'");
-        } else {  // byz
-          if (key == "node" && is_num) b.node = static_cast<NodeId>(num);
-          else if (key == "kind") {
-            if (!byz_kind_from_string(value, b.kind)) {
-              return fail("unknown byz kind '" + value + "'");
-            }
-          } else return fail("bad byz field '" + key + "'");
-        }
-      }
-      if (word == "crash") plan.crashes.push_back(c);
-      else if (word == "partition") plan.partitions.push_back(p);
-      else if (word == "delay") plan.delays.push_back(d);
-      else plan.byz.push_back(b);
-    } else {
-      return fail("unknown directive '" + word + "'");
     }
+  }
+  if (!have_header) {
+    error = std::string("missing header '") + kHeader + "'";
+    return false;
   }
   return validate_plan(plan, error);
 }
@@ -477,27 +441,6 @@ bool validate_plan(const ScenarioPlan& plan, std::string& error) {
                                 plan.state_sync, plan.open_loop(), error)) {
     return false;
   }
-  const std::uint32_t full_mask = (1u << plan.n) - 1;
-  for (const PartitionFault& p : plan.partitions) {
-    if (p.from < 0 || p.to <= p.from || p.to > plan.duration - plan.required_tail()) {
-      return fail(
-          "partition window outside the run (or inside the quiet tail)");
-    }
-    if ((p.side_mask & ~full_mask) != 0) {
-      return fail("partition mask names nodes >= n");
-    }
-  }
-  for (const DelayFault& d : plan.delays) {
-    if (d.from < 0 || d.to <= d.from || d.to > plan.duration - plan.required_tail()) {
-      return fail("delay window outside the run (or inside the quiet tail)");
-    }
-    if (d.victim != kNoNode && d.victim >= plan.n) {
-      return fail("delay victim out of range");
-    }
-    if (d.max_extra < 0 || d.max_extra > ms(5000)) {
-      return fail("delay extra must be in [0, 5s]");
-    }
-  }
   if (plan.open_loop()) {
     if (plan.mempool_capacity > 4096) {
       return fail("mempool capacity must be in [1, 4096]");
@@ -517,17 +460,40 @@ bool validate_plan(const ScenarioPlan& plan, std::string& error) {
       return fail("workload faults require an open-loop plan");
     }
   }
-  for (const FeeSpikeFault& s : plan.fee_spikes) {
-    if (s.from < 0 || s.to <= s.from ||
-        s.to > plan.duration - plan.required_tail()) {
-      return fail("fee_spike window outside the run (or inside the quiet tail)");
+  const TimeNs fault_end = plan.duration - plan.required_tail();
+  std::string why;
+  for_each_fault_kind([&](const auto& kind) {
+    for (const auto& f : plan.*kind.list) {
+      if constexpr (WindowedFault<std::decay_t<decltype(f)>>) {
+        if (why.empty() && (f.from < 0 || f.to <= f.from || f.to > fault_end)) {
+          why = std::string(kind.word) +
+                " window outside the run (or inside the quiet tail)";
+        }
+      }
     }
+  });
+  if (!why.empty()) return fail(why);
+  const std::uint32_t full_mask = (1u << plan.n) - 1;
+  for (const PartitionFault& p : plan.partitions) {
+    if ((p.side_mask & ~full_mask) != 0) {
+      return fail("partition mask names nodes >= n");
+    }
+  }
+  for (const DelayFault& d : plan.delays) {
+    if (d.victim != kNoNode && d.victim >= plan.n) {
+      return fail("delay victim out of range");
+    }
+    if (d.max_extra < 0 || d.max_extra > ms(5000)) {
+      return fail("delay extra must be in [0, 5s]");
+    }
+  }
+  for (const FeeSpikeFault& s : plan.fee_spikes) {
     if (s.mult < 2 || s.mult > 64) {
       return fail("fee_spike mult must be in [2, 64]");
     }
   }
   for (const OverflowFault& o : plan.overflows) {
-    if (o.at <= 0 || o.at > plan.duration - plan.required_tail()) {
+    if (o.at <= 0 || o.at > fault_end) {
       return fail("overflow tick outside the run (or inside the quiet tail)");
     }
     if (o.txs == 0 || o.txs > 65536) {
@@ -535,10 +501,6 @@ bool validate_plan(const ScenarioPlan& plan, std::string& error) {
     }
   }
   for (const FlapFault& fl : plan.flaps) {
-    if (fl.from < 0 || fl.to <= fl.from ||
-        fl.to > plan.duration - plan.required_tail()) {
-      return fail("flap window outside the run (or inside the quiet tail)");
-    }
     if (fl.capacity == 0 || fl.capacity > plan.mempool_capacity) {
       return fail("flap capacity must be in [1, mempool capacity]");
     }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "harness/faults.hpp"
@@ -12,8 +13,9 @@ namespace lyra::fuzz {
 /// A *fault program* is the unit the fuzzer generates, runs, minimizes and
 /// checks into the corpus: one protocol/cluster configuration plus a list
 /// of timed faults. Everything is plain data so a program serializes to a
-/// small text artifact (see serialize()/parse()) and replays bit-identically
-/// from that artifact alone — the simulator supplies the determinism.
+/// small text artifact (serialize_plan()/parse_plan(), one line per fact as
+/// the field lists below spell it) and replays bit-identically from that
+/// artifact alone — the simulator supplies the determinism.
 ///
 /// Grammar constraints kept by generate() and restore()d by the minimizer:
 ///  - the crash and Byzantine faults pass harness::validate_faults (one
@@ -139,11 +141,121 @@ struct ScenarioPlan {
     return kFaultTail + 2 * resubmit_timeout +
            (open_loop() ? kOpenLoopDrain : 0);
   }
-  std::size_t fault_count() const {
-    return crashes.size() + partitions.size() + delays.size() + byz.size() +
-           fee_spikes.size() + overflows.size() + flaps.size();
-  }
+  std::size_t fault_count() const;
 };
+
+/// Value kinds of plan fields. Each reads one whole token and refuses a
+/// value that does not fit its field (fault_program.cpp), so an untrusted
+/// corpus file cannot wrap or overflow into range.
+namespace value {
+struct Count {};      ///< decimal: counts, multipliers, masks, the seed
+struct Node {};       ///< node id, decimal
+struct NodeOrAll {};  ///< node id, or `all` for kNoNode
+struct Ms {};         ///< TimeNs written as whole milliseconds
+struct Flag {};       ///< bool written 0 or 1
+struct Byz {          ///< ByzKind by name
+  static constexpr const char* name = "byz kind";
+};
+struct Proto {  ///< Protocol by name
+  static constexpr const char* name = "protocol";
+};
+}  // namespace value
+
+/// One field of a plan line: its key, the member it fills and its value
+/// kind `V`.
+template <class V, class T, class M>
+struct Field {
+  const char* key;
+  M T::*member;
+  V kind;
+};
+
+template <class V, class T, class M>
+constexpr Field<V, T, M> field(const char* key, M T::*member) {
+  return {key, member, V{}};
+}
+
+/// One fault kind of the plan grammar: its directive word, its list in
+/// ScenarioPlan and its `key=value` fields in print order.
+template <class Fault, class Fields>
+struct FaultKind {
+  const char* word;
+  std::vector<Fault> ScenarioPlan::*list;
+  Fields fields;
+};
+
+template <class Fault, class... Fields>
+constexpr FaultKind<Fault, std::tuple<Fields...>> fault_kind(
+    const char* word, std::vector<Fault> ScenarioPlan::*list,
+    Fields... fields) {
+  return {word, list, std::tuple{fields...}};
+}
+
+/// Partition, delay, fee-spike and flap faults act over [from, to): the
+/// plan spells the window from_ms/to_ms ahead of the kind's own fields,
+/// validate_plan keeps it before the quiet tail, the runner's last fault
+/// end is `to`, and the minimizer halves it toward `from`.
+template <class Fault>
+concept WindowedFault = requires(const Fault& f) {
+  f.from;
+  f.to;
+};
+
+template <WindowedFault Fault, class... Fields>
+constexpr auto windowed_kind(const char* word,
+                             std::vector<Fault> ScenarioPlan::*list,
+                             Fields... fields) {
+  return fault_kind(word, list, field<value::Ms>("from_ms", &Fault::from),
+                    field<value::Ms>("to_ms", &Fault::to), fields...);
+}
+
+inline constexpr auto kCrashFaults = fault_kind(
+    "crash", &ScenarioPlan::crashes,
+    field<value::Node>("node", &CrashFault::node),
+    field<value::Ms>("crash_ms", &CrashFault::crash_at),
+    field<value::Ms>("restart_ms", &CrashFault::restart_at),
+    field<value::Flag>("wipe", &CrashFault::wipe_disk),
+    field<value::Flag>("corrupt", &CrashFault::corrupt_wal));
+inline constexpr auto kPartitionFaults = windowed_kind(
+    "partition", &ScenarioPlan::partitions,
+    field<value::Count>("mask", &PartitionFault::side_mask));
+inline constexpr auto kDelayFaults = windowed_kind(
+    "delay", &ScenarioPlan::delays,
+    field<value::Ms>("extra_ms", &DelayFault::max_extra),
+    field<value::NodeOrAll>("victim", &DelayFault::victim));
+inline constexpr auto kByzFaults =
+    fault_kind("byz", &ScenarioPlan::byz,
+               field<value::Node>("node", &ByzFault::node),
+               field<value::Byz>("kind", &ByzFault::kind));
+inline constexpr auto kFeeSpikeFaults =
+    windowed_kind("fee_spike", &ScenarioPlan::fee_spikes,
+                  field<value::Count>("mult", &FeeSpikeFault::mult));
+inline constexpr auto kOverflowFaults =
+    fault_kind("overflow", &ScenarioPlan::overflows,
+               field<value::Ms>("at_ms", &OverflowFault::at),
+               field<value::Count>("txs", &OverflowFault::txs));
+inline constexpr auto kFlapFaults =
+    windowed_kind("flap", &ScenarioPlan::flaps,
+                  field<value::Count>("capacity", &FlapFault::capacity));
+
+/// The fault kinds in plan order: the one table serialization, parse
+/// dispatch, fault_count(), the minimizer's drop pass and the runner's
+/// last fault end all walk.
+inline constexpr std::tuple kFaultKinds{
+    kCrashFaults,    kPartitionFaults, kDelayFaults, kByzFaults,
+    kFeeSpikeFaults, kOverflowFaults,  kFlapFaults};
+
+template <class Visit>
+constexpr void for_each_fault_kind(Visit&& visit) {
+  std::apply([&](const auto&... kind) { (visit(kind), ...); }, kFaultKinds);
+}
+
+inline std::size_t ScenarioPlan::fault_count() const {
+  std::size_t count = 0;
+  for_each_fault_kind(
+      [&](const auto& kind) { count += (this->*kind.list).size(); });
+  return count;
+}
 
 /// Deterministically expands a seed into a plan. Same seed, same plan —
 /// the corpus stores seeds for fuzzer-found programs and full programs for

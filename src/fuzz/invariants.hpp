@@ -59,6 +59,7 @@ using CheckFn = void (*)(const CheckContext&, std::vector<Violation>&);
 ///   recovery-convergence    every restart resolved, resync gates open
 ///   post-fault-progress     commits after the last fault window
 ///   open-loop-resolution    every open-loop tx commits or terminally rejects
+///   carve-settlement        a waited-on tx is pending, in flight or committed
 ///   client-resubmit-lag     resubmit timer fires at the earliest deadline
 class InvariantRegistry {
  public:

@@ -8,24 +8,11 @@ namespace lyra::fuzz {
 
 namespace {
 
-/// Remap a 7-node plan onto 4 nodes when every fault already names a node
-/// below 4 (no id rewriting — rewriting would change which schedule the
-/// seed reproduces more than shrinking does).
-bool shrink_n(const ScenarioPlan& plan, ScenarioPlan& out) {
-  if (plan.n <= 4) return false;
-  for (const CrashFault& c : plan.crashes) {
-    if (c.node >= 4) return false;
-  }
-  for (const ByzFault& b : plan.byz) {
-    if (b.node >= 4) return false;
-  }
-  for (const DelayFault& d : plan.delays) {
-    if (d.victim != kNoNode && d.victim >= 4) return false;
-  }
-  out = plan;
-  out.n = 4;
-  for (PartitionFault& p : out.partitions) p.side_mask &= 0xF;
-  return true;
+/// The log name of a fault kind: its directive word, spaced ("fee spike").
+std::string label(const char* word) {
+  std::string name = word;
+  std::replace(name.begin(), name.end(), '_', ' ');
+  return name;
 }
 
 }  // namespace
@@ -65,66 +52,54 @@ MinimizeResult minimize_plan(
   for (const Violation& v : baseline) target.insert(v.invariant);
 
   const auto accept = [&](const ScenarioPlan& candidate,
-                          const char* what) {
+                          const std::string& what) {
     std::vector<Violation> v;
     if (result.oracle_runs >= max_runs) return false;
     if (!oracle(candidate, &v)) return false;
     result.plan = candidate;
     result.violations = std::move(v);
     if (log) {
-      log(std::string("kept: ") + what + " (" +
+      log("kept: " + what + " (" +
           std::to_string(result.plan.fault_count()) + " faults left)");
     }
     return true;
   };
 
   bool progress = true;
+  // Halves each fault's [from, to) toward `from`, never below `min_half`.
+  const auto halve = [&]<class Fault>(std::vector<Fault> ScenarioPlan::*list,
+                                      TimeNs Fault::*from, TimeNs Fault::*to,
+                                      TimeNs min_half,
+                                      const std::string& what) {
+    for (std::size_t i = 0; i < (result.plan.*list).size(); ++i) {
+      ScenarioPlan c = result.plan;
+      Fault& f = (c.*list)[i];
+      const TimeNs half = (f.*to - f.*from) / 2;
+      if (half < min_half) continue;
+      f.*to = f.*from + half;
+      if (accept(c, what)) progress = true;
+    }
+  };
+  const auto halve_window =
+      [&]<WindowedFault Fault, class F>(const FaultKind<Fault, F>& kind) {
+        halve(kind.list, &Fault::from, &Fault::to, ms(100),
+              "halve " + label(kind.word));
+      };
+
   while (progress && result.oracle_runs < max_runs) {
     progress = false;
 
     // 1. Drop whole faults, one at a time (largest lever first).
-    for (std::size_t i = 0; i < result.plan.crashes.size();) {
-      ScenarioPlan c = result.plan;
-      c.crashes.erase(c.crashes.begin() + i);
-      if (accept(c, "drop crash")) progress = true;
-      else ++i;
-    }
-    for (std::size_t i = 0; i < result.plan.partitions.size();) {
-      ScenarioPlan c = result.plan;
-      c.partitions.erase(c.partitions.begin() + i);
-      if (accept(c, "drop partition")) progress = true;
-      else ++i;
-    }
-    for (std::size_t i = 0; i < result.plan.delays.size();) {
-      ScenarioPlan c = result.plan;
-      c.delays.erase(c.delays.begin() + i);
-      if (accept(c, "drop delay")) progress = true;
-      else ++i;
-    }
-    for (std::size_t i = 0; i < result.plan.byz.size();) {
-      ScenarioPlan c = result.plan;
-      c.byz.erase(c.byz.begin() + i);
-      if (accept(c, "drop byz")) progress = true;
-      else ++i;
-    }
-    for (std::size_t i = 0; i < result.plan.fee_spikes.size();) {
-      ScenarioPlan c = result.plan;
-      c.fee_spikes.erase(c.fee_spikes.begin() + i);
-      if (accept(c, "drop fee spike")) progress = true;
-      else ++i;
-    }
-    for (std::size_t i = 0; i < result.plan.overflows.size();) {
-      ScenarioPlan c = result.plan;
-      c.overflows.erase(c.overflows.begin() + i);
-      if (accept(c, "drop overflow")) progress = true;
-      else ++i;
-    }
-    for (std::size_t i = 0; i < result.plan.flaps.size();) {
-      ScenarioPlan c = result.plan;
-      c.flaps.erase(c.flaps.begin() + i);
-      if (accept(c, "drop flap")) progress = true;
-      else ++i;
-    }
+    for_each_fault_kind([&](const auto& kind) {
+      const std::string what = "drop " + label(kind.word);
+      for (std::size_t i = 0; i < (result.plan.*kind.list).size();) {
+        ScenarioPlan c = result.plan;
+        auto& list = c.*kind.list;
+        list.erase(list.begin() + i);
+        if (accept(c, what)) progress = true;
+        else ++i;
+      }
+    });
 
     // 2. Drop disk damage inside surviving crash windows.
     for (std::size_t i = 0; i < result.plan.crashes.size(); ++i) {
@@ -153,9 +128,14 @@ MinimizeResult minimize_plan(
     }
 
     // 4. Shrink the cluster and the load.
-    {
-      ScenarioPlan c;
-      if (shrink_n(result.plan, c) && accept(c, "n=4")) progress = true;
+    // A 7-node plan becomes a 4-node one with the same node ids: a fault
+    // naming a node >= 4 fails validation (rewriting ids would change
+    // which schedule the seed reproduces more than shrinking does).
+    if (result.plan.n > 4) {
+      ScenarioPlan c = result.plan;
+      c.n = 4;
+      for (PartitionFault& p : c.partitions) p.side_mask &= 0xF;
+      if (accept(c, "n=4")) progress = true;
     }
     while (result.plan.clients_per_node > 8) {
       ScenarioPlan c = result.plan;
@@ -165,46 +145,12 @@ MinimizeResult minimize_plan(
     }
 
     // 5. Shorten windows (halve toward their start) and the run tail.
-    for (std::size_t i = 0; i < result.plan.partitions.size(); ++i) {
-      ScenarioPlan c = result.plan;
-      PartitionFault& p = c.partitions[i];
-      const TimeNs half = (p.to - p.from) / 2;
-      if (half < ms(100)) continue;
-      p.to = p.from + half;
-      if (accept(c, "halve partition")) progress = true;
-    }
-    for (std::size_t i = 0; i < result.plan.delays.size(); ++i) {
-      ScenarioPlan c = result.plan;
-      DelayFault& d = c.delays[i];
-      const TimeNs half = (d.to - d.from) / 2;
-      if (half < ms(100)) continue;
-      d.to = d.from + half;
-      if (accept(c, "halve delay")) progress = true;
-    }
-    for (std::size_t i = 0; i < result.plan.crashes.size(); ++i) {
-      ScenarioPlan c = result.plan;
-      CrashFault& cr = c.crashes[i];
-      const TimeNs half = (cr.restart_at - cr.crash_at) / 2;
-      if (half < ms(150)) continue;
-      cr.restart_at = cr.crash_at + half;
-      if (accept(c, "halve crash window")) progress = true;
-    }
-    for (std::size_t i = 0; i < result.plan.fee_spikes.size(); ++i) {
-      ScenarioPlan c = result.plan;
-      FeeSpikeFault& s = c.fee_spikes[i];
-      const TimeNs half = (s.to - s.from) / 2;
-      if (half < ms(100)) continue;
-      s.to = s.from + half;
-      if (accept(c, "halve fee spike")) progress = true;
-    }
-    for (std::size_t i = 0; i < result.plan.flaps.size(); ++i) {
-      ScenarioPlan c = result.plan;
-      FlapFault& fl = c.flaps[i];
-      const TimeNs half = (fl.to - fl.from) / 2;
-      if (half < ms(100)) continue;
-      fl.to = fl.from + half;
-      if (accept(c, "halve flap")) progress = true;
-    }
+    halve_window(kPartitionFaults);
+    halve_window(kDelayFaults);
+    halve(kCrashFaults.list, &CrashFault::crash_at, &CrashFault::restart_at,
+          ms(150), "halve crash window");
+    halve_window(kFeeSpikeFaults);
+    halve_window(kFlapFaults);
     for (std::size_t i = 0; i < result.plan.overflows.size(); ++i) {
       ScenarioPlan c = result.plan;
       OverflowFault& o = c.overflows[i];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 #include <utility>
 
 #include "fuzz/fuzz_adversary.hpp"
@@ -12,14 +13,20 @@ namespace lyra::fuzz {
 
 namespace {
 
+/// When a fault stops acting; Byzantine slots act for the whole run.
+TimeNs fault_end(const CrashFault& c) { return c.restart_at; }
+TimeNs fault_end(const ByzFault&) { return 0; }
+TimeNs fault_end(const OverflowFault& o) { return o.at; }
+template <WindowedFault Fault>
+TimeNs fault_end(const Fault& f) {
+  return f.to;
+}
+
 TimeNs last_fault_end(const ScenarioPlan& plan) {
   TimeNs end = 0;
-  for (const CrashFault& c : plan.crashes) end = std::max(end, c.restart_at);
-  for (const PartitionFault& p : plan.partitions) end = std::max(end, p.to);
-  for (const DelayFault& d : plan.delays) end = std::max(end, d.to);
-  for (const FeeSpikeFault& s : plan.fee_spikes) end = std::max(end, s.to);
-  for (const OverflowFault& o : plan.overflows) end = std::max(end, o.at);
-  for (const FlapFault& fl : plan.flaps) end = std::max(end, fl.to);
+  for_each_fault_kind([&](const auto& kind) {
+    for (const auto& f : plan.*kind.list) end = std::max(end, fault_end(f));
+  });
   return end;  // 0 when the plan only has whole-run (Byzantine) faults
 }
 
@@ -92,29 +99,13 @@ void schedule_workload_faults(sim::Simulation& sim, Cluster& cluster,
   }
 }
 
-std::vector<bool> byz_mask(const ScenarioPlan& plan) {
-  std::vector<bool> mask(plan.n, false);
-  for (const ByzFault& b : plan.byz) mask[b.node] = true;
-  return mask;
-}
-
 /// Drop exact repeats: a safety violation persists once tripped, so every
 /// later sweep would re-report it verbatim.
 void dedup_violations(std::vector<Violation>& v) {
   std::set<std::pair<std::string, std::string>> seen;
-  std::vector<Violation> out;
-  for (Violation& viol : v) {
-    if (!seen.insert({viol.invariant, viol.detail}).second) continue;
-    out.push_back(std::move(viol));
-  }
-  v = std::move(out);
-}
-
-void bind(CheckContext& ctx, harness::LyraCluster& cluster) {
-  ctx.lyra = &cluster;
-}
-void bind(CheckContext& ctx, harness::PompeCluster& cluster) {
-  ctx.pompe = &cluster;
+  std::erase_if(v, [&](const Violation& viol) {
+    return !seen.insert({viol.invariant, viol.detail}).second;
+  });
 }
 
 /// Runs the plan through the experiment driver, which places the pools
@@ -129,13 +120,18 @@ void run_hooked(const ScenarioPlan& plan, const RunOptions& opts,
   FuzzAdversary adversary(plan.n, plan.partitions, plan.delays);
   CheckContext ctx;
   ctx.plan = &plan;
-  ctx.is_byz = byz_mask(plan);
+  ctx.is_byz.assign(plan.n, false);
+  for (const ByzFault& b : plan.byz) ctx.is_byz[b.node] = true;
   const InvariantRegistry reg = InvariantRegistry::standard();
   bool tripped = false;  // an in-run sweep found a violation
 
   harness::RunHooks<Cluster> hooks;
   hooks.before_start = [&](Cluster& cluster) {
-    bind(ctx, cluster);
+    if constexpr (std::is_same_v<Cluster, harness::LyraCluster>) {
+      ctx.lyra = &cluster;
+    } else {
+      ctx.pompe = &cluster;
+    }
     if (!plan.partitions.empty() || !plan.delays.empty()) {
       cluster.network().set_adversary(&adversary);
     }

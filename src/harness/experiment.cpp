@@ -115,7 +115,6 @@ RunResult collect_open_loop_stats(Cluster& cluster, const RunConfig& config) {
   const double offered_s =
       to_ms(arrivals_end - config.client_start) / 1000.0;
   r.throughput_tps = static_cast<double>(r.committed_txs) / window_s;
-  r.goodput_tps = r.throughput_tps;
   r.offered_txs = offered;
   r.offered_tps = static_cast<double>(offered) / offered_s;
   if (all_latencies.count() > 0) {

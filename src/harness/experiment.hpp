@@ -144,7 +144,6 @@ struct RunResult {
 
   // Open-loop workload runs (RunConfig::Workload; zero otherwise).
   double offered_tps = 0.0;  // arrivals generated inside the run
-  double goodput_tps = 0.0;  // committed_in_window / window (== throughput)
   std::uint64_t offered_txs = 0;
   std::uint64_t rejected_submits = 0;   // backpressure signals to clients
   std::uint64_t terminal_rejects = 0;   // dropped after max_retries

@@ -57,7 +57,6 @@ struct BocInstance {
     std::size_t aux_count = 0;
     bool aux_sent = false;
     bool timer_expired = false;
-    std::uint64_t timer_id = 0;
     bool advanced = false;  // this round's decision step already ran
   };
 
@@ -67,9 +66,7 @@ struct BocInstance {
 
   bool decided = false;
   bool decision = false;
-  Round decided_round = 0;
   bool done = false;      // exited the loop (Alg. 3 line 50)
-  TimeNs joined_at = 0;
   TimeNs decided_at = 0;
 
   RoundState& round_state(Round r, std::size_t n) {

@@ -292,8 +292,6 @@ BocInstance& LyraNode::join_instance(const InstanceId& inst) {
     b.vote_one_from.assign(config_.n, false);
     b.vote_zero_from.assign(config_.n, false);
     b.shares.reserve(config_.n);  // at most one validation share per voter
-    b.joined_at = now();
-    ++stats_.instances_joined;
     enter_round(b, 1);
     // VVB expiration (Alg. 1 line 6/23): fall back to 0 and forward the
     // INIT if the instance makes no progress within E = 2*Delta.
@@ -349,12 +347,6 @@ void LyraNode::adopt_init(BocInstance& b, std::shared_ptr<const InitMsg> init,
   }
 
   if (!b.voted_one && !b.voted_zero) {
-    if (b.init->predictions.size() == config_.n) {
-      const SeqNum predicted = b.init->predictions[id()];
-      stats_.prediction_error_ms.add(
-          to_ms(b.perceived > predicted ? b.perceived - predicted
-                                        : predicted - b.perceived));
-    }
     b.validated =
         b.requested != kNoSeq && validate_init(*b.init, b.perceived,
                                                b.requested);
@@ -594,8 +586,8 @@ void LyraNode::enter_round(BocInstance& b, Round round) {
   b.round = round;
   BocInstance::RoundState& rs = b.round_state(round, config_.n);
   const InstanceId inst = b.inst;
-  rs.timer_id = set_timer(config_.delta,
-                          [this, inst, round] { on_round_timer(inst, round); });
+  set_timer(config_.delta,
+            [this, inst, round] { on_round_timer(inst, round); });
   if (round >= 2) {
     // vv-broadcast of the current estimate (BV-broadcast semantics: the
     // value m is fixed and proven unique by round 1).
@@ -757,7 +749,6 @@ void LyraNode::maybe_progress(BocInstance& b) {
 void LyraNode::decide(BocInstance& b, bool value) {
   b.decided = true;
   b.decision = value;
-  b.decided_round = b.round;
   b.decided_at = now();
   stats_.decide_rounds.add(static_cast<double>(b.round));
   LYRA_TRACE("decide", "inst=" + std::to_string(b.inst.proposer) + "/" +

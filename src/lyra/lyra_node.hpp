@@ -52,9 +52,7 @@ struct NodeStats {
   std::uint64_t revealed_batches = 0;
   std::uint64_t validations_ok = 0;
   std::uint64_t validations_rejected = 0;
-  std::uint64_t instances_joined = 0;
   Samples decide_rounds;  // DBFT rounds per decision (3-delay ablation)
-  Samples prediction_error_ms;  // |seq_i(t) - S_t[i]| at validation
   // Per-phase latency of this node's own batches (milliseconds):
   Samples phase_batch_wait_ms;   // client submit -> proposal
   Samples phase_consensus_ms;    // proposal -> BOC decision

@@ -157,6 +157,111 @@ TEST(FaultProgram, ParseRejectsMalformedInput) {
       << error;
   // Comments before the header are fine (annotated corpus files).
   EXPECT_TRUE(parse_plan("# hello\n\n" + base, plan, error)) << error;
+  // Values that do not fit their field are refused, not truncated into a
+  // valid plan: 2^32 + k would wrap to k, and 2^58 + k milliseconds to k ms
+  // (2^58 * 10^6 is a multiple of 2^64).
+  const std::string open =
+      "lyra-fuzz-plan v1\nseed 1\nduration_ms 8000\nmempool 64\n"
+      "arrival_rate 200\n";
+  for (const std::string& bad : {
+           base + "n 4294967303\n",
+           base + "clients 4294967312\n",
+           base + "batch 4294967304\n",
+           base + "duration_ms 288230376151716744\n",
+           base + "crash node=4294967297 crash_ms=1000 restart_ms=1500\n",
+           base + "partition from_ms=1000 to_ms=1500 mask=4294967297\n",
+           base + "partition from_ms=288230376151712744 to_ms=1500 mask=1\n",
+           base + "delay from_ms=1000 to_ms=1500 victim=4294967297\n",
+           base + "delay from_ms=1000 to_ms=1500 extra_ms=288230376151711794\n",
+           base + "byz node=4294967297 kind=silent\n",
+           base + "mempool 4294967360\narrival_rate 200\n",
+           base + "mempool 64\narrival_rate 4294967496\n",
+           open + "fee_spike from_ms=1000 to_ms=1200 mult=4294967300\n",
+           open + "overflow at_ms=1000 txs=4294967360\n",
+           open + "flap from_ms=1000 to_ms=1200 capacity=4294967312\n",
+       }) {
+    EXPECT_FALSE(parse_plan(bad, plan, error)) << bad;
+    EXPECT_EQ(error.rfind("line ", 0), 0u) << bad << error;
+  }
+}
+
+/// Hand-written plans that between them use every directive and every key
+/// at a non-default value, both spellings of a delay victim and every
+/// ByzKind. One plan cannot hold them all: open-loop plans take no
+/// crashes, Pompe plans no crash or Byzantine faults, and Byzantine slots
+/// plus crashed nodes stay within f.
+const char* const kEveryKeyPlans[] = {
+    "lyra-fuzz-plan v1\nseed 77\nprotocol lyra\nn 16\nclients 24\n"
+    "batch 32\nduration_ms 9000\nstate_sync 1\nresubmit_ms 800\n"
+    "crash node=5 crash_ms=1100 restart_ms=1600 wipe=1 corrupt=1\n"
+    "partition from_ms=1200 to_ms=1700 mask=96\n"
+    "delay from_ms=1300 to_ms=1900 extra_ms=250 victim=all\n"
+    "delay from_ms=1400 to_ms=2000 extra_ms=100 victim=3\n"
+    "byz node=1 kind=silent\n"
+    "byz node=2 kind=replay-init\n"
+    "byz node=3 kind=skewed-prediction\n"
+    "byz node=4 kind=lowball-status\n",
+    "lyra-fuzz-plan v1\nseed 78\nprotocol lyra\nn 7\nclients 40\n"
+    "batch 8\nduration_ms 8000\nstate_sync 1\nresubmit_ms 0\n"
+    "mempool 64\narrival_rate 300\n"
+    "byz node=1 kind=sync-garbage\n"
+    "byz node=2 kind=sync-wrong-manifest\n"
+    "fee_spike from_ms=1000 to_ms=1300 mult=3\n"
+    "overflow at_ms=1100 txs=96\n"
+    "flap from_ms=1200 to_ms=1500 capacity=4\n",
+    "lyra-fuzz-plan v1\nseed 79\nprotocol pompe\nn 4\nclients 8\n"
+    "batch 16\nduration_ms 7000\nstate_sync 0\nresubmit_ms 1200\n"
+    "partition from_ms=900 to_ms=1400 mask=1\n",
+};
+
+TEST(FaultProgram, HandWrittenPlansRoundTripEveryKey) {
+  std::set<ByzKind> kinds;
+  std::set<NodeId> victims;
+  for (const char* text : kEveryKeyPlans) {
+    ScenarioPlan plan;
+    std::string error;
+    ASSERT_TRUE(parse_plan(text, plan, error)) << text << error;
+    EXPECT_EQ(serialize_plan(plan), text);
+    for (const ByzFault& b : plan.byz) kinds.insert(b.kind);
+    for (const DelayFault& d : plan.delays) victims.insert(d.victim);
+  }
+  EXPECT_EQ(kinds.size(), 6u);
+  EXPECT_EQ(victims, (std::set<NodeId>{3, kNoNode}));
+}
+
+TEST(FaultProgram, ParseRejectsUnknownKeysAndNonNumbersPerDirective) {
+  // Every line of the plans above, once with an unknown key appended and
+  // once with its first value replaced by a non-number, must be refused
+  // by the parser itself (a "line N:" error, not a validation one).
+  std::set<std::string> directives;
+  for (const std::string text : kEveryKeyPlans) {
+    std::size_t begin = text.find('\n') + 1;  // past the header
+    while (begin < text.size()) {
+      const std::size_t end = text.find('\n', begin);
+      const std::string line = text.substr(begin, end - begin);
+      const std::size_t space = line.find(' ');
+      directives.insert(line.substr(0, space));
+      const std::size_t eq = line.find('=');
+      const bool fault = eq != std::string::npos;
+      const std::size_t value = fault ? eq + 1 : space + 1;
+      const std::size_t value_end = line.find(' ', value);
+      const std::string non_number =
+          line.substr(0, value) + "x" +
+          (value_end == std::string::npos ? "" : line.substr(value_end));
+      for (const std::string& bad :
+           {fault ? line + " bogus=1" : std::string(), non_number}) {
+        if (bad.empty()) continue;
+        const std::string mutated =
+            text.substr(0, begin) + bad + text.substr(end);
+        ScenarioPlan plan;
+        std::string error;
+        EXPECT_FALSE(parse_plan(mutated, plan, error)) << bad;
+        EXPECT_EQ(error.rfind("line ", 0), 0u) << bad << ": " << error;
+      }
+      begin = end + 1;
+    }
+  }
+  EXPECT_EQ(directives.size(), 17u);
 }
 
 TEST(FaultProgram, LegacyThreadsLineIsAcceptedAndIgnored) {

@@ -447,7 +447,7 @@ int main(int argc, char** argv) {
     std::printf("offered load      %10.0f tx/s (%llu arrivals)\n",
                 result.offered_tps,
                 static_cast<unsigned long long>(result.offered_txs));
-    std::printf("goodput           %10.0f tx/s\n", result.goodput_tps);
+    std::printf("goodput           %10.0f tx/s\n", result.throughput_tps);
     std::printf("backpressure      %10llu rejects to clients\n",
                 static_cast<unsigned long long>(result.rejected_submits));
     std::printf("resubmissions     %10llu\n",
