@@ -22,24 +22,9 @@ using namespace lyra;
 
 namespace {
 
-net::Topology fig1_topology() {
-  net::Topology t;
-  t.placement = {
-      net::Region::kTokyo,      // node 0: Alice's proposer
-      net::Region::kSingapore,  // node 1: Mallory
-      net::Region::kMumbai,     net::Region::kMumbai,
-      net::Region::kMumbai,     net::Region::kMumbai,
-      net::Region::kMumbai,  // nodes 2-6: the quorum mass sits behind the
-                             // violating edge, so Mallory's reaction is
-                             // stamped before Alice's original
-      net::Region::kTokyo,   // Alice (client)
-  };
-  return t;
-}
-
 /// (1) The pure latency race of Fig. 1, sampled from the latency model.
 double receive_order_success_rate(int trials) {
-  const net::Topology topo = fig1_topology();
+  const net::Topology topo = net::fig1_topology(1);
   const auto model = topo.make_latency_model();
   Rng rng(7);
   // Process ids in the topology: Alice=7, Mallory=1, Carole=2 (Mumbai).
@@ -67,7 +52,7 @@ SystemOutcome run_pompe(std::size_t victims) {
   opts.config.delta = ms(140);
   opts.config.batch_timeout = ms(5);
   opts.config.batch_size = 4;
-  opts.topology = fig1_topology();
+  opts.topology = net::fig1_topology(1);
   opts.seed = 77;
   attacks::FrontRunningPompeNode* mallory = nullptr;
   opts.node_factory = [&mallory](sim::Simulation* sim, net::Network* net,
@@ -109,7 +94,7 @@ SystemOutcome run_lyra(std::size_t victims) {
   opts.config.batch_timeout = ms(5);
   opts.config.batch_size = 4;
   opts.config.probe_period = ms(40);
-  opts.topology = fig1_topology();
+  opts.topology = net::fig1_topology(1);
   opts.seed = 79;
   attacks::FrontRunningLyraNode* mallory = nullptr;
   opts.node_factory = [&mallory](sim::Simulation* sim, net::Network* net,

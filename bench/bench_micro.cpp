@@ -10,7 +10,6 @@
 
 #include "crypto/hmac.hpp"
 #include "crypto/keys.hpp"
-#include "crypto/merkle.hpp"
 #include "crypto/shamir.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/vss.hpp"
@@ -88,20 +87,6 @@ void BM_VssEncrypt(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_VssEncrypt)->Arg(1024)->Arg(25600);
-
-void BM_MerkleRoot(benchmark::State& state) {
-  std::vector<Digest> leaves(static_cast<std::size_t>(state.range(0)));
-  for (std::size_t i = 0; i < leaves.size(); ++i) {
-    Bytes b;
-    append_u64(b, i);
-    leaves[i] = Sha256::hash(b);
-  }
-  for (auto _ : state) {
-    MerkleTree tree(leaves);
-    benchmark::DoNotOptimize(tree.root());
-  }
-}
-BENCHMARK(BM_MerkleRoot)->Arg(16)->Arg(800);
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   for (auto _ : state) {

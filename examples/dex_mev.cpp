@@ -18,17 +18,6 @@ using namespace lyra;
 
 namespace {
 
-net::Topology fig1_topology() {
-  net::Topology t;
-  t.placement = {
-      net::Region::kTokyo,     net::Region::kSingapore,
-      net::Region::kMumbai,    net::Region::kMumbai,
-      net::Region::kMumbai,    net::Region::kMumbai,
-      net::Region::kMumbai,    net::Region::kTokyo,
-  };
-  return t;
-}
-
 constexpr double kVictimQuote = 5'000.0;  // victim buys 5k quote per trade
 constexpr double kAttackQuote = 2'500.0;  // attacker's sandwich size
 
@@ -106,7 +95,7 @@ int main() {
     opts.config.delta = ms(140);
     opts.config.batch_timeout = ms(5);
     opts.config.batch_size = 4;
-    opts.topology = fig1_topology();
+    opts.topology = net::fig1_topology(1);
     opts.seed = 31;
     opts.node_factory = [](sim::Simulation* sim, net::Network* net,
                            NodeId id, const pompe::PompeConfig& cfg,
@@ -146,7 +135,7 @@ int main() {
     opts.config.batch_timeout = ms(5);
     opts.config.batch_size = 4;
     opts.config.probe_period = ms(40);
-    opts.topology = fig1_topology();
+    opts.topology = net::fig1_topology(1);
     opts.seed = 33;
     opts.node_factory = [](sim::Simulation* sim, net::Network* net,
                            NodeId id, const core::Config& cfg,

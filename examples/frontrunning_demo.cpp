@@ -16,23 +16,6 @@
 
 using namespace lyra;
 
-namespace {
-
-net::Topology fig1_topology() {
-  net::Topology t;
-  t.placement = {
-      net::Region::kTokyo,      // node 0: Alice's proposer
-      net::Region::kSingapore,  // node 1: Mallory
-      net::Region::kMumbai,     net::Region::kMumbai,
-      net::Region::kMumbai,     net::Region::kMumbai,
-      net::Region::kMumbai,     // nodes 2-6: the timestamping mass
-      net::Region::kTokyo,      // Alice (client process)
-  };
-  return t;
-}
-
-}  // namespace
-
 int main() {
   std::printf("The triangle inequality violation (one-way means):\n");
   std::printf("  Tokyo -> Mumbai directly:          %5.1f ms\n",
@@ -55,7 +38,7 @@ int main() {
     opts.config.delta = ms(140);
     opts.config.batch_timeout = ms(5);
     opts.config.batch_size = 4;
-    opts.topology = fig1_topology();
+    opts.topology = net::fig1_topology(1);
     opts.seed = 99;
     attacks::FrontRunningPompeNode* mallory = nullptr;
     opts.node_factory = [&mallory](sim::Simulation* sim, net::Network* net,
@@ -95,7 +78,7 @@ int main() {
     opts.config.batch_timeout = ms(5);
     opts.config.batch_size = 4;
     opts.config.probe_period = ms(40);
-    opts.topology = fig1_topology();
+    opts.topology = net::fig1_topology(1);
     opts.seed = 101;
     attacks::FrontRunningLyraNode* mallory = nullptr;
     opts.node_factory = [&mallory](sim::Simulation* sim, net::Network* net,

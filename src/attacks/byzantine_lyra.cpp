@@ -98,7 +98,6 @@ void EquivocatingLyraNode::equivocate(BytesView payload_even,
   for (NodeId to = 0; to < config_.n; ++to) {
     send(to, to % 2 == 0 ? sim::PayloadPtr(even) : sim::PayloadPtr(odd));
   }
-  ++equivocations_;
 }
 
 }  // namespace lyra::attacks

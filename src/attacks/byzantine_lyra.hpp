@@ -163,13 +163,9 @@ class EquivocatingLyraNode final : public core::LyraNode {
   /// Launches one equivocating instance carrying the two payloads.
   void equivocate(BytesView payload_even, BytesView payload_odd);
 
-  std::uint64_t equivocations_sent() const { return equivocations_; }
-
  private:
   std::shared_ptr<core::InitMsg> make_init(const InstanceId& inst,
                                            BytesView payload);
-
-  std::uint64_t equivocations_ = 0;
 };
 
 }  // namespace lyra::attacks

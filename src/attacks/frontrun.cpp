@@ -82,7 +82,6 @@ void AliceClient::submit_next() {
   msg->txs.push_back(
       to_bytes(std::string(kVictimMarker) + std::to_string(next_index_)));
   send(target_, std::move(msg));
-  submit_times_.push_back(now());
   ++next_index_;
   set_timer(period_, [this] { submit_next(); });
 }

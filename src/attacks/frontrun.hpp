@@ -32,7 +32,6 @@ class AliceClient final : public sim::Process {
   void on_start() override;
 
   std::size_t submitted() const { return next_index_; }
-  const std::vector<TimeNs>& submit_times() const { return submit_times_; }
 
  protected:
   void on_message(const sim::Envelope&) override {}
@@ -45,7 +44,6 @@ class AliceClient final : public sim::Process {
   TimeNs period_;
   std::size_t count_;
   std::size_t next_index_ = 0;
-  std::vector<TimeNs> submit_times_;
 };
 
 /// Mallory on Pompē: a consensus process (Singapore in the Fig. 1

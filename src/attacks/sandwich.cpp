@@ -28,7 +28,6 @@ void SandwichAttacker<Node>::inject(const workload::WorkloadTx& attack) {
   // Through the regular admission path so organic residents this order
   // displaces still get their backpressure signal.
   this->admit_workload(this->id(), {attack});
-  ++attacks_injected_;
   this->flush_partial_batch();  // race the victim's ordering
 }
 
@@ -43,7 +42,6 @@ void SandwichAttacker<Node>::attack_batch(BytesView payload) {
     if (victim.value < options_.value_threshold) continue;
     if (taken >= options_.max_targets_per_batch) break;
     if (!targeted_.insert(victim.id).second) continue;
-    ++victims_observed_;
     ++taken;
 
     const NodeId self = this->id();

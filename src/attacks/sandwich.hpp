@@ -38,9 +38,6 @@ class SandwichAttacker : public Node {
                    const SandwichOptions& options)
       : Node(sim, network, id, config, registry), options_(options) {}
 
-  std::uint64_t victims_observed() const { return victims_observed_; }
-  std::uint64_t attacks_injected() const { return attacks_injected_; }
-
  protected:
   /// Attacks the victims in one readable batch payload.
   void attack_batch(BytesView payload);
@@ -51,8 +48,6 @@ class SandwichAttacker : public Node {
   SandwichOptions options_;
   std::unordered_set<std::uint64_t> targeted_;
   std::uint64_t next_attack_ = 0;
-  std::uint64_t victims_observed_ = 0;
-  std::uint64_t attacks_injected_ = 0;
 };
 
 /// Mallory on Pompē: phase-1 timestamp requests carry batch payloads in

@@ -228,7 +228,6 @@ void HotStuffCore::commit_chain(const Block& b_star) {
   }
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     committed_height_ = (*it)->height;
-    ++blocks_committed_;
     hooks_.on_commit(**it);
   }
   arm_pacemaker();

@@ -65,7 +65,6 @@ class HotStuffCore {
   std::uint64_t view() const { return view_; }
   std::uint64_t committed_height() const { return committed_height_; }
   std::uint64_t blocks_proposed() const { return blocks_proposed_; }
-  std::uint64_t blocks_committed() const { return blocks_committed_; }
   const QuorumCert& high_qc() const { return high_qc_; }
 
   /// Overridden by a Byzantine-leader subclass to censor entries.
@@ -127,7 +126,6 @@ class HotStuffCore {
   TimeNs current_timeout_ = 0;
 
   std::uint64_t blocks_proposed_ = 0;
-  std::uint64_t blocks_committed_ = 0;
 };
 
 }  // namespace lyra::hotstuff

@@ -12,7 +12,7 @@ BatchingNode::BatchingNode(sim::Simulation* sim, sim::Transport* transport,
       batch_size_(config.batch_size),
       batch_timeout_(config.batch_timeout) {
   if (config.mempool_capacity > 0) {
-    mempool_ = workload::make_fee_priority_mempool(config.mempool_capacity);
+    mempool_ = std::make_unique<workload::Mempool>(config.mempool_capacity);
   }
 }
 

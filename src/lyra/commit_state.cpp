@@ -41,10 +41,6 @@ void CommitState::resolve_pending(const crypto::Digest& cipher_id) {
   pending_.erase(it);
 }
 
-bool CommitState::is_pending(const crypto::Digest& cipher_id) const {
-  return pending_.contains(cipher_id);
-}
-
 SeqNum CommitState::min_pending() const {
   return pending_seqs_.empty() ? kMaxSeq : *pending_seqs_.begin();
 }
@@ -60,10 +56,6 @@ bool CommitState::add_accepted(const AcceptedEntry& entry) {
     ++late_accepts_;  // would violate prefix completeness (Lemma 6)
   }
   return true;
-}
-
-bool CommitState::is_accepted(const crypto::Digest& cipher_id) const {
-  return accepted_index_.contains(cipher_id);
 }
 
 void CommitState::on_status(NodeId from, const StatusPiggyback& status) {

@@ -30,8 +30,6 @@ class CommitState {
   /// removed from P either way.
   void resolve_pending(const crypto::Digest& cipher_id);
 
-  bool is_pending(const crypto::Digest& cipher_id) const;
-
   /// min-pending: lowest requested sequence number in P; kMaxSeq when P is
   /// empty (no pending constraint on the stable prefix).
   SeqNum min_pending() const;
@@ -42,7 +40,6 @@ class CommitState {
   /// Returns true if it was new.
   bool add_accepted(const AcceptedEntry& entry);
 
-  bool is_accepted(const crypto::Digest& cipher_id) const;
   std::size_t accepted_count() const { return accepted_index_.size(); }
 
   // --- peer status intake (lines 79-81) ---

@@ -77,13 +77,17 @@ Topology three_continents_with_clients(std::size_t nodes) {
   return t;
 }
 
-Topology triangle_violation(std::size_t nodes) {
-  // Alice (Tokyo) and Mallory (Singapore) are appended after the consensus
-  // nodes; one consensus node is forced to Mumbai so Carole exists.
-  Topology t = three_continents(
-      nodes, {Region::kTokyo, Region::kSingapore});
-  LYRA_ASSERT(nodes >= 1, "need at least one consensus node");
-  t.placement[nodes - 1] = Region::kMumbai;
+Topology fig1_topology(std::size_t tokyo_clients) {
+  Topology t;
+  t.placement = {
+      Region::kTokyo,      // node 0: Alice's proposer
+      Region::kSingapore,  // node 1: Mallory
+      Region::kMumbai, Region::kMumbai, Region::kMumbai,
+      Region::kMumbai, Region::kMumbai,  // nodes 2-6: Carole et al.
+  };
+  for (std::size_t i = 0; i < tokyo_clients; ++i) {
+    t.placement.push_back(Region::kTokyo);  // Alice
+  }
   return t;
 }
 

@@ -57,9 +57,13 @@ Topology three_continents(std::size_t nodes,
 /// in node i's region: the paper's co-located client machines (§VI-A).
 Topology three_continents_with_clients(std::size_t nodes);
 
-/// Fig. 1 scenario: consensus nodes across 3 continents plus Alice in
-/// Tokyo, Mallory in Singapore, Carole (a consensus node) in Mumbai.
-Topology triangle_violation(std::size_t nodes);
+/// Fig. 1 geometry, attack-favourable: seven consensus nodes — node 0
+/// (Alice's proposer) in Tokyo, node 1 (Mallory) in Singapore, and nodes
+/// 2-6, the timestamping quorum mass (Carole et al.), in Mumbai behind the
+/// triangle-violating edge, so Mallory's reaction reaches the quorum before
+/// Alice's original — followed by `tokyo_clients` client slots in Tokyo
+/// (Alice herself).
+Topology fig1_topology(std::size_t tokyo_clients);
 
 /// All processes in one datacenter (LAN), for protocol unit tests.
 Topology single_region(std::size_t nodes, Region r = Region::kOregon);

@@ -252,7 +252,6 @@ void PompeNode::on_block_commit(const hotstuff::Block& block) {
     stats_.committed_txs += e.tx_count;
     LYRA_TRACE("commit", "ts=" + std::to_string(e.assigned_ts) +
                              " height=" + std::to_string(block.height));
-    if (commit_hook_) commit_hook_(pc);
 
     // Closed-loop client notification by the batch's proposer.
     if (e.proposer == id()) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -66,11 +65,6 @@ class PompeNode : public core::BatchingNode {
   /// execution layer and the attack demos.
   const Bytes* batch_payload(const crypto::Digest& digest) const;
 
-  /// Called for every committed batch in execution order.
-  void set_commit_hook(std::function<void(const PompeCommitted&)> hook) {
-    commit_hook_ = std::move(hook);
-  }
-
  protected:
   void on_message(const sim::Envelope& env) override;
 
@@ -128,7 +122,6 @@ class PompeNode : public core::BatchingNode {
 
   std::vector<PompeCommitted> ledger_;
   PompeStats stats_;
-  std::function<void(const PompeCommitted&)> commit_hook_;
 };
 
 }  // namespace lyra::pompe

@@ -6,15 +6,7 @@
 
 namespace lyra::sim {
 
-namespace {
-/// Derives the engine-internal stream without consuming from the protocol
-/// stream (Rng::split would perturb it): golden-pinned runs stay
-/// bit-identical. The constant is the 64-bit golden-ratio increment.
-constexpr std::uint64_t kNetStreamSalt = 0x9e3779b97f4a7c15ULL;
-}  // namespace
-
-Simulation::Simulation(std::uint64_t seed)
-    : seed_(seed), rng_(seed), net_rng_(seed ^ kNetStreamSalt) {}
+Simulation::Simulation(std::uint64_t seed) : seed_(seed), rng_(seed) {}
 
 std::uint64_t Simulation::run_until(TimeNs deadline) {
   std::uint64_t executed = 0;

@@ -14,13 +14,13 @@ namespace lyra::sim {
 /// root RNG, and the trace sink. One Simulation instance per experiment run;
 /// all protocol components hold a pointer to it.
 ///
-/// Two RNG streams with distinct roles:
+/// Two kinds of randomness with distinct roles:
 ///  * rng() — protocol randomness drawn inside process handlers (VSS
 ///    encryption, Byzantine behaviour), in event order.
-///  * net_rng() — engine-internal randomness (adversary delays), drawn while
-///    messages are scheduled. Keeping it out of rng() means the
-///    handler-visible stream is identical whether or not the network
-///    samples from it.
+///  * streams derived from seed() — engine-side draws (latency jitter,
+///    adversary delays). The network seeds a throwaway Rng per message with
+///    derive_stream() and hands it to the adversary, so the handler-visible
+///    rng() is identical whether or not the network samples.
 class Simulation {
  public:
   explicit Simulation(std::uint64_t seed);
@@ -81,13 +81,6 @@ class Simulation {
   /// Protocol randomness (handler context).
   Rng& rng() { return rng_; }
 
-  /// Engine-internal randomness (adversary schedules and other
-  /// engine-side draws). Latency jitter does not draw from this shared
-  /// stream — the network derives per-sender counter-based streams from
-  /// seed() instead, so one sender's draw sequence does not depend on every
-  /// other sender's traffic.
-  Rng& net_rng() { return net_rng_; }
-
   /// The root seed this run was constructed with. Sharded consumers (the
   /// network's per-sender jitter streams) derive their own streams from it
   /// via derive_stream().
@@ -100,7 +93,6 @@ class Simulation {
   TimeNs now_ = 0;
   std::uint64_t seed_;
   Rng rng_;
-  Rng net_rng_;
   Trace trace_;
 };
 

@@ -1,7 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <cstdio>
-
 namespace lyra::sim {
 
 void Trace::record(TimeNs at, NodeId node, std::string category,
@@ -16,13 +14,6 @@ std::vector<TraceEvent> Trace::by_category(std::string_view category) const {
     if (e.category == category) out.push_back(e);
   }
   return out;
-}
-
-void Trace::dump() const {
-  for (const auto& e : events_) {
-    std::printf("[%10.3f ms] n%-3u %-12s %s\n", to_ms(e.at), e.node,
-                e.category.c_str(), e.text.c_str());
-  }
 }
 
 }  // namespace lyra::sim

@@ -24,13 +24,9 @@ class Trace {
   void record(TimeNs at, NodeId node, std::string category, std::string text);
 
   const std::vector<TraceEvent>& events() const { return events_; }
-  void clear() { events_.clear(); }
 
   /// Events of one category, in order.
   std::vector<TraceEvent> by_category(std::string_view category) const;
-
-  /// Writes a human-readable dump to stdout (debugging aid).
-  void dump() const;
 
  private:
   bool enabled_ = false;

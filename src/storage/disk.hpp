@@ -8,53 +8,36 @@
 
 namespace lyra::storage {
 
-/// Minimal durable-medium abstraction under the WAL and snapshot store: a
-/// flat namespace of named append-only byte files. Two operations matter
-/// for crash safety — `append` (sequential WAL writes) and `write_atomic`
-/// (rename-into-place snapshot publication). The discrete-event harness
-/// uses the in-memory backend below so a "disk" survives the teardown of
-/// the node process that owned it; a production deployment would map this
-/// onto O_DIRECT files plus fsync without touching any caller.
-class Disk {
+/// The durable medium under the WAL and snapshot store: a flat namespace
+/// of named append-only byte files, held in memory as the simulation's
+/// stand-in for a node-local SSD. Two operations matter for crash safety —
+/// `append` (sequential WAL writes) and `write_atomic` (rename-into-place
+/// snapshot publication). Owned by the harness (not the node process), so
+/// its content survives a simulated crash. The fault-injection helpers let
+/// tests model torn tails and bit rot without reaching into WAL internals.
+class MemDisk {
  public:
-  virtual ~Disk() = default;
-
-  virtual bool exists(const std::string& name) const = 0;
+  bool exists(const std::string& name) const;
 
   /// Whole-file read; empty when missing (callers check exists()).
-  virtual Bytes read(const std::string& name) const = 0;
+  Bytes read(const std::string& name) const;
 
   /// Appends to the end of `name`, creating it if needed.
-  virtual void append(const std::string& name, BytesView data) = 0;
+  void append(const std::string& name, BytesView data);
 
   /// Replaces `name` atomically: after a crash either the old or the new
   /// content is visible, never a mix.
-  virtual void write_atomic(const std::string& name, BytesView data) = 0;
+  void write_atomic(const std::string& name, BytesView data);
 
-  virtual void remove(const std::string& name) = 0;
+  void remove(const std::string& name);
 
   /// Drops every byte past `size`; no-op when the file is already shorter
   /// or missing. The WAL writer uses this to repair a torn tail left by a
   /// crashed predecessor before it starts its own segment.
-  virtual void truncate(const std::string& name, std::size_t size) = 0;
+  void truncate(const std::string& name, std::size_t size);
 
   /// All file names in lexicographic order.
-  virtual std::vector<std::string> list() const = 0;
-};
-
-/// In-memory Disk: the simulation's stand-in for a node-local SSD. Owned by
-/// the harness (not the node process), so its content survives a simulated
-/// crash. The fault-injection helpers let tests model torn tails and bit
-/// rot without reaching into WAL internals.
-class MemDisk final : public Disk {
- public:
-  bool exists(const std::string& name) const override;
-  Bytes read(const std::string& name) const override;
-  void append(const std::string& name, BytesView data) override;
-  void write_atomic(const std::string& name, BytesView data) override;
-  void remove(const std::string& name) override;
-  void truncate(const std::string& name, std::size_t size) override;
-  std::vector<std::string> list() const override;
+  std::vector<std::string> list() const;
 
   // --- fault injection (tests) ---
 

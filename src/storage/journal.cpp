@@ -13,7 +13,7 @@ namespace {
 /// point: after GC that segment may have no file, and a writer that scanned
 /// only files would re-use indices below it — journaling new records where
 /// snapshot+suffix recovery never looks.
-WalWriter::Options wal_options_on(Disk* disk, WalWriter::Options wal) {
+WalWriter::Options wal_options_on(MemDisk* disk, WalWriter::Options wal) {
   for (const std::string& name : disk->list()) {
     std::uint64_t index = 0;
     if (!parse_snapshot_name(name, index)) continue;
@@ -84,10 +84,10 @@ bool decode_own_batch_record(BytesView payload, OwnBatchRecord& out) {
   return true;
 }
 
-DurableJournal::DurableJournal(Disk* disk)
+DurableJournal::DurableJournal(MemDisk* disk)
     : DurableJournal(disk, Options{}) {}
 
-DurableJournal::DurableJournal(Disk* disk, Options options)
+DurableJournal::DurableJournal(MemDisk* disk, Options options)
     : disk_(disk),
       options_(options),
       wal_(disk, wal_options_on(disk, options.wal)) {

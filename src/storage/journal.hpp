@@ -23,7 +23,7 @@ struct DurableJournalStats {
   std::uint64_t snapshots_written = 0;
 };
 
-/// The node's durability backend: a WAL + snapshot log over a Disk.
+/// The node's durability backend: a WAL + snapshot log over a MemDisk.
 /// LyraNode calls these hooks at the exact points where its logical state
 /// machine advances (a volatile node holds no journal). Every hook appends
 /// one framed record synchronously (write-ahead: the record is durable in
@@ -43,8 +43,8 @@ class DurableJournal final {
 
   /// Continues an existing log on `disk` (post-restart) or starts a fresh
   /// one. `disk` must outlive the journal.
-  explicit DurableJournal(Disk* disk);
-  DurableJournal(Disk* disk, Options options);
+  explicit DurableJournal(MemDisk* disk);
+  DurableJournal(MemDisk* disk, Options options);
 
   void accepted(const core::AcceptedEntry& entry);
   void committed(const core::AcceptedEntry& entry, std::uint32_t tx_count);
@@ -75,7 +75,7 @@ class DurableJournal final {
  private:
   void append(WalRecordType type, BytesView payload);
 
-  Disk* disk_;
+  MemDisk* disk_;
   Options options_;
   WalWriter wal_;
   std::uint64_t committed_since_snapshot_ = 0;

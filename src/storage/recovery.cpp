@@ -8,7 +8,7 @@
 
 namespace lyra::storage {
 
-RecoveredState recover(const Disk& disk) {
+RecoveredState recover(const MemDisk& disk) {
   RecoveredState state;
 
   // Newest decodable snapshot wins; anything newer that fails its CRC is

@@ -51,6 +51,6 @@ struct RecoveredState {
 
 /// Loads the newest valid snapshot (falling back through invalid ones, then
 /// to an empty base) and replays the WAL suffix on top.
-RecoveredState recover(const Disk& disk);
+RecoveredState recover(const MemDisk& disk);
 
 }  // namespace lyra::storage

@@ -26,7 +26,7 @@ std::uint32_t read_u32(const Bytes& file, std::size_t at) {
 
 /// Ordered list of (index, name) for every WAL segment on the disk.
 std::vector<std::pair<std::uint64_t, std::string>> segments_on(
-    const Disk& disk) {
+    const MemDisk& disk) {
   std::vector<std::pair<std::uint64_t, std::string>> out;
   for (const std::string& name : disk.list()) {
     std::uint64_t index = 0;
@@ -101,9 +101,9 @@ bool parse_wal_segment_name(const std::string& name, std::uint64_t& index) {
   return true;
 }
 
-WalWriter::WalWriter(Disk* disk) : WalWriter(disk, Options{}) {}
+WalWriter::WalWriter(MemDisk* disk) : WalWriter(disk, Options{}) {}
 
-WalWriter::WalWriter(Disk* disk, Options options)
+WalWriter::WalWriter(MemDisk* disk, Options options)
     : disk_(disk), options_(options) {
   LYRA_ASSERT(disk_ != nullptr, "WAL writer needs a disk");
   LYRA_ASSERT(options_.segment_bytes > 0, "zero segment size");
@@ -130,7 +130,6 @@ void WalWriter::append(std::uint8_t type, BytesView payload) {
 
   disk_->append(wal_segment_name(segment_), frame);
   segment_fill_ += frame.size();
-  ++records_;
   bytes_ += frame.size();
   if (segment_fill_ >= options_.segment_bytes) seal();
 }
@@ -149,7 +148,7 @@ void WalWriter::drop_segments_before(std::uint64_t before) {
   }
 }
 
-std::uint64_t wal_repair_tail(Disk& disk) {
+std::uint64_t wal_repair_tail(MemDisk& disk) {
   const auto segments = segments_on(disk);
   if (segments.empty()) return 0;
   const std::string& name = segments.back().second;
@@ -165,7 +164,7 @@ std::uint64_t wal_repair_tail(Disk& disk) {
 }
 
 WalReplayStats wal_replay(
-    const Disk& disk, std::uint64_t from_segment,
+    const MemDisk& disk, std::uint64_t from_segment,
     const std::function<void(std::uint8_t type, BytesView payload)>& fn) {
   WalReplayStats stats;
   const auto segments = segments_on(disk);

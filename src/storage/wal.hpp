@@ -54,8 +54,8 @@ class WalWriter {
   /// Repairs the torn tail of the newest existing segment (if any), then
   /// starts writing at (highest existing segment + 1); existing segments
   /// are left sealed for replay.
-  explicit WalWriter(Disk* disk);
-  WalWriter(Disk* disk, Options options);
+  explicit WalWriter(MemDisk* disk);
+  WalWriter(MemDisk* disk, Options options);
 
   /// Appends one framed record.
   void append(std::uint8_t type, BytesView payload);
@@ -69,17 +69,15 @@ class WalWriter {
   void drop_segments_before(std::uint64_t before);
 
   std::uint64_t current_segment() const { return segment_; }
-  std::uint64_t records_appended() const { return records_; }
   std::uint64_t bytes_appended() const { return bytes_; }
   /// Torn bytes truncated off the predecessor's tail at construction.
   std::uint64_t repaired_bytes() const { return repaired_bytes_; }
 
  private:
-  Disk* disk_;
+  MemDisk* disk_;
   Options options_;
   std::uint64_t segment_ = 0;
   std::size_t segment_fill_ = 0;
-  std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t repaired_bytes_ = 0;
 };
@@ -95,13 +93,13 @@ struct WalReplayStats {
 /// Replays every record in segments >= `from_segment`, in order, into `fn`.
 /// Stops at the first torn tail or corruption (see class comment).
 WalReplayStats wal_replay(
-    const Disk& disk, std::uint64_t from_segment,
+    const MemDisk& disk, std::uint64_t from_segment,
     const std::function<void(std::uint8_t type, BytesView payload)>& fn);
 
 /// Truncates the torn (incomplete) trailing frame off the newest segment,
 /// returning the bytes removed; 0 when the tail is whole or the defect is a
 /// CRC mismatch (left in place so replay escalates it as corruption).
 /// WalWriter runs this at construction; exposed for tests and tooling.
-std::uint64_t wal_repair_tail(Disk& disk);
+std::uint64_t wal_repair_tail(MemDisk& disk);
 
 }  // namespace lyra::storage

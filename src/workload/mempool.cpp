@@ -4,10 +4,10 @@
 
 namespace lyra::workload {
 
-FeePriorityMempool::FeePriorityMempool(std::size_t capacity)
+Mempool::Mempool(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}
 
-WorkloadTx FeePriorityMempool::evict_lowest() {
+WorkloadTx Mempool::evict_lowest() {
   auto lowest = std::prev(order_.end());
   auto it = by_id_.find(lowest->id);
   WorkloadTx victim = it->second;
@@ -18,7 +18,7 @@ WorkloadTx FeePriorityMempool::evict_lowest() {
   return victim;
 }
 
-Mempool::Admission FeePriorityMempool::admit(const WorkloadTx& tx) {
+Mempool::Admission Mempool::admit(const WorkloadTx& tx) {
   Admission result;
   if (seen_.count(tx.id) != 0) {
     ++stats_.duplicates;
@@ -44,7 +44,7 @@ Mempool::Admission FeePriorityMempool::admit(const WorkloadTx& tx) {
   return result;
 }
 
-std::vector<WorkloadTx> FeePriorityMempool::take(std::size_t max_txs) {
+std::vector<WorkloadTx> Mempool::take(std::size_t max_txs) {
   std::vector<WorkloadTx> out;
   out.reserve(std::min(max_txs, by_id_.size()));
   while (out.size() < max_txs && !order_.empty()) {
@@ -62,12 +62,12 @@ std::vector<WorkloadTx> FeePriorityMempool::take(std::size_t max_txs) {
   return out;
 }
 
-void FeePriorityMempool::confirm(const std::vector<std::uint64_t>& ids) {
+void Mempool::confirm(const std::vector<std::uint64_t>& ids) {
   // seen_ keeps committed ids forever; only the reinstate stash drains.
   for (std::uint64_t id : ids) carved_.erase(id);
 }
 
-std::vector<WorkloadTx> FeePriorityMempool::reinstate(
+std::vector<WorkloadTx> Mempool::reinstate(
     const std::vector<std::uint64_t>& ids) {
   std::vector<WorkloadTx> refused;
   for (std::uint64_t id : ids) {
@@ -89,18 +89,13 @@ std::vector<WorkloadTx> FeePriorityMempool::reinstate(
   return refused;
 }
 
-std::vector<WorkloadTx> FeePriorityMempool::set_capacity(
-    std::size_t capacity) {
+std::vector<WorkloadTx> Mempool::set_capacity(std::size_t capacity) {
   capacity_ = std::max<std::size_t>(1, capacity);
   std::vector<WorkloadTx> evicted;
   while (by_id_.size() > capacity_) {
     evicted.push_back(evict_lowest());
   }
   return evicted;
-}
-
-std::unique_ptr<Mempool> make_fee_priority_mempool(std::size_t capacity) {
-  return std::make_unique<FeePriorityMempool>(capacity);
 }
 
 }  // namespace lyra::workload

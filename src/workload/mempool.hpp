@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <unordered_set>
 #include <vector>
@@ -20,10 +19,12 @@ struct MempoolStats {
   std::uint64_t reinstated = 0;     // returned from a dropped batch
 };
 
-/// Admission interface in front of batch formation. Both LyraNode and
-/// PompeNode own one (when `mempool_capacity > 0`) and speak the same
-/// backpressure protocol: a rejected or evicted transaction earns its
-/// client a MempoolReject, and the client retries with backoff.
+/// Bounded max-fee priority pool in front of batch formation. Ties broken
+/// by tx id so admission, eviction, and carve order are fully
+/// deterministic. Both LyraNode and PompeNode own one (when
+/// `mempool_capacity > 0`) and speak the same backpressure protocol: a
+/// rejected or evicted transaction earns its client a MempoolReject, and
+/// the client retries with backoff.
 class Mempool {
  public:
   enum class Outcome : std::uint8_t {
@@ -37,9 +38,9 @@ class Mempool {
     std::vector<WorkloadTx> evicted;
   };
 
-  virtual ~Mempool() = default;
+  explicit Mempool(std::size_t capacity);
 
-  virtual Admission admit(const WorkloadTx& tx) = 0;
+  Admission admit(const WorkloadTx& tx);
 
   /// Removes and returns up to `max_txs` highest-priority transactions in
   /// carve order. Carved ids stay known, so a straggling retry of an
@@ -47,14 +48,12 @@ class Mempool {
   /// re-executed. Every carved id must later be settled exactly one way:
   /// confirm() when its batch commits, reinstate() when its batch is
   /// dropped.
-  virtual std::vector<WorkloadTx> take(std::size_t max_txs) = 0;
+  std::vector<WorkloadTx> take(std::size_t max_txs);
 
   /// Batch containing these carved ids committed: the ids stay known
   /// forever (late retries keep deduping) but the carve-side bookkeeping
   /// is released. Unknown ids are ignored.
-  virtual void confirm(const std::vector<std::uint64_t>& ids) {
-    (void)ids;
-  }
+  void confirm(const std::vector<std::uint64_t>& ids);
 
   /// Batch containing these carved ids was dropped without committing
   /// (e.g. the proposer gave up after max resubmissions): forget the ids
@@ -63,56 +62,23 @@ class Mempool {
   /// (refused or displaced under current pressure) — each is owed a
   /// MempoolReject so its client's retry ladder takes over. Unknown ids
   /// are ignored.
-  virtual std::vector<WorkloadTx> reinstate(
-      const std::vector<std::uint64_t>& ids) {
-    (void)ids;
-    return {};
-  }
+  std::vector<WorkloadTx> reinstate(const std::vector<std::uint64_t>& ids);
 
   /// Shrinks or grows the bound; shrinking evicts the lowest-priority
   /// residents, which are returned (each owed a reject). Used by the fuzz
   /// admission-flap fault.
-  virtual std::vector<WorkloadTx> set_capacity(std::size_t capacity) = 0;
+  std::vector<WorkloadTx> set_capacity(std::size_t capacity);
 
-  virtual std::size_t size() const = 0;
-  virtual bool empty() const = 0;
-  virtual std::size_t capacity() const = 0;
-  virtual bool knows(std::uint64_t id) const = 0;
+  std::size_t size() const { return by_id_.size(); }
+  bool empty() const { return by_id_.empty(); }
+  std::size_t capacity() const { return capacity_; }
+  bool knows(std::uint64_t id) const { return seen_.count(id) != 0; }
   /// The id is admitted and waiting for the next carve.
-  virtual bool pending(std::uint64_t id) const { return knows(id); }
+  bool pending(std::uint64_t id) const { return by_id_.count(id) != 0; }
   /// The id was carved into a batch that has not been settled yet
   /// (neither confirm()ed nor reinstate()d).
-  virtual bool in_flight(std::uint64_t id) const {
-    (void)id;
-    return false;
-  }
-  virtual const MempoolStats& stats() const = 0;
-};
-
-/// Bounded max-fee priority pool. Ties broken by tx id so admission,
-/// eviction, and carve order are fully deterministic.
-class FeePriorityMempool final : public Mempool {
- public:
-  explicit FeePriorityMempool(std::size_t capacity);
-
-  Admission admit(const WorkloadTx& tx) override;
-  std::vector<WorkloadTx> take(std::size_t max_txs) override;
-  void confirm(const std::vector<std::uint64_t>& ids) override;
-  std::vector<WorkloadTx> reinstate(
-      const std::vector<std::uint64_t>& ids) override;
-  std::vector<WorkloadTx> set_capacity(std::size_t capacity) override;
-
-  std::size_t size() const override { return by_id_.size(); }
-  bool empty() const override { return by_id_.empty(); }
-  std::size_t capacity() const override { return capacity_; }
-  bool knows(std::uint64_t id) const override { return seen_.count(id) != 0; }
-  bool pending(std::uint64_t id) const override {
-    return by_id_.count(id) != 0;
-  }
-  bool in_flight(std::uint64_t id) const override {
-    return carved_.count(id) != 0;
-  }
-  const MempoolStats& stats() const override { return stats_; }
+  bool in_flight(std::uint64_t id) const { return carved_.count(id) != 0; }
+  const MempoolStats& stats() const { return stats_; }
 
  private:
   struct Key {
@@ -138,7 +104,5 @@ class FeePriorityMempool final : public Mempool {
   std::map<std::uint64_t, WorkloadTx> carved_;
   MempoolStats stats_;
 };
-
-std::unique_ptr<Mempool> make_fee_priority_mempool(std::size_t capacity);
 
 }  // namespace lyra::workload

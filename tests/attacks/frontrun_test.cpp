@@ -12,28 +12,6 @@ using attacks::AliceClient;
 using attacks::FrontRunningLyraNode;
 using attacks::FrontRunningPompeNode;
 
-/// Fig. 1 geometry, attack-favourable: Alice's node in Tokyo, Mallory in
-/// Singapore, and the timestamping mass behind the triangle-violating edge
-/// (Mumbai), so Mallory's reaction arrives at the quorum before Alice's
-/// original (d(Tokyo,SG) + d(SG,Mumbai) < d(Tokyo,Mumbai)).
-net::Topology fig1_topology(std::size_t extra_slots) {
-  net::Topology t;
-  t.placement = {
-      net::Region::kTokyo,      // node 0: Alice's proposer
-      net::Region::kSingapore,  // node 1: Mallory
-      net::Region::kMumbai,  // nodes 2..6: the quorum mass (Carole et
-                             // al.) sits behind the violating edge, so
-                             // Mallory's reaction is stamped before
-                             // Alice's original
-      net::Region::kMumbai,  net::Region::kMumbai, net::Region::kMumbai,
-      net::Region::kMumbai,
-  };
-  for (std::size_t i = 0; i < extra_slots; ++i) {
-    t.placement.push_back(net::Region::kTokyo);  // Alice herself
-  }
-  return t;
-}
-
 TEST(FrontRun, PompeClearTextLeaksAndGetsFrontRun) {
   harness::PompeClusterOptions opts;
   opts.config.n = 7;
@@ -41,7 +19,7 @@ TEST(FrontRun, PompeClearTextLeaksAndGetsFrontRun) {
   opts.config.delta = ms(140);
   opts.config.batch_timeout = ms(5);
   opts.config.batch_size = 4;
-  opts.topology = fig1_topology(1);
+  opts.topology = net::fig1_topology(1);
   opts.seed = 21;
   FrontRunningPompeNode* mallory = nullptr;
   opts.node_factory = [&mallory](sim::Simulation* sim, net::Network* net,
@@ -83,7 +61,7 @@ TEST(FrontRun, LyraCommitRevealBlindsTheAttacker) {
   opts.config.batch_timeout = ms(5);
   opts.config.batch_size = 4;
   opts.config.probe_period = ms(40);
-  opts.topology = fig1_topology(1);
+  opts.topology = net::fig1_topology(1);
   opts.seed = 23;
   FrontRunningLyraNode* mallory = nullptr;
   opts.node_factory = [&mallory](sim::Simulation* sim, net::Network* net,

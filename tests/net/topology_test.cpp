@@ -61,11 +61,16 @@ TEST(Topology, TriangleInequalityViolationExists) {
 }
 
 TEST(Topology, TriangleViolationPlacesActors) {
-  const Topology t = triangle_violation(4);
-  ASSERT_EQ(t.size(), 6u);
-  EXPECT_EQ(t.placement[3], Region::kMumbai);     // Carole (consensus node)
-  EXPECT_EQ(t.placement[4], Region::kTokyo);      // Alice
-  EXPECT_EQ(t.placement[5], Region::kSingapore);  // Mallory
+  const Topology t = fig1_topology(2);
+  ASSERT_EQ(t.size(), 9u);
+  EXPECT_EQ(t.placement[0], Region::kTokyo);      // Alice's proposer
+  EXPECT_EQ(t.placement[1], Region::kSingapore);  // Mallory
+  for (std::size_t i = 2; i <= 6; ++i) {
+    EXPECT_EQ(t.placement[i], Region::kMumbai);   // Carole et al.
+  }
+  EXPECT_EQ(t.placement[7], Region::kTokyo);      // client slots (Alice)
+  EXPECT_EQ(t.placement[8], Region::kTokyo);
+  EXPECT_EQ(fig1_topology(0).size(), 7u);
 }
 
 TEST(Topology, LatencyModelMatchesPlacement) {

@@ -18,7 +18,7 @@ struct Record {
   Bytes payload;
 };
 
-std::vector<Record> replay_all(const Disk& disk, WalReplayStats* stats_out,
+std::vector<Record> replay_all(const MemDisk& disk, WalReplayStats* stats_out,
                                std::uint64_t from_segment = 0) {
   std::vector<Record> records;
   const WalReplayStats stats =

@@ -160,7 +160,7 @@ TEST(FeeModels, UniformGoldenSequence) {
 // --- mempool -------------------------------------------------------------
 
 TEST(FeePriorityMempool, AdmitsUpToCapacityThenRejectsLowBids) {
-  FeePriorityMempool pool(3);
+  Mempool pool(3);
   for (std::uint64_t i = 1; i <= 3; ++i) {
     EXPECT_EQ(pool.admit(make_tx(i, /*fee=*/100 + i)).outcome,
               Mempool::Outcome::kAdmitted);
@@ -174,7 +174,7 @@ TEST(FeePriorityMempool, AdmitsUpToCapacityThenRejectsLowBids) {
 }
 
 TEST(FeePriorityMempool, HighBidEvictsTheLowestResident) {
-  FeePriorityMempool pool(2);
+  Mempool pool(2);
   pool.admit(make_tx(1, 10));
   pool.admit(make_tx(2, 20));
   const auto adm = pool.admit(make_tx(3, 30));
@@ -189,7 +189,7 @@ TEST(FeePriorityMempool, HighBidEvictsTheLowestResident) {
 }
 
 TEST(FeePriorityMempool, DuplicatesDropSilentlyEvenAfterCarve) {
-  FeePriorityMempool pool(4);
+  Mempool pool(4);
   pool.admit(make_tx(1, 10));
   EXPECT_EQ(pool.admit(make_tx(1, 10)).outcome,
             Mempool::Outcome::kDuplicate);
@@ -205,7 +205,7 @@ TEST(FeePriorityMempool, DuplicatesDropSilentlyEvenAfterCarve) {
 }
 
 TEST(FeePriorityMempool, ConfirmKeepsCommittedIdsDeduplicated) {
-  FeePriorityMempool pool(4);
+  Mempool pool(4);
   pool.admit(make_tx(1, 10));
   const auto carved = pool.take(4);
   ASSERT_EQ(carved.size(), 1u);
@@ -224,7 +224,7 @@ TEST(FeePriorityMempool, ReinstateReturnsDroppedTxsToContention) {
   // (never-committed) batch used to leave its ids in seen_ forever, so
   // every client retry was swallowed as a duplicate and the tx could
   // never commit. reinstate() must put the txs back in the pool.
-  FeePriorityMempool pool(4);
+  Mempool pool(4);
   pool.admit(make_tx(1, 10));
   pool.admit(make_tx(2, 20));
   const auto carved = pool.take(4);
@@ -247,7 +247,7 @@ TEST(FeePriorityMempool, ReinstateReturnsDroppedTxsToContention) {
 }
 
 TEST(FeePriorityMempool, ReinstateRefusalsSurfaceForRejectSignals) {
-  FeePriorityMempool pool(2);
+  Mempool pool(2);
   pool.admit(make_tx(1, 50));
   pool.admit(make_tx(2, 40));
   const auto carved = pool.take(2);
@@ -270,7 +270,7 @@ TEST(FeePriorityMempool, ReinstateRefusalsSurfaceForRejectSignals) {
 }
 
 TEST(FeePriorityMempool, ReinstateIgnoresUnknownAndConfirmedIds) {
-  FeePriorityMempool pool(4);
+  Mempool pool(4);
   pool.admit(make_tx(1, 10));
   pool.take(4);
   pool.confirm({1});
@@ -282,7 +282,7 @@ TEST(FeePriorityMempool, ReinstateIgnoresUnknownAndConfirmedIds) {
 }
 
 TEST(FeePriorityMempool, TakeReturnsFeeDescendingIdAscending) {
-  FeePriorityMempool pool(8);
+  Mempool pool(8);
   pool.admit(make_tx(4, 10));
   pool.admit(make_tx(1, 30));
   pool.admit(make_tx(3, 30));
@@ -296,7 +296,7 @@ TEST(FeePriorityMempool, TakeReturnsFeeDescendingIdAscending) {
 }
 
 TEST(FeePriorityMempool, CapacityShrinkEvictsTheTail) {
-  FeePriorityMempool pool(4);
+  Mempool pool(4);
   for (std::uint64_t i = 1; i <= 4; ++i) pool.admit(make_tx(i, i * 10));
   const auto evicted = pool.set_capacity(2);
   ASSERT_EQ(evicted.size(), 2u);

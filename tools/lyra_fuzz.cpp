@@ -8,6 +8,7 @@
 // Exit status: 0 = every run clean, 1 = invariant violation(s), 2 = usage
 // or IO error.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,10 +30,12 @@ void usage() {
                "                 [--print-plan SEED]\n");
 }
 
+/// The whole of `s` as a decimal u64: "7" parses; "", "7x", " 7", "+7",
+/// "-1" and an out-of-range value do not.
 bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 10);
-  return end != s && *end == '\0';
+  const char* last = s + std::strlen(s);
+  const auto [end, ec] = std::from_chars(s, last, out);
+  return ec == std::errc() && end == last;
 }
 
 }  // namespace
