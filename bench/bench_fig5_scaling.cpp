@@ -36,9 +36,10 @@
 //        --out <path> output file (default BENCH_fig5.json)
 //        --quick      CI budget: n = {100, 300}, short windows — also via
 //                     LYRA_BENCH_QUICK=1
-//        --only <s>   run only entries whose name contains <s> (the full
-//                     sweep is ~an hour on one core; rerun a single size
-//                     without repeating the rest)
+//        --only <s>   run only the entry named <s>, e.g. lyra_n300 (the
+//                     full sweep is ~an hour on one core; rerun a single
+//                     size without repeating the rest). An unknown name
+//                     exits 2 and lists the names of the sweep.
 
 #include "bench_common.hpp"
 
@@ -197,8 +198,11 @@ int main(int argc, char** argv) {
       "scenario              n    committed       tx/s     rss(MB)  "
       "rss/node(MB)  mean(ms)   safety");
 
-  const auto wanted = [&only](const std::string& name) {
-    return only.empty() || name.find(only) != std::string::npos;
+  // Every entry of the sweep is asked for by name, in run order.
+  std::vector<std::string> names;
+  const auto wanted = [&only, &names](const std::string& name) {
+    names.push_back(name);
+    return only.empty() || name == only;
   };
 
   std::vector<bench::BenchEntry> entries;
@@ -237,6 +241,16 @@ int main(int argc, char** argv) {
     cr.corrupt_wal = true;
     cfg.crashes.push_back(cr);
     entries.push_back(measure("lyra_n300_recovery", cfg));
+  }
+
+  if (entries.empty()) {
+    std::fprintf(stderr, "--only %s: no such entry; valid names:",
+                 only.c_str());
+    for (const std::string& name : names) {
+      std::fprintf(stderr, " %s", name.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    return 2;
   }
 
   bench::write_bench_json(out, "bench_fig5_scaling", label, entries);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "sim/process.hpp"
 #include "support/assert.hpp"
@@ -87,6 +88,13 @@ void EventQueue::schedule_deliveries(ProcessDirectory* dir, NodeId from,
 
 void EventQueue::push_delivery(const Ref& ref) {
   const std::uint64_t tick = tick_of(ref.at);
+  if (tick > drain_tick_ + kBucketCount && wheel_count_ == 0 &&
+      drain_sorted_.empty() && drain_extra_.empty()) {
+    // Nothing is queued in the window, so it may start anywhere: move it
+    // up to the clock. Otherwise, after an idle gap longer than the
+    // horizon, every later delivery would spill into far_.
+    drain_tick_ = std::max(drain_tick_, tick_of(last_run_at_));
+  }
   if (tick <= drain_tick_) {
     // Same tick as (or earlier than) the bucket being drained: the bucket
     // is already sorted, so late arrivals go through the side heap.
@@ -101,6 +109,12 @@ void EventQueue::push_delivery(const Ref& ref) {
     far_.push(ref);
   }
   ++deliveries_live_;
+}
+
+std::size_t EventQueue::wheel_capacity() const {
+  std::size_t total = 0;
+  for (const std::vector<Ref>& bucket : buckets_) total += bucket.capacity();
+  return total;
 }
 
 bool EventQueue::pending(std::uint64_t handle) const {
@@ -159,9 +173,12 @@ std::uint64_t EventQueue::find_next_bucket_tick() const {
 void EventQueue::pour_next_bucket() const {
   const std::uint64_t tick = find_next_bucket_tick();
   const std::size_t idx = static_cast<std::size_t>(tick & kBucketMask);
-  // Swap storage so the emptied bucket inherits the drain's capacity:
-  // after warm-up neither side allocates again.
-  drain_sorted_.swap(buckets_[idx]);
+  // Take the bucket's storage and leave it none; the drain's old buffer is
+  // freed. A bucket holds memory only while it holds deliveries, so the
+  // wheel stays within about twice the live deliveries. (A swap would
+  // rotate the buffers through all 4096 buckets until every one had grown
+  // to the largest bucket ever poured.)
+  drain_sorted_ = std::exchange(buckets_[idx], {});
   bucket_bit_clear(idx);
   wheel_count_ -= drain_sorted_.size();
   std::sort(drain_sorted_.begin(), drain_sorted_.end(),
@@ -251,6 +268,7 @@ bool EventQueue::run_next_until(TimeNs deadline, TimeNs& clock) {
     const Ref t = timers_.top();
     if (t.at > deadline) return false;
     timers_.pop();
+    last_run_at_ = t.at;
     TimerSlot& ts = fn_slots_[t.slot];
     Callback fn = std::move(ts.fn);
     ts.fn = nullptr;
@@ -264,6 +282,7 @@ bool EventQueue::run_next_until(TimeNs deadline, TimeNs& clock) {
   if (tier == Tier::kNone || del.at > deadline) return false;
   pop_delivery(tier);
   --deliveries_live_;
+  last_run_at_ = del.at;
   clock = del.at;
   if ((del.slot & kPumpFlag) != 0) {
     run_pump(del);

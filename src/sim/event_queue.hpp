@@ -45,10 +45,15 @@ struct Receiver {
 ///    (O(1)); the bucket is sorted once when the clock reaches it and
 ///    drained by index. Deliveries beyond the horizon (NIC backlog under
 ///    saturation, adversarial holds) wait in a spill min-heap consulted at
-///    pop time. Every structure carries 24-byte {at, id, slot, to}
-///    handles. One send — a unicast or a whole broadcast — occupies one
-///    slot of a recycled slab holding the shared payload; each receiver's
-///    handle names the slot, and the last receiver to fire releases it.
+///    pop time. A poured bucket keeps no storage, so the wheel's memory
+///    follows the deliveries live on it, not its busiest moment; and
+///    while the wheel is empty its window moves up to the clock, so an
+///    idle gap longer than the horizon does not push every later
+///    delivery into the spill heap. Every structure carries 24-byte
+///    {at, id, slot, to} handles. One send — a unicast or a whole
+///    broadcast — occupies one slot of a recycled slab holding the shared
+///    payload; each receiver's handle names the slot, and the last
+///    receiver to fire releases it.
 ///
 ///    A busy process's pump (Process::pump, which handles the next message
 ///    of its inbox) rides the same tier: its handle flags the slot field
@@ -119,6 +124,9 @@ class EventQueue {
   /// once): the delivery slab never shrinks, it only recycles.
   std::size_t envelope_slab_capacity() const { return env_slots_.size(); }
   std::size_t callback_slab_capacity() const { return fn_slots_.size(); }
+  /// Entries of storage the calendar buckets hold, summed over all of
+  /// them: zero once every delivery on the wheel has been poured.
+  std::size_t wheel_capacity() const;
 
   /// Cancelled timers whose heap entry has not surfaced yet. Bounded by
   /// the timer heap: cancelling a fired or non-timer handle is a no-op
@@ -180,8 +188,9 @@ class EventQueue {
   Tier peek_live_delivery(Ref& out);
   void run_pump(const Ref& ref);
   void run_delivery(const Ref& ref);
-  /// Moves the earliest non-empty bucket into the drain. Requires the
-  /// drain to be empty and wheel_count_ > 0.
+  /// Moves the earliest non-empty bucket into the drain, storage and all,
+  /// leaving the bucket none. Requires the drain to be empty and
+  /// wheel_count_ > 0.
   void pour_next_bucket() const;
   std::uint64_t find_next_bucket_tick() const;
   void bucket_bit_set(std::size_t idx) const {
@@ -207,6 +216,7 @@ class EventQueue {
 
   // Wheel: buckets for ticks in (drain_tick_, drain_tick_ + kBucketCount],
   // one live tick per bucket; a bitmap accelerates the next-bucket scan.
+  // An empty bucket holds no storage.
   mutable std::array<std::vector<Ref>, kBucketCount> buckets_;
   mutable std::array<std::uint64_t, kBucketCount / 64> bucket_bits_{};
   mutable std::size_t wheel_count_ = 0;
@@ -217,6 +227,9 @@ class EventQueue {
 
   // Drain remainder + extra + wheel + far, less cancelled pumps.
   std::size_t deliveries_live_ = 0;
+  // Time of the last event run: no later delivery may precede it, so an
+  // empty window can be rebased onto its tick.
+  TimeNs last_run_at_ = 0;
 
   // Delivery slab with slot recycling: one slot per send, shared by all
   // of its receivers. Each slot keeps the directory the send was

@@ -242,6 +242,52 @@ TEST(EventQueue, EnvelopeSlabRecyclesSlots) {
   EXPECT_EQ(q.envelope_slab_capacity(), 8u);
 }
 
+TEST(EventQueue, PouredBucketsKeepNoStorage) {
+  // A burst spread over 1000 calendar buckets of uneven sizes. Each
+  // bucket's storage leaves with it when it is poured, so once the burst
+  // has run no bucket holds any, however large the busiest one was.
+  EventQueue q;
+  RecordingDirectory dir;
+  std::size_t scheduled = 0;
+  for (int round = 0; round < 2; ++round) {
+    const TimeNs base = ms(1 + 400 * round);
+    for (int b = 0; b < 1000; ++b) {
+      for (int k = 0; k <= b % 7 * 5; ++k) {
+        schedule_one(q, base + us(200) * b + k, &dir, 0);
+        ++scheduled;
+      }
+    }
+    EXPECT_GT(q.wheel_capacity(), 0u);
+    while (!q.empty()) q.run_next();
+    EXPECT_EQ(q.wheel_capacity(), 0u);
+  }
+  EXPECT_EQ(dir.fired.size(), scheduled);
+}
+
+TEST(EventQueue, DeliveryAfterIdleGapLandsOnTheWheel) {
+  // The wheel covers ~537 ms past the last poured bucket. A timer two
+  // seconds later, with nothing on the wheel, moves the window up to the
+  // clock: a near delivery sent then lands on the wheel instead of the
+  // spill heap, and every tier still fires in (time, insertion) order.
+  EventQueue q;
+  RecordingDirectory dir;
+  schedule_one(q, us(100), &dir, 1);
+  const TimeNs gap = ms(2000);
+  q.schedule_at(gap, [&] {
+    schedule_one(q, gap + ms(600), &dir, 2);  // past the horizon: spill
+    schedule_one(q, gap + ms(1), &dir, 3);    // wheel
+    schedule_one(q, gap, &dir, 4);            // the tick being run: side heap
+  });
+  EXPECT_EQ(q.run_next(), us(100));
+  EXPECT_EQ(q.run_next(), gap);
+  EXPECT_GT(q.wheel_capacity(), 0u);
+  std::vector<TimeNs> fire_times;
+  while (!q.empty()) fire_times.push_back(q.run_next());
+  EXPECT_EQ(dir.fired, (std::vector<NodeId>{1, 4, 3, 2}));
+  EXPECT_EQ(fire_times, (std::vector<TimeNs>{gap, gap + ms(1), gap + ms(600)}));
+  EXPECT_EQ(q.wheel_capacity(), 0u);
+}
+
 TEST(EventQueue, CallbackSlabRecyclesSlotsIncludingCancelled) {
   EventQueue q;
   TimeNs t = 0;
