@@ -63,19 +63,6 @@ inline std::uint64_t peak_rss_bytes() {
   return 0;
 }
 
-/// Resets the VmHWM high-water mark so successive runs in one process each
-/// measure their own peak (writing "5" to clear_refs; needs a writable
-/// /proc, silently a no-op elsewhere — peaks then only ratchet upward,
-/// which still upper-bounds every run).
-inline void reset_peak_rss() {
-#ifdef __linux__
-  if (FILE* f = std::fopen("/proc/self/clear_refs", "w")) {
-    std::fputs("5", f);
-    std::fclose(f);
-  }
-#endif
-}
-
 /// The safety verdict every run_experiment bench prints on each row
 /// (EXPERIMENTS.md, "Safety checks"): prefix-consistent ledgers and no
 /// late accepts.
@@ -145,32 +132,37 @@ inline std::string json_num(double v) {
   return buf;
 }
 
-/// Serializes one labelled run. The file holds a top-level "runs" array so
-/// bench_compare.py --merge can accumulate a before/after trajectory in a
-/// single checked-in file (BENCH_sim.json at the repo root).
+/// One entry as the JSON object line a run's "entries" array holds.
+inline std::string entry_json(const BenchEntry& e) {
+  std::string j = "{\"name\": \"" + json_escape(e.name) +
+                  "\", \"params\": \"" + json_escape(e.params) +
+                  "\", \"seed\": " + std::to_string(e.seed) +
+                  ", \"events\": " + std::to_string(e.events) +
+                  ", \"events_per_sec\": " + json_num(e.events_per_sec) +
+                  ", \"host_seconds\": " + json_num(e.host_seconds) +
+                  ", \"sim_seconds\": " + json_num(e.sim_seconds) +
+                  ", \"throughput_tps\": " + json_num(e.throughput_tps) +
+                  ", \"hw_concurrency\": " + std::to_string(e.hw_concurrency) +
+                  ", \"host_nproc\": " + std::to_string(e.host_nproc);
+  for (const auto& [key, v] : e.extra) {
+    j += ", \"" + json_escape(key) + "\": " + json_num(v);
+  }
+  return j + "}";
+}
+
+/// Serializes one labelled run from its entries' entry_json() lines. The
+/// file holds a top-level "runs" array so bench_compare.py --merge can
+/// accumulate a before/after trajectory in a single checked-in file
+/// (BENCH_sim.json at the repo root).
 inline void write_bench_json(const std::string& path,
                              const std::string& benchmark,
                              const std::string& label,
-                             const std::vector<BenchEntry>& entries) {
+                             const std::vector<std::string>& entries) {
   std::string j = "{\n  \"benchmark\": \"" + json_escape(benchmark) +
                   "\",\n  \"runs\": [\n    {\n      \"label\": \"" +
                   json_escape(label) + "\",\n      \"entries\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    const BenchEntry& e = entries[i];
-    j += "        {\"name\": \"" + json_escape(e.name) + "\", \"params\": \"" +
-         json_escape(e.params) +
-         "\", \"seed\": " + std::to_string(e.seed) +
-         ", \"events\": " + std::to_string(e.events) +
-         ", \"events_per_sec\": " + json_num(e.events_per_sec) +
-         ", \"host_seconds\": " + json_num(e.host_seconds) +
-         ", \"sim_seconds\": " + json_num(e.sim_seconds) +
-         ", \"throughput_tps\": " + json_num(e.throughput_tps) +
-         ", \"hw_concurrency\": " + std::to_string(e.hw_concurrency) +
-         ", \"host_nproc\": " + std::to_string(e.host_nproc);
-    for (const auto& [key, v] : e.extra) {
-      j += ", \"" + json_escape(key) + "\": " + json_num(v);
-    }
-    j += "}";
+    j += "        " + entries[i];
     j += (i + 1 < entries.size()) ? ",\n" : "\n";
   }
   j += "      ]\n    }\n  ]\n}\n";
@@ -181,6 +173,16 @@ inline void write_bench_json(const std::string& path,
   } else {
     std::fprintf(stderr, "[failed to open %s for writing]\n", path.c_str());
   }
+}
+
+inline void write_bench_json(const std::string& path,
+                             const std::string& benchmark,
+                             const std::string& label,
+                             const std::vector<BenchEntry>& entries) {
+  std::vector<std::string> lines;
+  lines.reserve(entries.size());
+  for (const BenchEntry& e : entries) lines.push_back(entry_json(e));
+  write_bench_json(path, benchmark, label, lines);
 }
 
 }  // namespace lyra::bench

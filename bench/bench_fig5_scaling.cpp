@@ -28,6 +28,9 @@
 //    roughly constant while the swept variable — the size of the
 //    validation + commit quorum — still covers all n nodes.
 //
+// Each entry runs in its own forked child, so its rss_bytes is the peak of
+// that run alone, not of whatever an earlier entry left mapped.
+//
 // Output: a human table plus a labelled JSON run (default BENCH_fig5.json).
 // Compare runs with tools/bench_compare.py (--metric rss_bytes
 // --max-ratio for the memory gate).
@@ -46,6 +49,9 @@
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace lyra;
 using harness::RunConfig;
@@ -109,7 +115,6 @@ RunConfig base_config(const ScalePoint& p) {
 }
 
 bench::BenchEntry measure(const std::string& name, const RunConfig& cfg) {
-  bench::reset_peak_rss();
   const RunResult r = run_experiment(cfg);
   const std::uint64_t rss = bench::peak_rss_bytes();
 
@@ -171,6 +176,41 @@ bench::BenchEntry measure(const std::string& name, const RunConfig& cfg) {
   return e;
 }
 
+/// Runs one entry in a forked child and returns its entry_json() line;
+/// exits if the child fails. The child's peak RSS (VmHWM) starts from the
+/// small parent, which never runs a simulation, so each entry measures its
+/// own run and not what an earlier entry left mapped.
+std::string measure_in_child(const std::string& name, const RunConfig& cfg) {
+  int fds[2];
+  std::fflush(stdout);
+  const pid_t pid = pipe(fds) == 0 ? fork() : -1;
+  if (pid == 0) {
+    close(fds[0]);
+    const std::string json = bench::entry_json(measure(name, cfg));
+    const bool sent = write(fds[1], json.data(), json.size()) ==
+                      static_cast<ssize_t>(json.size());
+    _exit(sent ? 0 : 1);
+  }
+  bool ok = pid > 0;
+  std::string json;
+  if (ok) {
+    close(fds[1]);
+    char buf[4096];
+    for (ssize_t got; (got = read(fds[0], buf, sizeof buf)) > 0;) {
+      json.append(buf, static_cast<std::size_t>(got));
+    }
+    close(fds[0]);
+    int status = 0;
+    ok = waitpid(pid, &status, 0) == pid && WIFEXITED(status) &&
+         WEXITSTATUS(status) == 0 && !json.empty();
+  }
+  if (!ok) {
+    std::fprintf(stderr, "%s: the measuring child failed\n", name.c_str());
+    std::exit(1);
+  }
+  return json;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -205,19 +245,19 @@ int main(int argc, char** argv) {
     return only.empty() || name == only;
   };
 
-  std::vector<bench::BenchEntry> entries;
+  std::vector<std::string> entries;  // entry_json() lines
   for (const ScalePoint& p : sweep_points(quick)) {
     const std::string suffix = "_n" + std::to_string(p.n);
     if (wanted("lyra" + suffix)) {
       RunConfig lyra = base_config(p);
       lyra.protocol = harness::Protocol::kLyra;
-      entries.push_back(measure("lyra" + suffix, lyra));
+      entries.push_back(measure_in_child("lyra" + suffix, lyra));
     }
     if (wanted("pompe" + suffix)) {
       RunConfig pompe = base_config(p);
       pompe.protocol = harness::Protocol::kPompe;
       if (p.pompe_duration > 0) pompe.duration = p.pompe_duration;
-      entries.push_back(measure("pompe" + suffix, pompe));
+      entries.push_back(measure_in_child("pompe" + suffix, pompe));
     }
   }
 
@@ -240,7 +280,7 @@ int main(int argc, char** argv) {
     cr.restart_at = ms(9000);
     cr.corrupt_wal = true;
     cfg.crashes.push_back(cr);
-    entries.push_back(measure("lyra_n300_recovery", cfg));
+    entries.push_back(measure_in_child("lyra_n300_recovery", cfg));
   }
 
   if (entries.empty()) {

@@ -31,7 +31,9 @@ struct BocInstance {
   std::vector<bool> vote_zero_from;  // senders of (VOTE, 0)
   std::size_t vote_one_count = 0;
   std::size_t vote_zero_count = 0;
-  std::vector<crypto::SigShare> shares;  // verified validation shares
+  // Validation shares of the 1-votes, reserved at the first one and freed
+  // when round 1 delivers 1: after that nothing combines them again.
+  std::vector<crypto::SigShare> shares;
   bool deliver_broadcast = false;        // DELIVER sent (built or relayed)
   std::optional<crypto::ThresholdSig> proof;  // held until INIT arrives
   bool init_forwarded = false;
@@ -66,7 +68,6 @@ struct BocInstance {
 
   bool decided = false;
   bool decision = false;
-  bool done = false;      // exited the loop (Alg. 3 line 50)
   TimeNs decided_at = 0;
 
   RoundState& round_state(Round r, std::size_t n) {

@@ -291,7 +291,6 @@ BocInstance& LyraNode::join_instance(const InstanceId& inst) {
     b.inst = inst;
     b.vote_one_from.assign(config_.n, false);
     b.vote_zero_from.assign(config_.n, false);
-    b.shares.reserve(config_.n);  // at most one validation share per voter
     enter_round(b, 1);
     // VVB expiration (Alg. 1 line 6/23): fall back to 0 and forward the
     // INIT if the instance makes no progress within E = 2*Delta.
@@ -424,8 +423,10 @@ void LyraNode::handle_vote(const sim::Envelope& env, const VoteMsg& m) {
     b.vote_one_from[j] = true;
     ++b.vote_one_count;
     charge(ccost(config_.costs.share_verify));
+    // Shares are kept only until round 1 delivers 1 (see deliver_value).
+    if (b.round_state(1, config_.n).vv_one) return;
+    if (b.shares.empty()) b.shares.reserve(config_.n);  // one per voter
     b.shares.push_back(m.share);
-
     try_deliver_one(b);
   } else {
     if (b.vote_zero_from[j]) return;
@@ -637,7 +638,7 @@ void LyraNode::handle_est(const sim::Envelope& env, const EstMsg& m) {
   // A decided process helps laggards: it joins any later round it observes
   // with its (immutable) decided estimate. This replaces Alg. 3 line 50's
   // fixed two help-rounds without the good-case overhead; see DESIGN.md.
-  if (b.decided && !b.done && m.round > b.round) {
+  if (b.decided && m.round > b.round) {
     b.est = b.decision;
     enter_round(b, m.round);
   }
@@ -661,7 +662,7 @@ void LyraNode::handle_aux(const sim::Envelope& env, const AuxMsg& m) {
   rs.aux_from[env.from] = static_cast<std::uint8_t>((m.has_zero ? 1 : 0) |
                                                     (m.has_one ? 2 : 0));
   ++rs.aux_count;
-  if (b.decided && !b.done && m.round > b.round) {
+  if (b.decided && m.round > b.round) {
     b.est = b.decision;
     enter_round(b, m.round);
   }
@@ -673,11 +674,17 @@ void LyraNode::deliver_value(BocInstance& b, Round round, bool value) {
   bool& flag = value ? rs.vv_one : rs.vv_zero;
   if (flag) return;
   flag = true;
+  if (round == 1 && value) {
+    // Round 1 has delivered 1: no validation share or held proof is
+    // combined or verified again, so free their storage.
+    b.shares = std::vector<crypto::SigShare>();
+    b.proof.reset();
+  }
   if (b.round == round) maybe_progress(b);
 }
 
 void LyraNode::maybe_progress(BocInstance& b) {
-  if (b.done || b.round == 0) return;
+  if (b.round == 0) return;
   BocInstance::RoundState& rs = b.round_state(b.round, config_.n);
 
   // Coordinator broadcast (Alg. 3 lines 37-39): when exactly one value was
@@ -800,6 +807,12 @@ void LyraNode::resubmit(PendingBatch batch) {
     ++stats_.dropped_batches;
     settle(batch.carved.chunks, /*committed=*/false);
   }
+}
+
+std::size_t LyraNode::retained_validation_shares() const {
+  std::size_t slots = 0;
+  for (const auto& [inst, b] : instances_) slots += b.shares.capacity();
+  return slots;
 }
 
 void LyraNode::gc_sweep() {

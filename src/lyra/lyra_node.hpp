@@ -92,6 +92,8 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   std::uint64_t status_counter() const { return status_counter_; }
   SeqNum clock_now() const { return clock_.now(); }
   std::size_t live_instances() const { return instances_.size(); }
+  /// Validation-share slots (capacity) held by the live BOC instances.
+  std::size_t retained_validation_shares() const;
   /// Own proposals not yet rejected or committed.
   std::size_t outstanding_proposals() const { return own_proposals_.size(); }
 

@@ -265,6 +265,79 @@ TEST(LyraProtocol, EquivocationNeverCommitsTwoValues) {
 }
 
 // ---------------------------------------------------------------------------
+// Validation shares: kept until round 1 delivers 1, then freed
+// ---------------------------------------------------------------------------
+
+TEST(LyraProtocol, DeliveredInstancesHoldNoValidationShares) {
+  harness::LyraCluster cluster(base_options(4, 1, 11));
+  cluster.start();
+  cluster.run_for(ms(40));
+  for (int i = 0; i < 12; ++i) {
+    cluster.node(static_cast<NodeId>(i % 4))
+        .submit_local(to_bytes("v" + std::to_string(i)));
+    cluster.run_for(ms(10));
+  }
+  // Well inside instance_gc_idle: the decided instances are still live.
+  cluster.run_for(ms(300));
+
+  for (NodeId i = 0; i < 4; ++i) {
+    const core::LyraNode& node = cluster.node(i);
+    EXPECT_GT(node.stats().revealed_batches, 0u) << "node " << i;
+    EXPECT_GT(node.live_instances(), 0u) << "node " << i;
+    EXPECT_EQ(node.retained_validation_shares(), 0u) << "node " << i;
+  }
+}
+
+/// A correct proposer except that its own 1-vote carries a corrupted share.
+/// It sends that vote as soon as its INIT loops back, so the bogus share is
+/// among the first n - f at every peer and their first combine fails.
+class BogusShareLyraNode final : public core::LyraNode {
+ public:
+  using core::LyraNode::LyraNode;
+
+ protected:
+  void on_message(const sim::Envelope& env) override {
+    if (env.payload->kind() == sim::MsgKind::kInit && env.from == id()) {
+      const auto& init = static_cast<const core::InitMsg&>(*env.payload);
+      auto vote = std::make_shared<core::VoteMsg>();
+      vote->inst = init.inst;
+      vote->value = true;
+      vote->share = signer_.share_sign(
+          compute_value_id(init.inst, init.cipher.id, init.predictions));
+      vote->share.mac[0] ^= 0xFF;
+      broadcast_msg(vote);  // peers count this vote, not the real one
+    }
+    core::LyraNode::on_message(env);
+  }
+};
+
+TEST(LyraProtocol, BogusShareStillDeliversFromLaterVotes) {
+  auto opts = base_options(4, 1, 13);
+  opts.node_factory = byzantine_at_zero<BogusShareLyraNode>();
+  harness::LyraCluster cluster(opts);
+  cluster.start();
+  cluster.run_for(ms(40));
+  for (int i = 0; i < 6; ++i) {
+    cluster.node(0).submit_local(to_bytes("b" + std::to_string(i)));
+    cluster.run_for(ms(10));
+  }
+  cluster.run_for(ms(300));
+
+  // Each correct node combined the shares it kept from the votes before
+  // the bogus one's failure with the vote after it, and committed.
+  EXPECT_TRUE(cluster.ledgers_prefix_consistent());
+  for (NodeId i = 1; i < 4; ++i) {
+    const core::LyraNode& node = cluster.node(i);
+    std::size_t from_zero = 0;
+    for (const auto& cb : node.ledger()) {
+      if (cb.inst.proposer == 0 && cb.revealed_at > 0) ++from_zero;
+    }
+    EXPECT_GT(from_zero, 0u) << "node " << i;
+    EXPECT_EQ(node.retained_validation_shares(), 0u) << "node " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Commit-reveal under Byzantine ciphers and shares
 // ---------------------------------------------------------------------------
 
