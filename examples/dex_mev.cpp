@@ -156,7 +156,7 @@ int main() {
 
     std::vector<BytesView> payloads;
     for (const auto& c : cluster.node(2).ledger()) {
-      payloads.push_back(c.payload);
+      payloads.push_back(c.payload_bytes());
     }
     lyra_profit = attacker_profit(stream_from_payloads(payloads));
   }

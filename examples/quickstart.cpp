@@ -57,7 +57,7 @@ int main() {
   for (std::size_t i = 0; i < ledger.size(); ++i) {
     const auto& batch = ledger[i];
     std::string text;
-    for (char c : as_string_view(batch.payload)) {
+    for (char c : as_string_view(batch.payload_bytes())) {
       if (c >= 32 && c < 127) text += c;
     }
     std::printf("%-4zu %-14.3f n%-9u %-9u %s\n", i, to_ms(batch.seq),

@@ -106,7 +106,7 @@ void FrontRunningLyraNode::on_start() {
   // React to payloads as soon as this node can read them — which, under
   // commit-reveal, is only after they are committed.
   set_reveal_hook([this](const core::CommittedBatch& batch) {
-    const int k = find_victim_index(batch.payload);
+    const int k = find_victim_index(*batch.payload);
     if (k < 0 || static_cast<std::size_t>(k) >= attacked_.size() ||
         attacked_[static_cast<std::size_t>(k)]) {
       return;

@@ -13,7 +13,7 @@ namespace lyra::attacks {
 inline std::vector<BytesView> committed_payloads(const core::LyraNode& node) {
   std::vector<BytesView> payloads;
   for (const core::CommittedBatch& c : node.ledger()) {
-    payloads.push_back(c.payload);
+    payloads.push_back(c.payload_bytes());
   }
   return payloads;
 }

@@ -70,7 +70,7 @@ void SandwichLyraNode::on_start() {
   // Payloads first become readable at reveal time — after commit. The
   // adversary reacts immediately then; it is structurally too late.
   set_reveal_hook([this](const core::CommittedBatch& batch) {
-    attack_batch(batch.payload);
+    attack_batch(*batch.payload);
   });
 }
 

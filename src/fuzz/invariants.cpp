@@ -272,10 +272,10 @@ void check_mempool_no_double_commit(const CheckContext& ctx,
     std::set<std::uint64_t> seen;
     bool flagged = false;
     for (const core::CommittedBatch& entry : ledger) {
-      // Payload is empty until revealed; a not-yet-revealed batch is
+      // Payload is null until revealed; a not-yet-revealed batch is
       // checked on a later sweep once reconstruction finishes.
       std::vector<workload::WorkloadTx> txs;
-      if (!workload::decode_batch(entry.payload, &txs)) continue;
+      if (!workload::decode_batch(entry.payload_bytes(), &txs)) continue;
       for (const workload::WorkloadTx& tx : txs) {
         if (seen.insert(tx.id).second) continue;
         out.push_back({"mempool-no-double-commit",
@@ -416,7 +416,7 @@ void check_carve_settlement(const CheckContext& ctx,
           for (const core::CommittedBatch& e :
                ctx.lyra->node(target).ledger()) {
             std::vector<workload::WorkloadTx> txs;
-            if (!workload::decode_batch(e.payload, &txs)) continue;
+            if (!workload::decode_batch(e.payload_bytes(), &txs)) continue;
             for (const workload::WorkloadTx& tx : txs) committed.insert(tx.id);
           }
         }

@@ -44,7 +44,7 @@ struct BocInstance {
   struct RoundState {
     bool vv_zero = false;  // vvals
     bool vv_one = false;
-    // BV-broadcast bookkeeping for rounds >= 2.
+    // BV-broadcast bookkeeping, allocated for rounds >= 2 only.
     std::vector<bool> est_zero_from;
     std::vector<bool> est_one_from;
     std::size_t est_zero_count = 0;
@@ -73,8 +73,12 @@ struct BocInstance {
   RoundState& round_state(Round r, std::size_t n) {
     RoundState& rs = rounds[r];
     if (rs.aux_from.empty()) {
-      rs.est_zero_from.assign(n, false);
-      rs.est_one_from.assign(n, false);
+      // Round 1's values come from the VVB, never from EST (handle_est
+      // drops rounds < 2), so its EST bitmaps would never be read.
+      if (r >= 2) {
+        rs.est_zero_from.assign(n, false);
+        rs.est_one_from.assign(n, false);
+      }
       rs.aux_from.assign(n, 0);
     }
     return rs;

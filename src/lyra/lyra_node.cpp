@@ -22,6 +22,20 @@ constexpr SeqNum kFutureBound = ms(1500);
 /// deployment). Keeps the proposer's own fan-out delay out of the
 /// perceived-sequence-number error that lambda validates.
 constexpr double kPacingBandwidth = 125e6;
+
+/// The buffer a node stores for the plaintext it just recovered from
+/// `init`'s cipher: the one an earlier node published in the INIT's slot
+/// when it holds the same bytes, else `payload`, now published there.
+/// Host memory only; every check that produced `payload` already ran.
+std::shared_ptr<const Bytes> share_or_publish(const InitMsg& init,
+                                              Bytes payload) {
+  if (auto shared = init.revealed.lock(); shared && *shared == payload) {
+    return shared;
+  }
+  auto own = std::make_shared<const Bytes>(std::move(payload));
+  init.revealed = own;
+  return own;
+}
 }  // namespace
 
 LyraNode::LyraNode(sim::Simulation* sim, net::Network* network, NodeId id,
@@ -894,12 +908,8 @@ void LyraNode::try_commit() {
       if (statesync_ != nullptr) statesync_->note_unrevealed_commit();
       continue;
     }
-    if (config_.obfuscate) {
-      release_share(entry.cipher_id, rec, *shares_msg);
-      try_reveal(entry.cipher_id);
-    } else {
-      finalize_reveal(entry.cipher_id, rec.init->cipher.ciphertext);
-    }
+    if (config_.obfuscate) release_share(entry.cipher_id, rec, *shares_msg);
+    try_reveal(entry.cipher_id);
   }
   if (!shares_msg->shares.empty()) broadcast_msg(shares_msg);
   if (journal_ != nullptr && journal_->snapshot_due()) {
@@ -948,11 +958,7 @@ void LyraNode::on_cipher_for_committed(const crypto::Digest& cipher_id) {
   if (ledger_.size() > rec.ledger_slot) {
     ledger_[rec.ledger_slot].tx_count = rec.tx_count;
   }
-  if (!config_.obfuscate) {
-    finalize_reveal(cipher_id, rec.init->cipher.ciphertext);
-    return;
-  }
-  if (!rec.share_broadcast) {
+  if (config_.obfuscate && !rec.share_broadcast) {
     auto msg = std::make_shared<SharesMsg>();
     release_share(cipher_id, rec, *msg);
     broadcast_msg(msg);
@@ -983,18 +989,23 @@ void LyraNode::handle_shares(const sim::Envelope& env, const SharesMsg& m) {
 void LyraNode::try_reveal(const crypto::Digest& cipher_id) {
   RevealRecord& rec = reveal_[cipher_id];
   if (rec.revealed || !rec.committed || !rec.have_cipher) return;
-  if (!config_.obfuscate) return;
+  if (!config_.obfuscate) {
+    // Ablation mode: the "cipher" carries the payload in the clear.
+    finalize_reveal(cipher_id,
+                    share_or_publish(*rec.init, rec.init->cipher.ciphertext));
+    return;
+  }
   if (rec.shares.size() < config_.quorum()) return;
 
   charge(ccost(config_.costs.vss_combine) +
          ccost(config_.costs.hash_cost(rec.init->cipher.ciphertext.size())));
   auto payload = vss_.decrypt(rec.init->cipher, rec.shares);
   if (!payload) return;  // not enough *valid* shares yet
-  finalize_reveal(cipher_id, std::move(*payload));
+  finalize_reveal(cipher_id, share_or_publish(*rec.init, std::move(*payload)));
 }
 
 void LyraNode::finalize_reveal(const crypto::Digest& cipher_id,
-                               Bytes payload) {
+                               std::shared_ptr<const Bytes> payload) {
   RevealRecord& rec = reveal_[cipher_id];
   LYRA_ASSERT(rec.committed && !rec.revealed, "reveal before commit");
   rec.revealed = true;
@@ -1018,10 +1029,7 @@ void LyraNode::finalize_reveal(const crypto::Digest& cipher_id,
   LYRA_TRACE("reveal", "seq=" + std::to_string(cb.seq) +
                            " txs=" + std::to_string(cb.tx_count));
   if (reveal_hook_) reveal_hook_(cb);
-  if (!config_.retain_payloads) {
-    cb.payload.clear();
-    cb.payload.shrink_to_fit();
-  }
+  if (!config_.retain_payloads) cb.payload.reset();
   if (cb.inst.proposer == id()) settle_own_batch(cb);
 
   // Let go of the INIT; the instance map still holds it for late ReqInit
@@ -1301,8 +1309,9 @@ bool LyraNode::sync_lookup_reveal(const crypto::Digest& cipher_id,
   payload_digest = it->second.payload_digest;
   tx_count = it->second.tx_count;
   payload.clear();
-  if (config_.retain_payloads && ledger_.size() > it->second.ledger_slot) {
-    payload = ledger_[it->second.ledger_slot].payload;
+  if (ledger_.size() > it->second.ledger_slot) {
+    const CommittedBatch& cb = ledger_[it->second.ledger_slot];
+    if (cb.payload) payload = *cb.payload;
   }
   return true;
 }
@@ -1371,7 +1380,7 @@ std::vector<crypto::Digest> LyraNode::sync_unrevealed(
     // A restored entry can be revealed on record yet hold no bytes: the
     // journal keeps the reveal digest, not the payload. When payloads are
     // retained, that is still a hole catch-up must close.
-    const bool bytes_missing = config_.retain_payloads && cb.payload.empty();
+    const bool bytes_missing = config_.retain_payloads && !cb.payload;
     if (!revealed || bytes_missing) out.push_back(cb.cipher_id);
   }
   return out;
@@ -1391,14 +1400,14 @@ bool LyraNode::sync_install_payload(const crypto::Digest& cipher_id,
     // that does not match it, and only refill — the reveal was already
     // finalized (and clients notified) by the pre-crash incarnation.
     CommittedBatch& cb = ledger_[rec.ledger_slot];
-    if (!config_.retain_payloads || !cb.payload.empty()) return false;
+    if (!config_.retain_payloads || cb.payload) return false;
     if (payload_digest != rec.payload_digest) return false;
-    cb.payload = payload;
+    cb.payload = std::make_shared<const Bytes>(payload);
     return true;
   }
   rec.payload_digest = payload_digest;
   rec.tx_count = tx_count;
-  finalize_reveal(cipher_id, payload);
+  finalize_reveal(cipher_id, std::make_shared<const Bytes>(payload));
   return true;
 }
 

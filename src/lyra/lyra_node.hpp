@@ -38,7 +38,16 @@ struct CommittedBatch {
   std::uint32_t tx_count = 0;
   TimeNs committed_at = 0;
   TimeNs revealed_at = 0;  // 0 until the payload was reconstructed
-  Bytes payload;           // empty until revealed
+  /// The revealed plaintext: null until revealed, and again right after the
+  /// reveal hook when payloads are not retained. Immutable and shared: the
+  /// correct nodes of a simulation hold one buffer per batch (see
+  /// share_or_publish in lyra_node.cpp).
+  std::shared_ptr<const Bytes> payload;
+
+  /// The plaintext's bytes; empty while there is none.
+  BytesView payload_bytes() const {
+    return payload ? BytesView(*payload) : BytesView{};
+  }
 };
 
 struct NodeStats {
@@ -234,7 +243,8 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   /// Runs when the cipher of an already-committed entry finally arrives
   /// (Byzantine broadcaster path): share + reveal catch-up.
   void on_cipher_for_committed(const crypto::Digest& cipher_id);
-  void finalize_reveal(const crypto::Digest& cipher_id, Bytes payload);
+  void finalize_reveal(const crypto::Digest& cipher_id,
+                       std::shared_ptr<const Bytes> payload);
   /// Commit-notifies and settles a revealed own batch (or replays the
   /// notification of one a pre-crash incarnation proposed).
   void settle_own_batch(const CommittedBatch& cb);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -55,6 +56,11 @@ struct InitMsg final : LyraMsg {
   std::uint32_t tx_count = 0;         // client transactions inside the batch
   std::uint64_t nominal_bytes = 0;    // modeled batch size on the wire
   crypto::Signature sig;              // broadcaster's signature over value_id
+  /// Host memory, not protocol state, and no wire bytes: the plaintext the
+  /// last node to reveal this cipher stored. A node that decrypts the same
+  /// bytes stores this buffer instead of its own copy
+  /// (share_or_publish in lyra_node.cpp); it lives while some ledger holds it.
+  mutable std::weak_ptr<const Bytes> revealed;
 
   const char* name() const override { return "INIT"; }
   MsgKind kind() const override { return MsgKind::kInit; }

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "attacks/byzantine_lyra.hpp"
 #include "harness/lyra_cluster.hpp"
@@ -84,7 +88,8 @@ TEST(LyraProtocol, AllCorrectNodesRevealIdenticalPayloads) {
     const auto& l = cluster.node(i).ledger();
     ASSERT_EQ(l.size(), ref.size());
     for (std::size_t k = 0; k < l.size(); ++k) {
-      EXPECT_EQ(l[k].payload, ref[k].payload);
+      EXPECT_EQ(as_string_view(l[k].payload_bytes()),
+                as_string_view(ref[k].payload_bytes()));
       EXPECT_GT(l[k].revealed_at, 0);
       EXPECT_GE(l[k].revealed_at, l[k].committed_at);
     }
@@ -259,7 +264,8 @@ TEST(LyraProtocol, EquivocationNeverCommitsTwoValues) {
   for (NodeId i = 2; i < 4; ++i) {
     const auto& l = cluster.node(i).ledger();
     for (std::size_t k = 0; k < l.size(); ++k) {
-      EXPECT_EQ(l[k].payload, ref[k].payload);
+      EXPECT_EQ(as_string_view(l[k].payload_bytes()),
+                as_string_view(ref[k].payload_bytes()));
     }
   }
 }
@@ -470,6 +476,165 @@ TEST(LyraProtocol, InitWithFalseCipherIdIsNeitherVotedNorCommitted) {
     for (const auto& cb : cluster.node(i).ledger()) {
       EXPECT_NE(cb.inst.proposer, 0u);
       EXPECT_GT(cb.revealed_at, 0);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Revealed plaintext: one shared buffer per batch, adopted on byte equality
+// ---------------------------------------------------------------------------
+
+/// Splits an explicit-transaction batch (BatchAssembler: u64 length, then
+/// the bytes, per transaction). False if the buffer is not one.
+bool decode_explicit_batch(BytesView batch, std::vector<std::string>* txs) {
+  std::size_t at = 0;
+  while (at < batch.size()) {
+    if (batch.size() - at < 8) return false;
+    std::uint64_t len = 0;
+    for (int i = 0; i < 8; ++i) {
+      len |= static_cast<std::uint64_t>(batch[at++]) << (8 * i);
+    }
+    if (batch.size() - at < len) return false;
+    txs->emplace_back(as_string_view(batch.subspan(at, len)));
+    at += len;
+  }
+  return !txs->empty();
+}
+
+/// Submits `count` explicit transactions "<tag>-<i>" round-robin and runs
+/// until every node committed and revealed them.
+void submit_and_settle(harness::LyraCluster& cluster, const std::string& tag,
+                       int count) {
+  cluster.start();
+  cluster.run_for(ms(40));
+  for (int i = 0; i < count; ++i) {
+    cluster.node(static_cast<NodeId>(i % 4))
+        .submit_local(to_bytes(tag + "-" + std::to_string(i)));
+    cluster.run_for(ms(10));
+  }
+  cluster.run_for(ms(300));
+}
+
+TEST(LyraProtocol, RetainedPayloadsAreSharedAcrossNodes) {
+  const auto opts = base_options(4, 1, 53);
+  ASSERT_TRUE(opts.config.obfuscate);
+  ASSERT_TRUE(opts.config.retain_payloads);
+  harness::LyraCluster cluster(opts);
+  submit_and_settle(cluster, "shared", 12);
+
+  ASSERT_EQ(cluster.min_ledger_length(), cluster.max_ledger_length());
+  const auto& ref = cluster.node(0).ledger();
+  ASSERT_GT(ref.size(), 0u);
+  std::set<std::string> seen;
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    ASSERT_NE(ref[k].payload, nullptr) << "slot " << k;
+    for (NodeId i = 1; i < 4; ++i) {
+      EXPECT_EQ(cluster.node(i).ledger()[k].payload.get(), ref[k].payload.get())
+          << "slot " << k << " node " << i;
+    }
+    std::vector<std::string> txs;
+    ASSERT_TRUE(decode_explicit_batch(*ref[k].payload, &txs)) << "slot " << k;
+    seen.insert(txs.begin(), txs.end());
+  }
+  EXPECT_EQ(seen.size(), 12u);
+}
+
+/// Correct in every way, but before anyone reveals it fills the plaintext
+/// slot of every INIT it receives with bytes of the right length that are
+/// not the plaintext, and keeps them alive.
+class SlotSeedingLyraNode final : public core::LyraNode {
+ public:
+  using core::LyraNode::LyraNode;
+
+  std::vector<std::shared_ptr<const Bytes>> seeded;
+  std::vector<std::shared_ptr<const core::InitMsg>> inits;
+
+ protected:
+  void on_message(const sim::Envelope& env) override {
+    if (env.payload->kind() == sim::MsgKind::kInit) {
+      auto init = std::static_pointer_cast<const core::InitMsg>(env.payload);
+      if (init->revealed.expired()) {
+        auto bogus = std::make_shared<const Bytes>(init->cipher.ciphertext);
+        init->revealed = bogus;
+        seeded.push_back(std::move(bogus));
+        inits.push_back(std::move(init));
+      }
+    }
+    core::LyraNode::on_message(env);
+  }
+};
+
+TEST(LyraProtocol, NodesNeverAdoptAPlaintextThatDiffersFromTheirOwn) {
+  auto opts = base_options(4, 1, 59);
+  SlotSeedingLyraNode* seeder = nullptr;
+  opts.node_factory = [&seeder](sim::Simulation* sim, net::Network* net,
+                                NodeId id, const core::Config& cfg,
+                                const crypto::KeyRegistry* reg)
+      -> std::unique_ptr<core::LyraNode> {
+    if (id == 3) {
+      auto node = std::make_unique<SlotSeedingLyraNode>(sim, net, id, cfg, reg);
+      seeder = node.get();
+      return node;
+    }
+    return std::make_unique<core::LyraNode>(sim, net, id, cfg, reg);
+  };
+  harness::LyraCluster cluster(opts);
+  submit_and_settle(cluster, "seeded", 12);
+
+  ASSERT_EQ(cluster.min_ledger_length(), cluster.max_ledger_length());
+  ASSERT_GT(seeder->seeded.size(), 0u);
+  std::set<const Bytes*> bogus;
+  for (const auto& b : seeder->seeded) bogus.insert(b.get());
+
+  const auto& ref = cluster.node(0).ledger();
+  ASSERT_GT(ref.size(), 0u);
+  std::set<std::string> seen;
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    for (NodeId i = 0; i < 4; ++i) {
+      const core::CommittedBatch& cb = cluster.node(i).ledger()[k];
+      ASSERT_NE(cb.payload, nullptr) << "slot " << k << " node " << i;
+      EXPECT_EQ(bogus.count(cb.payload.get()), 0u)
+          << "slot " << k << " node " << i << " adopted the seeded bytes";
+      std::vector<std::string> txs;
+      EXPECT_TRUE(decode_explicit_batch(*cb.payload, &txs))
+          << "slot " << k << " node " << i;
+      if (i == 0) seen.insert(txs.begin(), txs.end());
+      // The first node to reveal published its own plaintext in place of
+      // the seeded bytes, and the others adopted that one.
+      EXPECT_EQ(cb.payload.get(), ref[k].payload.get())
+          << "slot " << k << " node " << i;
+    }
+  }
+  EXPECT_EQ(seen.size(), 12u);
+  for (const auto& init : seeder->inits) {
+    EXPECT_EQ(bogus.count(init->revealed.lock().get()), 0u);
+  }
+}
+
+TEST(LyraProtocol, UnretainedPayloadsAreDroppedAfterReveal) {
+  auto opts = base_options(4, 1, 61);
+  opts.config.retain_payloads = false;
+  std::array<std::size_t, 4> hooked{};
+  harness::LyraCluster cluster(opts);
+  for (NodeId i = 0; i < 4; ++i) {
+    cluster.node(i).set_reveal_hook(
+        [&hooked, i](const core::CommittedBatch& cb) {
+          std::vector<std::string> txs;
+          if (cb.payload && decode_explicit_batch(*cb.payload, &txs)) {
+            ++hooked[i];
+          }
+        });
+  }
+  submit_and_settle(cluster, "dropped", 12);
+
+  for (NodeId i = 0; i < 4; ++i) {
+    const auto& ledger = cluster.node(i).ledger();
+    ASSERT_GT(ledger.size(), 0u) << "node " << i;
+    // The execution hook saw every plaintext; the ledger kept none.
+    EXPECT_EQ(hooked[i], ledger.size()) << "node " << i;
+    for (const core::CommittedBatch& cb : ledger) {
+      EXPECT_GT(cb.revealed_at, 0) << "node " << i << " seq " << cb.seq;
+      EXPECT_EQ(cb.payload, nullptr) << "node " << i << " seq " << cb.seq;
     }
   }
 }

@@ -38,7 +38,7 @@ TEST(LyraSmoke, SingleBatchCommitsAndReveals) {
     EXPECT_GT(ledger[0].revealed_at, 0) << "node " << i;
     EXPECT_EQ(ledger[0].tx_count, 1u);
     // Payload decrypted identically everywhere.
-    EXPECT_NE(as_string_view(ledger[0].payload).find("tx-hello"),
+    EXPECT_NE(as_string_view(ledger[0].payload_bytes()).find("tx-hello"),
               std::string_view::npos);
   }
   EXPECT_TRUE(cluster.ledgers_prefix_consistent());

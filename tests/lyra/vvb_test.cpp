@@ -70,7 +70,7 @@ TEST(Vvb, SelectiveInitToQuorumStillCommitsEverywhere) {
     for (NodeId i = 1; i < 4; ++i) {
       const auto& ledger = cluster.node(i).ledger();
       ASSERT_EQ(ledger.size(), 1u) << "node " << i;
-      EXPECT_NE(as_string_view(ledger[0].payload).find("selective-payload"),
+      EXPECT_NE(as_string_view(ledger[0].payload_bytes()).find("selective-payload"),
                 std::string_view::npos)
           << "node " << i;
     }

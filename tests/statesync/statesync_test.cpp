@@ -87,7 +87,7 @@ bool fully_revealed(const core::LyraNode& node) {
 /// catch-up (the journal keeps digests, not payloads).
 bool payloads_complete(const core::LyraNode& node) {
   for (const auto& cb : node.ledger()) {
-    if (cb.revealed_at == 0 || cb.payload.empty()) return false;
+    if (cb.revealed_at == 0 || cb.payload_bytes().empty()) return false;
   }
   return !node.ledger().empty();
 }
@@ -135,8 +135,8 @@ TEST(StateSync, WipedDiskRejoinsViaFullTransfer) {
   }));
   EXPECT_GE(st.catchup_reveals, 4u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(cluster.node(2).ledger()[i].payload,
-              cluster.node(0).ledger()[i].payload)
+    EXPECT_EQ(as_string_view(cluster.node(2).ledger()[i].payload_bytes()),
+              as_string_view(cluster.node(0).ledger()[i].payload_bytes()))
         << "slot " << i;
     EXPECT_EQ(cluster.node(2).ledger()[i].tx_count,
               cluster.node(0).ledger()[i].tx_count);
@@ -246,8 +246,8 @@ TEST(StateSync, RevealCatchupAfterPeersGarbageCollectVss) {
   EXPECT_GE(cluster.node(2).statesync()->stats().catchup_reveals, 4u);
   ASSERT_GE(cluster.node(2).ledger().size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(cluster.node(2).ledger()[i].payload,
-              cluster.node(0).ledger()[i].payload)
+    EXPECT_EQ(as_string_view(cluster.node(2).ledger()[i].payload_bytes()),
+              as_string_view(cluster.node(0).ledger()[i].payload_bytes()))
         << "slot " << i;
   }
   EXPECT_TRUE(cluster.ledgers_prefix_consistent());
@@ -286,8 +286,8 @@ TEST(StateSync, ByzantineChunkServerCannotPoisonTransfer) {
     EXPECT_EQ(synced[i], honest[i]) << "slot " << i;
   }
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(cluster.node(2).ledger()[i].payload,
-              cluster.node(0).ledger()[i].payload)
+    EXPECT_EQ(as_string_view(cluster.node(2).ledger()[i].payload_bytes()),
+              as_string_view(cluster.node(0).ledger()[i].payload_bytes()))
         << "slot " << i;
   }
   EXPECT_TRUE(cluster.ledgers_prefix_consistent());
