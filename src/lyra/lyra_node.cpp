@@ -303,8 +303,6 @@ BocInstance& LyraNode::join_instance(const InstanceId& inst) {
   BocInstance& b = it->second;
   if (inserted) {
     b.inst = inst;
-    b.vote_one_from.assign(config_.n, false);
-    b.vote_zero_from.assign(config_.n, false);
     enter_round(b, 1);
     // VVB expiration (Alg. 1 line 6/23): fall back to 0 and forward the
     // INIT if the instance makes no progress within E = 2*Delta.
@@ -432,23 +430,23 @@ void LyraNode::handle_vote(const sim::Envelope& env, const VoteMsg& m) {
     }
   }
 
+  BocInstance::RoundState& r1 = b.round_state(1, config_.n);
+  if (!r1.record_value(j, m.value)) return;
   if (m.value) {
-    if (b.vote_one_from[j]) return;
-    b.vote_one_from[j] = true;
-    ++b.vote_one_count;
     charge(ccost(config_.costs.share_verify));
     // Shares are kept only until round 1 delivers 1 (see deliver_value).
-    if (b.round_state(1, config_.n).vv_one) return;
-    if (b.shares.empty()) b.shares.reserve(config_.n);  // one per voter
+    if (r1.vv_one) return;
+    // n - f shares deliver 1 once the INIT is here; room for the other f
+    // is made only when the INIT is late or a combine failed.
+    if (b.shares.size() == b.shares.capacity()) {
+      b.shares.reserve(b.shares.empty() ? config_.n - config_.f : config_.n);
+    }
     b.shares.push_back(m.share);
     try_deliver_one(b);
   } else {
-    if (b.vote_zero_from[j]) return;
-    b.vote_zero_from[j] = true;
-    ++b.vote_zero_count;
     // Alg. 1 line 19: f+1 zeros force a correct process to echo 0.
-    if (b.vote_zero_count >= config_.f + 1) vote(b, false);
-    if (b.vote_zero_count >= config_.n - config_.f) {
+    if (r1.zero_count >= config_.f + 1) vote(b, false);
+    if (r1.zero_count >= config_.n - config_.f) {
       deliver_value(b, 1, false);
     }
   }
@@ -457,7 +455,7 @@ void LyraNode::handle_vote(const sim::Envelope& env, const VoteMsg& m) {
 void LyraNode::try_deliver_one(BocInstance& b) {
   BocInstance::RoundState& r1 = b.round_state(1, config_.n);
   if (r1.vv_one || !b.init) return;
-  if (b.vote_one_count < config_.n - config_.f) return;
+  if (r1.one_count < config_.n - config_.f) return;
 
   charge(ccost(config_.costs.share_combine));
   const auto proof =
@@ -482,7 +480,7 @@ void LyraNode::handle_deliver(const sim::Envelope& env, const DeliverMsg& m) {
   if (!b.init) {
     // Keep the proof and pull the INIT we are missing.
     if (!b.proof) {
-      b.proof = m.proof;
+      b.proof = std::make_unique<crypto::ThresholdSig>(m.proof);
       auto req = std::make_shared<ReqInitMsg>();
       req->inst = m.inst;
       send_msg(env.from, req);
@@ -629,16 +627,13 @@ void LyraNode::handle_est(const sim::Envelope& env, const EstMsg& m) {
   BocInstance& b = join_instance(m.inst);
   BocInstance::RoundState& rs = b.round_state(m.round, config_.n);
 
-  auto& seen = m.value ? rs.est_one_from : rs.est_zero_from;
-  auto& count = m.value ? rs.est_one_count : rs.est_zero_count;
-  if (seen[env.from]) return;
-  seen[env.from] = true;
-  ++count;
+  if (!rs.record_value(env.from, m.value)) return;
 
   // BV-broadcast: echo after f+1, deliver after 2f+1.
-  auto& sent = m.value ? rs.est_one_sent : rs.est_zero_sent;
-  if (count >= config_.f + 1 && !sent) {
-    sent = true;
+  const std::uint32_t count = m.value ? rs.one_count : rs.zero_count;
+  if (count >= config_.f + 1 &&
+      !(m.value ? rs.est_one_sent : rs.est_zero_sent)) {
+    (m.value ? rs.est_one_sent : rs.est_zero_sent) = true;
     auto echo = std::make_shared<EstMsg>();
     echo->inst = m.inst;
     echo->round = m.round;
@@ -672,10 +667,11 @@ void LyraNode::handle_aux(const sim::Envelope& env, const AuxMsg& m) {
   if (!m.has_zero && !m.has_one) return;
   BocInstance& b = join_instance(m.inst);
   BocInstance::RoundState& rs = b.round_state(m.round, config_.n);
-  if (rs.aux_from[env.from] != 0) return;
-  rs.aux_from[env.from] = static_cast<std::uint8_t>((m.has_zero ? 1 : 0) |
-                                                    (m.has_one ? 2 : 0));
-  ++rs.aux_count;
+  if (!rs.record_aux(env.from,
+                     static_cast<std::uint8_t>((m.has_zero ? 1 : 0) |
+                                               (m.has_one ? 2 : 0)))) {
+    return;
+  }
   if (b.decided && m.round > b.round) {
     b.est = b.decision;
     enter_round(b, m.round);
@@ -685,9 +681,8 @@ void LyraNode::handle_aux(const sim::Envelope& env, const AuxMsg& m) {
 
 void LyraNode::deliver_value(BocInstance& b, Round round, bool value) {
   BocInstance::RoundState& rs = b.round_state(round, config_.n);
-  bool& flag = value ? rs.vv_one : rs.vv_zero;
-  if (flag) return;
-  flag = true;
+  if (value ? rs.vv_one : rs.vv_zero) return;
+  (value ? rs.vv_one : rs.vv_zero) = true;
   if (round == 1 && value) {
     // Round 1 has delivered 1: no validation share or held proof is
     // combined or verified again, so free their storage.
@@ -741,7 +736,7 @@ void LyraNode::maybe_progress(BocInstance& b) {
     bool saw_zero = false;
     bool saw_one = false;
     for (NodeId j = 0; j < config_.n; ++j) {
-      const std::uint8_t mask = rs.aux_from[j];
+      const std::uint8_t mask = rs.aux_mask(j);
       if (mask == 0) continue;
       const bool needs_zero = (mask & 1) != 0;
       const bool needs_one = (mask & 2) != 0;
@@ -827,6 +822,18 @@ std::size_t LyraNode::retained_validation_shares() const {
   std::size_t slots = 0;
   for (const auto& [inst, b] : instances_) slots += b.shares.capacity();
   return slots;
+}
+
+std::size_t LyraNode::retained_round_states() const {
+  std::size_t states = 0;
+  for (const auto& [inst, b] : instances_) states += b.round_states();
+  return states;
+}
+
+std::optional<bool> LyraNode::decision(const InstanceId& inst) const {
+  const auto it = instances_.find(inst);
+  if (it == instances_.end() || !it->second.decided) return std::nullopt;
+  return it->second.decision;
 }
 
 void LyraNode::gc_sweep() {

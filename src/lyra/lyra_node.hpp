@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -103,6 +104,10 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   std::size_t live_instances() const { return instances_.size(); }
   /// Validation-share slots (capacity) held by the live BOC instances.
   std::size_t retained_validation_shares() const;
+  /// Round states held by the live BOC instances, round 1 included.
+  std::size_t retained_round_states() const;
+  /// A live instance's decision; nullopt while undecided or once GC'd.
+  std::optional<bool> decision(const InstanceId& inst) const;
   /// Own proposals not yet rejected or committed.
   std::size_t outstanding_proposals() const { return own_proposals_.size(); }
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -637,6 +638,130 @@ TEST(LyraProtocol, UnretainedPayloadsAreDroppedAfterReveal) {
       EXPECT_EQ(cb.payload, nullptr) << "node " << i << " seq " << cb.seq;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// DBFT rounds after the first
+// ---------------------------------------------------------------------------
+
+/// A proposer whose predictions hold for nodes 0 and 1 and miss nodes 2 and
+/// 3 by far more than lambda, so two processes vote 1 and two vote 0.
+class SplitPredictionLyraNode final : public core::LyraNode {
+ public:
+  using core::LyraNode::LyraNode;
+
+ protected:
+  std::vector<SeqNum> build_predictions(SeqNum s_ref) const override {
+    std::vector<SeqNum> preds = core::LyraNode::build_predictions(s_ref);
+    preds[2] -= ms(50);
+    preds[3] -= ms(50);
+    return preds;
+  }
+};
+
+TEST(LyraProtocol, SplitVotesDecideInALaterRoundWithAgreement) {
+  auto opts = base_options(4, 1, 59);
+  opts.node_factory = byzantine_at_zero<SplitPredictionLyraNode>();
+  harness::LyraCluster cluster(opts);
+  cluster.start();
+  cluster.run_for(ms(40));
+  for (int i = 0; i < 8; ++i) {
+    cluster.node(static_cast<NodeId>(i % 4))
+        .submit_local(to_bytes("split-" + std::to_string(i)));
+    cluster.run_for(ms(10));
+  }
+  // Well inside instance_gc_idle: every decided instance is still live.
+  cluster.run_for(ms(400));
+
+  // Two 1-votes never reach n - f, and the 0-votes spread (f + 1 echo):
+  // round 1 delivers only 0, whose parity decides nothing in round 1, so
+  // the split instances decide in round 2 or later.
+  for (NodeId i = 1; i < 4; ++i) {
+    const auto& rounds = cluster.node(i).stats().decide_rounds;
+    ASSERT_GT(rounds.count(), 0u) << "node " << i;
+    EXPECT_GE(rounds.max(), 2.0) << "node " << i;
+  }
+  // Agreement and termination: an instance one correct node decided is
+  // decided the same way by every correct node.
+  std::size_t split_decided = 0;
+  for (NodeId p = 0; p < 4; ++p) {
+    for (std::uint64_t index = 0; index < 8; ++index) {
+      const InstanceId inst{p, index};
+      const std::optional<bool> ref = cluster.node(1).decision(inst);
+      for (NodeId i = 2; i < 4; ++i) {
+        EXPECT_EQ(cluster.node(i).decision(inst), ref)
+            << "instance " << p << "/" << index << " at node " << i;
+      }
+      if (p == 0 && ref.has_value()) {
+        EXPECT_FALSE(*ref) << "instance 0/" << index;
+        ++split_decided;
+      }
+    }
+  }
+  EXPECT_GT(split_decided, 0u);
+  EXPECT_TRUE(cluster.ledgers_prefix_consistent());
+  for (NodeId i = 1; i < 4; ++i) {
+    EXPECT_GT(cluster.node(i).stats().revealed_batches, 0u) << "node " << i;
+    for (const auto& batch : cluster.node(i).ledger()) {
+      EXPECT_NE(batch.inst.proposer, 0u);
+    }
+  }
+}
+
+/// Sends AUX and EST messages for an arbitrary round of a live instance.
+class FarRoundLyraNode final : public core::LyraNode {
+ public:
+  using core::LyraNode::LyraNode;
+
+  void send_far_round(NodeId to, const InstanceId& inst, Round round) {
+    auto aux = std::make_shared<core::AuxMsg>();
+    aux->inst = inst;
+    aux->round = round;
+    aux->has_one = true;
+    send_msg(to, aux);
+    auto est = std::make_shared<core::EstMsg>();
+    est->inst = inst;
+    est->round = round;
+    est->value = true;
+    send_msg(to, est);
+  }
+};
+
+TEST(LyraProtocol, FarRoundAuxAndEstAddOneRoundState) {
+  auto opts = base_options(4, 1, 61);
+  FarRoundLyraNode* byz = nullptr;
+  opts.node_factory = [&byz](sim::Simulation* sim, net::Network* net,
+                             NodeId id, const core::Config& cfg,
+                             const crypto::KeyRegistry* reg)
+      -> std::unique_ptr<core::LyraNode> {
+    if (id == 0) {
+      auto node = std::make_unique<FarRoundLyraNode>(sim, net, id, cfg, reg);
+      byz = node.get();
+      return node;
+    }
+    return std::make_unique<core::LyraNode>(sim, net, id, cfg, reg);
+  };
+  harness::LyraCluster cluster(opts);
+  cluster.start();
+  cluster.run_for(ms(40));
+  cluster.node(1).submit_local(to_bytes("far-round"));
+  cluster.run_for(ms(150));
+
+  // A good-case instance decides in round 1 and holds one round state.
+  const core::LyraNode& target = cluster.node(1);
+  ASSERT_EQ(target.ledger().size(), 1u);
+  const InstanceId inst = target.ledger().front().inst;
+  ASSERT_EQ(target.decision(inst), std::optional<bool>(true));
+  ASSERT_EQ(target.live_instances(), 1u);
+  ASSERT_EQ(target.retained_round_states(), 1u);
+
+  // Rounds are stored sparsely: a far round costs one state, not a
+  // million.
+  byz->send_far_round(1, inst, 1'000'000);
+  cluster.run_for(ms(50));
+  EXPECT_EQ(target.live_instances(), 1u);
+  EXPECT_EQ(target.retained_round_states(), 2u);
+  EXPECT_EQ(target.decision(inst), std::optional<bool>(true));
 }
 
 // ---------------------------------------------------------------------------
