@@ -153,7 +153,7 @@ inline std::string entry_json(const BenchEntry& e) {
 /// Serializes one labelled run from its entries' entry_json() lines. The
 /// file holds a top-level "runs" array so bench_compare.py --merge can
 /// accumulate a before/after trajectory in a single checked-in file
-/// (BENCH_sim.json at the repo root).
+/// (the BENCH_fig*.json files at the repo root).
 inline void write_bench_json(const std::string& path,
                              const std::string& benchmark,
                              const std::string& label,

@@ -231,6 +231,23 @@ void check_resync_gate_quorum(const CheckContext& ctx,
   }
 }
 
+/// Adds a violation for the first tx of `txs` already in `seen` (one
+/// witness per node is enough to triage); true if it found one.
+bool flag_double_commit(const CheckContext& ctx, NodeId i,
+                        const std::vector<workload::WorkloadTx>& txs,
+                        std::set<std::uint64_t>& seen,
+                        std::vector<Violation>& out) {
+  for (const workload::WorkloadTx& tx : txs) {
+    if (seen.insert(tx.id).second) continue;
+    out.push_back({"mempool-no-double-commit",
+                   node_str(i) + ": workload tx " + std::to_string(tx.id) +
+                       " appears twice in the committed order",
+                   ctx.now});
+    return true;
+  }
+  return false;
+}
+
 void check_mempool_no_double_commit(const CheckContext& ctx,
                                     std::vector<Violation>& out) {
   // An admitted transaction must enter the committed order at most once:
@@ -246,23 +263,12 @@ void check_mempool_no_double_commit(const CheckContext& ctx,
     for (NodeId i = 0; i < ctx.plan->n; ++i) {
       const auto& node = ctx.pompe->node(i);
       std::set<std::uint64_t> seen;
-      bool flagged = false;
       for (const pompe::PompeCommitted& c : node.ledger()) {
         const Bytes* payload = node.batch_payload(c.batch_digest);
         if (payload == nullptr) continue;
         std::vector<workload::WorkloadTx> txs;
         if (!workload::decode_batch(*payload, &txs)) continue;
-        for (const workload::WorkloadTx& tx : txs) {
-          if (seen.insert(tx.id).second) continue;
-          out.push_back({"mempool-no-double-commit",
-                         node_str(i) + ": workload tx " +
-                             std::to_string(tx.id) +
-                             " appears twice in the committed order",
-                         ctx.now});
-          flagged = true;
-          break;  // one witness per node is enough to triage
-        }
-        if (flagged) break;
+        if (flag_double_commit(ctx, i, txs, seen, out)) break;
       }
     }
     return;
@@ -270,23 +276,12 @@ void check_mempool_no_double_commit(const CheckContext& ctx,
   for (NodeId i : correct_alive_lyra(ctx)) {
     const auto& ledger = ctx.lyra->node(i).ledger();
     std::set<std::uint64_t> seen;
-    bool flagged = false;
     for (const core::CommittedBatch& entry : ledger) {
       // Payload is null until revealed; a not-yet-revealed batch is
       // checked on a later sweep once reconstruction finishes.
       std::vector<workload::WorkloadTx> txs;
       if (!workload::decode_batch(entry.payload_bytes(), &txs)) continue;
-      for (const workload::WorkloadTx& tx : txs) {
-        if (seen.insert(tx.id).second) continue;
-        out.push_back({"mempool-no-double-commit",
-                       node_str(i) + ": workload tx " +
-                           std::to_string(tx.id) +
-                           " appears twice in the committed order",
-                       ctx.now});
-        flagged = true;
-        break;
-      }
-      if (flagged) break;
+      if (flag_double_commit(ctx, i, txs, seen, out)) break;
     }
   }
 }

@@ -13,7 +13,8 @@ namespace lyra::core {
 
 /// State of one Byzantine-Ordered-Consensus instance at one process:
 /// round-1 VVB (Alg. 1) plus the modified DBFT binary consensus (Alg. 3).
-/// Pure data — LyraNode drives the transitions.
+/// Pure data — BocMachine (boc_machine.hpp) owns it and runs every
+/// transition.
 ///
 /// Every live instance is multiplied by proposals × nodes and stays until
 /// GC (≥ instance_gc_idle after deciding), so the layout is kept small:
@@ -86,7 +87,6 @@ struct BocInstance {
   TimeNs decided_at = 0;
 
   Round round = 0;  // 0 = not yet joined; first round is 1
-  bool validated : 1 = false;          // validation-function verdict
   bool voted_one : 1 = false;          // VVB-Unicity: 1 is sent at most once
   bool voted_zero : 1 = false;         // 0 is also sent at most once
   bool deliver_broadcast : 1 = false;  // DELIVER sent (built or relayed)
@@ -111,10 +111,6 @@ struct BocInstance {
     RoundState& rs = r == 1 ? round1 : (*other_rounds)[r];
     if (!rs.from) rs.from = std::make_unique<std::uint8_t[]>(n);
     return rs;
-  }
-  /// Round states allocated so far, round 1 included.
-  std::size_t round_states() const {
-    return (round1.from ? 1 : 0) + (other_rounds ? other_rounds->size() : 0);
   }
 };
 

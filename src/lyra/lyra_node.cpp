@@ -36,6 +36,18 @@ std::shared_ptr<const Bytes> share_or_publish(const InitMsg& init,
   init.revealed = own;
   return own;
 }
+
+/// The journal record of an own batch: which clients to commit-notify.
+storage::OwnBatchRecord own_batch_record(
+    const InstanceId& inst, const std::vector<BatchAssembler::Chunk>& chunks) {
+  storage::OwnBatchRecord rec;
+  rec.inst = inst;
+  rec.chunks.reserve(chunks.size());
+  for (const BatchAssembler::Chunk& chunk : chunks) {
+    rec.chunks.push_back({chunk.client, chunk.count, chunk.submitted_at});
+  }
+  return rec;
+}
 }  // namespace
 
 LyraNode::LyraNode(sim::Simulation* sim, net::Network* network, NodeId id,
@@ -48,7 +60,8 @@ LyraNode::LyraNode(sim::Simulation* sim, net::Network* network, NodeId id,
            static_cast<std::uint32_t>(config.quorum())),
       clock_(sim, config.clock_offset(id, 0xc10c)),
       distances_(config.n, kDistanceAlpha),
-      commit_(config_) {
+      commit_(config_),
+      boc_(*this, id, config_, *registry) {
   LYRA_ASSERT(config.n > 3 * config.f, "need n > 3f");
 }
 
@@ -84,7 +97,7 @@ void LyraNode::on_start() {
   set_timer(config_.commit_poll, [this, poll] { poll(poll); });
 
   const auto gc = [this](auto&& self) -> void {
-    gc_sweep();
+    boc_.gc(now() - config_.instance_gc_idle);
     set_timer(config_.instance_gc_idle, [this, self] { self(self); });
   };
   set_timer(config_.instance_gc_idle, [this, gc] { gc(gc); });
@@ -131,16 +144,16 @@ void LyraNode::on_message(const sim::Envelope& env) {
       handle_vote(env, static_cast<const VoteMsg&>(p));
       break;
     case sim::MsgKind::kDeliver:
-      handle_deliver(env, static_cast<const DeliverMsg&>(p));
+      to_boc(env, &BocMachine::on_deliver);
       break;
     case sim::MsgKind::kEst:
-      handle_est(env, static_cast<const EstMsg&>(p));
+      to_boc(env, &BocMachine::on_est);
       break;
     case sim::MsgKind::kCoord:
-      handle_coord(env, static_cast<const CoordMsg&>(p));
+      to_boc(env, &BocMachine::on_coord);
       break;
     case sim::MsgKind::kAux:
-      handle_aux(env, static_cast<const AuxMsg&>(p));
+      to_boc(env, &BocMachine::on_aux);
       break;
     case sim::MsgKind::kShares:
       handle_shares(env, static_cast<const SharesMsg&>(p));
@@ -211,13 +224,7 @@ void LyraNode::propose_batch(PendingBatch batch) {
   // snapshot since only still-pending batches are snapshotted).
   if (journal_ != nullptr) {
     journal_->proposal(inst.index);
-    storage::OwnBatchRecord rec;
-    rec.inst = inst;
-    rec.chunks.reserve(batch.carved.chunks.size());
-    for (const Chunk& chunk : batch.carved.chunks) {
-      rec.chunks.push_back({chunk.client, chunk.count, chunk.submitted_at});
-    }
-    journal_->own_batch(rec);
+    journal_->own_batch(own_batch_record(inst, batch.carved.chunks));
   }
 
   // ordered-propose (Alg. 2): remember s_ref, predict S_t, obfuscate,
@@ -295,27 +302,12 @@ bool LyraNode::validate_init(const InitMsg& m, SeqNum perceived,
 bool LyraNode::participate(const InstanceId&) const { return true; }
 
 // ---------------------------------------------------------------------------
-// VVB round 1 (Alg. 1)
+// BOC inputs and outputs (the transitions are in boc_machine.cpp)
 // ---------------------------------------------------------------------------
-
-BocInstance& LyraNode::join_instance(const InstanceId& inst) {
-  auto [it, inserted] = instances_.try_emplace(inst);
-  BocInstance& b = it->second;
-  if (inserted) {
-    b.inst = inst;
-    enter_round(b, 1);
-    // VVB expiration (Alg. 1 line 6/23): fall back to 0 and forward the
-    // INIT if the instance makes no progress within E = 2*Delta.
-    b.expire_armed = true;
-    b.expire_timer =
-        set_timer(2 * config_.delta, [this, inst] { on_expire_timer(inst); });
-  }
-  return b;
-}
 
 void LyraNode::handle_init(const sim::Envelope& env, const InitMsg& m) {
   if (!participate(m.inst)) return;
-  BocInstance& b = join_instance(m.inst);
+  BocInstance& b = boc_.join(m.inst);
   if (b.init) return;  // duplicate or equivocation: first INIT wins
   // Perceive the transaction at its *arrival* time (kernel timestamp),
   // independent of how long the message sat behind a busy handler; CPU
@@ -330,23 +322,12 @@ void LyraNode::handle_init(const sim::Envelope& env, const InitMsg& m) {
   if (m.cipher.id != m.cipher.compute_id()) return;
   const crypto::Digest value_id =
       compute_value_id(m.inst, m.cipher.id, m.predictions);
-  if (!registry_->verify(value_id, m.sig, m.inst.proposer)) {
-    return;
-  }
-  adopt_init(b, std::static_pointer_cast<const InitMsg>(env.payload),
-             value_id);
+  if (!registry_->verify(value_id, m.sig, m.inst.proposer)) return;
+  boc_.adopt_init(b, std::static_pointer_cast<const InitMsg>(env.payload),
+                  value_id);
 }
 
-void LyraNode::adopt_init(BocInstance& b, std::shared_ptr<const InitMsg> init,
-                          const crypto::Digest& value_id) {
-  b.init = std::move(init);
-  b.value_id = value_id;
-  if (b.perceived == kNoSeq) b.perceived = clock_.now();  // relay path
-  b.requested = b.init->predictions.size() > config_.f
-                    ? ordering::DistanceTable::requested_seq(
-                          b.init->predictions, config_.f)
-                    : kNoSeq;
-
+bool LyraNode::boc_init_adopted(const BocInstance& b, bool judge) {
   // A reveal record may already exist (accepted via a peer's delta before
   // we saw the INIT); attach the cipher now.
   if (const auto it = reveal_.find(b.init->cipher.id);
@@ -356,180 +337,39 @@ void LyraNode::adopt_init(BocInstance& b, std::shared_ptr<const InitMsg> init,
     it->second.tx_count = b.init->tx_count;
     if (it->second.committed) on_cipher_for_committed(it->first);
   }
-
-  if (!b.voted_one && !b.voted_zero) {
-    b.validated =
-        b.requested != kNoSeq && validate_init(*b.init, b.perceived,
-                                               b.requested);
-    if (b.validated) {
-      ++stats_.validations_ok;
-      commit_.add_pending(b.init->cipher.id, b.requested);
-      vote(b, true);
-    } else {
-      ++stats_.validations_rejected;
-      vote(b, false);
-    }
-  }
-
-  // A DELIVER proof may have arrived before the INIT.
-  if (b.proof && !b.round_state(1, config_.n).vv_one) {
-    charge(ccost(config_.costs.threshold_verify));
-    if (registry_->threshold_verify(*b.proof, b.value_id)) {
-      if (!b.deliver_broadcast) {
-        b.deliver_broadcast = true;
-        auto out = std::make_shared<DeliverMsg>();
-        out->inst = b.inst;
-        out->proof = *b.proof;
-        broadcast_msg(out);
-      }
-      deliver_value(b, 1, true);
-    }
-  }
-  maybe_progress(b);
-}
-
-void LyraNode::vote(BocInstance& b, bool value) {
-  if (value) {
-    // VVB-Unicity: a correct process broadcasts 1 (with its validation
-    // share) at most once per instance.
-    if (b.voted_one) return;
-    b.voted_one = true;
-    auto msg = std::make_shared<VoteMsg>();
-    msg->inst = b.inst;
-    msg->value = true;
-    charge(ccost(config_.costs.share_sign));
-    msg->share = signer_.share_sign(b.value_id);
-    msg->perceived = b.perceived;  // distance-table piggyback (§VI-B)
-    broadcast_msg(msg);
+  if (!judge) return false;
+  const bool validated =
+      b.requested != kNoSeq &&
+      validate_init(*b.init, b.perceived, b.requested);
+  if (validated) {
+    ++stats_.validations_ok;
+    commit_.add_pending(b.init->cipher.id, b.requested);
   } else {
-    if (b.voted_zero) return;
-    b.voted_zero = true;
-    auto msg = std::make_shared<VoteMsg>();
-    msg->inst = b.inst;
-    msg->value = false;
-    // 0-votes also piggyback the perceived clock (SVI-B): a broadcaster
-    // whose predictions went stale (e.g. across GST) must be able to
-    // re-learn distances from its rejected proposals.
-    msg->perceived = b.perceived;
-    broadcast_msg(msg);
+    ++stats_.validations_rejected;
   }
+  return validated;
 }
 
 void LyraNode::handle_vote(const sim::Envelope& env, const VoteMsg& m) {
   if (!participate(m.inst)) return;
-  BocInstance& b = join_instance(m.inst);
-  const NodeId j = env.from;
-  if (j >= config_.n) return;
-
   // The broadcaster refines d_ij from any voter's perceived sequence
   // number (SIV-B1) -- 1-votes and 0-votes alike.
-  if (m.inst.proposer == id() && m.perceived != kNoSeq) {
+  if (m.inst.proposer == id() && m.perceived != kNoSeq &&
+      env.from < config_.n) {
     if (const auto it = own_proposals_.find(m.inst);
         it != own_proposals_.end()) {
-      distances_.observe(j, m.perceived - it->second.s_ref);
+      distances_.observe(env.from, m.perceived - it->second.s_ref);
     }
   }
-
-  BocInstance::RoundState& r1 = b.round_state(1, config_.n);
-  if (!r1.record_value(j, m.value)) return;
-  if (m.value) {
-    charge(ccost(config_.costs.share_verify));
-    // Shares are kept only until round 1 delivers 1 (see deliver_value).
-    if (r1.vv_one) return;
-    // n - f shares deliver 1 once the INIT is here; room for the other f
-    // is made only when the INIT is late or a combine failed.
-    if (b.shares.size() == b.shares.capacity()) {
-      b.shares.reserve(b.shares.empty() ? config_.n - config_.f : config_.n);
-    }
-    b.shares.push_back(m.share);
-    try_deliver_one(b);
-  } else {
-    // Alg. 1 line 19: f+1 zeros force a correct process to echo 0.
-    if (r1.zero_count >= config_.f + 1) vote(b, false);
-    if (r1.zero_count >= config_.n - config_.f) {
-      deliver_value(b, 1, false);
-    }
-  }
-}
-
-void LyraNode::try_deliver_one(BocInstance& b) {
-  BocInstance::RoundState& r1 = b.round_state(1, config_.n);
-  if (r1.vv_one || !b.init) return;
-  if (r1.one_count < config_.n - config_.f) return;
-
-  charge(ccost(config_.costs.share_combine));
-  const auto proof =
-      registry_->share_combine(b.value_id, b.shares);
-  if (!proof) return;  // some shares were bogus; wait for more votes
-
-  if (!b.deliver_broadcast) {
-    b.deliver_broadcast = true;
-    auto msg = std::make_shared<DeliverMsg>();
-    msg->inst = b.inst;
-    msg->proof = *proof;
-    broadcast_msg(msg);
-  }
-  deliver_value(b, 1, true);
-}
-
-void LyraNode::handle_deliver(const sim::Envelope& env, const DeliverMsg& m) {
-  if (!participate(m.inst)) return;
-  BocInstance& b = join_instance(m.inst);
-  if (b.round_state(1, config_.n).vv_one) return;
-
-  if (!b.init) {
-    // Keep the proof and pull the INIT we are missing.
-    if (!b.proof) {
-      b.proof = std::make_unique<crypto::ThresholdSig>(m.proof);
-      auto req = std::make_shared<ReqInitMsg>();
-      req->inst = m.inst;
-      send_msg(env.from, req);
-    }
-    return;
-  }
-
-  charge(ccost(config_.costs.threshold_verify));
-  if (!registry_->threshold_verify(m.proof, b.value_id)) {
-    return;
-  }
-  if (!b.deliver_broadcast) {
-    // Alg. 1 line 17: relay the proof so delivery is uniform.
-    b.deliver_broadcast = true;
-    auto out = std::make_shared<DeliverMsg>();
-    out->inst = m.inst;
-    out->proof = m.proof;
-    broadcast_msg(out);
-  }
-  deliver_value(b, 1, true);
-}
-
-void LyraNode::on_expire_timer(const InstanceId& inst) {
-  const auto it = instances_.find(inst);
-  if (it == instances_.end()) return;
-  BocInstance& b = it->second;
-  b.expire_armed = false;
-  const BocInstance::RoundState& r1 = b.round_state(1, config_.n);
-  if (r1.vv_zero || r1.vv_one) return;  // progress was made
-  // Alg. 1 line 23: fall back to 0 so some value is eventually delivered,
-  // and forward the INIT for VVB-Obligation.
-  vote(b, false);
-  forward_init(b);
-}
-
-void LyraNode::forward_init(BocInstance& b) {
-  if (!b.init || b.init_forwarded) return;
-  b.init_forwarded = true;
-  auto relay = std::make_shared<InitRelayMsg>();
-  relay->inner = b.init;
-  broadcast_msg(relay);
+  boc_.on_vote(env.from, m);
 }
 
 void LyraNode::handle_req_init(const sim::Envelope& env) {
   const auto* m = sim::payload_as<ReqInitMsg>(env);
-  const auto it = instances_.find(m->inst);
-  if (it == instances_.end() || !it->second.init) return;
+  const BocInstance* b = boc_.find(m->inst);
+  if (b == nullptr || !b->init) return;
   auto relay = std::make_shared<InitRelayMsg>();
-  relay->inner = it->second.init;
+  relay->inner = b->init;
   send_msg(env.from, relay);
 }
 
@@ -539,6 +379,59 @@ void LyraNode::handle_init_relay(const sim::Envelope& env) {
   sim::Envelope inner_env = env;
   inner_env.payload = m->inner;
   handle_init(inner_env, *m->inner);
+}
+
+void LyraNode::boc_decided(const BocInstance& b) {
+  stats_.decide_rounds.add(static_cast<double>(b.round));
+  LYRA_TRACE("decide", "inst=" + std::to_string(b.inst.proposer) + "/" +
+                           std::to_string(b.inst.index) +
+                           " value=" + std::to_string(b.decision ? 1 : 0) +
+                           " round=" + std::to_string(b.round));
+
+  const crypto::Digest cipher_id =
+      b.init ? b.init->cipher.id : crypto::kZeroDigest;
+  if (b.init) commit_.resolve_pending(cipher_id);
+
+  if (b.decision) {
+    LYRA_ASSERT(b.init != nullptr, "decided 1 without a delivered value");
+    if (b.inst.proposer == id()) {
+      ++stats_.accepted_own;
+      if (const auto it = own_proposals_.find(b.inst);
+          it != own_proposals_.end()) {
+        stats_.phase_consensus_ms.add(to_ms(now() - it->second.proposed_at));
+      }
+    }
+    AcceptedEntry entry;
+    entry.cipher_id = cipher_id;
+    entry.seq = b.requested;
+    entry.inst = b.inst;
+    merge_accepted(entry, id());
+    try_commit();
+  } else if (b.inst.proposer == id()) {
+    ++stats_.rejected_own;
+    const auto it = own_proposals_.find(b.inst);
+    if (it != own_proposals_.end()) {
+      PendingBatch batch = std::move(it->second.batch);
+      own_proposals_.erase(it);
+      resubmit(std::move(batch));
+    }
+  }
+}
+
+void LyraNode::resubmit(PendingBatch batch) {
+  if (++batch.attempts <= config_.max_batch_resubmissions) {
+    // SMR-Liveness (Lemma 8) rests on correct processes continuously
+    // re-inputting rejected transactions; pre-GST rejections are
+    // expected, so retry patiently (one Delta) and effectively
+    // unboundedly.
+    ++stats_.resubmissions;
+    set_timer(config_.delta, [this, batch = std::move(batch)]() mutable {
+      propose_batch(std::move(batch));
+    });
+  } else {
+    ++stats_.dropped_batches;
+    settle(batch.carved.chunks, /*committed=*/false);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -592,264 +485,6 @@ void LyraNode::handle_resync_reply(const sim::Envelope& env,
 }
 
 // ---------------------------------------------------------------------------
-// DBFT binary consensus (Alg. 3)
-// ---------------------------------------------------------------------------
-
-void LyraNode::enter_round(BocInstance& b, Round round) {
-  b.round = round;
-  BocInstance::RoundState& rs = b.round_state(round, config_.n);
-  const InstanceId inst = b.inst;
-  set_timer(config_.delta,
-            [this, inst, round] { on_round_timer(inst, round); });
-  if (round >= 2) {
-    // vv-broadcast of the current estimate (BV-broadcast semantics: the
-    // value m is fixed and proven unique by round 1).
-    auto msg = std::make_shared<EstMsg>();
-    msg->inst = inst;
-    msg->round = round;
-    msg->value = b.est;
-    (b.est ? rs.est_one_sent : rs.est_zero_sent) = true;
-    broadcast_msg(msg);
-  }
-  maybe_progress(b);
-}
-
-void LyraNode::on_round_timer(const InstanceId& inst, Round round) {
-  const auto it = instances_.find(inst);
-  if (it == instances_.end()) return;
-  BocInstance& b = it->second;
-  b.round_state(round, config_.n).timer_expired = true;
-  if (b.round == round) maybe_progress(b);
-}
-
-void LyraNode::handle_est(const sim::Envelope& env, const EstMsg& m) {
-  if (!participate(m.inst) || m.round < 2 || env.from >= config_.n) return;
-  BocInstance& b = join_instance(m.inst);
-  BocInstance::RoundState& rs = b.round_state(m.round, config_.n);
-
-  if (!rs.record_value(env.from, m.value)) return;
-
-  // BV-broadcast: echo after f+1, deliver after 2f+1.
-  const std::uint32_t count = m.value ? rs.one_count : rs.zero_count;
-  if (count >= config_.f + 1 &&
-      !(m.value ? rs.est_one_sent : rs.est_zero_sent)) {
-    (m.value ? rs.est_one_sent : rs.est_zero_sent) = true;
-    auto echo = std::make_shared<EstMsg>();
-    echo->inst = m.inst;
-    echo->round = m.round;
-    echo->value = m.value;
-    broadcast_msg(echo);
-  }
-  if (count >= config_.quorum()) {
-    deliver_value(b, m.round, m.value);
-  }
-
-  // A decided process helps laggards: it joins any later round it observes
-  // with its (immutable) decided estimate. This replaces Alg. 3 line 50's
-  // fixed two help-rounds without the good-case overhead; see DESIGN.md.
-  if (b.decided && m.round > b.round) {
-    b.est = b.decision;
-    enter_round(b, m.round);
-  }
-}
-
-void LyraNode::handle_coord(const sim::Envelope& env, const CoordMsg& m) {
-  if (!participate(m.inst) || env.from >= config_.n) return;
-  if (env.from != (m.round % config_.n)) return;  // not this round's coord
-  BocInstance& b = join_instance(m.inst);
-  BocInstance::RoundState& rs = b.round_state(m.round, config_.n);
-  if (rs.coord_value < 0) rs.coord_value = m.value ? 1 : 0;
-  if (b.round == m.round) maybe_progress(b);
-}
-
-void LyraNode::handle_aux(const sim::Envelope& env, const AuxMsg& m) {
-  if (!participate(m.inst) || env.from >= config_.n) return;
-  if (!m.has_zero && !m.has_one) return;
-  BocInstance& b = join_instance(m.inst);
-  BocInstance::RoundState& rs = b.round_state(m.round, config_.n);
-  if (!rs.record_aux(env.from,
-                     static_cast<std::uint8_t>((m.has_zero ? 1 : 0) |
-                                               (m.has_one ? 2 : 0)))) {
-    return;
-  }
-  if (b.decided && m.round > b.round) {
-    b.est = b.decision;
-    enter_round(b, m.round);
-  }
-  if (b.round == m.round) maybe_progress(b);
-}
-
-void LyraNode::deliver_value(BocInstance& b, Round round, bool value) {
-  BocInstance::RoundState& rs = b.round_state(round, config_.n);
-  if (value ? rs.vv_one : rs.vv_zero) return;
-  (value ? rs.vv_one : rs.vv_zero) = true;
-  if (round == 1 && value) {
-    // Round 1 has delivered 1: no validation share or held proof is
-    // combined or verified again, so free their storage.
-    b.shares = std::vector<crypto::SigShare>();
-    b.proof.reset();
-  }
-  if (b.round == round) maybe_progress(b);
-}
-
-void LyraNode::maybe_progress(BocInstance& b) {
-  if (b.round == 0) return;
-  BocInstance::RoundState& rs = b.round_state(b.round, config_.n);
-
-  // Coordinator broadcast (Alg. 3 lines 37-39): when exactly one value was
-  // delivered, suggest it.
-  if (is_coordinator(b.round) && !rs.coord_sent &&
-      (rs.vv_zero != rs.vv_one)) {
-    rs.coord_sent = true;
-    auto msg = std::make_shared<CoordMsg>();
-    msg->inst = b.inst;
-    msg->round = b.round;
-    msg->value = rs.vv_one;
-    broadcast_msg(msg);
-  }
-
-  // AUX broadcast (lines 40-42): after the round timer, echo the delivered
-  // values, preferring the coordinator's suggestion when we delivered it.
-  if (!rs.aux_sent && rs.timer_expired && (rs.vv_zero || rs.vv_one)) {
-    rs.aux_sent = true;
-    auto msg = std::make_shared<AuxMsg>();
-    msg->inst = b.inst;
-    msg->round = b.round;
-    const bool coord_usable =
-        rs.coord_value >= 0 &&
-        ((rs.coord_value == 1 && rs.vv_one) ||
-         (rs.coord_value == 0 && rs.vv_zero));
-    if (coord_usable) {
-      msg->has_zero = rs.coord_value == 0;
-      msg->has_one = rs.coord_value == 1;
-    } else {
-      msg->has_zero = rs.vv_zero;
-      msg->has_one = rs.vv_one;
-    }
-    broadcast_msg(msg);
-  }
-
-  // Decision step (lines 43-49): a set s of AUX contents from n-f distinct
-  // processes, every value of which we ourselves delivered.
-  if (!rs.advanced && rs.aux_count >= config_.n - config_.f) {
-    std::size_t usable = 0;
-    bool saw_zero = false;
-    bool saw_one = false;
-    for (NodeId j = 0; j < config_.n; ++j) {
-      const std::uint8_t mask = rs.aux_mask(j);
-      if (mask == 0) continue;
-      const bool needs_zero = (mask & 1) != 0;
-      const bool needs_one = (mask & 2) != 0;
-      if ((needs_zero && !rs.vv_zero) || (needs_one && !rs.vv_one)) continue;
-      ++usable;
-      saw_zero |= needs_zero;
-      saw_one |= needs_one;
-    }
-    if (usable >= config_.n - config_.f) {
-      rs.advanced = true;
-      const bool parity = (b.round % 2) == 1;
-      if (saw_zero != saw_one) {
-        const bool v = saw_one;
-        b.est = v;
-        if (v == parity && !b.decided) decide(b, v);
-      } else {
-        b.est = parity;
-      }
-      if (!b.decided) {
-        enter_round(b, b.round + 1);
-      }
-    }
-  }
-}
-
-void LyraNode::decide(BocInstance& b, bool value) {
-  b.decided = true;
-  b.decision = value;
-  b.decided_at = now();
-  stats_.decide_rounds.add(static_cast<double>(b.round));
-  LYRA_TRACE("decide", "inst=" + std::to_string(b.inst.proposer) + "/" +
-                           std::to_string(b.inst.index) +
-                           " value=" + std::to_string(value ? 1 : 0) +
-                           " round=" + std::to_string(b.round));
-
-  const crypto::Digest cipher_id =
-      b.init ? b.init->cipher.id : crypto::kZeroDigest;
-  if (b.init) commit_.resolve_pending(cipher_id);
-
-  if (value) {
-    LYRA_ASSERT(b.init != nullptr, "decided 1 without a delivered value");
-    if (b.inst.proposer == id()) {
-      ++stats_.accepted_own;
-      if (const auto it = own_proposals_.find(b.inst);
-          it != own_proposals_.end()) {
-        stats_.phase_consensus_ms.add(to_ms(now() - it->second.proposed_at));
-      }
-    }
-    AcceptedEntry entry;
-    entry.cipher_id = cipher_id;
-    entry.seq = b.requested;
-    entry.inst = b.inst;
-    merge_accepted(entry, id());
-    try_commit();
-  } else if (b.inst.proposer == id()) {
-    ++stats_.rejected_own;
-    const auto it = own_proposals_.find(b.inst);
-    if (it != own_proposals_.end()) {
-      PendingBatch batch = std::move(it->second.batch);
-      own_proposals_.erase(it);
-      resubmit(std::move(batch));
-    }
-  }
-}
-
-void LyraNode::resubmit(PendingBatch batch) {
-  if (++batch.attempts <= config_.max_batch_resubmissions) {
-    // SMR-Liveness (Lemma 8) rests on correct processes continuously
-    // re-inputting rejected transactions; pre-GST rejections are
-    // expected, so retry patiently (one Delta) and effectively
-    // unboundedly.
-    ++stats_.resubmissions;
-    set_timer(config_.delta, [this, batch = std::move(batch)]() mutable {
-      propose_batch(std::move(batch));
-    });
-  } else {
-    ++stats_.dropped_batches;
-    settle(batch.carved.chunks, /*committed=*/false);
-  }
-}
-
-std::size_t LyraNode::retained_validation_shares() const {
-  std::size_t slots = 0;
-  for (const auto& [inst, b] : instances_) slots += b.shares.capacity();
-  return slots;
-}
-
-std::size_t LyraNode::retained_round_states() const {
-  std::size_t states = 0;
-  for (const auto& [inst, b] : instances_) states += b.round_states();
-  return states;
-}
-
-std::optional<bool> LyraNode::decision(const InstanceId& inst) const {
-  const auto it = instances_.find(inst);
-  if (it == instances_.end() || !it->second.decided) return std::nullopt;
-  return it->second.decision;
-}
-
-void LyraNode::gc_sweep() {
-  const TimeNs cutoff = now() - config_.instance_gc_idle;
-  for (auto it = instances_.begin(); it != instances_.end();) {
-    BocInstance& b = it->second;
-    if (b.decided && b.decided_at < cutoff) {
-      if (b.expire_armed) cancel_timer(b.expire_timer);
-      it = instances_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Commit protocol (Alg. 4) and commit-reveal
 // ---------------------------------------------------------------------------
 
@@ -876,11 +511,11 @@ void LyraNode::merge_accepted(const AcceptedEntry& entry, NodeId from) {
   rec.inst = entry.inst;
   rec.seq = entry.seq;
   if (!rec.have_cipher) {
-    const auto it = instances_.find(entry.inst);
-    if (it != instances_.end() && it->second.init) {
-      rec.init = it->second.init;
+    const BocInstance* b = boc_.find(entry.inst);
+    if (b != nullptr && b->init) {
+      rec.init = b->init;
       rec.have_cipher = true;
-      rec.tx_count = it->second.init->tx_count;
+      rec.tx_count = b->init->tx_count;
     } else if (from != id()) {
       auto req = std::make_shared<ReqInitMsg>();
       req->inst = entry.inst;
@@ -902,9 +537,9 @@ void LyraNode::try_commit() {
   for (const AcceptedEntry& entry : wave) {
     RevealRecord& rec = append_committed(entry);
     if (entry.inst.proposer == id()) {
-      if (const auto it = instances_.find(entry.inst);
-          it != instances_.end() && it->second.decided) {
-        stats_.phase_commit_wait_ms.add(to_ms(now() - it->second.decided_at));
+      if (const BocInstance* b = boc_.find(entry.inst);
+          b != nullptr && b->decided) {
+        stats_.phase_commit_wait_ms.add(to_ms(now() - b->decided_at));
       }
     }
     LYRA_TRACE("commit", "seq=" + std::to_string(entry.seq));
@@ -1106,9 +741,7 @@ void LyraNode::fill_status(StatusPiggyback& status, bool broadcast) {
   status.min_pending = commit_.min_pending();
   status.committed = commit_.committed();
   status.chain_hash = chain_hash_;
-  if (broadcast) {
-    status.accepted_delta = commit_.drain_accepted_delta();
-  }
+  if (broadcast) status.accepted_delta = commit_.drain_accepted_delta();
 }
 
 crypto::Digest LyraNode::compute_value_id(
@@ -1157,20 +790,12 @@ storage::Snapshot LyraNode::make_snapshot() const {
   // Un-notified own batches: both live ones and replay leftovers from a
   // previous incarnation. Rejected-and-resubmitted instances are absent
   // from both maps, so their stale WAL records die here.
-  const auto add_own = [&](const InstanceId& inst,
-                           const std::vector<Chunk>& chunks) {
-    storage::OwnBatchRecord rec;
-    rec.inst = inst;
-    rec.chunks.reserve(chunks.size());
-    for (const Chunk& chunk : chunks) {
-      rec.chunks.push_back({chunk.client, chunk.count, chunk.submitted_at});
-    }
-    snap.own_batches.push_back(std::move(rec));
-  };
   for (const auto& [inst, own] : own_proposals_) {
-    add_own(inst, own.batch.carved.chunks);
+    snap.own_batches.push_back(own_batch_record(inst, own.batch.carved.chunks));
   }
-  for (const auto& [inst, chunks] : pending_notify_) add_own(inst, chunks);
+  for (const auto& [inst, chunks] : pending_notify_) {
+    snap.own_batches.push_back(own_batch_record(inst, chunks));
+  }
   // Hash-map iteration order would otherwise leak into the serialized
   // snapshot (and through it into statesync chunk digests); sort so the
   // bytes depend only on logical state.
@@ -1273,21 +898,6 @@ void LyraNode::enable_state_sync(statesync::StateSyncConfig cfg) {
 }
 
 NodeId LyraNode::sync_self() const { return id(); }
-
-void LyraNode::sync_send(NodeId to, std::shared_ptr<LyraMsg> msg) {
-  fill_status(msg->status, /*broadcast=*/false);
-  send(to, std::move(msg));
-}
-
-void LyraNode::sync_broadcast(std::shared_ptr<LyraMsg> msg) {
-  fill_status(msg->status, /*broadcast=*/true);
-  broadcast(std::move(msg));
-}
-
-std::uint64_t LyraNode::sync_set_timer(TimeNs delay,
-                                       std::function<void()> fn) {
-  return set_timer(delay, std::move(fn));
-}
 
 void LyraNode::sync_charge_hash(std::size_t bytes) {
   charge(ccost(config_.costs.hash_cost(bytes)));

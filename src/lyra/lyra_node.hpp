@@ -9,7 +9,7 @@
 #include "crypto/keys.hpp"
 #include "crypto/vss.hpp"
 #include "lyra/batching.hpp"
-#include "lyra/boc_instance.hpp"
+#include "lyra/boc_machine.hpp"
 #include "lyra/commit_state.hpp"
 #include "lyra/config.hpp"
 #include "lyra/messages.hpp"
@@ -70,11 +70,13 @@ struct NodeStats {
   Samples phase_reveal_ms;       // commit -> payload reconstruction
 };
 
-/// A Lyra SMR node: runs the BOC protocol (Alg. 1-3) for every instance it
-/// observes, the Commit protocol (Alg. 4) over the accepted transactions,
-/// and the commit-reveal scheme on top. Byzantine behaviours subclass this
-/// and override the virtual hooks.
-class LyraNode : public BatchingNode, public statesync::StateSyncHost {
+/// A Lyra SMR node: feeds every instance it observes to its BOC machine
+/// (Alg. 1-3), runs the Commit protocol (Alg. 4) over the accepted
+/// transactions, and the commit-reveal scheme on top. Byzantine behaviours
+/// subclass this and override the virtual hooks.
+class LyraNode : public BatchingNode,
+                 public statesync::StateSyncHost,
+                 private BocHost {
  public:
   LyraNode(sim::Simulation* sim, net::Network* network, NodeId id,
            const Config& config, const crypto::KeyRegistry* registry);
@@ -101,13 +103,8 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   /// Last status-update counter published (epoch-strided on restart).
   std::uint64_t status_counter() const { return status_counter_; }
   SeqNum clock_now() const { return clock_.now(); }
-  std::size_t live_instances() const { return instances_.size(); }
-  /// Validation-share slots (capacity) held by the live BOC instances.
-  std::size_t retained_validation_shares() const;
-  /// Round states held by the live BOC instances, round 1 included.
-  std::size_t retained_round_states() const;
-  /// A live instance's decision; nullopt while undecided or once GC'd.
-  std::optional<bool> decision(const InstanceId& inst) const;
+  /// The BOC instances this node takes part in (live until GC).
+  const BocMachine& boc() const { return boc_; }
   /// Own proposals not yet rejected or committed.
   std::size_t outstanding_proposals() const { return own_proposals_.size(); }
 
@@ -148,10 +145,6 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   // StateSyncHost (callbacks driven by the manager; public because the
   // interface is, but not meant for direct use).
   NodeId sync_self() const override;
-  void sync_send(NodeId to, std::shared_ptr<LyraMsg> msg) override;
-  void sync_broadcast(std::shared_ptr<LyraMsg> msg) override;
-  std::uint64_t sync_set_timer(TimeNs delay,
-                               std::function<void()> fn) override;
   void sync_charge_hash(std::size_t bytes) override;
   std::uint64_t sync_ledger_length() const override;
   std::vector<AcceptedEntry> sync_committed_entries(
@@ -197,10 +190,13 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   // --- message handlers ---
   void handle_init(const sim::Envelope& env, const InitMsg& m);
   void handle_vote(const sim::Envelope& env, const VoteMsg& m);
-  void handle_deliver(const sim::Envelope& env, const DeliverMsg& m);
-  void handle_est(const sim::Envelope& env, const EstMsg& m);
-  void handle_coord(const sim::Envelope& env, const CoordMsg& m);
-  void handle_aux(const sim::Envelope& env, const AuxMsg& m);
+  /// Hands a DELIVER, EST, COORD or AUX to the BOC machine.
+  template <class Msg>
+  void to_boc(const sim::Envelope& env,
+              void (BocMachine::*handle)(NodeId, const Msg&)) {
+    const auto& m = static_cast<const Msg&>(*env.payload);
+    if (participate(m.inst)) (boc_.*handle)(env.from, m);
+  }
   void handle_shares(const sim::Envelope& env, const SharesMsg& m);
   void handle_probe(const sim::Envelope& env, const ProbeMsg& m);
   void handle_probe_reply(const sim::Envelope& env, const ProbeReplyMsg& m);
@@ -212,23 +208,6 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   /// Broadcasts the post-restart accepted-set pull; re-arms itself until
   /// f+1 peers answered (see ResyncReqMsg in messages.hpp).
   void send_resync_request();
-
-  // --- BOC machinery ---
-  BocInstance& join_instance(const InstanceId& inst);
-  /// Attaches a checked INIT; `value_id` is the id handle_init verified
-  /// the signature against.
-  void adopt_init(BocInstance& b, std::shared_ptr<const InitMsg> init,
-                  const crypto::Digest& value_id);
-  void vote(BocInstance& b, bool value);
-  void try_deliver_one(BocInstance& b);
-  void deliver_value(BocInstance& b, Round round, bool value);
-  void enter_round(BocInstance& b, Round round);
-  void maybe_progress(BocInstance& b);
-  void decide(BocInstance& b, bool value);
-  void on_round_timer(const InstanceId& inst, Round round);
-  void on_expire_timer(const InstanceId& inst);
-  void forward_init(BocInstance& b);
-  void gc_sweep();
 
   // --- Commit protocol / reveal ---
   void apply_status(NodeId from, const StatusPiggyback& status);
@@ -266,12 +245,15 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   crypto::Digest compute_value_id(const InstanceId& inst,
                                   const crypto::Digest& cipher_id,
                                   const std::vector<SeqNum>& preds) const;
-  template <class Msg>
-  void broadcast_msg(std::shared_ptr<Msg> msg);
-  template <class Msg>
-  void send_msg(NodeId to, std::shared_ptr<Msg> msg);
-  bool is_coordinator(Round round) const {
-    return id() == (round % config_.n);
+  // Every Lyra message leaves through these two, BocHost's and
+  // StateSyncHost's too: they fill the Commit-protocol piggyback.
+  void send_msg(NodeId to, std::shared_ptr<LyraMsg> msg) override {
+    fill_status(msg->status, /*broadcast=*/false);
+    send(to, std::move(msg));
+  }
+  void broadcast_msg(std::shared_ptr<LyraMsg> msg) override {
+    fill_status(msg->status, /*broadcast=*/true);
+    broadcast(std::move(msg));
   }
   TimeNs ccost(TimeNs base) const { return config_.crypto_cost(base); }
 
@@ -284,7 +266,7 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   ordering::DistanceTable distances_;
   CommitState commit_;
 
-  std::unordered_map<InstanceId, BocInstance> instances_;
+  BocMachine boc_;
   std::uint64_t next_proposal_index_ = 0;
 
   // Proposer-side batch state.
@@ -346,18 +328,16 @@ class LyraNode : public BatchingNode, public statesync::StateSyncHost {
   std::size_t resync_replies_ = 0;
   std::uint32_t resync_peer_replies_ = 0;
   std::uint32_t resync_peer_replies_at_open_ = 0;
+
+  // BocHost (callbacks driven by boc_); arm_timer serves statesync too.
+  void boc_charge(TimeNs cost) override { charge(cost); }
+  std::uint64_t arm_timer(TimeNs delay, std::function<void()> fn) override {
+    return set_timer(delay, std::move(fn));
+  }
+  void boc_cancel_timer(std::uint64_t id) override { cancel_timer(id); }
+  TimeNs boc_now() const override { return now(); }
+  bool boc_init_adopted(const BocInstance& b, bool judge) override;
+  void boc_decided(const BocInstance& b) override;
 };
-
-template <class Msg>
-void LyraNode::broadcast_msg(std::shared_ptr<Msg> msg) {
-  fill_status(msg->status, /*broadcast=*/true);
-  broadcast(std::move(msg));
-}
-
-template <class Msg>
-void LyraNode::send_msg(NodeId to, std::shared_ptr<Msg> msg) {
-  fill_status(msg->status, /*broadcast=*/false);
-  send(to, std::move(msg));
-}
 
 }  // namespace lyra::core

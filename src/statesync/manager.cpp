@@ -49,10 +49,10 @@ void StateSyncManager::start_probe() {
   auto req = std::make_shared<SyncManifestReqMsg>();
   req->want_cut = 0;
   req->chunk_bytes = config_.chunk_bytes;
-  host_->sync_broadcast(req);
+  host_->broadcast_msg(req);
 
   const std::uint64_t round = round_;
-  host_->sync_set_timer(2 * delta_, [this, round] {
+  host_->arm_timer(2 * delta_, [this, round] {
     if (round_ != round || phase_ != Phase::kProbe) return;
     compute_cut();
   });
@@ -91,10 +91,10 @@ void StateSyncManager::start_manifest() {
   auto req = std::make_shared<SyncManifestReqMsg>();
   req->want_cut = cut_;
   req->chunk_bytes = config_.chunk_bytes;
-  host_->sync_broadcast(req);
+  host_->broadcast_msg(req);
 
   const std::uint64_t round = round_;
-  host_->sync_set_timer(2 * delta_, [this, round] {
+  host_->arm_timer(2 * delta_, [this, round] {
     if (round_ != round || phase_ != Phase::kManifest) return;
     // No f+1 manifest quorum in time: renegotiate the cut from fresh
     // lengths (peers may have restarted below it, or f of them lied).
@@ -267,7 +267,7 @@ void StateSyncManager::request_chunk(std::size_t index, NodeId server) {
   req->cut = cut_;
   req->chunk_bytes = config_.chunk_bytes;
   req->chunk = static_cast<std::uint32_t>(index);
-  host_->sync_send(server, req);
+  host_->send_msg(server, req);
 
   // Back off per attempt (capped): a slow-but-honest peer gets more slack
   // on retries instead of being hammered on a fixed cadence.
@@ -275,7 +275,7 @@ void StateSyncManager::request_chunk(std::size_t index, NodeId server) {
       2 * delta_ * static_cast<TimeNs>(std::min<std::uint32_t>(cs.attempt + 1, 4));
   const std::uint64_t round = round_;
   const std::uint32_t attempt = cs.attempt;
-  host_->sync_set_timer(timeout, [this, round, index, attempt] {
+  host_->arm_timer(timeout, [this, round, index, attempt] {
     if (round_ != round || phase_ != Phase::kChunks) return;
     ChunkState& c = chunks_[index];
     if (c.state != ChunkState::kInflight || c.attempt != attempt) return;
@@ -405,7 +405,7 @@ void StateSyncManager::note_unrevealed_commit() {
 void StateSyncManager::arm_catchup(TimeNs delay) {
   if (catchup_armed_) return;
   catchup_armed_ = true;
-  host_->sync_set_timer(delay, [this] {
+  host_->arm_timer(delay, [this] {
     catchup_armed_ = false;
     if (!sync_active()) catchup_tick();
   });
@@ -451,9 +451,9 @@ void StateSyncManager::catchup_tick() {
   for (NodeId id = 0; id < n_; ++id) {
     if (id == host_->sync_self()) continue;
     if (id == server) {
-      host_->sync_send(id, payload_req);
+      host_->send_msg(id, payload_req);
     } else {
-      host_->sync_send(id, vote_req);
+      host_->send_msg(id, vote_req);
     }
   }
   arm_catchup(2 * delta_);  // keep ticking until no holes remain
@@ -584,7 +584,7 @@ void StateSyncManager::handle_manifest_req(const sim::Envelope& env,
   auto reply = std::make_shared<SyncManifestReplyMsg>();
   reply->ledger_len = host_->sync_ledger_length();
   if (m.want_cut == 0) {
-    host_->sync_send(env.from, reply);
+    host_->send_msg(env.from, reply);
     return;
   }
   if (m.chunk_bytes == 0 || m.chunk_bytes > kMaxChunkBytes) return;
@@ -598,7 +598,7 @@ void StateSyncManager::handle_manifest_req(const sim::Envelope& env,
     reply->manifest_digest =
         manifest_digest(m.want_cut, reply->total_bytes, reply->chunk_digests);
   }
-  host_->sync_send(env.from, reply);
+  host_->send_msg(env.from, reply);
 }
 
 void StateSyncManager::handle_chunk_req(const sim::Envelope& env,
@@ -620,7 +620,7 @@ void StateSyncManager::handle_chunk_req(const sim::Envelope& env,
       reply->data[0] ^= 0xFF;  // honest manifest, garbage bytes
     }
   }
-  host_->sync_send(env.from, reply);
+  host_->send_msg(env.from, reply);
 }
 
 void StateSyncManager::handle_reveal_req(const sim::Envelope& env,
@@ -647,7 +647,7 @@ void StateSyncManager::handle_reveal_req(const sim::Envelope& env,
     }
     reply->items.push_back(std::move(item));
   }
-  if (!reply->items.empty()) host_->sync_send(env.from, reply);
+  if (!reply->items.empty()) host_->send_msg(env.from, reply);
 }
 
 // ---------------------------------------------------------------------------

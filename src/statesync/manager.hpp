@@ -68,10 +68,10 @@ class StateSyncHost {
   virtual ~StateSyncHost() = default;
 
   virtual NodeId sync_self() const = 0;
-  virtual void sync_send(NodeId to, std::shared_ptr<core::LyraMsg> msg) = 0;
-  virtual void sync_broadcast(std::shared_ptr<core::LyraMsg> msg) = 0;
-  virtual std::uint64_t sync_set_timer(TimeNs delay,
-                                       std::function<void()> fn) = 0;
+  virtual void send_msg(NodeId to, std::shared_ptr<core::LyraMsg> msg) = 0;
+  virtual void broadcast_msg(std::shared_ptr<core::LyraMsg> msg) = 0;
+  virtual std::uint64_t arm_timer(TimeNs delay,
+                                  std::function<void()> fn) = 0;
   /// Accounts simulated CPU (hashing chunks, encoding blobs) to the node.
   virtual void sync_charge_hash(std::size_t bytes) = 0;
 

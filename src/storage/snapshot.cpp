@@ -4,6 +4,7 @@
 
 #include "storage/codec.hpp"
 #include "storage/crc32.hpp"
+#include "storage/journal.hpp"
 
 namespace lyra::storage {
 
@@ -40,13 +41,8 @@ Bytes encode_snapshot(const Snapshot& snap) {
   }
   append_u64(out, snap.own_batches.size());
   for (const OwnBatchRecord& rec : snap.own_batches) {
-    append_instance(out, rec.inst);
-    append_u64(out, rec.chunks.size());
-    for (const OwnBatchChunk& chunk : rec.chunks) {
-      append_u32(out, chunk.client);
-      append_u32(out, chunk.count);
-      append_i64(out, chunk.submitted_at);
-    }
+    const Bytes encoded = encode_own_batch_record(rec);  // as in the WAL
+    out.insert(out.end(), encoded.begin(), encoded.end());
   }
   append_u32(out, crc32(out));
   return out;

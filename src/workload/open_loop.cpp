@@ -41,12 +41,17 @@ void OpenLoopClientPool::schedule_next_arrival() {
 }
 
 void OpenLoopClientPool::emit_tx() {
+  offer_tx(fee_multiplier_);
+  schedule_next_arrival();
+}
+
+void OpenLoopClientPool::offer_tx(double fee_multiplier) {
   WorkloadTx tx;
   tx.id = make_tx_id(id(), ++next_counter_);
   tx.account = zipf_.sample(rng_);
   tx.fee = sample_fee(options_.fee_model, options_.base_fee, rng_);
-  if (fee_multiplier_ != 1.0) {
-    const double f = static_cast<double>(tx.fee) * fee_multiplier_;
+  if (fee_multiplier != 1.0) {
+    const double f = static_cast<double>(tx.fee) * fee_multiplier;
     tx.fee = f >= 1e18 ? static_cast<std::uint64_t>(1e18)
                        : static_cast<std::uint64_t>(std::max(1.0, f));
   }
@@ -57,25 +62,13 @@ void OpenLoopClientPool::emit_tx() {
   ++stats_.offered;
   outstanding_.emplace(tx.id, Outstanding{tx, 0});
   submit_tx(tx, /*is_retry=*/false);
-  schedule_next_arrival();
 }
 
 void OpenLoopClientPool::inject_burst(std::uint32_t count) {
   // Same path as organic arrivals, just `count` of them at one instant —
-  // exactly what a coordinated spam tick looks like to the mempool.
-  for (std::uint32_t i = 0; i < count; ++i) {
-    WorkloadTx tx;
-    tx.id = make_tx_id(id(), ++next_counter_);
-    tx.account = zipf_.sample(rng_);
-    tx.fee = sample_fee(options_.fee_model, options_.base_fee, rng_);
-    tx.value = sample_value(options_.base_value, options_.value_sigma, rng_);
-    tx.client = id();
-    tx.role = kRoleOrganic;
-    tx.submitted_at = now();
-    ++stats_.offered;
-    outstanding_.emplace(tx.id, Outstanding{tx, 0});
-    submit_tx(tx, /*is_retry=*/false);
-  }
+  // exactly what a coordinated spam tick looks like to the mempool (whose
+  // fees the multiplier does not scale).
+  for (std::uint32_t i = 0; i < count; ++i) offer_tx(1.0);
 }
 
 void OpenLoopClientPool::submit_tx(const WorkloadTx& tx, bool is_retry) {

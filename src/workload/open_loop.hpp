@@ -84,6 +84,9 @@ class OpenLoopClientPool final : public sim::Process {
  private:
   void schedule_next_arrival();
   void emit_tx();
+  /// Draws one organic transaction, its fee scaled by `fee_multiplier`,
+  /// and submits it.
+  void offer_tx(double fee_multiplier);
   void submit_tx(const WorkloadTx& tx, bool is_retry);
 
   NodeId target_;

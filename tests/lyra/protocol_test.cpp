@@ -290,8 +290,8 @@ TEST(LyraProtocol, DeliveredInstancesHoldNoValidationShares) {
   for (NodeId i = 0; i < 4; ++i) {
     const core::LyraNode& node = cluster.node(i);
     EXPECT_GT(node.stats().revealed_batches, 0u) << "node " << i;
-    EXPECT_GT(node.live_instances(), 0u) << "node " << i;
-    EXPECT_EQ(node.retained_validation_shares(), 0u) << "node " << i;
+    EXPECT_GT(node.boc().live_instances(), 0u) << "node " << i;
+    EXPECT_EQ(node.boc().retained_validation_shares(), 0u) << "node " << i;
   }
 }
 
@@ -340,7 +340,7 @@ TEST(LyraProtocol, BogusShareStillDeliversFromLaterVotes) {
       if (cb.inst.proposer == 0 && cb.revealed_at > 0) ++from_zero;
     }
     EXPECT_GT(from_zero, 0u) << "node " << i;
-    EXPECT_EQ(node.retained_validation_shares(), 0u) << "node " << i;
+    EXPECT_EQ(node.boc().retained_validation_shares(), 0u) << "node " << i;
   }
 }
 
@@ -687,9 +687,9 @@ TEST(LyraProtocol, SplitVotesDecideInALaterRoundWithAgreement) {
   for (NodeId p = 0; p < 4; ++p) {
     for (std::uint64_t index = 0; index < 8; ++index) {
       const InstanceId inst{p, index};
-      const std::optional<bool> ref = cluster.node(1).decision(inst);
+      const std::optional<bool> ref = cluster.node(1).boc().decision(inst);
       for (NodeId i = 2; i < 4; ++i) {
-        EXPECT_EQ(cluster.node(i).decision(inst), ref)
+        EXPECT_EQ(cluster.node(i).boc().decision(inst), ref)
             << "instance " << p << "/" << index << " at node " << i;
       }
       if (p == 0 && ref.has_value()) {
@@ -751,17 +751,60 @@ TEST(LyraProtocol, FarRoundAuxAndEstAddOneRoundState) {
   const core::LyraNode& target = cluster.node(1);
   ASSERT_EQ(target.ledger().size(), 1u);
   const InstanceId inst = target.ledger().front().inst;
-  ASSERT_EQ(target.decision(inst), std::optional<bool>(true));
-  ASSERT_EQ(target.live_instances(), 1u);
-  ASSERT_EQ(target.retained_round_states(), 1u);
+  ASSERT_EQ(target.boc().decision(inst), std::optional<bool>(true));
+  ASSERT_EQ(target.boc().live_instances(), 1u);
+  ASSERT_EQ(target.boc().retained_round_states(), 1u);
 
   // Rounds are stored sparsely: a far round costs one state, not a
   // million.
   byz->send_far_round(1, inst, 1'000'000);
   cluster.run_for(ms(50));
-  EXPECT_EQ(target.live_instances(), 1u);
-  EXPECT_EQ(target.retained_round_states(), 2u);
-  EXPECT_EQ(target.decision(inst), std::optional<bool>(true));
+  EXPECT_EQ(target.boc().live_instances(), 1u);
+  EXPECT_EQ(target.boc().retained_round_states(), 2u);
+  EXPECT_EQ(target.boc().decision(inst), std::optional<bool>(true));
+}
+
+/// A process outside the replica set (its id is n) that sends what it is
+/// told.
+class Outsider final : public sim::Process {
+ public:
+  using sim::Process::Process;
+  using sim::Process::send;
+
+ protected:
+  void on_message(const sim::Envelope&) override {}
+};
+
+TEST(LyraProtocol, NonReplicaVoteAndDeliverCreateNoInstance) {
+  sim::Simulation sim(1);
+  net::Network network(&sim, std::make_unique<net::UniformLatency>(ms(10)),
+                       4);
+  core::Config cfg;
+  cfg.n = 4;
+  cfg.f = 1;
+  Rng rng(3);
+  const crypto::KeyRegistry registry(4, cfg.quorum(), rng);
+  std::vector<std::unique_ptr<core::LyraNode>> nodes;
+  for (NodeId i = 0; i < 4; ++i) {
+    nodes.push_back(
+        std::make_unique<core::LyraNode>(&sim, &network, i, cfg, &registry));
+    network.attach(nodes.back().get());
+  }
+  Outsider outsider(&sim, &network, 4);
+  network.attach(&outsider);
+
+  const InstanceId inst{1, 0};
+  auto vote = std::make_shared<core::VoteMsg>();
+  vote->inst = inst;
+  auto deliver = std::make_shared<core::DeliverMsg>();
+  deliver->inst = inst;
+  outsider.send(0, vote);
+  outsider.send(0, deliver);
+  sim.run_all();
+
+  // Dropped before any state is touched: no instance, no timers armed.
+  EXPECT_EQ(nodes[0]->boc().live_instances(), 0u);
+  EXPECT_EQ(nodes[0]->boc().retained_round_states(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -40,14 +40,13 @@ class MockHost final : public StateSyncHost {
   };
 
   NodeId sync_self() const override { return 0; }
-  void sync_send(NodeId to, std::shared_ptr<core::LyraMsg> msg) override {
+  void send_msg(NodeId to, std::shared_ptr<core::LyraMsg> msg) override {
     sent.push_back({to, std::move(msg)});
   }
-  void sync_broadcast(std::shared_ptr<core::LyraMsg> msg) override {
+  void broadcast_msg(std::shared_ptr<core::LyraMsg> msg) override {
     broadcasts.push_back(std::move(msg));
   }
-  std::uint64_t sync_set_timer(TimeNs delay,
-                               std::function<void()> fn) override {
+  std::uint64_t arm_timer(TimeNs delay, std::function<void()> fn) override {
     timers.push_back({delay, std::move(fn)});
     return timers.size() - 1;
   }

@@ -3,8 +3,8 @@
 
 A bench file holds one or more labelled runs:
 
-    {"benchmark": "bench_sim_speed",
-     "runs": [{"label": "...", "entries": [{"name": ..., "events_per_sec": ...}]}]}
+    {"benchmark": "bench_fig5_scaling",
+     "runs": [{"label": "...", "entries": [{"name": ..., "rss_bytes": ...}]}]}
 
 Modes:
 
