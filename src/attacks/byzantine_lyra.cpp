@@ -5,7 +5,7 @@
 namespace lyra::attacks {
 
 void SelectiveInitLyraNode::propose_selectively(BytesView payload) {
-  const InstanceId inst{id(), next_proposal_index_++};
+  const InstanceId inst{id(), commit_.take_proposal_index()};
   auto msg = std::make_shared<core::InitMsg>();
   msg->inst = inst;
   const SeqNum s_ref = clock_now();
@@ -92,7 +92,7 @@ std::shared_ptr<core::InitMsg> EquivocatingLyraNode::make_init(
 
 void EquivocatingLyraNode::equivocate(BytesView payload_even,
                                       BytesView payload_odd) {
-  const InstanceId inst{id(), next_proposal_index_++};
+  const InstanceId inst{id(), commit_.take_proposal_index()};
   const auto even = make_init(inst, payload_even);
   const auto odd = make_init(inst, payload_odd);
   for (NodeId to = 0; to < config_.n; ++to) {

@@ -10,6 +10,13 @@ Digest VssCipher::compute_id() const {
       .digest();
 }
 
+Digest payload_digest(bool obfuscated, BytesView payload) {
+  return Hasher()
+      .add_str(obfuscated ? "vss-payload" : "clear")
+      .add(payload)
+      .digest();
+}
+
 Vss::Vss(const KeyRegistry* registry, std::uint32_t n, std::uint32_t threshold)
     : registry_(registry), n_(n), threshold_(threshold) {
   LYRA_ASSERT(registry != nullptr, "VSS needs a key registry");
@@ -40,8 +47,7 @@ VssCipher Vss::encrypt(BytesView payload, Rng& rng) const {
 
   VssCipher cipher;
   cipher.ciphertext = xor_keystream(key, payload);
-  cipher.payload_digest =
-      Hasher().add_str("vss-payload").add(payload).digest();
+  cipher.payload_digest = payload_digest(/*obfuscated=*/true, payload);
   cipher.id = cipher.compute_id();
 
   const auto shares =
@@ -95,8 +101,9 @@ std::optional<Bytes> Vss::decrypt(const VssCipher& cipher,
 
   // A dealer that committed to a bogus digest produced an invalid cipher;
   // reconstruction proves it to every correct process.
-  const Digest check = Hasher().add_str("vss-payload").add(payload).digest();
-  if (check != cipher.payload_digest) return std::nullopt;
+  if (payload_digest(/*obfuscated=*/true, payload) != cipher.payload_digest) {
+    return std::nullopt;
+  }
   return payload;
 }
 

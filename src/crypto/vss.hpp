@@ -46,6 +46,10 @@ struct VssCipher {
   Digest compute_id() const;
 };
 
+/// The digest that binds a batch's plaintext: "vss-payload" for a VSS
+/// cipher, "clear" when obfuscation is off and the payload rides in clear.
+Digest payload_digest(bool obfuscated, BytesView payload);
+
 class Vss {
  public:
   /// n processes; `threshold` shares reconstruct (the paper uses 2f+1).

@@ -198,7 +198,7 @@ void check_lambda_fairness(const CheckContext& ctx,
   // violated the λ-bounded reordering guarantee).
   for (NodeId i : correct_alive_lyra(ctx)) {
     const std::uint64_t late =
-        ctx.lyra->node(i).commit_state().late_accepts();
+        ctx.lyra->node(i).commit().state().late_accepts();
     if (late == 0) continue;
     out.push_back({"lambda-fairness",
                    node_str(i) + ": " + std::to_string(late) +

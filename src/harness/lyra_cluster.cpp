@@ -240,7 +240,7 @@ statesync::StateSyncStats LyraCluster::statesync_totals() const {
 std::uint64_t LyraCluster::total_late_accepts() const {
   std::uint64_t total = 0;
   for (const auto& n : nodes_) {
-    if (n != nullptr) total += n->commit_state().late_accepts();
+    if (n != nullptr) total += n->commit().state().late_accepts();
   }
   return total;
 }

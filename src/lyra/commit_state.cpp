@@ -110,8 +110,7 @@ std::vector<AcceptedEntry> CommitState::take_committable() {
       std::pair{committed_ + 1, crypto::Digest{}});
   for (; it != end; ++it) {
     out.push_back(it->second);
-    cursor_ = it->first;
-    handed_out_watermark_ = it->first.first;
+    mark_extracted(it->second);
   }
   return out;
 }
@@ -127,29 +126,16 @@ std::vector<AcceptedEntry> CommitState::accepted_after(
   return out;
 }
 
-std::vector<AcceptedEntry> CommitState::accepted_snapshot() const {
-  std::vector<AcceptedEntry> out;
-  out.reserve(accepted_ordered_.size());
-  for (const auto& [key, entry] : accepted_ordered_) out.push_back(entry);
-  return out;
-}
-
-void CommitState::restore_accepted(const std::vector<AcceptedEntry>& entries) {
-  for (const AcceptedEntry& entry : entries) add_accepted(entry);
-  delta_buffer_.clear();  // peers saw these before the crash
-  late_accepts_ = 0;      // the cursor is restored separately, afterwards
-}
-
-void CommitState::restore_extraction(SeqNum committed, SeqNum cursor_seq,
-                                     const crypto::Digest& cursor_id) {
-  committed_ = committed;
-  if (cursor_seq != kNoSeq) {
-    cursor_ = {cursor_seq, cursor_id};
-    handed_out_watermark_ = cursor_seq;
+void CommitState::mark_extracted(const AcceptedEntry& entry) {
+  const std::pair key{entry.seq, entry.cipher_id};
+  if (handed_out_watermark_ == kNoSeq || cursor_ < key) {
+    cursor_ = key;
+    handed_out_watermark_ = entry.seq;
   }
+  committed_ = std::max(committed_, entry.seq);
 }
 
-void CommitState::install_synced(const AcceptedEntry& entry) {
+void CommitState::install(const AcceptedEntry& entry) {
   const auto [it, inserted] =
       accepted_index_.try_emplace(entry.cipher_id, entry.seq);
   if (!inserted) return;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -41,6 +42,12 @@ class CommitState {
   bool add_accepted(const AcceptedEntry& entry);
 
   std::size_t accepted_count() const { return accepted_index_.size(); }
+  /// The sequence number `cipher_id` was accepted at, if it was.
+  std::optional<SeqNum> accepted_seq(const crypto::Digest& cipher_id) const {
+    const auto it = accepted_index_.find(cipher_id);
+    return it == accepted_index_.end() ? std::nullopt
+                                       : std::optional<SeqNum>(it->second);
+  }
 
   // --- peer status intake (lines 79-81) ---
 
@@ -80,31 +87,24 @@ class CommitState {
 
   // --- durable storage hooks (storage snapshot / recovery) ---
 
-  /// The accepted set in (seq, cipher_id) order, for snapshotting.
-  std::vector<AcceptedEntry> accepted_snapshot() const;
-
   /// Accepted entries strictly after the (seq, id) cursor — what a
-  /// restarted peer asks for in a ResyncReq (all of A when seq is kNoSeq).
+  /// restarted peer asks for in a ResyncReq; all of A, in (seq, cipher_id)
+  /// order, when seq is kNoSeq (a snapshot).
   std::vector<AcceptedEntry> accepted_after(SeqNum cursor_seq,
                                             const crypto::Digest& cursor_id)
       const;
 
-  /// Re-seeds the accepted set on a freshly constructed CommitState
-  /// (restart path). Does not populate the delta buffer: the recovered
-  /// entries were already announced to peers before the crash.
-  void restore_accepted(const std::vector<AcceptedEntry>& entries);
+  /// Marks `entry` extracted: the cursor moves up to it (never back) and
+  /// the committed watermark covers it, so it is not handed out again.
+  /// Extraction, recovery and a state-sync install all commit through it.
+  void mark_extracted(const AcceptedEntry& entry);
 
-  /// Restores the extraction cursor so already-committed entries are not
-  /// handed out a second time after restart. `cursor_seq`/`cursor_id`
-  /// identify the last extracted entry (kNoSeq when nothing was).
-  void restore_extraction(SeqNum committed, SeqNum cursor_seq,
-                          const crypto::Digest& cursor_id);
-
-  /// Inserts an entry adopted from a peer state transfer: no delta-buffer
-  /// announcement (every peer already has it — that is how it got here)
-  /// and no late-accept count (it lands below the synced cursor by
-  /// construction, which is installation, not a completeness violation).
-  void install_synced(const AcceptedEntry& entry);
+  /// Inserts an entry recovered from disk or adopted from a peer state
+  /// transfer: no delta-buffer announcement (peers saw it before the crash,
+  /// or already have it — that is how it got here) and no late-accept count
+  /// (a synced entry lands below the synced cursor by construction, which
+  /// is installation, not a completeness violation).
+  void install(const AcceptedEntry& entry);
 
  private:
   const Config* config_;

@@ -23,20 +23,6 @@ constexpr SeqNum kFutureBound = ms(1500);
 /// perceived-sequence-number error that lambda validates.
 constexpr double kPacingBandwidth = 125e6;
 
-/// The buffer a node stores for the plaintext it just recovered from
-/// `init`'s cipher: the one an earlier node published in the INIT's slot
-/// when it holds the same bytes, else `payload`, now published there.
-/// Host memory only; every check that produced `payload` already ran.
-std::shared_ptr<const Bytes> share_or_publish(const InitMsg& init,
-                                              Bytes payload) {
-  if (auto shared = init.revealed.lock(); shared && *shared == payload) {
-    return shared;
-  }
-  auto own = std::make_shared<const Bytes>(std::move(payload));
-  init.revealed = own;
-  return own;
-}
-
 /// The journal record of an own batch: which clients to commit-notify.
 storage::OwnBatchRecord own_batch_record(
     const InstanceId& inst, const std::vector<BatchAssembler::Chunk>& chunks) {
@@ -60,8 +46,8 @@ LyraNode::LyraNode(sim::Simulation* sim, net::Network* network, NodeId id,
            static_cast<std::uint32_t>(config.quorum())),
       clock_(sim, config.clock_offset(id, 0xc10c)),
       distances_(config.n, kDistanceAlpha),
-      commit_(config_),
-      boc_(*this, id, config_, *registry) {
+      boc_(*this, id, config_, *registry),
+      commit_(*this, id, config_, *registry, stats_) {
   LYRA_ASSERT(config.n > 3 * config.f, "need n > 3f");
 }
 
@@ -126,7 +112,7 @@ void LyraNode::on_message(const sim::Envelope& env) {
                               kind <= sim::MsgKind::kRevealReply;
   if ((kind >= sim::MsgKind::kInit && kind <= sim::MsgKind::kResyncReply) ||
       statesync_kind) {
-    apply_status(env.from, static_cast<const LyraMsg&>(p).status);
+    commit_.apply_status(env.from, static_cast<const LyraMsg&>(p).status);
   }
   if (statesync_kind) {
     if (statesync_ != nullptr) statesync_->on_message(env);
@@ -156,7 +142,7 @@ void LyraNode::on_message(const sim::Envelope& env) {
       to_boc(env, &BocMachine::on_aux);
       break;
     case sim::MsgKind::kShares:
-      handle_shares(env, static_cast<const SharesMsg&>(p));
+      commit_.on_shares(env.from, static_cast<const SharesMsg&>(p));
       break;
     case sim::MsgKind::kProbe:
       handle_probe(env, static_cast<const ProbeMsg&>(p));
@@ -189,7 +175,7 @@ void LyraNode::on_message(const sim::Envelope& env) {
 void LyraNode::maybe_propose() {
   // A node rebuilding its prefix from peers does not yet know which own
   // instance ids an earlier incarnation used; it proposes again from
-  // sync_completed(), once the install has named them.
+  // commit_synced(), once the install has named them.
   if (!warmed_up_ || syncing()) return;
   while (has_full_batch() &&
          own_proposals_.size() < config_.max_outstanding_proposals) {
@@ -216,15 +202,15 @@ void LyraNode::flush_partial_batch() {
 }
 
 void LyraNode::propose_batch(PendingBatch batch) {
-  const InstanceId inst{id(), next_proposal_index_++};
+  const InstanceId inst{id(), commit_.take_proposal_index()};
   // Journal the consumed index before the INIT leaves: a restarted node
   // must never reuse an instance id peers may have seen. The client chunks
   // ride along so a restarted incarnation can still commit-notify them
   // (rejected instances leave a dead record behind; it dies with the next
   // snapshot since only still-pending batches are snapshotted).
-  if (journal_ != nullptr) {
-    journal_->proposal(inst.index);
-    journal_->own_batch(own_batch_record(inst, batch.carved.chunks));
+  if (storage::DurableJournal* j = journal()) {
+    j->proposal(inst.index);
+    j->own_batch(own_batch_record(inst, batch.carved.chunks));
   }
 
   // ordered-propose (Alg. 2): remember s_ref, predict S_t, obfuscate,
@@ -253,7 +239,7 @@ void LyraNode::propose_batch(PendingBatch batch) {
     // Ablation mode: the "cipher" carries the payload in the clear.
     msg->cipher.ciphertext = carved.payload;
     msg->cipher.payload_digest =
-        crypto::Hasher().add_str("clear").add(carved.payload).digest();
+        crypto::payload_digest(/*obfuscated=*/false, carved.payload);
     msg->cipher.id = msg->cipher.compute_id();
   }
 
@@ -328,15 +314,7 @@ void LyraNode::handle_init(const sim::Envelope& env, const InitMsg& m) {
 }
 
 bool LyraNode::boc_init_adopted(const BocInstance& b, bool judge) {
-  // A reveal record may already exist (accepted via a peer's delta before
-  // we saw the INIT); attach the cipher now.
-  if (const auto it = reveal_.find(b.init->cipher.id);
-      it != reveal_.end() && !it->second.have_cipher) {
-    it->second.init = b.init;
-    it->second.have_cipher = true;
-    it->second.tx_count = b.init->tx_count;
-    if (it->second.committed) on_cipher_for_committed(it->first);
-  }
+  commit_.on_init(b.init);
   if (!judge) return false;
   const bool validated =
       b.requested != kNoSeq &&
@@ -405,7 +383,7 @@ void LyraNode::boc_decided(const BocInstance& b) {
     entry.cipher_id = cipher_id;
     entry.seq = b.requested;
     entry.inst = b.inst;
-    merge_accepted(entry, id());
+    commit_.merge_accepted(entry, id());
     try_commit();
   } else if (b.inst.proposer == id()) {
     ++stats_.rejected_own;
@@ -441,9 +419,9 @@ void LyraNode::resubmit(PendingBatch batch) {
 void LyraNode::send_resync_request() {
   if (!resync_pending_) return;
   auto msg = std::make_shared<ResyncReqMsg>();
-  if (!ledger_.empty()) {
-    msg->cursor_seq = ledger_.back().seq;
-    msg->cursor_id = ledger_.back().cipher_id;
+  if (!ledger().empty()) {
+    msg->cursor_seq = ledger().back().seq;
+    msg->cursor_id = ledger().back().cipher_id;
   }
   broadcast_msg(msg);
   // Re-ask until f+1 peers answered (some may be down themselves).
@@ -453,7 +431,7 @@ void LyraNode::send_resync_request() {
 void LyraNode::handle_resync_req(const sim::Envelope& env,
                                  const ResyncReqMsg& m) {
   auto reply = std::make_shared<ResyncReplyMsg>();
-  reply->entries = commit_.accepted_after(m.cursor_seq, m.cursor_id);
+  reply->entries = commit_.state().accepted_after(m.cursor_seq, m.cursor_id);
   send_msg(env.from, reply);
 }
 
@@ -468,7 +446,9 @@ void LyraNode::handle_resync_reply(const sim::Envelope& env,
       !support::mutation_enabled("resync-self-reply")) {
     return;
   }
-  for (const AcceptedEntry& entry : m.entries) merge_accepted(entry, env.from);
+  for (const AcceptedEntry& entry : m.entries) {
+    commit_.merge_accepted(entry, env.from);
+  }
   if (!resync_pending_ || env.from >= config_.n ||
       resync_replied_[env.from]) {
     return;
@@ -480,7 +460,8 @@ void LyraNode::handle_resync_reply(const sim::Envelope& env,
   // extractable entry (Lemma 6). The gate opens.
   resync_peer_replies_at_open_ = resync_peer_replies_;
   resync_pending_ = false;
-  LYRA_TRACE("resync", "accepted=" + std::to_string(commit_.accepted_count()));
+  LYRA_TRACE("resync",
+             "accepted=" + std::to_string(commit_.state().accepted_count()));
   try_commit();
 }
 
@@ -488,200 +469,30 @@ void LyraNode::handle_resync_reply(const sim::Envelope& env,
 // Commit protocol (Alg. 4) and commit-reveal
 // ---------------------------------------------------------------------------
 
-void LyraNode::apply_status(NodeId from, const StatusPiggyback& status) {
-  if (from >= config_.n) return;
-  commit_.on_status(from, status);
-  for (const AcceptedEntry& entry : status.accepted_delta) {
-    merge_accepted(entry, from);
-  }
-}
-
-void LyraNode::merge_accepted(const AcceptedEntry& entry, NodeId from) {
-  if (entry.inst.proposer == id()) {
-    // A restarted node that lost its journal learns the ids of its earlier
-    // incarnation's instances here (resync replies, peers' deltas); it
-    // must never propose one of them again.
-    next_proposal_index_ =
-        std::max(next_proposal_index_, entry.inst.index + 1);
-  }
-  if (!commit_.add_accepted(entry)) return;
-  if (journal_ != nullptr) journal_->accepted(entry);
-  commit_.resolve_pending(entry.cipher_id);
-  RevealRecord& rec = reveal_[entry.cipher_id];
-  rec.inst = entry.inst;
-  rec.seq = entry.seq;
-  if (!rec.have_cipher) {
-    const BocInstance* b = boc_.find(entry.inst);
-    if (b != nullptr && b->init) {
-      rec.init = b->init;
-      rec.have_cipher = true;
-      rec.tx_count = b->init->tx_count;
-    } else if (from != id()) {
-      auto req = std::make_shared<ReqInitMsg>();
-      req->inst = entry.inst;
-      send_msg(from, req);
-    }
-  }
-}
-
 void LyraNode::try_commit() {
-  commit_.recompute();
   // Post-restart: the accepted set may have holes until f+1 peers answered
   // the resync; extracting across a hole would fork this ledger. Likewise
   // while a snapshot transfer runs: extraction would race the install.
-  if (resync_pending_ || syncing()) return;
-  const std::vector<AcceptedEntry> wave = commit_.take_committable();
-  if (wave.empty()) return;
-
-  auto shares_msg = std::make_shared<SharesMsg>();
-  for (const AcceptedEntry& entry : wave) {
-    RevealRecord& rec = append_committed(entry);
-    if (entry.inst.proposer == id()) {
-      if (const BocInstance* b = boc_.find(entry.inst);
-          b != nullptr && b->decided) {
-        stats_.phase_commit_wait_ms.add(to_ms(now() - b->decided_at));
-      }
-    }
-    LYRA_TRACE("commit", "seq=" + std::to_string(entry.seq));
-
-    if (!rec.have_cipher) {
-      // Share + reveal catch up when the cipher arrives; if it never does
-      // (GC'd everywhere), the statesync reveal catch-up fills the hole.
-      if (statesync_ != nullptr) statesync_->note_unrevealed_commit();
-      continue;
-    }
-    if (config_.obfuscate) release_share(entry.cipher_id, rec, *shares_msg);
-    try_reveal(entry.cipher_id);
-  }
-  if (!shares_msg->shares.empty()) broadcast_msg(shares_msg);
-  if (journal_ != nullptr && journal_->snapshot_due()) {
-    journal_->write_snapshot(make_snapshot());
+  if (!commit_.try_commit(/*extract=*/!resync_pending_ && !syncing())) return;
+  if (journal() != nullptr && journal()->snapshot_due()) {
+    journal()->write_snapshot(make_snapshot());
   }
 }
 
-LyraNode::RevealRecord& LyraNode::append_committed(const AcceptedEntry& entry) {
-  RevealRecord& rec = reveal_[entry.cipher_id];
-  rec.committed = true;
-  rec.inst = entry.inst;
-  rec.seq = entry.seq;
-  rec.ledger_slot = ledger_.size();
-
-  CommittedBatch cb;
-  cb.seq = entry.seq;
-  cb.inst = entry.inst;
-  cb.cipher_id = entry.cipher_id;
-  cb.tx_count = rec.tx_count;
-  cb.committed_at = now();
-  ledger_.push_back(std::move(cb));
-  ++stats_.committed_batches;
-
-  chain_hash_ = crypto::Hasher()
-                    .add(chain_hash_)
-                    .add_i64(entry.seq)
-                    .add(entry.cipher_id)
-                    .digest();
-  if (journal_ != nullptr) journal_->committed(entry, rec.tx_count);
-  return rec;
-}
-
-void LyraNode::release_share(const crypto::Digest& cipher_id,
-                             RevealRecord& rec, SharesMsg& out) {
-  charge(ccost(config_.costs.vss_partial_decrypt));
-  const crypto::VssShare share =
-      vss_.partial_decrypt(rec.init->cipher, signer_);
-  rec.shares.push_back(share);
-  rec.share_broadcast = true;
-  out.shares.emplace_back(cipher_id, share);
-}
-
-void LyraNode::on_cipher_for_committed(const crypto::Digest& cipher_id) {
-  RevealRecord& rec = reveal_[cipher_id];
-  if (!rec.committed || rec.revealed || !rec.have_cipher) return;
-  if (ledger_.size() > rec.ledger_slot) {
-    ledger_[rec.ledger_slot].tx_count = rec.tx_count;
-  }
-  if (config_.obfuscate && !rec.share_broadcast) {
-    auto msg = std::make_shared<SharesMsg>();
-    release_share(cipher_id, rec, *msg);
-    broadcast_msg(msg);
-  }
-  try_reveal(cipher_id);
-}
-
-void LyraNode::handle_shares(const sim::Envelope& env, const SharesMsg& m) {
-  // A replica speaks only for its own share; otherwise one Byzantine
-  // replica could fill every owner's slot with forgeries before the real
-  // shares arrive and starve decrypt of 2f+1 valid ones. One share per
-  // owner also bounds a record at n.
-  if (env.from >= config_.n) return;
-  for (const auto& [cipher_id, share] : m.shares) {
-    if (share.owner != env.from) continue;
-    RevealRecord& rec = reveal_[cipher_id];
-    if (rec.revealed) continue;
-    const bool duplicate = std::any_of(
-        rec.shares.begin(), rec.shares.end(),
-        [&](const crypto::VssShare& s) { return s.owner == share.owner; });
-    if (!duplicate) {
-      rec.shares.push_back(share);
-      try_reveal(cipher_id);
+void LyraNode::commit_extracted(const CommittedBatch& cb, bool have_cipher) {
+  if (cb.inst.proposer == id()) {
+    if (const BocInstance* b = boc_.find(cb.inst); b != nullptr && b->decided) {
+      stats_.phase_commit_wait_ms.add(to_ms(now() - b->decided_at));
     }
   }
+  // Share + reveal catch up when the cipher arrives; if it never does
+  // (GC'd everywhere), the statesync reveal catch-up fills the hole.
+  if (!have_cipher && statesync_ != nullptr) {
+    statesync_->note_unrevealed_commit();
+  }
 }
 
-void LyraNode::try_reveal(const crypto::Digest& cipher_id) {
-  RevealRecord& rec = reveal_[cipher_id];
-  if (rec.revealed || !rec.committed || !rec.have_cipher) return;
-  if (!config_.obfuscate) {
-    // Ablation mode: the "cipher" carries the payload in the clear.
-    finalize_reveal(cipher_id,
-                    share_or_publish(*rec.init, rec.init->cipher.ciphertext));
-    return;
-  }
-  if (rec.shares.size() < config_.quorum()) return;
-
-  charge(ccost(config_.costs.vss_combine) +
-         ccost(config_.costs.hash_cost(rec.init->cipher.ciphertext.size())));
-  auto payload = vss_.decrypt(rec.init->cipher, rec.shares);
-  if (!payload) return;  // not enough *valid* shares yet
-  finalize_reveal(cipher_id, share_or_publish(*rec.init, std::move(*payload)));
-}
-
-void LyraNode::finalize_reveal(const crypto::Digest& cipher_id,
-                               std::shared_ptr<const Bytes> payload) {
-  RevealRecord& rec = reveal_[cipher_id];
-  LYRA_ASSERT(rec.committed && !rec.revealed, "reveal before commit");
-  rec.revealed = true;
-  // Normal path: the digest comes from the cipher. Catch-up installs have
-  // no cipher; sync_install_payload stamped rec.payload_digest already.
-  if (rec.have_cipher) rec.payload_digest = rec.init->cipher.payload_digest;
-
-  CommittedBatch& cb = ledger_[rec.ledger_slot];
-  cb.revealed_at = now();
-  cb.tx_count = rec.tx_count != 0 ? rec.tx_count : cb.tx_count;
-  if (journal_ != nullptr) {
-    journal_->revealed(cipher_id, rec.payload_digest, cb.tx_count);
-  }
-  cb.payload = std::move(payload);
-  ++stats_.revealed_batches;
-  stats_.committed_txs += cb.tx_count;
-
-  if (cb.inst.proposer == id() && cb.committed_at > 0) {
-    stats_.phase_reveal_ms.add(to_ms(now() - cb.committed_at));
-  }
-  LYRA_TRACE("reveal", "seq=" + std::to_string(cb.seq) +
-                           " txs=" + std::to_string(cb.tx_count));
-  if (reveal_hook_) reveal_hook_(cb);
-  if (!config_.retain_payloads) cb.payload.reset();
-  if (cb.inst.proposer == id()) settle_own_batch(cb);
-
-  // Let go of the INIT; the instance map still holds it for late ReqInit
-  // pulls until GC.
-  rec.init.reset();
-  rec.shares.clear();
-  rec.shares.shrink_to_fit();
-}
-
-void LyraNode::settle_own_batch(const CommittedBatch& cb) {
+void LyraNode::commit_own_revealed(const CommittedBatch& cb) {
   const auto it = own_proposals_.find(cb.inst);
   if (it != own_proposals_.end()) {
     if (it->second.cipher_id != cb.cipher_id) {
@@ -738,10 +549,7 @@ void LyraNode::handle_probe_reply(const sim::Envelope& env,
 void LyraNode::fill_status(StatusPiggyback& status, bool broadcast) {
   status.counter = ++status_counter_;
   status.locked = clock_.now() - config_.max_latency();
-  status.min_pending = commit_.min_pending();
-  status.committed = commit_.committed();
-  status.chain_hash = chain_hash_;
-  if (broadcast) status.accepted_delta = commit_.drain_accepted_delta();
+  commit_.fill_status(status, broadcast);
 }
 
 crypto::Digest LyraNode::compute_value_id(
@@ -762,31 +570,7 @@ storage::Snapshot LyraNode::make_snapshot() const {
   storage::Snapshot snap;
   snap.node = id();
   snap.status_counter = status_counter_;
-  snap.next_proposal_index = next_proposal_index_;
-  snap.committed = commit_.committed();
-  // Ledger appends happen in extraction order, so the last ledger entry is
-  // exactly the CommitState cursor.
-  if (!ledger_.empty()) {
-    snap.cursor_seq = ledger_.back().seq;
-    snap.cursor_id = ledger_.back().cipher_id;
-  }
-  snap.chain_hash = chain_hash_;
-  snap.accepted = commit_.accepted_snapshot();
-  snap.ledger.reserve(ledger_.size());
-  for (const CommittedBatch& cb : ledger_) {
-    storage::LedgerEntryRecord rec;
-    rec.entry.cipher_id = cb.cipher_id;
-    rec.entry.seq = cb.seq;
-    rec.entry.inst = cb.inst;
-    rec.tx_count = cb.tx_count;
-    rec.revealed = cb.revealed_at > 0;
-    const auto it = reveal_.find(cb.cipher_id);
-    if (it != reveal_.end()) {
-      rec.share_released = it->second.share_broadcast;
-      rec.payload_digest = it->second.payload_digest;
-    }
-    snap.ledger.push_back(rec);
-  }
+  commit_.fill_snapshot(snap);
   // Un-notified own batches: both live ones and replay leftovers from a
   // previous incarnation. Rejected-and-resubmitted instances are absent
   // from both maps, so their stale WAL records die here.
@@ -806,7 +590,7 @@ storage::Snapshot LyraNode::make_snapshot() const {
 }
 
 void LyraNode::restore(const storage::RecoveredState& recovered) {
-  LYRA_ASSERT(ledger_.empty() && commit_.accepted_count() == 0,
+  LYRA_ASSERT(ledger().empty() && commit_.state().accepted_count() == 0,
               "restore on a node that already ran");
   // Any restarted incarnation — even one whose disk was empty — slept
   // through accepted_delta broadcasts; gate extraction until peers fill
@@ -835,34 +619,7 @@ void LyraNode::restore(const storage::RecoveredState& recovered) {
     return;
   }
 
-  next_proposal_index_ = recovered.next_proposal_index;
-  commit_.restore_accepted(recovered.accepted);
-
-  ledger_.reserve(recovered.ledger.size());
-  for (const storage::LedgerEntryRecord& rec : recovered.ledger) {
-    // Rebuild the running chain hash link by link (real recovery work:
-    // charge it to the CPU model). The journal is not attached yet, so
-    // nothing is re-journaled; committed_at is the recovery instant, as
-    // the original times are gone.
-    charge(ccost(config_.costs.hash_cost(72)));
-    reveal_[rec.entry.cipher_id].tx_count = rec.tx_count;
-    RevealRecord& rr = append_committed(rec.entry);
-    // The share (if released pre-crash) is public; never re-derive or
-    // re-release one the old incarnation did not. The cipher itself is
-    // not persisted — a ReqInit pull refills it if a reveal is still due.
-    rr.share_broadcast = rec.share_released;
-    rr.revealed = rec.revealed;
-    rr.payload_digest = rec.payload_digest;
-    if (rec.revealed) {
-      ledger_.back().revealed_at = now();
-      ++stats_.revealed_batches;
-      stats_.committed_txs += rec.tx_count;
-    }
-  }
-  if (!ledger_.empty()) {
-    commit_.restore_extraction(ledger_.back().seq, ledger_.back().seq,
-                               ledger_.back().cipher_id);
-  }
+  commit_.restore(recovered);
 
   // Own batches journaled but never client-notified. Notification happens
   // in the same instant as the reveal (finalize_reveal), so a batch whose
@@ -883,8 +640,8 @@ void LyraNode::restore(const storage::RecoveredState& recovered) {
     pending_notify_.emplace(rec.inst, std::move(chunks));
   }
   LYRA_TRACE("recover",
-             "ledger=" + std::to_string(ledger_.size()) +
-                 " accepted=" + std::to_string(commit_.accepted_count()) +
+             "ledger=" + std::to_string(ledger().size()) + " accepted=" +
+                 std::to_string(commit_.state().accepted_count()) +
                  " replayed=" + std::to_string(recovered.stats.replayed_records));
 }
 
@@ -894,147 +651,16 @@ void LyraNode::restore(const storage::RecoveredState& recovered) {
 
 void LyraNode::enable_state_sync(statesync::StateSyncConfig cfg) {
   statesync_ = std::make_unique<statesync::StateSyncManager>(
-      this, config_.n, config_.f, config_.delta, cfg);
+      &commit_, config_.n, config_.f, config_.delta, cfg);
 }
 
-NodeId LyraNode::sync_self() const { return id(); }
-
-void LyraNode::sync_charge_hash(std::size_t bytes) {
-  charge(ccost(config_.costs.hash_cost(bytes)));
-}
-
-std::uint64_t LyraNode::sync_ledger_length() const { return ledger_.size(); }
-
-std::vector<AcceptedEntry> LyraNode::sync_committed_entries(
-    std::uint64_t first, std::size_t count) const {
-  std::vector<AcceptedEntry> out;
-  if (first >= ledger_.size()) return out;
-  count = std::min<std::uint64_t>(count, ledger_.size() - first);
-  out.reserve(count);
-  for (std::size_t i = first; i < first + count; ++i) {
-    out.push_back({ledger_[i].cipher_id, ledger_[i].seq, ledger_[i].inst});
-  }
-  return out;
-}
-
-bool LyraNode::sync_lookup_reveal(const crypto::Digest& cipher_id,
-                                  crypto::Digest& payload_digest,
-                                  std::uint32_t& tx_count,
-                                  Bytes& payload) const {
-  const auto it = reveal_.find(cipher_id);
-  if (it == reveal_.end() || !it->second.revealed) return false;
-  payload_digest = it->second.payload_digest;
-  tx_count = it->second.tx_count;
-  payload.clear();
-  if (ledger_.size() > it->second.ledger_slot) {
-    const CommittedBatch& cb = ledger_[it->second.ledger_slot];
-    if (cb.payload) payload = *cb.payload;
-  }
-  return true;
-}
-
-bool LyraNode::sync_verify_payload(BytesView payload,
-                                   const crypto::Digest& digest) const {
-  // Same digest convention the proposer used (vss.cpp / propose_batch's
-  // ablation branch) — which one depends on the deployment's obfuscation
-  // setting, which is why this check lives on the node, not the manager.
-  const crypto::Digest computed =
-      config_.obfuscate
-          ? crypto::Hasher().add_str("vss-payload").add(payload).digest()
-          : crypto::Hasher().add_str("clear").add(payload).digest();
-  return computed == digest;
-}
-
-bool LyraNode::sync_install_prefix(
-    const std::vector<AcceptedEntry>& entries) {
-  // f+1 distinct peers vouched for this prefix, so at least one correct
-  // node committed it. Our own ledger was extracted under the same quorum
-  // rules; a divergence here would mean the protocol's safety broke.
-  // Refuse structurally (the manager renegotiates the cut) instead of
-  // aborting — the fuzzer drives this path with injected faults.
-  if (entries.size() < ledger_.size()) {
-    LYRA_TRACE("statesync", "refused synced cut below the local ledger");
-    return false;
-  }
-  for (std::size_t i = 0; i < ledger_.size(); ++i) {
-    if (ledger_[i].cipher_id != entries[i].cipher_id) {
-      LYRA_TRACE("statesync",
-                 "refused synced cut: local ledger is not a prefix of it");
-      return false;
-    }
-  }
-  for (std::size_t i = ledger_.size(); i < entries.size(); ++i) {
-    const AcceptedEntry& e = entries[i];
-    // An amnesiac proposer must never reuse an instance id that peers
-    // already decided; the synced prefix names every committed one.
-    if (e.inst.proposer == id()) {
-      next_proposal_index_ = std::max(next_proposal_index_, e.inst.index + 1);
-    }
-    commit_.install_synced(e);
-    charge(ccost(config_.costs.hash_cost(72)));
-    const RevealRecord& rec = append_committed(e);
-    // The cipher may already be here (InitRelay raced the sync): share and
-    // reveal right away instead of waiting for catch-up.
-    if (rec.have_cipher) on_cipher_for_committed(e.cipher_id);
-  }
-  if (!ledger_.empty()) {
-    commit_.restore_extraction(
-        std::max(commit_.committed(), ledger_.back().seq),
-        ledger_.back().seq, ledger_.back().cipher_id);
-  }
-  LYRA_TRACE("statesync",
-             "installed prefix len=" + std::to_string(ledger_.size()));
-  return true;
-}
-
-std::vector<crypto::Digest> LyraNode::sync_unrevealed(
-    std::size_t limit) const {
-  std::vector<crypto::Digest> out;
-  for (const CommittedBatch& cb : ledger_) {
-    if (out.size() >= limit) break;
-    const auto it = reveal_.find(cb.cipher_id);
-    const bool revealed = it != reveal_.end() && it->second.revealed;
-    // A restored entry can be revealed on record yet hold no bytes: the
-    // journal keeps the reveal digest, not the payload. When payloads are
-    // retained, that is still a hole catch-up must close.
-    const bool bytes_missing = config_.retain_payloads && !cb.payload;
-    if (!revealed || bytes_missing) out.push_back(cb.cipher_id);
-  }
-  return out;
-}
-
-bool LyraNode::sync_install_payload(const crypto::Digest& cipher_id,
-                                    const Bytes& payload,
-                                    const crypto::Digest& payload_digest,
-                                    std::uint32_t tx_count) {
-  const auto it = reveal_.find(cipher_id);
-  if (it == reveal_.end()) return false;
-  RevealRecord& rec = it->second;
-  if (!rec.committed) return false;
-  if (rec.revealed) {
-    // Reveal digest survived in the journal but the bytes did not. Our
-    // own durable digest outranks the peer vote quorum: reject anything
-    // that does not match it, and only refill — the reveal was already
-    // finalized (and clients notified) by the pre-crash incarnation.
-    CommittedBatch& cb = ledger_[rec.ledger_slot];
-    if (!config_.retain_payloads || cb.payload) return false;
-    if (payload_digest != rec.payload_digest) return false;
-    cb.payload = std::make_shared<const Bytes>(payload);
-    return true;
-  }
-  rec.payload_digest = payload_digest;
-  rec.tx_count = tx_count;
-  finalize_reveal(cipher_id, std::make_shared<const Bytes>(payload));
-  return true;
-}
-
-void LyraNode::sync_completed() {
+void LyraNode::commit_synced() {
   // The install moved the extraction cursor; the commit machinery may
   // already hold entries beyond it. Also cut a snapshot so the adopted
   // prefix does not ride on the WAL alone. Proposing resumes: the install
-  // moved next_proposal_index_ past every own instance it named.
+  // moved the proposal index past every own instance it named.
   try_commit();
-  if (journal_ != nullptr) journal_->write_snapshot(make_snapshot());
+  if (journal() != nullptr) journal()->write_snapshot(make_snapshot());
   maybe_propose();
   flush_partial_batch();
 }

@@ -29,16 +29,11 @@ struct AcceptedEntry {
 /// message: the sender's locally-locked prefix, its lowest pending sequence
 /// number, and the accepted transactions it learned since its previous
 /// broadcast. `counter` makes status application monotone per sender.
-/// `chain_hash` is a running hash of the sender's committed prefix — the
-/// compact stand-in for the paper's "hash trees in lieu of older prefixes"
-/// that lets nodes (and tests) cross-check prefix agreement cheaply.
 struct StatusPiggyback {
   std::uint64_t counter = 0;
   SeqNum locked = kNoSeq;       // seq_i - L
   SeqNum min_pending = kMaxSeq; // kMaxSeq when no transaction is pending
   std::vector<AcceptedEntry> accepted_delta;
-  SeqNum committed = kNoSeq;    // sender's committed watermark
-  crypto::Digest chain_hash{};  // hash chain over the committed prefix
 };
 
 /// Base of every Lyra protocol message: all of them carry the status
@@ -58,8 +53,8 @@ struct InitMsg final : LyraMsg {
   crypto::Signature sig;              // broadcaster's signature over value_id
   /// Host memory, not protocol state, and no wire bytes: the plaintext the
   /// last node to reveal this cipher stored. A node that decrypts the same
-  /// bytes stores this buffer instead of its own copy
-  /// (share_or_publish in lyra_node.cpp); it lives while some ledger holds it.
+  /// bytes stores this buffer instead of its own copy (share_or_publish in
+  /// commit_machine.cpp); it lives while some ledger holds it.
   mutable std::weak_ptr<const Bytes> revealed;
 
   const char* name() const override { return "INIT"; }

@@ -59,10 +59,11 @@ struct StateSyncStats {
 /// it can never gather the f+1 quorum with honest peers.
 enum class ByzantineSyncMode { kNone, kGarbageChunks, kWrongManifest };
 
-/// Everything the manager needs from its node. LyraNode implements this;
-/// the indirection keeps lyra_statesync free of a link-dependency on
-/// lyra_core (which links back to this library), mirroring how lyra_storage
-/// consumes lyra/messages.hpp header-only.
+/// Everything the manager needs from its node. core::CommitMachine, which
+/// owns the node's ledger, implements this; the indirection keeps
+/// lyra_statesync free of a link-dependency on lyra_core (which links back
+/// to this library), mirroring how lyra_storage consumes lyra/messages.hpp
+/// header-only.
 class StateSyncHost {
  public:
   virtual ~StateSyncHost() = default;

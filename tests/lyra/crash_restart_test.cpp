@@ -123,7 +123,7 @@ TEST(CrashRestart, CatchesUpToNoCrashRunOfSameSeed) {
   submit_one_per_node(cluster, 4);
   ASSERT_TRUE(run_until(cluster, ms(500), [&] {
     for (NodeId i = 0; i < 4; ++i) {
-      if (cluster.node(i).commit_state().accepted_count() < 4) return false;
+      if (cluster.node(i).commit().state().accepted_count() < 4) return false;
     }
     return true;
   }));
@@ -139,8 +139,8 @@ TEST(CrashRestart, CatchesUpToNoCrashRunOfSameSeed) {
   for (NodeId i = 0; i < 4; ++i) {
     EXPECT_EQ(ledger_ids(cluster.node(i)), expected) << "node " << i;
   }
-  EXPECT_EQ(cluster.node(2).commit_state().committed(),
-            cluster.node(0).commit_state().committed());
+  EXPECT_EQ(cluster.node(2).commit().state().committed(),
+            cluster.node(0).commit().state().committed());
   EXPECT_TRUE(cluster.ledgers_prefix_consistent());
   EXPECT_EQ(cluster.total_late_accepts(), 0u);
 }

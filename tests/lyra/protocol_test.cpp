@@ -413,6 +413,91 @@ TEST(LyraProtocol, ForgedSharesUnderOtherOwnersCannotBlockReveal) {
             cluster.node(1).stats().revealed_batches);
 }
 
+/// Correct, except that it keeps its decryption shares to itself until the
+/// test sends one, for any cipher.
+class ShareSenderLyraNode final : public core::LyraNode {
+ public:
+  using core::LyraNode::LyraNode;
+
+  void broadcast_msg(std::shared_ptr<core::LyraMsg> msg) override {
+    if (msg->kind() != sim::MsgKind::kShares) {
+      core::LyraNode::broadcast_msg(std::move(msg));
+    }
+  }
+
+  void send_share(NodeId to, const crypto::Digest& cipher_id) {
+    crypto::VssShare share;
+    share.owner = id();
+    share.key_share.x = static_cast<std::uint8_t>(id() + 1);
+    share.key_share.y.assign(32, 0x5A);
+    auto msg = std::make_shared<core::SharesMsg>();
+    msg->shares.emplace_back(cipher_id, share);
+    send_msg(to, msg);
+  }
+};
+
+TEST(LyraProtocol, RevealedBatchesKeepNoRevealState) {
+  harness::LyraCluster cluster(base_options(4, 1, 71));
+  cluster.start();
+  cluster.run_for(ms(40));
+  for (int i = 0; i < 16; ++i) {
+    cluster.node(static_cast<NodeId>(i % 4))
+        .submit_local(to_bytes("kept-" + std::to_string(i)));
+    cluster.run_for(ms(5));
+  }
+  cluster.run_for(ms(300));
+
+  // A revealed batch keeps its ledger entry and nothing else: reveal state
+  // is left only for committed entries still waiting for their payload.
+  for (NodeId i = 0; i < 4; ++i) {
+    const core::LyraNode& node = cluster.node(i);
+    ASSERT_GT(node.ledger().size(), 0u) << "node " << i;
+    std::size_t unrevealed = 0;
+    for (const auto& cb : node.ledger()) unrevealed += cb.revealed() ? 0 : 1;
+    EXPECT_EQ(node.commit().pending_reveals(), unrevealed) << "node " << i;
+  }
+}
+
+TEST(LyraProtocol, LateSharesAfterRevealCreateNoState) {
+  auto opts = base_options(4, 1, 73);
+  ShareSenderLyraNode* sender = nullptr;
+  opts.node_factory = [&sender](sim::Simulation* sim, net::Network* net,
+                                NodeId id, const core::Config& cfg,
+                                const crypto::KeyRegistry* reg)
+      -> std::unique_ptr<core::LyraNode> {
+    if (id != 0) {
+      return std::make_unique<core::LyraNode>(sim, net, id, cfg, reg);
+    }
+    auto node = std::make_unique<ShareSenderLyraNode>(sim, net, id, cfg, reg);
+    sender = node.get();
+    return node;
+  };
+  harness::LyraCluster cluster(opts);
+  cluster.start();
+  cluster.run_for(ms(40));
+  for (int i = 0; i < 8; ++i) {
+    cluster.node(static_cast<NodeId>(1 + i % 3))
+        .submit_local(to_bytes("late-" + std::to_string(i)));
+    cluster.run_for(ms(5));
+  }
+  cluster.run_for(ms(300));
+
+  const core::LyraNode& target = cluster.node(1);
+  ASSERT_GT(target.ledger().size(), 0u);
+  for (const auto& cb : target.ledger()) ASSERT_TRUE(cb.revealed());
+  const std::size_t states = target.commit().pending_reveals();
+  const std::size_t length = target.ledger().size();
+  const crypto::Digest chain = target.chain_hash();
+
+  // The first share from node 0 for a cipher the target already revealed
+  // finds the ledger entry and stops there.
+  for (const auto& cb : target.ledger()) sender->send_share(1, cb.cipher_id);
+  cluster.run_for(ms(20));
+  EXPECT_EQ(target.commit().pending_reveals(), states);
+  EXPECT_EQ(target.ledger().size(), length);
+  EXPECT_EQ(target.chain_hash(), chain);
+}
+
 /// Proposes INITs whose `cipher.id` is not the digest of the cipher's
 /// content, with a valid signature over the value id built from that false
 /// id. Were the id trusted unchecked, such a batch could be accepted and
@@ -423,7 +508,7 @@ class FalseCipherIdLyraNode final : public core::LyraNode {
   using core::LyraNode::LyraNode;
 
   void propose_false_id(BytesView payload) {
-    const InstanceId inst{id(), next_proposal_index_++};
+    const InstanceId inst{id(), commit_.take_proposal_index()};
     auto msg = std::make_shared<core::InitMsg>();
     msg->inst = inst;
     msg->predictions = build_predictions(clock_now());

@@ -91,7 +91,7 @@ TEST(Vvb, SelectiveInitBelowQuorumIsRejectedEverywhere) {
   for (NodeId i = 1; i < 4; ++i) {
     EXPECT_EQ(cluster.node(i).ledger().size(), 0u) << "node " << i;
     // No instance may be left undecided (termination).
-    EXPECT_EQ(cluster.node(i).commit_state().min_pending(), kMaxSeq)
+    EXPECT_EQ(cluster.node(i).commit().state().min_pending(), kMaxSeq)
         << "node " << i;
   }
   // Later traffic is unaffected.
