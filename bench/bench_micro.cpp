@@ -132,6 +132,34 @@ void BM_EventQueueFanOut(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueFanOut)->Arg(48);
 
+void BM_EventQueueTimerChurn(benchmark::State& state) {
+  // Pompe's view-timeout shape: a timeout armed past the ~537 ms calendar
+  // horizon, then deliveries, then the timeout cancelled and re-armed, so
+  // most timers die unfired. One step is one such round of 8 deliveries.
+  struct Vacant final : sim::ProcessDirectory {
+    sim::Process* process_at(NodeId) const override { return nullptr; }
+  };
+  Vacant dir;
+  std::vector<sim::Receiver> receivers(8);
+  sim::EventQueue q;
+  TimeNs clock = 0;
+  std::uint64_t timeout = q.schedule_at(ms(1000), [] {});
+  for (auto _ : state) {
+    for (NodeId to = 0; to < receivers.size(); ++to) {
+      receivers[to] = sim::Receiver{to, clock + ms(30) + us(to * 37)};
+    }
+    q.schedule_deliveries(&dir, 0, clock, nullptr, receivers);
+    for (std::size_t i = 0; i < receivers.size(); ++i) {
+      q.run_next_until(std::numeric_limits<TimeNs>::max(), clock);
+    }
+    q.cancel(timeout);
+    timeout = q.schedule_at(clock + ms(1000), [] {});
+  }
+  benchmark::DoNotOptimize(q.deliveries_dropped());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueTimerChurn);
+
 void BM_SimulationMessageRoundtrip(benchmark::State& state) {
   // End-to-end cost of one simulated message (schedule + deliver).
   struct Sink final : sim::Process {

@@ -42,31 +42,11 @@ std::uint64_t EventQueue::make_handle(std::uint64_t id, std::uint64_t slot) {
 std::uint64_t EventQueue::schedule_at(TimeNs at, Callback fn) {
   const std::uint64_t id = next_id_++;
   const std::uint32_t slot = take_slot(fn_slots_, fn_free_);
+  const std::uint64_t handle = make_handle(id, slot);
   fn_slots_[slot].fn = std::move(fn);
   fn_slots_[slot].live_id = id;
-  timers_.push(Ref{at, id, slot, kNoNode});
-  ++live_timers_;
-  return make_handle(id, slot);
-}
-
-std::uint64_t EventQueue::schedule_pump(TimeNs at, Process* process) {
-  const std::uint64_t id = next_id_++;
-  const std::uint32_t slot = take_slot(pump_slots_, pump_free_);
-  pump_slots_[slot] = PumpSlot{process, id};
-  push_delivery(Ref{at, id, slot | kPumpFlag, kNoNode});
-  return make_handle(id, slot);
-}
-
-void EventQueue::cancel_pump(std::uint64_t handle) {
-  const std::uint64_t slot = handle & kSlotMask;
-  if (slot >= pump_slots_.size() ||
-      pump_slots_[slot].live_id != handle >> kSlotBits) {
-    return;
-  }
-  // The queued entry stays behind; peek_live_delivery() discards it.
-  pump_slots_[slot] = PumpSlot{};
-  pump_free_.push_back(static_cast<std::uint32_t>(slot));
-  --deliveries_live_;
+  push(Ref{at, id, slot | kCallbackFlag, kNoNode});
+  return handle;
 }
 
 void EventQueue::schedule_deliveries(ProcessDirectory* dir, NodeId from,
@@ -74,7 +54,7 @@ void EventQueue::schedule_deliveries(ProcessDirectory* dir, NodeId from,
                                      std::span<const Receiver> receivers) {
   if (receivers.empty()) return;
   const std::uint32_t slot = take_slot(env_slots_, env_free_);
-  LYRA_ASSERT(slot < kPumpFlag, "too many pending sends");
+  LYRA_ASSERT(slot < kCallbackFlag, "too many pending sends");
   DeliverySlot& ds = env_slots_[slot];
   ds.payload = std::move(payload);
   ds.dir = dir;
@@ -82,17 +62,19 @@ void EventQueue::schedule_deliveries(ProcessDirectory* dir, NodeId from,
   ds.from = from;
   ds.pending = static_cast<std::uint32_t>(receivers.size());
   for (const Receiver& r : receivers) {
-    push_delivery(Ref{r.at, next_id_++, slot, r.to});
+    push(Ref{r.at, next_id_++, slot, r.to});
   }
 }
 
-void EventQueue::push_delivery(const Ref& ref) {
+void EventQueue::push(const Ref& ref) {
+  LYRA_ASSERT(ref.at >= last_run_at_,
+              "event scheduled before the last event run");
   const std::uint64_t tick = tick_of(ref.at);
   if (tick > drain_tick_ + kBucketCount && wheel_count_ == 0 &&
       drain_sorted_.empty() && drain_extra_.empty()) {
     // Nothing is queued in the window, so it may start anywhere: move it
     // up to the clock. Otherwise, after an idle gap longer than the
-    // horizon, every later delivery would spill into far_.
+    // horizon, every later event would spill into far_.
     drain_tick_ = std::max(drain_tick_, tick_of(last_run_at_));
   }
   if (tick <= drain_tick_) {
@@ -108,7 +90,6 @@ void EventQueue::push_delivery(const Ref& ref) {
   } else {
     far_.push(ref);
   }
-  ++deliveries_live_;
 }
 
 std::size_t EventQueue::wheel_capacity() const {
@@ -119,7 +100,7 @@ std::size_t EventQueue::wheel_capacity() const {
 
 bool EventQueue::pending(std::uint64_t handle) const {
   // A handle is live only while its slot still holds its id: a fired or
-  // cancelled timer cleared it, and a reused slot holds a newer id.
+  // cancelled callback cleared it, and a reused slot holds a newer id.
   const std::uint64_t slot = handle & kSlotMask;
   return slot < fn_slots_.size() &&
          fn_slots_[slot].live_id == handle >> kSlotBits;
@@ -128,19 +109,10 @@ bool EventQueue::pending(std::uint64_t handle) const {
 bool EventQueue::cancel(std::uint64_t handle) {
   if (!pending(handle)) return false;
   const auto slot = static_cast<std::uint32_t>(handle & kSlotMask);
-  TimerSlot& ts = fn_slots_[slot];
-  ts.live_id = kNoId;
-  ts.fn = nullptr;  // release captured state now
+  fn_slots_[slot] = CallbackSlot{};  // release captured state now
   fn_free_.push_back(slot);
-  --live_timers_;
+  ++cancelled_queued_;  // the entry stays queued; peek_live() discards it
   return true;
-}
-
-void EventQueue::drop_dead() const {
-  while (!timers_.empty() &&
-         fn_slots_[timers_.top().slot].live_id != timers_.top().id) {
-    timers_.pop();  // slot already released by cancel()
-  }
 }
 
 std::uint64_t EventQueue::find_next_bucket_tick() const {
@@ -174,8 +146,8 @@ void EventQueue::pour_next_bucket() const {
   const std::uint64_t tick = find_next_bucket_tick();
   const std::size_t idx = static_cast<std::size_t>(tick & kBucketMask);
   // Take the bucket's storage and leave it none; the drain's old buffer is
-  // freed. A bucket holds memory only while it holds deliveries, so the
-  // wheel stays within about twice the live deliveries. (A swap would
+  // freed. A bucket holds memory only while it holds events, so the
+  // wheel stays within about twice the live events. (A swap would
   // rotate the buffers through all 4096 buckets until every one had grown
   // to the largest bucket ever poured.)
   drain_sorted_ = std::exchange(buckets_[idx], {});
@@ -193,111 +165,94 @@ void EventQueue::pour_next_bucket() const {
               "bucket holds a foreign tick");
 }
 
-EventQueue::Tier EventQueue::peek_delivery(Ref& out) const {
-  Tier tier = Tier::kNone;
+EventQueue::Source EventQueue::peek(Ref& out) const {
+  Source source = Source::kNone;
   if (drain_pos_ < drain_sorted_.size()) {
     out = drain_sorted_[drain_pos_];
-    tier = Tier::kDrain;
+    source = Source::kDrain;
   } else if (wheel_count_ > 0 && drain_extra_.empty()) {
     // Drain exhausted: bring in the next calendar bucket. (Skipped while
     // the side heap holds entries — those are <= drain_tick_, hence
     // earlier than anything still on the wheel.)
     pour_next_bucket();
     out = drain_sorted_[drain_pos_];
-    tier = Tier::kDrain;
+    source = Source::kDrain;
   }
   if (!drain_extra_.empty()) {
     const Ref& e = drain_extra_.front();
-    if (tier == Tier::kNone || ref_before(e.at, e.id, out.at, out.id)) {
+    if (source == Source::kNone || ref_before(e.at, e.id, out.at, out.id)) {
       out = e;
-      tier = Tier::kExtra;
+      source = Source::kExtra;
     }
   }
   if (!far_.empty()) {
     const Ref& f = far_.top();
-    if (tier == Tier::kNone || ref_before(f.at, f.id, out.at, out.id)) {
+    if (source == Source::kNone || ref_before(f.at, f.id, out.at, out.id)) {
       out = f;
-      tier = Tier::kFar;
+      source = Source::kFar;
     }
   }
-  return tier;
+  return source;
 }
 
-void EventQueue::pop_delivery(Tier tier) {
-  switch (tier) {
-    case Tier::kDrain:
+void EventQueue::pop(Source source) {
+  switch (source) {
+    case Source::kDrain:
       if (++drain_pos_ == drain_sorted_.size()) {
         drain_sorted_.clear();
         drain_pos_ = 0;
       }
       break;
-    case Tier::kExtra:
+    case Source::kExtra:
       std::pop_heap(drain_extra_.begin(), drain_extra_.end(), RefAfter{});
       drain_extra_.pop_back();
       break;
-    case Tier::kFar:
+    case Source::kFar:
       far_.pop();
       break;
-    case Tier::kNone:
-      LYRA_ASSERT(false, "pop_delivery with no delivery pending");
+    case Source::kNone:
+      LYRA_ASSERT(false, "pop with no event queued");
   }
 }
 
-EventQueue::Tier EventQueue::peek_live_delivery(Ref& out) {
-  Tier tier = peek_delivery(out);
-  while (tier != Tier::kNone && (out.slot & kPumpFlag) != 0 &&
-         pump_slots_[out.slot & ~kPumpFlag].live_id != out.id) {
-    pop_delivery(tier);  // cancelled pump: already uncounted
-    tier = peek_delivery(out);
+EventQueue::Source EventQueue::peek_live(Ref& out) {
+  Source source = peek(out);
+  while (source != Source::kNone && (out.slot & kCallbackFlag) != 0 &&
+         fn_slots_[out.slot & ~kCallbackFlag].live_id != out.id) {
+    pop(source);  // cancelled callback: its slot is already released
+    --cancelled_queued_;
+    source = peek(out);
   }
-  return tier;
+  return source;
 }
 
-bool EventQueue::empty() const {
-  drop_dead();
-  return deliveries_live_ == 0 && timers_.empty();
+bool EventQueue::empty() {
+  Ref next;
+  return peek_live(next) == Source::kNone;
 }
 
 bool EventQueue::run_next_until(TimeNs deadline, TimeNs& clock) {
-  drop_dead();
-  Ref del;
-  const Tier tier = peek_live_delivery(del);
-  if (!timers_.empty() &&
-      (tier == Tier::kNone ||
-       ref_before(timers_.top().at, timers_.top().id, del.at, del.id))) {
-    const Ref t = timers_.top();
-    if (t.at > deadline) return false;
-    timers_.pop();
-    last_run_at_ = t.at;
-    TimerSlot& ts = fn_slots_[t.slot];
-    Callback fn = std::move(ts.fn);
-    ts.fn = nullptr;
-    ts.live_id = kNoId;
-    fn_free_.push_back(t.slot);  // freed before fn runs so it can reuse the slot
-    --live_timers_;
-    clock = t.at;
-    fn();
-    return true;
-  }
-  if (tier == Tier::kNone || del.at > deadline) return false;
-  pop_delivery(tier);
-  --deliveries_live_;
-  last_run_at_ = del.at;
-  clock = del.at;
-  if ((del.slot & kPumpFlag) != 0) {
-    run_pump(del);
+  Ref ev;
+  const Source source = peek_live(ev);
+  if (source == Source::kNone || ev.at > deadline) return false;
+  pop(source);
+  last_run_at_ = ev.at;
+  clock = ev.at;
+  if ((ev.slot & kCallbackFlag) != 0) {
+    run_callback(ev.slot & ~kCallbackFlag);
   } else {
-    run_delivery(del);
+    run_delivery(ev);
   }
   return true;
 }
 
-void EventQueue::run_pump(const Ref& ref) {
-  const std::uint32_t slot = ref.slot & ~kPumpFlag;
-  Process* process = pump_slots_[slot].process;
-  pump_slots_[slot] = PumpSlot{};
-  pump_free_.push_back(slot);  // freed first: the pump may schedule the next
-  process->pump();
+void EventQueue::run_callback(std::uint32_t slot) {
+  CallbackSlot& cs = fn_slots_[slot];
+  Callback fn = std::move(cs.fn);
+  cs.fn = nullptr;
+  cs.live_id = kNoId;
+  fn_free_.push_back(slot);  // freed before fn runs so it can reuse the slot
+  fn();
 }
 
 void EventQueue::run_delivery(const Ref& del) {

@@ -36,37 +36,33 @@ struct Receiver {
 /// insertion order (a monotone sequence number breaks ties), so a run is a
 /// pure function of the initial seed and configuration.
 ///
-/// Two event flavours with one shared id space (so the (at, id) total
-/// order spans both):
+/// One source holds two event kinds with one shared id space, so the
+/// (at, id) total order spans both:
 ///
-///  * Message deliveries — the hot path at ~10M/s for n = 100 clusters —
-///    run through a calendar ring: 4096 buckets of kBucketWidth ns each.
-///    A delivery within the ring's horizon is appended to its bucket
-///    (O(1)); the bucket is sorted once when the clock reaches it and
-///    drained by index. Deliveries beyond the horizon (NIC backlog under
-///    saturation, adversarial holds) wait in a spill min-heap consulted at
-///    pop time. A poured bucket keeps no storage, so the wheel's memory
-///    follows the deliveries live on it, not its busiest moment; and
-///    while the wheel is empty its window moves up to the clock, so an
-///    idle gap longer than the horizon does not push every later
-///    delivery into the spill heap. Every structure carries 24-byte
-///    {at, id, slot, to} handles. One send — a unicast or a whole
-///    broadcast — occupies one slot of a recycled slab holding the shared
-///    payload; each receiver's handle names the slot, and the last
+///  * A delivery: one receiver of a message. One send, a unicast or a
+///    whole broadcast, occupies one slot of a recycled slab holding the
+///    shared payload; each receiver's entry names the slot, and the last
 ///    receiver to fire releases it.
+///  * A callback: a timer, or a busy process's inbox pump. Its entry flags
+///    the slot field and names a slot of a recycled slab of std::function
+///    bodies, so the structures below move 24-byte PODs, never closures.
 ///
-///    A busy process's pump (Process::pump, which handles the next message
-///    of its inbox) rides the same tier: its handle flags the slot field
-///    and names a slot of a small {Process*, live id} slab instead of a
-///    send, so the pump costs neither a closure nor a timer-heap sift.
+/// Every event is a 24-byte {at, id, slot, to} entry on a calendar ring:
+/// 4096 buckets of 2^17 ns each. An event within the ring's horizon is
+/// appended to its bucket (O(1)); the bucket is sorted once when the clock
+/// reaches it and drained by index. Events beyond the horizon (timeouts,
+/// NIC backlog under saturation, adversarial holds) wait in a spill
+/// min-heap consulted at pop time. A poured bucket keeps no storage, so
+/// the wheel's memory follows the events live on it, not its busiest
+/// moment; and while the wheel is empty its window moves up to the clock,
+/// so an idle gap longer than the horizon does not push every later event
+/// into the spill heap.
 ///
-///  * Generic callbacks (timers; sparse) keep a binary heap of the same
-///    handles, with the std::function bodies in their own recycled slab —
-///    heap sift-ups move 24-byte PODs, never closures.
-///
-/// Timer and pump slots record the id of the live event holding them, so
+/// A callback slot records the id of the live event holding it, so
 /// cancellation is a compare-and-clear and a dead entry is recognised, and
 /// skipped without moving the clock, by its slot no longer holding its id.
+///
+/// No event may be scheduled before the time of the last event run.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -78,8 +74,7 @@ class EventQueue {
   /// Schedules one message, sent by `from` at `sent_at`, to every receiver
   /// in `receivers`, in list order: each receiver takes the next id, so
   /// equal-time receivers fire in that order. Destinations are resolved
-  /// through `dir` at delivery time. Not cancellable. No receiver's time
-  /// may precede the time of the last event run.
+  /// through `dir` at delivery time. Not cancellable.
   void schedule_deliveries(ProcessDirectory* dir, NodeId from, TimeNs sent_at,
                            PayloadPtr payload,
                            std::span<const Receiver> receivers);
@@ -93,17 +88,9 @@ class EventQueue {
   /// been cancelled.
   bool pending(std::uint64_t handle) const;
 
-  /// Schedules `process->pump()` at absolute time `at`, ordered with every
-  /// other event by (at, id). Returns a handle for cancel_pump(). The same
-  /// time rule as for deliveries applies.
-  std::uint64_t schedule_pump(TimeNs at, Process* process);
-
-  /// Cancels a pending pump (the process is going away). Fired or unknown
-  /// handles are a no-op, as for cancel().
-  void cancel_pump(std::uint64_t handle);
-
-  /// True when no live (non-cancelled) event remains.
-  bool empty() const;
+  /// True when no live (non-cancelled) event remains. Discards the dead
+  /// entries in front of the next live event.
+  bool empty();
 
   /// Runs the next live event if its time is at most `deadline`: sets
   /// `clock` to the event's time, then dispatches it. Returns false, with
@@ -125,16 +112,18 @@ class EventQueue {
   std::size_t envelope_slab_capacity() const { return env_slots_.size(); }
   std::size_t callback_slab_capacity() const { return fn_slots_.size(); }
   /// Entries of storage the calendar buckets hold, summed over all of
-  /// them: zero once every delivery on the wheel has been poured.
+  /// them: zero once every event on the wheel has been poured.
   std::size_t wheel_capacity() const;
 
-  /// Cancelled timers whose heap entry has not surfaced yet. Bounded by
-  /// the timer heap: cancelling a fired or non-timer handle is a no-op
+  /// Cancelled callbacks whose queued entry has not surfaced yet.
+  /// Cancelling a fired or unknown handle is a no-op and adds none
   /// (regression guard for the cancel-after-fire leak).
-  std::size_t cancelled_pending() const {
-    return timers_.size() - live_timers_;
+  std::size_t cancelled_pending() const { return cancelled_queued_; }
+  /// Callbacks (timers and pumps) that have neither fired nor been
+  /// cancelled.
+  std::size_t live_timer_count() const {
+    return fn_slots_.size() - fn_free_.size();
   }
-  std::size_t live_timer_count() const { return live_timers_; }
 
  private:
   /// One scheduled event: the ordering key plus a handle into a payload
@@ -166,27 +155,27 @@ class EventQueue {
     return static_cast<std::uint64_t>(at) >> kBucketShift;
   }
 
-  // Timer and pump handles pack (id << kSlotBits) | slot.
+  // Callback handles pack (id << kSlotBits) | slot.
   static constexpr int kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
   static constexpr std::uint64_t kNoId = ~0ull;
-  /// Set in a delivery-tier Ref's slot field when the slot is a pump slot.
-  static constexpr std::uint32_t kPumpFlag = 1u << 31;
+  /// Set in a Ref's slot field when the slot is a callback slot.
+  static constexpr std::uint32_t kCallbackFlag = 1u << 31;
 
   static std::uint64_t make_handle(std::uint64_t id, std::uint64_t slot);
 
-  // --- delivery tier ---
-  /// Where the earliest delivery sits; kNone when no delivery is pending.
-  enum class Tier { kNone, kDrain, kExtra, kFar };
-  /// Fills `out` with the earliest pending delivery and returns its tier.
+  /// Where the earliest entry sits; kNone when no entry is queued.
+  enum class Source { kNone, kDrain, kExtra, kFar };
+  /// Fills `out` with the earliest queued entry and returns where it sits.
   /// Pours and sorts the next calendar bucket if the drain ran dry.
-  Tier peek_delivery(Ref& out) const;
-  /// Removes the entry peek_delivery() returned from `tier`.
-  void pop_delivery(Tier tier);
-  void push_delivery(const Ref& ref);
-  /// Peeks like peek_delivery(), first discarding cancelled pumps.
-  Tier peek_live_delivery(Ref& out);
-  void run_pump(const Ref& ref);
+  Source peek(Ref& out) const;
+  /// Removes the entry peek() returned from `source`.
+  void pop(Source source);
+  /// Queues any event: the one entry point, where the time rule is kept.
+  void push(const Ref& ref);
+  /// Peeks like peek(), first discarding cancelled callbacks.
+  Source peek_live(Ref& out);
+  void run_callback(std::uint32_t slot);
   void run_delivery(const Ref& ref);
   /// Moves the earliest non-empty bucket into the drain, storage and all,
   /// leaving the bucket none. Requires the drain to be empty and
@@ -200,14 +189,9 @@ class EventQueue {
     bucket_bits_[idx >> 6] &= ~(1ull << (idx & 63));
   }
 
-  // --- timer tier ---
-  /// Discards heap entries of cancelled timers sitting at the front of
-  /// the timer heap: entries whose slot no longer holds their id.
-  void drop_dead() const;
-
   // Drain: the bucket whose tick == drain_tick_, sorted ascending, plus a
   // small overflow heap for events inserted at ticks <= drain_tick_ after
-  // the sort (same-tick sends from running handlers, and post-jump
+  // the sort (same-tick events scheduled by running handlers, and post-jump
   // stragglers). Everything below drain_pos_ has fired.
   mutable std::uint64_t drain_tick_ = 0;
   mutable std::vector<Ref> drain_sorted_;
@@ -221,13 +205,13 @@ class EventQueue {
   mutable std::array<std::uint64_t, kBucketCount / 64> bucket_bits_{};
   mutable std::size_t wheel_count_ = 0;
 
-  // Spill: deliveries beyond the wheel horizon. Never migrated — simply a
+  // Spill: events beyond the wheel horizon. Never migrated — simply a
   // third candidate source at pop time.
   RefHeap far_;
 
-  // Drain remainder + extra + wheel + far, less cancelled pumps.
-  std::size_t deliveries_live_ = 0;
-  // Time of the last event run: no later delivery may precede it, so an
+  // Queued entries of cancelled callbacks, skipped when they surface.
+  std::size_t cancelled_queued_ = 0;
+  // Time of the last event run: no later event may precede it, so an
   // empty window can be rebased onto its tick.
   TimeNs last_run_at_ = 0;
 
@@ -244,26 +228,16 @@ class EventQueue {
   std::vector<DeliverySlot> env_slots_;
   std::vector<std::uint32_t> env_free_;
 
-  // Timers: POD heap + recycled callback slab + lazy cancellation. A slot
-  // holds the id of the live timer using it (kNoId once fired or
-  // cancelled); cancel() releases the slot eagerly, and the orphaned heap
-  // entry is discarded when it surfaces.
-  struct TimerSlot {
+  // Callback slab with slot recycling and lazy cancellation. A slot holds
+  // the id of the live callback using it (kNoId once fired or cancelled);
+  // cancel() releases the slot eagerly, and the orphaned entry is
+  // discarded when it surfaces.
+  struct CallbackSlot {
     Callback fn;
     std::uint64_t live_id = kNoId;
   };
-  mutable RefHeap timers_;
-  std::vector<TimerSlot> fn_slots_;
+  std::vector<CallbackSlot> fn_slots_;
   std::vector<std::uint32_t> fn_free_;
-  std::size_t live_timers_ = 0;
-
-  // Pumps: at most one pending per process. live_id as for TimerSlot.
-  struct PumpSlot {
-    Process* process = nullptr;
-    std::uint64_t live_id = kNoId;
-  };
-  std::vector<PumpSlot> pump_slots_;
-  std::vector<std::uint32_t> pump_free_;
 
   std::uint64_t next_id_ = 0;
   std::uint64_t deliveries_dropped_ = 0;

@@ -12,7 +12,7 @@ Process::Process(Simulation* sim, Transport* transport, NodeId id)
 
 Process::~Process() {
   for (const TimerId id : timers_) sim_->cancel(id);
-  if (pump_scheduled_) sim_->cancel_pump(pump_event_);
+  if (pump_scheduled_) sim_->cancel(pump_event_);
 }
 
 void Process::deliver(Envelope env) {
@@ -31,7 +31,7 @@ void Process::deliver(Envelope env) {
 void Process::schedule_pump() {
   if (pump_scheduled_) return;
   pump_scheduled_ = true;
-  pump_event_ = sim_->schedule_pump(cpu_busy_until_, this);
+  pump_event_ = sim_->schedule_at(cpu_busy_until_, [this] { pump(); });
 }
 
 void Process::pump() {

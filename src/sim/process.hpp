@@ -114,8 +114,6 @@ class Process {
   bool tracing() const { return sim_->trace().enabled(); }
 
  private:
-  friend class EventQueue;  // runs pump()
-
   void schedule_pump();
   void pump();
 

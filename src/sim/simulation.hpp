@@ -30,10 +30,12 @@ class Simulation {
 
   TimeNs now() const { return now_; }
 
+  /// Schedules `fn` after `delay`; a negative delay means now().
   std::uint64_t schedule_in(TimeNs delay, EventQueue::Callback fn) {
-    return queue_.schedule_at(now_ + delay, std::move(fn));
+    return schedule_at(now_ + delay, std::move(fn));
   }
 
+  /// Schedules `fn` at `at`, or at now() if `at` has passed.
   std::uint64_t schedule_at(TimeNs at, EventQueue::Callback fn) {
     return queue_.schedule_at(at < now_ ? now_ : at, std::move(fn));
   }
@@ -44,14 +46,6 @@ class Simulation {
   bool pending(std::uint64_t event_id) const {
     return queue_.pending(event_id);
   }
-
-  /// Schedules `process`'s inbox pump at `at` (not before now()); see
-  /// EventQueue::schedule_pump.
-  std::uint64_t schedule_pump(TimeNs at, Process* process) {
-    return queue_.schedule_pump(at < now_ ? now_ : at, process);
-  }
-
-  void cancel_pump(std::uint64_t handle) { queue_.cancel_pump(handle); }
 
   /// Message-delivery fast path: one slab slot per send, no callback
   /// allocation. Each receiver (absolute time, not before now()) is

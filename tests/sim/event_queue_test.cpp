@@ -26,20 +26,6 @@ class RecordingDirectory final : public ProcessDirectory {
   mutable std::vector<NodeId> fired;
 };
 
-struct NullTransport final : Transport {
-  void send(NodeId, NodeId, PayloadPtr) override {}
-  std::size_t node_count() const override { return 1; }
-};
-
-/// A process that handles nothing, as a pump target.
-class IdleProcess final : public Process {
- public:
-  using Process::Process;
-
- protected:
-  void on_message(const Envelope&) override {}
-};
-
 /// Schedules a single-receiver send (a fan-out of one).
 void schedule_one(EventQueue& q, TimeNs at, ProcessDirectory* dir,
                   NodeId to) {
@@ -152,25 +138,22 @@ TEST(EventQueue, EqualTimeTimersAndDeliveriesFireInInsertionOrder) {
 }
 
 TEST(EventQueue, CancelledPumpLeavesTheQueueEmpty) {
-  // A cancelled pump stays queued but is not counted: empty() is true,
-  // and nothing runs or moves the clock when its entry surfaces.
-  // The process's own simulation only serves its constructor; the test
-  // drives a separate queue.
-  Simulation sim(1);
-  NullTransport transport;
-  IdleProcess p(&sim, &transport, 0);
+  // A pump is a callback like any timer. A cancelled one stays queued but
+  // is not counted: empty() is true, and nothing runs or moves the clock
+  // when its entry surfaces.
   EventQueue q;
-  const auto handle = q.schedule_pump(10, &p);
+  const auto pump = [] { ADD_FAILURE() << "a cancelled pump ran"; };
+  const auto handle = q.schedule_at(10, pump);
   EXPECT_FALSE(q.empty());
-  q.cancel_pump(handle);
-  q.cancel_pump(handle);  // second cancel: a no-op
+  q.cancel(handle);
+  q.cancel(handle);  // second cancel: a no-op
   EXPECT_TRUE(q.empty());
   TimeNs clock = 3;
   EXPECT_FALSE(q.run_next_until(std::numeric_limits<TimeNs>::max(), clock));
   EXPECT_EQ(clock, 3);
   // Behind a dead pump, a live event runs at its own time.
-  const auto dead = q.schedule_pump(20, &p);
-  q.cancel_pump(dead);
+  const auto dead = q.schedule_at(20, pump);
+  q.cancel(dead);
   bool ran = false;
   q.schedule_at(30, [&] { ran = true; });
   EXPECT_EQ(q.run_next(), 30);
@@ -286,6 +269,56 @@ TEST(EventQueue, DeliveryAfterIdleGapLandsOnTheWheel) {
   EXPECT_EQ(dir.fired, (std::vector<NodeId>{1, 4, 3, 2}));
   EXPECT_EQ(fire_times, (std::vector<TimeNs>{gap, gap + ms(1), gap + ms(600)}));
   EXPECT_EQ(q.wheel_capacity(), 0u);
+}
+
+TEST(EventQueue, CallbacksOnEveryTierKeepGlobalOrder) {
+  // Timers and fan-out receivers at equal times, on every tier: the
+  // calendar bucket poured at `near`, the spill heap past the ~537 ms
+  // horizon, and the side heap of the tick being drained. Everything
+  // fires in (time, insertion) order, and a cancelled timer, whether its
+  // entry sits in a poured bucket or in the spill heap, neither runs nor
+  // moves the clock.
+  EventQueue q;
+  RecordingDirectory dir;
+  std::vector<NodeId> order;  // timers recorded as 1000 + k
+  const auto timer = [&](TimeNs at, NodeId k) {
+    return q.schedule_at(at, [&order, k] { order.push_back(1000 + k); });
+  };
+  const TimeNs near = ms(1);
+  const TimeNs far = ms(2000);
+  timer(near, 0);
+  const std::vector<Receiver> first{{0, near}, {1, far}, {2, near}};
+  q.schedule_deliveries(&dir, 9, 0, nullptr, first);
+  timer(far, 1);
+  EXPECT_TRUE(q.cancel(timer(near + us(20), 2)));  // same bucket as `near`
+  EXPECT_TRUE(q.cancel(timer(ms(1500), 3)));       // spill heap
+  q.schedule_at(near, [&] {
+    order.push_back(1004);
+    timer(near, 5);  // into the tick being drained: the side heap
+  });
+  timer(near, 6);
+  const std::vector<Receiver> second{{3, far}, {4, near}};
+  q.schedule_deliveries(&dir, 9, 0, nullptr, second);
+  EXPECT_TRUE(q.cancel(timer(ms(3000), 7)));  // dead, behind everything
+  EXPECT_EQ(q.cancelled_pending(), 3u);
+
+  std::vector<TimeNs> fire_times;
+  for (int i = 0; i < 10; ++i) {
+    const std::size_t before = dir.fired.size();
+    fire_times.push_back(q.run_next());
+    if (dir.fired.size() > before) order.push_back(dir.fired.back());
+  }
+  EXPECT_EQ(order, (std::vector<NodeId>{1000, 0, 2, 1004, 1006, 4, 1005, 1,
+                                        1001, 3}));
+  EXPECT_EQ(fire_times, (std::vector<TimeNs>{near, near, near, near, near,
+                                             near, near, far, far, far}));
+  // Only the dead entry behind everything remains, if not yet discarded.
+  EXPECT_LE(q.cancelled_pending(), 1u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.cancelled_pending(), 0u);
+  TimeNs clock = far;
+  EXPECT_FALSE(q.run_next_until(std::numeric_limits<TimeNs>::max(), clock));
+  EXPECT_EQ(clock, far);
 }
 
 TEST(EventQueue, CallbackSlabRecyclesSlotsIncludingCancelled) {
@@ -437,24 +470,29 @@ TEST(EventQueue, FanOutHoldsOneSlotUntilItsLastReceiver) {
   EventQueue q;
   RecordingDirectory dir;
   const auto payload = std::make_shared<Ping>();
+  // One send to 48 receivers at `base`, `base` + 1, ...: a later send
+  // starts after the last event run, as the queue requires.
   std::vector<Receiver> all(48);
-  for (NodeId i = 0; i < 48; ++i) all[i] = Receiver{i, us(100) + i};
-  q.schedule_deliveries(&dir, 0, 0, payload, all);
+  const auto send_all = [&](TimeNs base) {
+    for (NodeId i = 0; i < 48; ++i) all[i] = Receiver{i, base + i};
+    q.schedule_deliveries(&dir, 0, 0, payload, all);
+  };
+  send_all(us(100));
   EXPECT_EQ(q.envelope_slab_capacity(), 1u);
   EXPECT_EQ(payload.use_count(), 2);  // the caller's copy + the slot's
   for (int i = 0; i < 47; ++i) q.run_next();
   // One receiver still pending: the slot stays taken, so a new send
   // needs a second one.
   EXPECT_EQ(payload.use_count(), 2);
-  q.schedule_deliveries(&dir, 0, 0, payload, all);
+  send_all(us(200));
   EXPECT_EQ(q.envelope_slab_capacity(), 2u);
   while (!q.empty()) q.run_next();
   EXPECT_EQ(payload.use_count(), 1);  // the last receiver released it
   EXPECT_EQ(q.deliveries_dropped(), 96u);
   // Both slots are free again: later sends recycle them.
   for (int round = 0; round < 10; ++round) {
-    q.schedule_deliveries(&dir, 0, 0, payload, all);
-    q.schedule_deliveries(&dir, 0, 0, payload, all);
+    send_all(us(300 + 100 * round));
+    send_all(us(300 + 100 * round));
     while (!q.empty()) q.run_next();
   }
   EXPECT_EQ(q.envelope_slab_capacity(), 2u);

@@ -43,6 +43,19 @@ TEST(Simulation, ScheduleAtPastClampsToNow) {
   sim.run_all();
 }
 
+TEST(Simulation, ScheduleInNegativeDelayClampsToNow) {
+  // A negative delay means now, as a past time does for schedule_at: the
+  // event runs at the current time and the clock never moves back.
+  Simulation sim(1);
+  std::vector<TimeNs> observed;
+  sim.schedule_in(ms(10), [&] {
+    sim.schedule_in(-ms(4), [&] { observed.push_back(sim.now()); });
+  });
+  sim.run_all();
+  EXPECT_EQ(observed, (std::vector<TimeNs>{ms(10)}));
+  EXPECT_EQ(sim.now(), ms(10));
+}
+
 TEST(Simulation, CancelledEventDoesNotRun) {
   Simulation sim(1);
   bool ran = false;
